@@ -7,7 +7,7 @@ from .algebra import (ADD, MUL, Algebra, AlgebraError, DomainError, Element,
                       TableAlgebra, TableLoadError, UnsupportedOperationError,
                       free_boolean_algebra, subalgebra_closure, table_semiring)
 from .differences import (CongruenceError, DifferenceCancellationReport,
-                          DifferenceSemiring, ExtendedOrderResult, Ideal,
+                          DifferenceSemiring, ExtendedOrderResult,
                           SubtrahendIdeal, difference_cancellation_criterion,
                           difference_semiring, extended_order, is_ideal,
                           mult_left_cancellative, subtrahend_ideal,
@@ -36,7 +36,7 @@ __all__ = [
     "TableLoadError", "UnsupportedOperationError", "free_boolean_algebra",
     "subalgebra_closure", "table_semiring",
     "CongruenceError", "DifferenceCancellationReport", "DifferenceSemiring",
-    "ExtendedOrderResult", "Ideal", "SubtrahendIdeal",
+    "ExtendedOrderResult", "SubtrahendIdeal",
     "difference_cancellation_criterion", "difference_semiring",
     "extended_order", "is_ideal", "mult_left_cancellative", "subtrahend_ideal",
     "verify_difference_cancellation",

@@ -25,6 +25,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 ADD = "add"
@@ -33,6 +36,7 @@ MUL = "mul"
 MAX_FREE_ATOMS = 4
 MAX_CARRIER = 1 << 16
 MAX_DENSE_CARRIER = 4096  # dense n-by-n structures (tables, order matrices)
+MAX_BYTE_CARRIER = 256    # carriers whose indices fit in one byte
 
 DEFAULT_ATOMS = ("a", "b", "c", "d")
 
@@ -189,6 +193,11 @@ class Algebra:
     def complement(self, x: Element) -> Element:
         return Element(self, self.comp_i(self._member(x)))
 
+    @cached_property
+    def compiled(self) -> "CompiledTables":
+        """Both operation tables as rows, built on first use."""
+        return CompiledTables(self)
+
     # -- serialization ------------------------------------------------------
 
     def to_table_dict(self) -> dict:
@@ -223,6 +232,39 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} size={self.size}>"
+
+
+class CompiledTables:
+    """The operation tables of an algebra as one row per element.
+
+    ``add[i][j]`` is i + j and ``mul[i][j]`` is i × j; ``add_t`` and
+    ``mul_t`` are the transposes, so ``add_t[j][i]`` is also i + j.
+    Rows are ``bytes`` when the carrier fits in a byte, so that
+    :meth:`compose` runs whole rows through ``bytes.translate`` in C, and
+    tuples up to :data:`MAX_DENSE_CARRIER`.
+    """
+
+    def __init__(self, algebra: Algebra):
+        n = algebra.size
+        if n > MAX_DENSE_CARRIER:
+            raise SizeLimitError(
+                f"carrier of {algebra.name} has {n} elements; compiled "
+                f"operation tables are limited to {MAX_DENSE_CARRIER}")
+        self.n = n
+        self.row = bytes if n <= MAX_BYTE_CARRIER else tuple
+        self.add = [self.row(map(algebra.add_i, repeat(i, n), range(n)))
+                    for i in range(n)]
+        self.mul = [self.row(map(algebra.mul_i, repeat(i, n), range(n)))
+                    for i in range(n)]
+        self.add_t = [self.row(col) for col in zip(*self.add)]
+        self.mul_t = [self.row(col) for col in zip(*self.mul)]
+
+    def compose(self, outer, inner):
+        """The row k ↦ outer[inner[k]]; ``outer`` may be any byte row
+        (such as a 0/1 indicator) or a row of this table."""
+        if self.row is bytes:
+            return inner.translate(outer.ljust(MAX_BYTE_CARRIER, b"\0"))
+        return itemgetter(*inner)(outer)
 
 
 class FreeBooleanAlgebra(Algebra):

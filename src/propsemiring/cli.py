@@ -21,8 +21,8 @@ import sys
 from . import __version__
 from .algebra import (Algebra, AlgebraError, SizeLimitError,
                       free_boolean_algebra, subalgebra_closure, table_semiring)
-from .differences import (difference_semiring, extended_order,
-                          subtrahend_ideal, verify_difference_cancellation)
+from .differences import (extended_order, subtrahend_ideal,
+                          verify_difference_cancellation)
 from .formulas import ParseError, UnboundAtomError, atoms_of, evaluate, parse, \
     unparse, Const, Atom, Not, And, Or, Implies, Iff
 from .morphisms import (Morphism, check_morphism, enumerate_homs, factor,
@@ -34,8 +34,7 @@ from .order import (DEFAULT_SEED, OrderRelation, canonical_order,
                     check_poset, cones, discrete_order, subalgebra_order_report)
 from .properties import (additively_cancellable_elements,
                          check_semiring_axioms, compute_center, is_entire,
-                         is_multiplicatively_absorbing, is_simple,
-                         is_zerosumfree)
+                         is_simple, is_zerosumfree)
 
 TOOL_NAME = "propsemiring"
 
@@ -163,7 +162,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     zerosumfree = is_zerosumfree(algebra)
     entire = is_entire(algebra)
     simple = is_simple(algebra)
-    absorbing = is_multiplicatively_absorbing(algebra)
+    absorbing = next(r for r in axioms if r.property == "top-absorbing")
     center = compute_center(algebra)
     cancellable = additively_cancellable_elements(algebra)
 
@@ -377,11 +376,11 @@ def cmd_diff(args: argparse.Namespace) -> int:
         sub = subtrahend_ideal(algebra, names)
     else:
         sub = subtrahend_ideal(algebra)
-    diff = difference_semiring(algebra, sub)
+    cancellation = verify_difference_cancellation(algebra, sub)
+    diff = cancellation.difference
     order, order_used = _order_for(algebra, args, loader, fallback_discrete=True)
     extension = extended_order(algebra, order, sub, universal=args.universal)
     extension.order_used = order_used
-    cancellation = verify_difference_cancellation(algebra, sub)
     embedding_iso = is_isomorphism(diff.embedding, "semiring")
 
     trivial = sub.members == (algebra.top_index,)

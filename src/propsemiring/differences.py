@@ -32,12 +32,6 @@ class CongruenceError(AlgebraError):
     """The difference relation failed to be an equivalence or congruence."""
 
 
-@dataclass(frozen=True)
-class Ideal:
-    algebra: Algebra
-    members: tuple[int, ...]
-
-
 def _member_indices(algebra: Algebra, members: Iterable) -> tuple[int, ...]:
     out = set()
     for m in members:

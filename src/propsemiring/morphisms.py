@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import (ADD, MUL, Algebra, DomainError, Element,
-                      FreeBooleanAlgebra, SizeLimitError, Subalgebra,
-                      UnsupportedOperationError)
+from .algebra import (Algebra, DomainError, Element, FreeBooleanAlgebra,
+                      SizeLimitError, Subalgebra, UnsupportedOperationError)
 from .order import OrderRelation, canonical_order
 from .properties import PropertyReport, _names
 

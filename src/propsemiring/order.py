@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
+from operator import getitem
 
 from .algebra import (Algebra, Element, DomainError, SizeLimitError, Subalgebra,
-                      UnsupportedOperationError)
+                      TableAlgebra, UnsupportedOperationError)
 from .properties import (PropertyReport, additively_cancellable_elements,
-                         _names)
+                         _names, _scan_rows)
 
 DEFAULT_SEED = 1729
 SAMPLED_TUPLES = 65536
@@ -32,6 +35,18 @@ class OrderRelation:
 
     def leq_i(self, p: int, q: int) -> bool:
         return bool((self.rows[p] >> q) & 1)
+
+    @cached_property
+    def up_bytes(self) -> tuple[bytes, ...]:
+        """Up-sets as 0/1 byte rows: up_bytes[p][q] is 1 iff p ≼ q."""
+        n = self.algebra.size
+        return tuple(bytes((bits >> q) & 1 for q in range(n))
+                     for bits in self.rows)
+
+    @cached_property
+    def up_packed(self) -> tuple[int, ...]:
+        """The byte rows of :attr:`up_bytes` packed into ints."""
+        return tuple(int.from_bytes(row, "little") for row in self.up_bytes)
 
     def leq(self, x: Element, y: Element) -> bool:
         return self.leq_i(self.algebra._member(x), self.algebra._member(y))
@@ -131,24 +146,12 @@ def check_poset(order: OrderRelation) -> list[PropertyReport]:
     if antisymmetric is None:
         antisymmetric = PropertyReport("antisymmetry", True, None, checked)
 
-    checked = 0
-    transitive = None
-    for p in range(n):
-        for q in range(n):
-            if not leq(p, q):
-                continue
-            for r in range(n):
-                checked += 1
-                if leq(q, r) and not leq(p, r):
-                    transitive = PropertyReport("transitivity", False,
-                                                _names(algebra, p, q, r), checked)
-                    break
-            if transitive:
-                break
-        if transitive:
-            break
-    if transitive is None:
-        transitive = PropertyReport("transitivity", True, None, checked)
+    packed = order.up_packed
+    transitive = _scan_rows(
+        "transitivity", algebra,
+        (((p, q), ((packed[q], packed[q] & pp),))
+         for p, (row, pp) in enumerate(zip(order.up_bytes, packed))
+         for q in compress(range(n), row)))
 
     return [reflexive, antisymmetric, transitive]
 
@@ -157,28 +160,19 @@ def check_monotony(algebra: Algebra, order: OrderRelation) -> list[PropertyRepor
     """p ≼ q implies p + r ≼ q + r, and the same for ×; one report per law."""
     _check_relation(order, algebra)
     n = algebra.size
-    leq = order.leq_i
-    reports = []
-    for prop, op in (("monotony-add", algebra.add_i),
-                     ("monotony-mul", algebra.mul_i)):
-        report = None
-        checked = 0
-        for p in range(n):
-            for q in range(n):
-                if not leq(p, q):
-                    continue
-                for r in range(n):
-                    checked += 1
-                    if not leq(op(p, r), op(q, r)):
-                        report = PropertyReport(prop, False,
-                                                _names(algebra, p, q, r), checked)
-                        break
-                if report:
-                    break
-            if report:
-                break
-        reports.append(report or PropertyReport(prop, True, None, checked))
-    return reports
+    up = order.up_bytes
+    holds = b"\1" * n
+
+    def cases(rows):
+        for p, row in enumerate(up):
+            up_of_row = [up[x] for x in rows[p]]
+            for q in compress(range(n), row):
+                # byte r is 1 iff p∘r ≼ q∘r
+                yield (p, q), ((bytes(map(getitem, up_of_row, rows[q])), holds),)
+
+    c = algebra.compiled
+    return [_scan_rows("monotony-add", algebra, cases(c.add)),
+            _scan_rows("monotony-mul", algebra, cases(c.mul))]
 
 
 def check_operation_bounds(algebra: Algebra, order: OrderRelation) -> PropertyReport:
@@ -206,23 +200,21 @@ def check_bound_decomposition(algebra: Algebra,
                               order: OrderRelation) -> PropertyReport:
     """p + q ≼ r bounds both terms; p ≼ q × r bounds p by both factors."""
     _check_relation(order, algebra)
-    n = algebra.size
-    leq = order.leq_i
-    add, mul = algebra.add_i, algebra.mul_i
-    checked = 0
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                checked += 1
-                if leq(add(p, q), r) and not (leq(p, r) and leq(q, r)):
-                    return PropertyReport("bound-decomposition", False,
-                                          _names(algebra, p, q, r), checked,
-                                          details={"claim": "p + q ≼ r"})
-                if leq(p, mul(q, r)) and not (leq(p, q) and leq(p, r)):
-                    return PropertyReport("bound-decomposition", False,
-                                          _names(algebra, p, q, r), checked,
-                                          details={"claim": "p ≼ q × r"})
-    return PropertyReport("bound-decomposition", True, None, checked)
+    c = algebra.compiled
+    up, packed = order.up_bytes, order.up_packed
+
+    def cases():
+        for p, (ap, upp, pp) in enumerate(zip(c.add, up, packed)):
+            for q, (mq, pq) in enumerate(zip(c.mul, packed)):
+                sum_up = packed[ap[q]]
+                below_product = int.from_bytes(bytes(c.compose(upp, mq)),
+                                               "little")
+                yield (p, q), ((sum_up, sum_up & pp & pq),
+                               (below_product,
+                                below_product & pp if upp[q] else 0))
+
+    return _scan_rows("bound-decomposition", algebra, cases(),
+                      details=({"claim": "p + q ≼ r"}, {"claim": "p ≼ q × r"}))
 
 
 def check_pairwise_monotony(algebra: Algebra, order: OrderRelation,
@@ -321,16 +313,6 @@ class SubalgebraOrderReport:
         }
 
 
-def _restricted(order: OrderRelation, members: tuple[int, ...]) -> OrderRelation:
-    keep = 0
-    for m in members:
-        keep |= 1 << m
-    rows = [0] * order.algebra.size
-    for m in members:
-        rows[m] = order.rows[m] & keep
-    return OrderRelation(algebra=order.algebra, rows=tuple(rows))
-
-
 def subalgebra_order_report(algebra: Algebra, sub: Subalgebra,
                             order: OrderRelation) -> SubalgebraOrderReport:
     """Check how the order restricts to a subalgebra, piece by piece."""
@@ -339,71 +321,24 @@ def subalgebra_order_report(algebra: Algebra, sub: Subalgebra,
     sub.validate(bpa_closed=False)
     _check_relation(order, algebra)
 
+    # A validated subalgebra is closed, so it is an algebra in its own
+    # right; its elements keep their parent names, so witnesses do too.
     members = sub.members
+    position = {m: i for i, m in enumerate(members)}
+    restricted = TableAlgebra(
+        name=f"{algebra.name}|sub", names=tuple(sub.element_names()),
+        add_rows=tuple(tuple(position[algebra.add_i(i, j)] for j in members)
+                       for i in members),
+        mul_rows=tuple(tuple(position[algebra.mul_i(i, j)] for j in members)
+                       for i in members),
+        top_index=position[algebra.top_index],
+        bot_index=position[algebra.bot_index])
+    restricted_order = OrderRelation.from_matrix(
+        restricted, [[int(order.leq_i(p, q)) for q in members] for p in members])
+    poset_reports = check_poset(restricted_order)
+    monotony_reports = check_monotony(restricted, restricted_order)
+
     member_set = set(members)
-    leq = order.leq_i
-    add, mul = algebra.add_i, algebra.mul_i
-
-    poset_reports = []
-    checked = len(members)
-    report = PropertyReport("reflexivity", True, None, checked)
-    for p in members:
-        if not leq(p, p):
-            report = PropertyReport("reflexivity", False, _names(algebra, p), checked)
-            break
-    poset_reports.append(report)
-
-    report = None
-    checked = 0
-    for p in members:
-        for q in members:
-            checked += 1
-            if p != q and leq(p, q) and leq(q, p):
-                report = PropertyReport("antisymmetry", False,
-                                        _names(algebra, p, q), checked)
-                break
-        if report:
-            break
-    poset_reports.append(report or PropertyReport("antisymmetry", True, None, checked))
-
-    report = None
-    checked = 0
-    for p in members:
-        for q in members:
-            if not leq(p, q):
-                continue
-            for r in members:
-                checked += 1
-                if leq(q, r) and not leq(p, r):
-                    report = PropertyReport("transitivity", False,
-                                            _names(algebra, p, q, r), checked)
-                    break
-            if report:
-                break
-        if report:
-            break
-    poset_reports.append(report or PropertyReport("transitivity", True, None, checked))
-
-    monotony_reports = []
-    for prop, op in (("monotony-add", add), ("monotony-mul", mul)):
-        report = None
-        checked = 0
-        for p in members:
-            for q in members:
-                if not leq(p, q):
-                    continue
-                for r in members:
-                    checked += 1
-                    if not leq(op(p, r), op(q, r)):
-                        report = PropertyReport(prop, False,
-                                                _names(algebra, p, q, r), checked)
-                        break
-                if report:
-                    break
-            if report:
-                break
-        monotony_reports.append(report or PropertyReport(prop, True, None, checked))
-
     difference = tuple(algebra.name_of(i) for i in range(algebra.size)
                        if i not in member_set)
     difference_within_top = all(i == algebra.top_index

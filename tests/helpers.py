@@ -111,3 +111,89 @@ def closure_oracle(algebra, seeds: set[int], with_complement: bool) -> set[int]:
     for start in list(members):
         grow(start)
     return members
+
+
+# -- law oracles --------------------------------------------------------------
+#
+# Each oracle scans the tuples of one law in lexicographic order, straight
+# from its definition, over plain nested lists: add[i][j] = i + j,
+# mul[i][j] = i × j and leq[p][q] = 1 iff p ≼ q.  They return the first
+# violating tuple, how many tuples were examined up to and including it
+# (all of them when the law holds) and, for two-part laws, which part
+# failed first.
+
+
+def first_violation(tuples, violated):
+    """(witness, checked, tag) of the first tuple where ``violated``
+    returns a truthy tag; (None, number scanned, None) when none does."""
+    checked = 0
+    for t in tuples:
+        checked += 1
+        tag = violated(*t)
+        if tag:
+            return t, checked, tag
+    return None, checked, None
+
+
+def triples(n):
+    return ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
+
+
+def ordered_triples(leq):
+    """(p, q, r) for every p ≼ q and every r, in lexicographic order."""
+    n = len(leq)
+    return ((p, q, r) for p in range(n) for q in range(n) if leq[p][q]
+            for r in range(n))
+
+
+def commutativity_oracle(op):
+    n = len(op)
+    pairs = ((i, j) for i in range(n) for j in range(n))
+    return first_violation(pairs, lambda i, j: op[i][j] != op[j][i])
+
+
+def associativity_oracle(op):
+    return first_violation(triples(len(op)),
+                           lambda i, j, k: op[op[i][j]][k] != op[i][op[j][k]])
+
+
+def distributivity_oracle(add, mul):
+    def violated(i, j, k):
+        if mul[i][add[j][k]] != add[mul[i][j]][mul[i][k]]:
+            return "left"
+        if mul[add[j][k]][i] != add[mul[j][i]][mul[k][i]]:
+            return "right"
+        return None
+    return first_violation(triples(len(add)), violated)
+
+
+def transitivity_oracle(leq):
+    return first_violation(ordered_triples(leq),
+                           lambda p, q, r: leq[q][r] and not leq[p][r])
+
+
+def monotony_oracle(op, leq):
+    return first_violation(ordered_triples(leq),
+                           lambda p, q, r: not leq[op[p][r]][op[q][r]])
+
+
+def bound_decomposition_oracle(add, mul, leq):
+    def violated(p, q, r):
+        if leq[add[p][q]][r] and not (leq[p][r] and leq[q][r]):
+            return "p + q ≼ r"
+        if leq[p][mul[q][r]] and not (leq[p][q] and leq[p][r]):
+            return "p ≼ q × r"
+        return None
+    return first_violation(triples(len(add)), violated)
+
+
+def cancellable_oracle(add):
+    """Indices a for which x ↦ a + x and x ↦ x + a are both injective."""
+    n = len(add)
+
+    def injective(images):
+        return len(set(images)) == n
+
+    return [a for a in range(n)
+            if injective([add[a][x] for x in range(n)])
+            and injective([add[x][a] for x in range(n)])]

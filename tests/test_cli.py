@@ -84,6 +84,11 @@ class TestCheckCommand:
         assert code == 2
         assert "error:" in err and "0..4" in err
 
+    def test_four_atoms_fail_fast_on_the_table_limit(self, capsys):
+        code, out, err = run(capsys, "check", "--free-atoms", "4")
+        assert code == 2 and out == ""
+        assert "65536" in err and "4096" in err
+
     def test_algebra_source_is_required_and_exclusive(self, capsys, z3_path):
         code, _, err = run(capsys, "check")
         assert code == 2 and "required" in err
@@ -331,6 +336,11 @@ class TestDiffCommand:
         code, _, err = run(capsys, "diff", "--table", z3_path,
                            "--subtrahends", "0,1")
         assert code == 2 and "ideal" in err
+
+    def test_four_atoms_fail_fast_on_the_table_limit(self, capsys):
+        code, out, err = run(capsys, "diff", "--free-atoms", "4")
+        assert code == 2 and out == ""
+        assert "65536" in err and "4096" in err
 
     def test_universal_flag(self, capsys, z3_path):
         doc = run_json(capsys, "diff", "--table", z3_path, "--universal")

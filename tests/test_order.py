@@ -182,6 +182,18 @@ class TestSubalgebraReports:
         assert doc["equal"] is False
         assert doc["restriction"]["poset"][0]["verdict"] == "holds"
 
+    def test_reflexivity_failure_reports_its_position(self, ba2):
+        sub = subalgebra_closure(ba2, [ba2.element_named("a")], bpa_closed=True)
+        matrix = canonical_order(ba2).to_matrix()
+        second = sub.members[1]
+        matrix[second][second] = 0
+        report = subalgebra_order_report(
+            ba2, sub, OrderRelation.from_matrix(ba2, matrix))
+        reflexivity = report.restriction_poset[0]
+        assert not reflexivity.holds
+        assert reflexivity.witness == (ba2.name_of(second),)
+        assert reflexivity.checked == 2
+
     def test_invalid_subalgebra_is_rejected(self, ba2):
         order = canonical_order(ba2)
         open_set = Subalgebra(parent=ba2,
