@@ -1,0 +1,52 @@
+"""Replay the golden CLI corpus and compare every byte.
+
+``tests/golden/cases.json`` lists argv vectors over the input files in
+``tests/golden/inputs``; the expected exit code, stdout, stderr and
+``--emit`` file of each were written by ``tests/golden/regenerate.py``.
+A refactor of the law kernels must leave all of them unchanged.
+"""
+
+import json
+import os
+import shutil
+
+import pytest
+
+from golden.regenerate import run_case
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+with open(os.path.join(GOLDEN, "cases.json"), encoding="utf-8") as _handle:
+    CASES = json.load(_handle)
+
+
+def _expected(case_id: str, suffix: str) -> bytes:
+    path = os.path.join(GOLDEN, "expected", case_id + suffix)
+    if not os.path.exists(path):
+        return b""
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("golden")
+    shutil.copytree(os.path.join(GOLDEN, "inputs"), work, dirs_exist_ok=True)
+    return work
+
+
+def test_corpus_replays_byte_for_byte(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    mismatches = []
+    for case in CASES:
+        code, out, err = run_case(case["argv"])
+        got = [code, out, err]
+        want = [case["exit"], _expected(case["id"], ".out"),
+                _expected(case["id"], ".err")]
+        if case["emit"]:
+            with open(case["emit"], "rb") as handle:
+                got.append(handle.read())
+            want.append(_expected(case["id"], ".emit"))
+        if got != want:
+            mismatches.append(case["id"])
+    assert not mismatches, mismatches
