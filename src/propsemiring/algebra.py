@@ -238,10 +238,11 @@ class CompiledTables:
     """The operation tables of an algebra as one row per element.
 
     ``add[i][j]`` is i + j and ``mul[i][j]`` is i × j; ``add_t`` and
-    ``mul_t`` are the transposes, so ``add_t[j][i]`` is also i + j.
-    Rows are ``bytes`` when the carrier fits in a byte, so that
-    :meth:`compose` runs whole rows through ``bytes.translate`` in C, and
-    tuples up to :data:`MAX_DENSE_CARRIER`.
+    ``mul_t`` are the transposes, so ``add_t[j][i]`` is also i + j, and
+    ``comp`` is the complement row (None without a complement).  Rows are
+    ``bytes`` when the carrier fits in a byte, so that :meth:`compose`
+    runs whole rows through ``bytes.translate`` in C, and tuples up to
+    :data:`MAX_DENSE_CARRIER`.
     """
 
     def __init__(self, algebra: Algebra):
@@ -258,13 +259,22 @@ class CompiledTables:
                     for i in range(n)]
         self.add_t = [self.row(col) for col in zip(*self.add)]
         self.mul_t = [self.row(col) for col in zip(*self.mul)]
+        self.comp = (self.row(map(algebra.comp_i, range(n)))
+                     if algebra.has_complement else None)
 
-    def compose(self, outer, inner):
-        """The row k ↦ outer[inner[k]]; ``outer`` may be any byte row
-        (such as a 0/1 indicator) or a row of this table."""
-        if self.row is bytes:
+    def indicator(self, members: Iterable[int]) -> bytes:
+        """The 0/1 byte row that is 1 exactly at ``members``."""
+        return bytes(map(set(members).__contains__, range(self.n)))
+
+    @staticmethod
+    def compose(outer, inner):
+        """The row k ↦ outer[inner[k]], of the type of ``outer``; either
+        row may be bytes or a tuple, and come from any carrier."""
+        if type(inner) is type(outer) is bytes and len(outer) <= MAX_BYTE_CARRIER:
             return inner.translate(outer.ljust(MAX_BYTE_CARRIER, b"\0"))
-        return itemgetter(*inner)(outer)
+        if len(inner) < 2:
+            return type(outer)(outer[k] for k in inner)
+        return type(outer)(itemgetter(*inner)(outer))
 
 
 class FreeBooleanAlgebra(Algebra):

@@ -26,8 +26,7 @@ from .differences import (extended_order, subtrahend_ideal,
 from .formulas import ParseError, UnboundAtomError, atoms_of, evaluate, parse, \
     unparse, Const, Atom, Not, And, Or, Implies, Iff
 from .morphisms import (Morphism, check_morphism, enumerate_homs, factor,
-                        image_subalgebra, is_isomorphism, kernel, refines,
-                        verify_iso_theorem)
+                        is_isomorphism, kernel, refines, verify_iso_theorem)
 from .order import (DEFAULT_SEED, OrderRelation, canonical_order,
                     check_bound_decomposition, check_monotony,
                     check_operation_bounds, check_pairwise_monotony,
@@ -302,8 +301,8 @@ def cmd_hom_check(args: argparse.Namespace) -> int:
             "the map preserves +, ×, ⊤ and ⊥ (and ! for the bpa kind)",
             report)],
     })
-    if report.holds:
-        doc["image"] = image_subalgebra(psi).element_names()
+    if report.holds:  # the image of a homomorphism is a subalgebra
+        doc["image"] = [psi.target.name_of(t) for t in psi.image_indices()]
     print(_dumps(doc))
     return 0
 

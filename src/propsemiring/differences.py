@@ -18,13 +18,16 @@ embedding p ↦ (p, ⊤)) is verified at construction time, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import eq, getitem, itemgetter
 from typing import Iterable
 
 from .algebra import (Algebra, AlgebraError, DomainError, Element, TableAlgebra,
                       table_semiring)
 from .morphisms import Morphism, check_morphism
-from .order import OrderRelation, check_poset, _check_relation
-from .properties import (PropertyReport, _names,
+from .order import (OrderRelation, check_poset, _check_relation, _reflexivity,
+                    _transitivity)
+from .properties import (PropertyReport, _commutativity, _packed, _scan_rows,
                          additively_cancellable_elements)
 
 
@@ -49,26 +52,23 @@ def _member_indices(algebra: Algebra, members: Iterable) -> tuple[int, ...]:
 def is_ideal(algebra: Algebra, members: Iterable) -> PropertyReport:
     """⊤ present, closed under +, absorbing under × from both sides."""
     indices = _member_indices(algebra, members)
-    member_set = set(indices)
-    checked = 0
-    if algebra.top_index not in member_set:
-        return PropertyReport("ideal", False, _names(algebra, algebra.top_index),
+    if algebra.top_index not in indices:
+        return PropertyReport("ideal", False, (algebra.name_of(algebra.top_index),),
                               1, details={"condition": "⊤ ∈ I"})
-    for i in indices:
-        for j in indices:
-            checked += 1
-            if algebra.add_i(i, j) not in member_set:
-                return PropertyReport("ideal", False, _names(algebra, i, j),
-                                      checked, details={"condition": "closed under +"})
-    for p in range(algebra.size):
-        for i in indices:
-            checked += 1
-            if (algebra.mul_i(p, i) not in member_set
-                    or algebra.mul_i(i, p) not in member_set):
-                return PropertyReport("ideal", False, _names(algebra, p, i),
-                                      checked,
-                                      details={"condition": "absorbing under ×"})
-    return PropertyReport("ideal", True, None, checked)
+    c = algebra.compiled
+    is_member, member_row = c.indicator(indices), c.row(indices)
+    holds = b"\1" * len(indices)
+    closed, absorbing = ({"condition": "closed under +"},
+                         {"condition": "absorbing under ×"})
+
+    def inside(row):  # byte j is 1 iff row[j] lies in I, over j in I
+        return c.compose(is_member, c.compose(row, member_row))
+
+    return _scan_rows("ideal", algebra.name_of, chain(
+        (((i,), indices, ((inside(c.add[i]), holds, closed),)) for i in indices),
+        (((p,), indices, ((inside(mp), holds, absorbing),
+                          (inside(cp), holds, absorbing)))
+         for p, (mp, cp) in enumerate(zip(c.mul, c.mul_t)))))
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ class SubtrahendIdeal:
 
 def _validate_subtrahends(algebra: Algebra,
                           members: tuple[int, ...]) -> SubtrahendIdeal:
-    member_set = set(members)
     ideal_report = is_ideal(algebra, members)
     if not ideal_report.holds:
         raise DomainError(
@@ -180,10 +179,6 @@ class DifferenceSemiring:
         return doc
 
 
-def _pair_name(algebra: Algebra, pair: tuple[int, int]) -> str:
-    return f"{algebra.name_of(pair[0])}-{algebra.name_of(pair[1])}"
-
-
 def difference_semiring(algebra: Algebra,
                         subtrahends: SubtrahendIdeal | None = None
                         ) -> DifferenceSemiring:
@@ -199,88 +194,71 @@ def difference_semiring(algebra: Algebra,
     if subtrahends.algebra is not algebra:
         raise DomainError("subtrahend ideal belongs to a different algebra")
 
-    add = algebra.add_i
+    c = algebra.compiled
+    compose, add, mul = c.compose, c.add, c.mul
     pairs = [(p, a) for p in range(algebra.size) for a in subtrahends.members]
+    index = {x: i for i, x in enumerate(pairs)}
+    firsts, seconds = c.row(p for p, _ in pairs), c.row(a for _, a in pairs)
+    # related[x][y] is 1 iff x ~ y, that is iff p + β = q + α for
+    # x = (p, α) and y = (q, β)
+    related = [bytes(map(eq, compose(add[p], seconds),
+                         compose(c.add_t[a], firsts))) for p, a in pairs]
+    transposed = [bytes(map(itemgetter(y), related)) for y in range(len(pairs))]
 
-    def related(x: tuple[int, int], y: tuple[int, int]) -> bool:
-        return add(x[0], y[1]) == add(y[0], x[1])
+    def pair_name(i: int) -> str:
+        p, a = pairs[i]
+        return f"{algebra.name_of(p)}-{algebra.name_of(a)}"
 
     # reflexivity and symmetry are built into the defining equation, but
     # verify all three properties anyway; transitivity is the real one.
-    for x in pairs:
-        if not related(x, x):
-            raise CongruenceError(f"relation not reflexive at {x}")
-    for x in pairs:
-        for y in pairs:
-            if related(x, y) != related(y, x):
-                raise CongruenceError(f"relation not symmetric at {x}, {y}")
-    for x in pairs:
-        for y in pairs:
-            if not related(x, y):
-                continue
-            for z in pairs:
-                if related(y, z) and not related(x, z):
-                    raise CongruenceError(
-                        f"relation not transitive at "
-                        f"{_pair_name(algebra, x)}, {_pair_name(algebra, y)}, "
-                        f"{_pair_name(algebra, z)}")
+    for report, where in (
+            (_reflexivity(pairs.__getitem__, related), "reflexive at {}"),
+            (_commutativity("symmetry", pairs.__getitem__, related, transposed),
+             "symmetric at {}, {}"),
+            (_transitivity("transitivity", pair_name, related,
+                           list(map(_packed, related))), "transitive at {}, {}, {}")):
+        if not report.holds:
+            raise CongruenceError("relation not " + where.format(*report.witness))
     equivalence = PropertyReport("difference-relation-equivalence", True, None,
                                  len(pairs) ** 3)
 
-    class_of: dict[tuple[int, int], int] = {}
-    classes: list[list[tuple[int, int]]] = []
-    for x in pairs:
-        if x in class_of:
-            continue
-        label = len(classes)
-        block = [y for y in pairs if related(x, y)]
-        for y in block:
-            class_of[y] = label
-        classes.append(block)
+    label = [-1] * len(pairs)
+    classes: list[list[int]] = []  # pair indices in scan order
+    for x, row in enumerate(related):
+        if label[x] < 0:
+            block = list(compress(range(len(pairs)), row))
+            for y in block:
+                label[y] = len(classes)
+            classes.append(block)
 
-    def add_pair(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        return (add(x[0], y[0]), add(x[1], y[1]))
-
-    def mul_pair(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        p, alpha = x
-        q, beta = y
-        mul = algebra.mul_i
-        return (add(mul(p, q), mul(alpha, beta)),
-                add(mul(p, beta), mul(alpha, q)))
-
-    checked = 0
-    for block_x in classes:
-        for x in block_x:
-            for x2 in block_x:
-                for block_y in classes:
-                    for y in block_y:
-                        for y2 in block_y:
-                            checked += 1
-                            if (class_of[add_pair(x, y)]
-                                    != class_of[add_pair(x2, y2)]):
-                                raise CongruenceError(
-                                    f"⊕ not well defined at "
-                                    f"{_pair_name(algebra, x)} ~ "
-                                    f"{_pair_name(algebra, x2)}, "
-                                    f"{_pair_name(algebra, y)} ~ "
-                                    f"{_pair_name(algebra, y2)}")
-                            if (class_of[mul_pair(x, y)]
-                                    != class_of[mul_pair(x2, y2)]):
-                                raise CongruenceError(
-                                    f"⊗ not well defined at "
-                                    f"{_pair_name(algebra, x)} ~ "
-                                    f"{_pair_name(algebra, x2)}, "
-                                    f"{_pair_name(algebra, y)} ~ "
-                                    f"{_pair_name(algebra, y2)}")
-    congruence = PropertyReport("difference-congruence", True, None, checked)
+    # sums[x][y] and products[x][y]: the classes of x ⊕ y and x ⊗ y
+    sums = [tuple(label[index[add[p][q], add[a][b]]] for q, b in pairs)
+            for p, a in pairs]
+    products = [tuple(label[index[add[mul[p][q]][mul[a][b]],
+                                  add[mul[p][b]][mul[a][q]]]] for q, b in pairs)
+                for p, a in pairs]
+    # x ~ x2 and y ~ y2 force [x ∘ y] = [x2 ∘ y2]: one case per (x, x2),
+    # one position per (y, y2)
+    related_pairs = [(y, y2) for block in classes for y in block for y2 in block]
+    ys, y2s = zip(*related_pairs)
+    plus, times = {"operation": "⊕"}, {"operation": "⊗"}
+    congruence = _scan_rows("difference-congruence", lambda v: v, (
+        ((x, x2), related_pairs, (
+            (compose(sums[x], ys), compose(sums[x2], y2s), plus),
+            (compose(products[x], ys), compose(products[x2], y2s), times)))
+        for block in classes for x in block for x2 in block))
+    if not congruence.holds:
+        x, x2, (y, y2) = congruence.witness
+        raise CongruenceError("{} not well defined at {} ~ {}, {} ~ {}".format(
+            congruence.details["operation"], *map(pair_name, (x, x2, y, y2))))
 
     reps = [block[0] for block in classes]
     names = []
     seen_names = set()
-    for label, rep in enumerate(reps):
-        name = _pair_name(algebra, rep)
+    for n, rep in enumerate(reps):
+        name = pair_name(rep)
         if name in seen_names:
-            name = f"{name}#{label}"
+            name = f"{name}#{n}"
         seen_names.add(name)
         names.append(name)
 
@@ -288,15 +266,15 @@ def difference_semiring(algebra: Algebra,
     doc = {
         "name": f"diff({algebra.name})",
         "elements": names,
-        "add": [[names[class_of[add_pair(x, y)]] for y in reps] for x in reps],
-        "mul": [[names[class_of[mul_pair(x, y)]] for y in reps] for x in reps],
-        "zero": names[class_of[(top, top)]],
-        "one": names[class_of[(algebra.bot_index, top)]],
+        "add": [[names[sums[x][y]] for y in reps] for x in reps],
+        "mul": [[names[products[x][y]] for y in reps] for x in reps],
+        "zero": names[label[index[(top, top)]]],
+        "one": names[label[index[(algebra.bot_index, top)]]],
     }
     quotient = table_semiring(doc, source_spec=f"diff({algebra.source_spec})")
 
     embedding = Morphism(algebra, quotient,
-                         tuple(class_of[(p, top)] for p in range(algebra.size)))
+                         tuple(label[index[(p, top)]] for p in range(algebra.size)))
     emb_report = check_morphism(embedding, "semiring")
     if not emb_report.holds or not embedding.is_injective():
         raise CongruenceError("embedding p ↦ (p, ⊤) failed verification")
@@ -307,7 +285,7 @@ def difference_semiring(algebra: Algebra,
         parent=algebra,
         subtrahends=subtrahends,
         algebra=quotient,
-        classes=tuple(tuple(block) for block in classes),
+        classes=tuple(tuple(map(pairs.__getitem__, block)) for block in classes),
         embedding=embedding,
         reports={"equivalence": equivalence, "congruence": congruence,
                  "embedding": emb_report},
@@ -349,21 +327,27 @@ class ExtendedOrderResult:
         }
 
 
-def _translation_invariance(prop: str, algebra: Algebra, leq, members) -> PropertyReport:
-    add = algebra.add_i
-    checked = 0
-    for p in range(algebra.size):
-        for q in range(algebra.size):
-            base = leq(p, q)
-            for xi in members:
-                checked += 1
-                shifted = leq(add(p, xi), add(q, xi))
-                if base != shifted:
-                    direction = "p ≼ q but not shifted" if base else \
-                        "shifted but not p ≼ q"
-                    return PropertyReport(prop, False, _names(algebra, p, q, xi),
-                                          checked, details={"direction": direction})
-    return PropertyReport(prop, True, None, checked)
+def _translation_invariance(prop: str, algebra: Algebra, order: OrderRelation,
+                            members: tuple[int, ...]) -> PropertyReport:
+    """p ≼ q exactly when p + ξ ≼ q + ξ, for every ξ among the members."""
+    c = algebra.compiled
+    up = order.up_bytes
+    member_row = c.row(members)
+    shifts = [c.compose(row, member_row) for row in c.add]  # p + ξ over ξ
+    kept, gained = ({"direction": "p ≼ q but not shifted"},
+                    {"direction": "shifted but not p ≼ q"})
+    always, never = b"\1" * len(members), bytes(len(members))
+
+    def cases():
+        for p, (shift_p, up_p) in enumerate(zip(shifts, up)):
+            up_of_shift = [up[x] for x in shift_p]
+            for q, shift_q in enumerate(shifts):
+                # byte ξ is 1 iff p + ξ ≼ q + ξ
+                shifted = bytes(map(getitem, up_of_shift, shift_q))
+                yield (p, q), members, ((shifted, always, kept) if up_p[q]
+                                        else (shifted, never, gained),)
+
+    return _scan_rows(prop, algebra.name_of, cases())
 
 
 def extended_order(algebra: Algebra, base: OrderRelation,
@@ -392,9 +376,9 @@ def extended_order(algebra: Algebra, base: OrderRelation,
 
     poset_reports = check_poset(relation)
     stability = _translation_invariance("translation-invariance", algebra,
-                                        relation.leq_i, members)
+                                        relation, members)
     base_stability = _translation_invariance("base-translation-invariance",
-                                             algebra, base.leq_i, members)
+                                             algebra, base, members)
     return ExtendedOrderResult(
         relation=relation,
         universal=universal,
@@ -407,20 +391,15 @@ def extended_order(algebra: Algebra, base: OrderRelation,
 
 def mult_left_cancellative(algebra: Algebra) -> PropertyReport:
     """c × a = c × b forces a = b, for every c other than ⊤."""
-    n = algebra.size
+    c = algebra.compiled
+    carrier = range(c.n)
     top = algebra.top_index
-    mul = algebra.mul_i
-    checked = 0
-    for c in range(n):
-        if c == top:
-            continue
-        for a in range(n):
-            for b in range(n):
-                checked += 1
-                if a != b and mul(c, a) == mul(c, b):
-                    return PropertyReport("mul-left-cancellative", False,
-                                          _names(algebra, c, a, b), checked)
-    return PropertyReport("mul-left-cancellative", True, None, checked)
+    units = [c.indicator((v,)) for v in carrier]
+    return _scan_rows("mul-left-cancellative", algebra.name_of, (
+        ((k, a), carrier, ((hits, hits & 1 << 8 * a, None),))
+        for k, row in enumerate(c.mul) if k != top
+        # byte b of hits is 1 iff k × b = k × a
+        for a, hits in enumerate(_packed(c.compose(units[v], row)) for v in row)))
 
 
 def difference_cancellation_criterion(algebra: Algebra,
@@ -429,23 +408,20 @@ def difference_cancellation_criterion(algebra: Algebra,
     """Δ ≠ c and a ≠ b force c×a + Δ×b ≠ c×b + Δ×a, over all a,b,c,Δ∈⊖."""
     if subtrahends.algebra is not algebra:
         raise DomainError("subtrahend ideal belongs to a different algebra")
-    n = algebra.size
-    add, mul = algebra.add_i, algebra.mul_i
-    checked = 0
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            for c in range(n):
-                for d in subtrahends.members:
-                    if d == c:
-                        continue
-                    checked += 1
-                    if add(mul(c, a), mul(d, b)) == add(mul(c, b), mul(d, a)):
-                        return PropertyReport(
-                            "difference-cancellation-criterion", False,
-                            _names(algebra, a, b, c, d), checked)
-    return PropertyReport("difference-cancellation-criterion", True, None, checked)
+    c = algebra.compiled
+    add, mul, compose = c.add, c.mul, c.compose
+    carrier = range(c.n)
+    # per k the subtrahends other than k; per such set and b, Δ ↦ Δ × b
+    others = [tuple(d for d in subtrahends.members if d != k) for k in carrier]
+    times = {ds: [compose(col, c.row(ds)) for col in c.mul_t]
+             for ds in set(others)}
+    return _scan_rows("difference-cancellation-criterion", algebra.name_of, (
+        # byte Δ is 1 iff k×a + Δ×b = k×b + Δ×a
+        ((a, b, k), ds, ((bytes(map(eq, compose(add[mul[k][a]], times[ds][b]),
+                                    compose(add[mul[k][b]], times[ds][a]))),
+                          bytes(len(ds)), None),))
+        for a in carrier for b in carrier if a != b
+        for k, ds in enumerate(others) if ds))
 
 
 @dataclass

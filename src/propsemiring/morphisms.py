@@ -12,12 +12,13 @@ which is complete for the bpa kind because atoms generate under
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
-from .algebra import (Algebra, DomainError, Element, FreeBooleanAlgebra,
+from .algebra import (MAX_BYTE_CARRIER, MAX_DENSE_CARRIER, Algebra,
+                      CompiledTables, DomainError, Element, FreeBooleanAlgebra,
                       SizeLimitError, Subalgebra, UnsupportedOperationError)
 from .order import OrderRelation, canonical_order
-from .properties import PropertyReport, _names
+from .properties import PropertyReport, _names, _packed, _scan_rows
 
 KINDS = ("semiring", "bpa")
 MODES = ("monotone", "embedding")
@@ -121,36 +122,39 @@ def check_morphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:
     if kind == "bpa" and not (src.has_complement and dst.has_complement):
         raise UnsupportedOperationError(
             "bpa morphisms need complements on both algebras")
-    f = psi.mapping
-    prop = f"{kind}-homomorphism"
-    checked = 0
+    s = src.compiled
+    # ψ as a row over the source, of the target's row type
+    f = bytes(psi.mapping) if dst.size <= MAX_BYTE_CARRIER else psi.mapping
+    compose = CompiledTables.compose
+    # The rows b ↦ v ∘ ψ(b) and b ↦ !ψ(b); a target above the table
+    # limit is read at the images only.
+    if dst.size <= MAX_DENSE_CARRIER:
+        d = dst.compiled
+        add_after = lambda v: compose(d.add[v], f)
+        mul_after = lambda v: compose(d.mul[v], f)
+        comp_after = lambda: compose(d.comp, f)
+    else:
+        add_after = lambda v: tuple(map(dst.add_i, repeat(v), f))
+        mul_after = lambda v: tuple(map(dst.mul_i, repeat(v), f))
+        comp_after = lambda: tuple(map(dst.comp_i, f))
+    carrier = range(s.n)
+    top, bot = src.top_index, src.bot_index
 
-    checked += 1
-    if f[src.top_index] != dst.top_index:
-        return PropertyReport(prop, False, _names(src, src.top_index), checked,
-                              details={"condition": "⊤ preserved"})
-    checked += 1
-    if f[src.bot_index] != dst.bot_index:
-        return PropertyReport(prop, False, _names(src, src.bot_index), checked,
-                              details={"condition": "⊥ preserved"})
+    def cases():
+        yield (), (top,), (((f[top],), (dst.top_index,),
+                            {"condition": "⊤ preserved"}),)
+        yield (), (bot,), (((f[bot],), (dst.bot_index,),
+                            {"condition": "⊥ preserved"}),)
+        plus, times = {"condition": "+ preserved"}, {"condition": "× preserved"}
+        for a, (add_a, mul_a) in enumerate(zip(s.add, s.mul)):
+            # position b: ψ(a ∘ b) against ψ(a) ∘ ψ(b)
+            yield (a,), carrier, ((compose(f, add_a), add_after(f[a]), plus),
+                                  (compose(f, mul_a), mul_after(f[a]), times))
+        if kind == "bpa":
+            yield (), carrier, ((compose(f, s.comp), comp_after(),
+                                 {"condition": "! preserved"}),)
 
-    n = src.size
-    for a in range(n):
-        for b in range(n):
-            checked += 1
-            if f[src.add_i(a, b)] != dst.add_i(f[a], f[b]):
-                return PropertyReport(prop, False, _names(src, a, b), checked,
-                                      details={"condition": "+ preserved"})
-            if f[src.mul_i(a, b)] != dst.mul_i(f[a], f[b]):
-                return PropertyReport(prop, False, _names(src, a, b), checked,
-                                      details={"condition": "× preserved"})
-    if kind == "bpa":
-        for a in range(n):
-            checked += 1
-            if f[src.comp_i(a)] != dst.comp_i(f[a]):
-                return PropertyReport(prop, False, _names(src, a), checked,
-                                      details={"condition": "! preserved"})
-    return PropertyReport(prop, True, None, checked)
+    return _scan_rows(f"{kind}-homomorphism", src.name_of, cases())
 
 
 @dataclass(frozen=True)
@@ -230,25 +234,23 @@ def order_relation_of_map(psi: Morphism, order_src: OrderRelation,
         raise DomainError("source order belongs to a different algebra")
     if order_dst.algebra is not psi.target:
         raise DomainError("target order belongs to a different algebra")
-    f = psi.mapping
-    n = psi.source.size
-    prop = f"order-{mode}"
-    checked = 0
-    for x in range(n):
-        for y in range(n):
-            checked += 1
-            fwd = order_src.leq_i(x, y)
-            got = order_dst.leq_i(f[x], f[y])
-            if fwd and not got:
-                return PropertyReport(prop, False, _names(psi.source, x, y),
-                                      checked, details={"direction": "x ≼ y"})
-            if mode == "embedding" and got and not fwd:
-                return PropertyReport(prop, False, _names(psi.source, x, y),
-                                      checked, details={"direction": "ψx ≼ ψy"})
-    details = None
-    if mode == "embedding":
-        details = {"injective": psi.is_injective()}
-    return PropertyReport(prop, True, None, checked, details=details)
+    f = bytes(psi.mapping) if psi.target.size <= MAX_BYTE_CARRIER else psi.mapping
+    compose = CompiledTables.compose
+    carrier = range(psi.source.size)
+    up_dst = order_dst.up_bytes
+    ahead, behind = {"direction": "x ≼ y"}, {"direction": "ψx ≼ ψy"}
+    width = 2 if mode == "embedding" else 1
+
+    def cases():
+        for x, up_x in enumerate(order_src.up_packed):  # bit y: x ≼ y
+            images = _packed(compose(up_dst[f[x]], f))   # bit y: ψx ≼ ψy
+            yield (x,), carrier, ((up_x, up_x & images, ahead),
+                                  (images, images & up_x, behind))[:width]
+
+    report = _scan_rows(f"order-{mode}", psi.source.name_of, cases())
+    if report.holds and mode == "embedding":
+        report.details = {"injective": psi.is_injective()}
+    return report
 
 
 def is_isomorphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:

@@ -14,16 +14,21 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import getitem
+from operator import eq, getitem, itemgetter
+from typing import Callable
 
-from .algebra import (Algebra, Element, DomainError, SizeLimitError, Subalgebra,
-                      TableAlgebra, UnsupportedOperationError)
+from .algebra import (MAX_DENSE_CARRIER, Algebra, Element, DomainError,
+                      SizeLimitError, Subalgebra, TableAlgebra,
+                      UnsupportedOperationError)
 from .properties import (PropertyReport, additively_cancellable_elements,
-                         _names, _scan_rows)
+                         _commutativity, _first_difference, _names, _packed,
+                         _scan_rows)
 
 DEFAULT_SEED = 1729
 SAMPLED_TUPLES = 65536
 EXHAUSTIVE_4TUPLE_CARRIER = 16
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,12 @@ class OrderRelation:
                      for bits in self.rows)
 
     @cached_property
+    def down_bytes(self) -> tuple[bytes, ...]:
+        """Down-sets as 0/1 byte rows: down_bytes[q][p] is 1 iff p ≼ q."""
+        up = self.up_bytes
+        return tuple(bytes(map(itemgetter(q), up)) for q in range(len(up)))
+
+    @cached_property
     def up_packed(self) -> tuple[int, ...]:
         """The byte rows of :attr:`up_bytes` packed into ints."""
         return tuple(int.from_bytes(row, "little") for row in self.up_bytes)
@@ -59,51 +70,45 @@ class OrderRelation:
     def from_matrix(cls, algebra: Algebra,
                     matrix: "list | tuple") -> "OrderRelation":
         n = algebra.size
-        if n > 4096:
-            raise SizeLimitError(f"order matrices above carrier 4096 are "
-                                 f"not supported (carrier {n})")
+        if n > MAX_DENSE_CARRIER:
+            raise SizeLimitError(f"order matrices above carrier "
+                                 f"{MAX_DENSE_CARRIER} are not supported "
+                                 f"(carrier {n})")
         if len(matrix) != n:
             raise DomainError(f"order matrix must have {n} rows, got {len(matrix)}")
-        rows = []
         for r, row in enumerate(matrix):
             if len(row) != n:
                 raise DomainError(f"order matrix row {r} must have {n} entries")
-            value = 0
             for q, cell in enumerate(row):
-                if cell not in (0, 1, False, True):
+                if cell not in (0, 1):  # True and False compare equal to 1, 0
                     raise DomainError(f"order matrix entry [{r}][{q}] must be 0 or 1")
-                if cell:
-                    value |= 1 << q
-            rows.append(value)
-        return cls(algebra=algebra, rows=tuple(rows))
+        return cls(algebra=algebra, rows=tuple(
+            sum(1 << q for q, cell in enumerate(row) if cell) for row in matrix))
 
 
 def canonical_order(algebra: Algebra) -> OrderRelation:
     """The order p ≼ q iff p + q = q; needs idempotent commutative +."""
     n = algebra.size
-    if n > 4096:
+    if n > MAX_DENSE_CARRIER:
         raise SizeLimitError(f"canonical order needs a dense matrix; "
-                             f"carrier {n} exceeds 4096")
-    add = algebra.add_i
-    for p in range(n):
-        if add(p, p) != p:
-            raise UnsupportedOperationError(
-                f"+ is not idempotent ({algebra.name_of(p)} + {algebra.name_of(p)} "
-                f"= {algebra.name_of(add(p, p))}); supply an order matrix")
-    for p in range(n):
-        for q in range(p + 1, n):
-            if add(p, q) != add(q, p):
-                raise UnsupportedOperationError(
-                    f"+ is not commutative at ({algebra.name_of(p)}, "
-                    f"{algebra.name_of(q)}); supply an order matrix")
-    rows = []
-    for p in range(n):
-        value = 0
-        for q in range(n):
-            if add(p, q) == q:
-                value |= 1 << q
-        rows.append(value)
-    return OrderRelation(algebra=algebra, rows=tuple(rows))
+                             f"carrier {n} exceeds {MAX_DENSE_CARRIER}")
+    c = algebra.compiled
+    carrier = range(n)
+    name = algebra.name_of
+    doubles = c.row(map(getitem, c.add, carrier))
+    p = _first_difference(doubles, c.row(carrier))
+    if p is not None:
+        raise UnsupportedOperationError(
+            f"+ is not idempotent ({name(p)} + {name(p)} = {name(doubles[p])}); "
+            f"supply an order matrix")
+    commutativity = _commutativity("add-commutativity", name, c.add, c.add_t)
+    if not commutativity.holds:
+        raise UnsupportedOperationError(
+            f"+ is not commutative at ({', '.join(commutativity.witness)}); "
+            f"supply an order matrix")
+    return OrderRelation(algebra=algebra, rows=tuple(  # bit q: p + q = q
+        int(bytes(map(eq, row, carrier))[::-1].translate(_DIGITS), 2)
+        for row in c.add))
 
 
 def discrete_order(algebra: Algebra) -> OrderRelation:
@@ -117,42 +122,34 @@ def _check_relation(order: OrderRelation, algebra: Algebra) -> None:
         raise DomainError("order relation belongs to a different algebra")
 
 
+def _transitivity(name: str, name_of: Callable, up, packed) -> PropertyReport:
+    """p ≼ q and q ≼ r imply p ≼ r: the up-set of q lies inside that of
+    p whenever p ≼ q (rows as 0/1 bytes and as packed ints)."""
+    carrier = range(len(up))
+    return _scan_rows(name, name_of,
+                      (((p, q), carrier, ((packed[q], packed[q] & pp, None),))
+                       for p, (row, pp) in enumerate(zip(up, packed))
+                       for q in compress(carrier, row)))
+
+
+def _reflexivity(name_of: Callable, up) -> PropertyReport:
+    carrier = range(len(up))
+    return _scan_rows("reflexivity", name_of, [((), carrier, (
+        (bytes(map(getitem, up, carrier)), b"\1" * len(up), None),))])
+
+
 def check_poset(order: OrderRelation) -> list[PropertyReport]:
     """Reflexivity, antisymmetry and transitivity, one report each."""
-    algebra = order.algebra
-    n = algebra.size
-    leq = order.leq_i
+    name_of = order.algebra.name_of
+    up, down, packed = order.up_bytes, order.down_bytes, order.up_packed
+    carrier = range(len(up))
 
-    checked = 0
-    reflexive = PropertyReport("reflexivity", True, None, n)
-    for p in range(n):
-        checked += 1
-        if not leq(p, p):
-            reflexive = PropertyReport("reflexivity", False,
-                                       _names(algebra, p), checked)
-            break
+    reflexive = _reflexivity(name_of, up)
 
-    checked = 0
-    antisymmetric = None
-    for p in range(n):
-        for q in range(n):
-            checked += 1
-            if p != q and leq(p, q) and leq(q, p):
-                antisymmetric = PropertyReport("antisymmetry", False,
-                                               _names(algebra, p, q), checked)
-                break
-        if antisymmetric:
-            break
-    if antisymmetric is None:
-        antisymmetric = PropertyReport("antisymmetry", True, None, checked)
-
-    packed = order.up_packed
-    transitive = _scan_rows(
-        "transitivity", algebra,
-        (((p, q), ((packed[q], packed[q] & pp),))
-         for p, (row, pp) in enumerate(zip(order.up_bytes, packed))
-         for q in compress(range(n), row)))
-
+    antisymmetric = _scan_rows("antisymmetry", name_of, (  # q ≠ p both ways
+        ((p,), carrier, ((both, both & 1 << 8 * p, None),))
+        for p, both in enumerate(pp & _packed(dp) for pp, dp in zip(packed, down))))
+    transitive = _transitivity("transitivity", name_of, up, packed)
     return [reflexive, antisymmetric, transitive]
 
 
@@ -160,40 +157,38 @@ def check_monotony(algebra: Algebra, order: OrderRelation) -> list[PropertyRepor
     """p ≼ q implies p + r ≼ q + r, and the same for ×; one report per law."""
     _check_relation(order, algebra)
     n = algebra.size
+    carrier = range(n)
     up = order.up_bytes
     holds = b"\1" * n
 
     def cases(rows):
         for p, row in enumerate(up):
             up_of_row = [up[x] for x in rows[p]]
-            for q in compress(range(n), row):
+            for q in compress(carrier, row):
                 # byte r is 1 iff p∘r ≼ q∘r
-                yield (p, q), ((bytes(map(getitem, up_of_row, rows[q])), holds),)
+                yield (p, q), carrier, (
+                    (bytes(map(getitem, up_of_row, rows[q])), holds, None),)
 
     c = algebra.compiled
-    return [_scan_rows("monotony-add", algebra, cases(c.add)),
-            _scan_rows("monotony-mul", algebra, cases(c.mul))]
+    return [_scan_rows("monotony-add", algebra.name_of, cases(c.add)),
+            _scan_rows("monotony-mul", algebra.name_of, cases(c.mul))]
 
 
 def check_operation_bounds(algebra: Algebra, order: OrderRelation) -> PropertyReport:
     """p ≼ p + q (sums sit above their terms) and p × q ≼ q, all pairs."""
     _check_relation(order, algebra)
-    n = algebra.size
-    leq = order.leq_i
-    add, mul = algebra.add_i, algebra.mul_i
-    checked = 0
-    for p in range(n):
-        for q in range(n):
-            checked += 1
-            if not leq(p, add(p, q)):
-                return PropertyReport("operation-bounds", False,
-                                      _names(algebra, p, q), checked,
-                                      details={"claim": "p ≼ p + q"})
-            if not leq(mul(p, q), q):
-                return PropertyReport("operation-bounds", False,
-                                      _names(algebra, p, q), checked,
-                                      details={"claim": "p × q ≼ q"})
-    return PropertyReport("operation-bounds", True, None, checked)
+    c = algebra.compiled
+    carrier = range(c.n)
+    up = order.up_bytes
+    holds = b"\1" * c.n
+    above, below = {"claim": "p ≼ p + q"}, {"claim": "p × q ≼ q"}
+
+    return _scan_rows("operation-bounds", algebra.name_of, (
+        # byte q is 1 iff p ≼ p + q, resp. iff p × q ≼ q
+        ((p,), carrier, ((c.compose(up[p], ap), holds, above),
+                         (bytes(map(getitem, map(up.__getitem__, mp), carrier)),
+                          holds, below)))
+        for p, (ap, mp) in enumerate(zip(c.add, c.mul))))
 
 
 def check_bound_decomposition(algebra: Algebra,
@@ -201,20 +196,21 @@ def check_bound_decomposition(algebra: Algebra,
     """p + q ≼ r bounds both terms; p ≼ q × r bounds p by both factors."""
     _check_relation(order, algebra)
     c = algebra.compiled
+    carrier = range(c.n)
     up, packed = order.up_bytes, order.up_packed
+    of_sum, of_product = {"claim": "p + q ≼ r"}, {"claim": "p ≼ q × r"}
 
     def cases():
         for p, (ap, upp, pp) in enumerate(zip(c.add, up, packed)):
             for q, (mq, pq) in enumerate(zip(c.mul, packed)):
                 sum_up = packed[ap[q]]
-                below_product = int.from_bytes(bytes(c.compose(upp, mq)),
-                                               "little")
-                yield (p, q), ((sum_up, sum_up & pp & pq),
-                               (below_product,
-                                below_product & pp if upp[q] else 0))
+                below_product = _packed(c.compose(upp, mq))
+                yield (p, q), carrier, (
+                    (sum_up, sum_up & pp & pq, of_sum),
+                    (below_product, below_product & pp if upp[q] else 0,
+                     of_product))
 
-    return _scan_rows("bound-decomposition", algebra, cases(),
-                      details=({"claim": "p + q ≼ r"}, {"claim": "p ≼ q × r"}))
+    return _scan_rows("bound-decomposition", algebra.name_of, cases())
 
 
 def check_pairwise_monotony(algebra: Algebra, order: OrderRelation,
@@ -226,6 +222,28 @@ def check_pairwise_monotony(algebra: Algebra, order: OrderRelation,
     """
     _check_relation(order, algebra)
     n = algebra.size
+    if n <= EXHAUSTIVE_4TUPLE_CARRIER:
+        c = algebra.compiled
+        up, packed = order.up_bytes, order.up_packed
+        of_sum = {"mode": "exhaustive", "claim": "p + r ≼ q + s"}
+        of_product = {"mode": "exhaustive", "claim": "p × r ≼ q × s"}
+
+        def cases():
+            for p, (ap, mp, upp) in enumerate(zip(c.add, c.mul, up)):
+                for q, (aq, mq) in enumerate(zip(c.add, c.mul)):
+                    for r, pr in enumerate(packed):
+                        if not upp[q]:
+                            yield (p, q, r), range(n), ()
+                            continue
+                        # bit s is set iff r ≼ s, resp. p∘r ≼ q∘s
+                        sums = _packed(c.compose(up[ap[r]], aq))
+                        products = _packed(c.compose(up[mp[r]], mq))
+                        yield (p, q, r), range(n), (
+                            (pr, pr & sums, of_sum), (pr, pr & products, of_product))
+
+        report = _scan_rows("pairwise-monotony", algebra.name_of, cases())
+        report.details = report.details or {"mode": "exhaustive"}
+        return report
     leq = order.leq_i
     add, mul = algebra.add_i, algebra.mul_i
 
@@ -238,32 +256,18 @@ def check_pairwise_monotony(algebra: Algebra, order: OrderRelation,
             return "p × r ≼ q × s"
         return None
 
+    rng = random.Random(seed)
+    details = {"mode": "sampled", "seed": seed, "samples": SAMPLED_TUPLES}
     checked = 0
-    if n <= EXHAUSTIVE_4TUPLE_CARRIER:
-        details = {"mode": "exhaustive"}
-        for p in range(n):
-            for q in range(n):
-                for r in range(n):
-                    for s in range(n):
-                        checked += 1
-                        claim = violation(p, q, r, s)
-                        if claim:
-                            details["claim"] = claim
-                            return PropertyReport("pairwise-monotony", False,
-                                                  _names(algebra, p, q, r, s),
-                                                  checked, details=details)
-    else:
-        rng = random.Random(seed)
-        details = {"mode": "sampled", "seed": seed, "samples": SAMPLED_TUPLES}
-        for _ in range(SAMPLED_TUPLES):
-            p, q, r, s = (rng.randrange(n) for _ in range(4))
-            checked += 1
-            claim = violation(p, q, r, s)
-            if claim:
-                details["claim"] = claim
-                return PropertyReport("pairwise-monotony", False,
-                                      _names(algebra, p, q, r, s), checked,
-                                      details=details)
+    for _ in range(SAMPLED_TUPLES):
+        p, q, r, s = (rng.randrange(n) for _ in range(4))
+        checked += 1
+        claim = violation(p, q, r, s)
+        if claim:
+            details["claim"] = claim
+            return PropertyReport("pairwise-monotony", False,
+                                  _names(algebra, p, q, r, s), checked,
+                                  details=details)
     return PropertyReport("pairwise-monotony", True, None, checked, details=details)
 
 
@@ -271,13 +275,14 @@ def cones(algebra: Algebra,
           order: OrderRelation) -> tuple[list[Element], list[Element]]:
     """(positive, negative): p with p ≼ p + q resp. p + q ≼ p for all q."""
     _check_relation(order, algebra)
-    n = algebra.size
-    leq = order.leq_i
-    add = algebra.add_i
-    positive = [Element(algebra, p) for p in range(n)
-                if all(leq(p, add(p, q)) for q in range(n))]
-    negative = [Element(algebra, p) for p in range(n)
-                if all(leq(add(p, q), p) for q in range(n))]
+    c = algebra.compiled
+    holds = b"\1" * c.n
+    positive = [Element(algebra, p) for p, (row, upp) in
+                enumerate(zip(c.add, order.up_bytes))
+                if c.compose(upp, row) == holds]
+    negative = [Element(algebra, p) for p, (row, downp) in
+                enumerate(zip(c.add, order.down_bytes))
+                if c.compose(downp, row) == holds]
     return positive, negative
 
 
@@ -338,12 +343,7 @@ def subalgebra_order_report(algebra: Algebra, sub: Subalgebra,
     poset_reports = check_poset(restricted_order)
     monotony_reports = check_monotony(restricted, restricted_order)
 
-    member_set = set(members)
-    difference = tuple(algebra.name_of(i) for i in range(algebra.size)
-                       if i not in member_set)
-    difference_within_top = all(i == algebra.top_index
-                                for i in range(algebra.size)
-                                if i not in member_set)
+    outside = set(range(algebra.size)).difference(members)
     cancellable = additively_cancellable_elements(algebra)
     cancellable_names = tuple(e.name for e in cancellable)
     top_cancellable = any(e.index == algebra.top_index for e in cancellable)
@@ -351,8 +351,8 @@ def subalgebra_order_report(algebra: Algebra, sub: Subalgebra,
     return SubalgebraOrderReport(
         restriction_poset=poset_reports,
         restriction_monotony=monotony_reports,
-        difference=difference,
-        difference_within_top=difference_within_top,
+        difference=tuple(map(algebra.name_of, sorted(outside))),
+        difference_within_top=outside <= {algebra.top_index},
         cancellable=cancellable_names,
         top_cancellable=top_cancellable,
         equal=len(members) == algebra.size,

@@ -6,9 +6,10 @@ scan met, so re-running the cited elements through the operation tables
 reproduces the violated equation.  Exhaustive scanning is the point:
 these checkers double as the oracle for every claim about an instance.
 
-The n² and n³ laws run on the algebra's compiled rows through
-:func:`_scan_rows`, which compares whole rows over the last index of the
-tuple and derives ``checked`` from the position of the first violation.
+Every law of n² or more tuples, here and in the other modules, runs on
+compiled rows through :func:`_scan_rows`, which compares whole rows over
+the last index of the tuple and derives the witness and ``checked`` from
+the position of the first violation.
 """
 
 from __future__ import annotations
@@ -67,43 +68,55 @@ def _first_difference(a, b) -> int | None:
     return next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
 
 
-def _scan_rows(name: str, algebra: Algebra, cases: Iterable,
-               details: tuple[dict, ...] | None = None) -> PropertyReport:
+def _scan_rows(name: str, name_of: Callable, cases: Iterable) -> PropertyReport:
     """Verdict of a law stated as equations between row vectors.
 
-    ``cases`` yields ``(prefix, sides)`` in scan order: the leading
-    indices of the tuple, and per side of the law one pair ``(a, b)`` of
-    row vectors over the last index k that the law makes equal.  The law
-    fails at the first case and the first k where some pair differs; at
-    equal k the earlier side wins and ``details[side]`` is reported.
-    ``checked`` counts n tuples per earlier case plus k + 1.
+    ``cases`` yields ``(prefix, domain, sides)`` in scan order: the
+    leading indices of the tuple, the elements that the positions of the
+    case's rows stand for, and per side of the law a triple
+    ``(a, b, details)`` of two row vectors that the law makes equal and
+    the details to report when they differ.  The law fails at the first
+    case and the first position k where some pair differs; at equal k the
+    earlier side wins.  The witness is the prefix and ``domain[k]``, each
+    passed through ``name_of``; ``checked`` counts the domains of the
+    earlier cases plus k + 1.
     """
-    n = algebra.size
-    rank = -1
-    for rank, (prefix, sides) in enumerate(cases):
-        for a, b in sides:
+    checked = 0
+    for prefix, domain, sides in cases:
+        for a, b, _ in sides:
             if a != b:
                 break
         else:
+            checked += len(domain)
             continue
-        k, side = min((k, side) for side, (a, b) in enumerate(sides)
+        k, side = min((k, side) for side, (a, b, _) in enumerate(sides)
                       if (k := _first_difference(a, b)) is not None)
-        return PropertyReport(name, False, _names(algebra, *prefix, k),
-                              rank * n + k + 1,
-                              details=dict(details[side]) if details else None)
-    return PropertyReport(name, True, None, (rank + 1) * n)
+        details = sides[side][2]
+        return PropertyReport(name, False,
+                              tuple(map(name_of, (*prefix, domain[k]))),
+                              checked + k + 1,
+                              details=dict(details) if details else None)
+    return PropertyReport(name, True, None, checked)
 
 
-def _commutativity(name: str, algebra: Algebra, rows, cols) -> PropertyReport:
-    return _scan_rows(name, algebra, (((i,), ((row, cols[i]),))
-                                      for i, row in enumerate(rows)))
+def _packed(row) -> int:
+    """A 0/1 row as an int, one byte per position."""
+    return int.from_bytes(row, "little")
+
+
+def _commutativity(name: str, name_of: Callable, rows, cols) -> PropertyReport:
+    carrier = range(len(rows))
+    return _scan_rows(name, name_of,
+                      (((i,), carrier, ((row, cols[i], None),))
+                       for i, row in enumerate(rows)))
 
 
 def _associativity(name: str, algebra: Algebra, rows) -> PropertyReport:
     compose = algebra.compiled.compose
-    return _scan_rows(name, algebra,
-                      (((i, j), ((rows[ri[j]], compose(ri, rows[j])),))
-                       for i, ri in enumerate(rows) for j in range(len(rows))))
+    carrier = range(len(rows))
+    return _scan_rows(name, algebra.name_of,
+                      (((i, j), carrier, ((rows[ri[j]], compose(ri, rows[j]), None),))
+                       for i, ri in enumerate(rows) for j in carrier))
 
 
 def _identity(name: str, algebra: Algebra, op: Callable[[int, int], int],
@@ -122,15 +135,17 @@ def _distributivity(algebra: Algebra) -> PropertyReport:
     """i × (j + k) = i×j + i×k (left) and (j + k) × i = j×i + k×i (right)."""
     c = algebra.compiled
     add, mul, mul_t, compose = c.add, c.mul, c.mul_t, c.compose
+    carrier = range(c.n)
+    left, right = {"side": "left"}, {"side": "right"}
 
     def cases():
         for i, (mi, ci) in enumerate(zip(mul, mul_t)):
             for j, aj in enumerate(add):
-                yield (i, j), ((compose(mi, aj), compose(add[mi[j]], mi)),
-                               (compose(ci, aj), compose(add[ci[j]], ci)))
+                yield (i, j), carrier, (
+                    (compose(mi, aj), compose(add[mi[j]], mi), left),
+                    (compose(ci, aj), compose(add[ci[j]], ci), right))
 
-    return _scan_rows("distributivity", algebra, cases(),
-                      details=({"side": "left"}, {"side": "right"}))
+    return _scan_rows("distributivity", algebra.name_of, cases())
 
 
 def is_multiplicatively_absorbing(algebra: Algebra) -> PropertyReport:
@@ -149,10 +164,10 @@ def check_semiring_axioms(algebra: Algebra) -> list[PropertyReport]:
     """One report per axiom of a commutative semiring with absorbing ⊤."""
     c = algebra.compiled
     return [
-        _commutativity("add-commutativity", algebra, c.add, c.add_t),
+        _commutativity("add-commutativity", algebra.name_of, c.add, c.add_t),
         _associativity("add-associativity", algebra, c.add),
         _identity("add-identity", algebra, algebra.add_i, algebra.top_index),
-        _commutativity("mul-commutativity", algebra, c.mul, c.mul_t),
+        _commutativity("mul-commutativity", algebra.name_of, c.mul, c.mul_t),
         _associativity("mul-associativity", algebra, c.mul),
         _identity("mul-identity", algebra, algebra.mul_i, algebra.bot_index),
         _distributivity(algebra),
@@ -160,33 +175,29 @@ def check_semiring_axioms(algebra: Algebra) -> list[PropertyReport]:
     ]
 
 
+def _top_hits(name: str, algebra: Algebra, rows, at_top: int,
+              elsewhere: int) -> PropertyReport:
+    """Row p meets ⊤ only inside its packed mask: ``at_top`` for p = ⊤,
+    ``elsewhere`` for every other p."""
+    c = algebra.compiled
+    top = algebra.top_index
+    is_top = c.indicator((top,))
+    return _scan_rows(name, algebra.name_of, (
+        ((p,), range(c.n), ((hits, hits & (at_top if p == top else elsewhere),
+                             None),))
+        for p, hits in enumerate(_packed(c.compose(is_top, row)) for row in rows)))
+
+
 def is_zerosumfree(algebra: Algebra) -> PropertyReport:
     """p + q = ⊤ forces p = q = ⊤."""
-    n = algebra.size
-    top = algebra.top_index
-    add = algebra.add_i
-    checked = 0
-    for p in range(n):
-        for q in range(n):
-            checked += 1
-            if add(p, q) == top and not (p == top and q == top):
-                return PropertyReport("zerosumfree", False,
-                                      _names(algebra, p, q), checked)
-    return PropertyReport("zerosumfree", True, None, checked)
+    top_only = 1 << 8 * algebra.top_index
+    return _top_hits("zerosumfree", algebra, algebra.compiled.add, top_only, 0)
 
 
 def is_entire(algebra: Algebra) -> PropertyReport:
     """p × q = ⊤ forces p = ⊤ or q = ⊤ (no zero divisors)."""
-    n = algebra.size
-    top = algebra.top_index
-    mul = algebra.mul_i
-    checked = 0
-    for p in range(n):
-        for q in range(n):
-            checked += 1
-            if mul(p, q) == top and p != top and q != top:
-                return PropertyReport("entire", False, _names(algebra, p, q), checked)
-    return PropertyReport("entire", True, None, checked)
+    top_only = 1 << 8 * algebra.top_index
+    return _top_hits("entire", algebra, algebra.compiled.mul, -1, top_only)
 
 
 def is_simple(algebra: Algebra) -> PropertyReport:
