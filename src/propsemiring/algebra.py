@@ -270,11 +270,11 @@ class CompiledTables:
     def compose(outer, inner):
         """The row k ↦ outer[inner[k]], of the type of ``outer``; either
         row may be bytes or a tuple, and come from any carrier."""
-        if type(inner) is type(outer) is bytes and len(outer) <= MAX_BYTE_CARRIER:
+        try:  # both bytes and outer at most 256 long: one C call
             return inner.translate(outer.ljust(MAX_BYTE_CARRIER, b"\0"))
-        if len(inner) < 2:
-            return type(outer)(outer[k] for k in inner)
-        return type(outer)(itemgetter(*inner)(outer))
+        except (AttributeError, ValueError):  # a tuple, or outer is longer
+            return type(outer)(itemgetter(*inner)(outer) if len(inner) > 1
+                               else [outer[k] for k in inner])
 
 
 class FreeBooleanAlgebra(Algebra):

@@ -22,13 +22,13 @@ from itertools import chain, compress
 from operator import eq, getitem, itemgetter
 from typing import Iterable
 
-from .algebra import (Algebra, AlgebraError, DomainError, Element, TableAlgebra,
-                      table_semiring)
+from .algebra import (MAX_DENSE_CARRIER, Algebra, AlgebraError, DomainError,
+                      Element, SizeLimitError, TableAlgebra, table_semiring)
 from .morphisms import Morphism, check_morphism
 from .order import (OrderRelation, check_poset, _check_relation, _reflexivity,
                     _transitivity)
-from .properties import (PropertyReport, _commutativity, _packed, _scan_rows,
-                         additively_cancellable_elements)
+from .properties import (PropertyReport, _commutativity, _names, _packed,
+                         _scan_rows, additively_cancellable_elements)
 
 
 class CongruenceError(AlgebraError):
@@ -53,7 +53,7 @@ def is_ideal(algebra: Algebra, members: Iterable) -> PropertyReport:
     """⊤ present, closed under +, absorbing under × from both sides."""
     indices = _member_indices(algebra, members)
     if algebra.top_index not in indices:
-        return PropertyReport("ideal", False, (algebra.name_of(algebra.top_index),),
+        return PropertyReport("ideal", False, _names(algebra, algebra.top_index),
                               1, details={"condition": "⊤ ∈ I"})
     c = algebra.compiled
     is_member, member_row = c.indicator(indices), c.row(indices)
@@ -197,13 +197,14 @@ def difference_semiring(algebra: Algebra,
     c = algebra.compiled
     compose, add, mul = c.compose, c.add, c.mul
     pairs = [(p, a) for p in range(algebra.size) for a in subtrahends.members]
+    if len(pairs) > MAX_DENSE_CARRIER:  # the relation is held as dense rows
+        raise SizeLimitError(f"{len(pairs)} differences exceed {MAX_DENSE_CARRIER}")
     index = {x: i for i, x in enumerate(pairs)}
     firsts, seconds = c.row(p for p, _ in pairs), c.row(a for _, a in pairs)
     # related[x][y] is 1 iff x ~ y, that is iff p + β = q + α for
     # x = (p, α) and y = (q, β)
     related = [bytes(map(eq, compose(add[p], seconds),
                          compose(c.add_t[a], firsts))) for p, a in pairs]
-    transposed = [bytes(map(itemgetter(y), related)) for y in range(len(pairs))]
 
     def pair_name(i: int) -> str:
         p, a = pairs[i]
@@ -213,10 +214,12 @@ def difference_semiring(algebra: Algebra,
     # verify all three properties anyway; transitivity is the real one.
     for report, where in (
             (_reflexivity(pairs.__getitem__, related), "reflexive at {}"),
-            (_commutativity("symmetry", pairs.__getitem__, related, transposed),
+            (_commutativity("symmetry", pairs.__getitem__, related, [
+                bytes(map(itemgetter(y), related)) for y in range(len(pairs))]),
              "symmetric at {}, {}"),
             (_transitivity("transitivity", pair_name, related,
-                           list(map(_packed, related))), "transitive at {}, {}, {}")):
+                           list(map(_packed, related))),
+             "transitive at {}, {}, {}")):
         if not report.holds:
             raise CongruenceError("relation not " + where.format(*report.witness))
     equivalence = PropertyReport("difference-relation-equivalence", True, None,

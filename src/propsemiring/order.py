@@ -156,10 +156,9 @@ def check_poset(order: OrderRelation) -> list[PropertyReport]:
 def check_monotony(algebra: Algebra, order: OrderRelation) -> list[PropertyReport]:
     """p ≼ q implies p + r ≼ q + r, and the same for ×; one report per law."""
     _check_relation(order, algebra)
-    n = algebra.size
-    carrier = range(n)
+    carrier = range(algebra.size)
     up = order.up_bytes
-    holds = b"\1" * n
+    holds = b"\1" * algebra.size
 
     def cases(rows):
         for p, row in enumerate(up):
@@ -277,12 +276,11 @@ def cones(algebra: Algebra,
     _check_relation(order, algebra)
     c = algebra.compiled
     holds = b"\1" * c.n
-    positive = [Element(algebra, p) for p, (row, upp) in
-                enumerate(zip(c.add, order.up_bytes))
-                if c.compose(upp, row) == holds]
-    negative = [Element(algebra, p) for p, (row, downp) in
-                enumerate(zip(c.add, order.down_bytes))
-                if c.compose(downp, row) == holds]
+    up, down = order.up_bytes, order.down_bytes
+    positive = [Element(algebra, p) for p, row in enumerate(c.add)
+                if c.compose(up[p], row) == holds]
+    negative = [Element(algebra, p) for p, row in enumerate(c.add)
+                if c.compose(down[p], row) == holds]
     return positive, negative
 
 

@@ -114,9 +114,9 @@ def _commutativity(name: str, name_of: Callable, rows, cols) -> PropertyReport:
 def _associativity(name: str, algebra: Algebra, rows) -> PropertyReport:
     compose = algebra.compiled.compose
     carrier = range(len(rows))
-    return _scan_rows(name, algebra.name_of,
-                      (((i, j), carrier, ((rows[ri[j]], compose(ri, rows[j]), None),))
-                       for i, ri in enumerate(rows) for j in carrier))
+    return _scan_rows(name, algebra.name_of, (
+        ((i, j), carrier, ((rows[ri[j]], compose(ri, rows[j]), None),))
+        for i, ri in enumerate(rows) for j in carrier))
 
 
 def _identity(name: str, algebra: Algebra, op: Callable[[int, int], int],

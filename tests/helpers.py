@@ -197,3 +197,211 @@ def cancellable_oracle(add):
     return [a for a in range(n)
             if injective([add[a][x] for x in range(n)])
             and injective([add[x][a] for x in range(n)])]
+
+
+def pairs_of(n):
+    return ((p, q) for p in range(n) for q in range(n))
+
+
+def zerosumfree_oracle(add, top):
+    return first_violation(pairs_of(len(add)), lambda p, q: add[p][q] == top
+                           and not (p == top and q == top))
+
+
+def entire_oracle(mul, top):
+    return first_violation(pairs_of(len(mul)), lambda p, q: mul[p][q] == top
+                           and p != top and q != top)
+
+
+def reflexivity_oracle(leq):
+    return first_violation(((p,) for p in range(len(leq))),
+                           lambda p: not leq[p][p])
+
+
+def antisymmetry_oracle(leq):
+    return first_violation(pairs_of(len(leq)), lambda p, q: p != q
+                           and leq[p][q] and leq[q][p])
+
+
+def operation_bounds_oracle(add, mul, leq):
+    def violated(p, q):
+        if not leq[p][add[p][q]]:
+            return "p ≼ p + q"
+        if not leq[mul[p][q]][q]:
+            return "p × q ≼ q"
+        return None
+    return first_violation(pairs_of(len(add)), violated)
+
+
+def cones_oracle(add, leq):
+    """(positive, negative) cone members as index lists."""
+    n = len(add)
+    positive = [p for p in range(n) if all(leq[p][add[p][q]] for q in range(n))]
+    negative = [p for p in range(n) if all(leq[add[p][q]][p] for q in range(n))]
+    return positive, negative
+
+
+def pairwise_monotony_oracle(add, mul, leq):
+    n = len(add)
+
+    def violated(p, q, r, s):
+        if not (leq[p][q] and leq[r][s]):
+            return None
+        if not leq[add[p][r]][add[q][s]]:
+            return "p + r ≼ q + s"
+        if not leq[mul[p][r]][mul[q][s]]:
+            return "p × r ≼ q × s"
+        return None
+    return first_violation(((p, q, r, s) for p in range(n) for q in range(n)
+                            for r in range(n) for s in range(n)), violated)
+
+
+def canonical_order_oracle(add, names):
+    """The matrix p ≼ q iff p + q = q, or the error message for + that is
+    not idempotent or not commutative."""
+    n = len(add)
+    for p in range(n):
+        if add[p][p] != p:
+            return (f"+ is not idempotent ({names[p]} + {names[p]} = "
+                    f"{names[add[p][p]]}); supply an order matrix")
+    for p in range(n):
+        for q in range(p + 1, n):
+            if add[p][q] != add[q][p]:
+                return (f"+ is not commutative at ({names[p]}, {names[q]}); "
+                        f"supply an order matrix")
+    return [[int(add[p][q] == q) for q in range(n)] for p in range(n)]
+
+
+def morphism_oracle(src, dst, f, kind):
+    """Verify ψ = f between algebras given as dicts of add, mul, comp
+    (or None), top and bot: ⊤, ⊥, then + and × per pair, then !."""
+    if f[src["top"]] != dst["top"]:
+        return (src["top"],), 1, "⊤ preserved"
+    if f[src["bot"]] != dst["bot"]:
+        return (src["bot"],), 2, "⊥ preserved"
+    n = len(f)
+
+    def violated(a, b):
+        for op, tag in (("add", "+ preserved"), ("mul", "× preserved")):
+            if f[src[op][a][b]] != dst[op][f[a]][f[b]]:
+                return tag
+        return None
+    witness, checked, tag = first_violation(pairs_of(n), violated)
+    checked += 2
+    if witness or kind != "bpa":
+        return witness, checked, tag
+    witness, more, tag = first_violation(
+        ((a,) for a in range(n)),
+        lambda a: f[src["comp"][a]] != dst["comp"][f[a]] and "! preserved")
+    return witness, checked + more, tag
+
+
+def order_map_oracle(leq_src, leq_dst, f, mode):
+    def violated(x, y):
+        forward, image = leq_src[x][y], leq_dst[f[x]][f[y]]
+        if forward and not image:
+            return "x ≼ y"
+        if mode == "embedding" and image and not forward:
+            return "ψx ≼ ψy"
+        return None
+    return first_violation(pairs_of(len(f)), violated)
+
+
+def ideal_oracle(add, mul, top, members):
+    inside = set(members)
+    if top not in inside:
+        return (top,), 1, "⊤ ∈ I"
+    witness, checked, tag = first_violation(
+        ((i, j) for i in members for j in members),
+        lambda i, j: add[i][j] not in inside and "closed under +")
+    if witness:
+        return witness, checked, tag
+    witness, more, tag = first_violation(
+        ((p, i) for p in range(len(add)) for i in members),
+        lambda p, i: (mul[p][i] not in inside or mul[i][p] not in inside)
+        and "absorbing under ×")
+    return witness, checked + more, tag
+
+
+def mult_left_cancellative_oracle(mul, top):
+    n = len(mul)
+    return first_violation(
+        ((c, a, b) for c in range(n) if c != top
+         for a in range(n) for b in range(n)),
+        lambda c, a, b: a != b and mul[c][a] == mul[c][b])
+
+
+def cancellation_criterion_oracle(add, mul, members):
+    n = len(add)
+    return first_violation(
+        ((a, b, c, d) for a in range(n) for b in range(n) if a != b
+         for c in range(n) for d in members if d != c),
+        lambda a, b, c, d: add[mul[c][a]][mul[d][b]] == add[mul[c][b]][mul[d][a]])
+
+
+def extended_order_oracle(add, leq, members, universal):
+    quantifier = all if universal else any
+    n = len(add)
+    return [[int(quantifier(leq[add[p][d]][add[q][d]] for d in members))
+             for q in range(n)] for p in range(n)]
+
+
+def translation_invariance_oracle(add, leq, members):
+    n = len(add)
+
+    def violated(p, q, xi):
+        base = leq[p][q]
+        if base != leq[add[p][xi]][add[q][xi]]:
+            return "p ≼ q but not shifted" if base else "shifted but not p ≼ q"
+        return None
+    return first_violation(((p, q, xi) for p in range(n) for q in range(n)
+                            for xi in members), violated)
+
+
+def difference_oracle(add, mul, members, names):
+    """The difference relation on pairs (p, α), checked from its
+    definition: ("error", message) when it is no equivalence or no
+    congruence, else ("ok", classes, equivalence count, congruence count)."""
+    pairs = [(p, a) for p in range(len(add)) for a in members]
+
+    def related(x, y):
+        return add[x[0]][y[1]] == add[y[0]][x[1]]
+
+    def name(x):
+        return f"{names[x[0]]}-{names[x[1]]}"
+
+    for x in pairs:
+        if not related(x, x):
+            return "error", f"relation not reflexive at {x}"
+    for x in pairs:
+        for y in pairs:
+            if related(x, y) != related(y, x):
+                return "error", f"relation not symmetric at {x}, {y}"
+    for x in pairs:
+        for y in pairs:
+            for z in pairs:
+                if related(x, y) and related(y, z) and not related(x, z):
+                    return "error", (f"relation not transitive at {name(x)}, "
+                                     f"{name(y)}, {name(z)}")
+    classes = []
+    for x in pairs:
+        if not any(x in block for block in classes):
+            classes.append([y for y in pairs if related(x, y)])
+    label = {y: k for k, block in enumerate(classes) for y in block}
+    ops = (("⊕", lambda x, y: (add[x[0]][y[0]], add[x[1]][y[1]])),
+           ("⊗", lambda x, y: (add[mul[x[0]][y[0]]][mul[x[1]][y[1]]],
+                               add[mul[x[0]][y[1]]][mul[x[1]][y[0]]])))
+    checked = 0
+    for bx in classes:
+        for x in bx:
+            for x2 in bx:
+                for by in classes:
+                    for y in by:
+                        for y2 in by:
+                            checked += 1
+                            for sign, op in ops:
+                                if label[op(x, y)] != label[op(x2, y2)]:
+                                    return "error", (
+                                        f"{sign} not well defined at {name(x)} ~ "
+                                        f"{name(x2)}, {name(y)} ~ {name(y2)}")
+    return "ok", classes, len(pairs) ** 3, checked

@@ -1,7 +1,7 @@
 import pytest
 
-from propsemiring.algebra import (DomainError, SizeLimitError, TableLoadError,
-                                  UnsupportedOperationError,
+from propsemiring.algebra import (CompiledTables, DomainError, SizeLimitError,
+                                  TableLoadError, UnsupportedOperationError,
                                   free_boolean_algebra, subalgebra_closure,
                                   table_semiring)
 
@@ -111,6 +111,28 @@ class TestSemiringLaws:
             for j in range(3):
                 assert z3.name_of(z3.add_i(i, j)) == str((i + j) % 3)
                 assert z3.name_of(z3.mul_i(i, j)) == str((i * j) % 3)
+
+
+class TestCompiledTables:
+    @pytest.mark.parametrize("outer, inner, expected", [
+        (b"\5\6\7", b"\2\0", b"\7\5"),
+        (b"\5\6\7", (2, 0, 2), b"\7\5\7"),
+        ((5, 6, 7), b"\1", (6,)),
+        ((5, 6, 7), (2,), (7,)),
+        ((5, 6, 7), (), ()),
+        (bytes(300), (299, 0), b"\0\0"),
+    ])
+    def test_compose_keeps_the_type_of_the_outer_row(self, outer, inner,
+                                                      expected):
+        assert CompiledTables.compose(outer, inner) == expected
+
+    def test_rows_and_complement(self, ba1, z3):
+        c = ba1.compiled
+        assert c.add[1] == bytes(ba1.add_i(1, j) for j in range(4))
+        assert c.mul_t[2] == bytes(ba1.mul_i(i, 2) for i in range(4))
+        assert c.comp == bytes(ba1.comp_i(i) for i in range(4))
+        assert z3.compiled.comp is None
+        assert c.indicator([0, 3]) == b"\1\0\0\1"
 
 
 class TestTableLoading:

@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+import propsemiring.cli as cli
+import propsemiring.morphisms as morphisms
+from propsemiring.algebra import free_boolean_algebra
 from propsemiring.cli import main
 
 from helpers import zmod_spec
@@ -213,6 +216,32 @@ class TestHomCheck:
         doc = run_json(capsys, "hom", "check", "--map", path)
         assert doc["check"]["verdict"] == "holds"
         assert doc["injective"] is True
+
+    def test_a_homomorphism_is_verified_once(self, capsys, tmp_path,
+                                             monkeypatch):
+        original, calls = morphisms.check_morphism, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_morphism", counted)
+        monkeypatch.setattr(morphisms, "check_morphism", counted)
+        path = write_morphism(tmp_path, "f.json", "free:1", "free:0", EVAL_TOP)
+        doc = run_json(capsys, "hom", "check", "--map", path, "--kind", "bpa")
+        assert doc["check"]["verdict"] == "holds"
+        assert doc["image"] == ["⊥", "⊤"]
+        assert len(calls) == 1
+
+    def test_four_atom_source_fails_fast_on_the_table_limit(self, capsys,
+                                                            tmp_path):
+        ba4 = free_boolean_algebra(4)
+        # the evaluation at the assignment 0: bit 0 of each truth table
+        mapping = {ba4.name_of(i): "⊤" if i & 1 else "⊥" for i in range(ba4.size)}
+        path = write_morphism(tmp_path, "f.json", "free:4", "free:0", mapping)
+        code, out, err = run(capsys, "hom", "check", "--map", path)
+        assert code == 2 and out == ""
+        assert "65536" in err and "4096" in err
 
 
 class TestHomEnumerate:

@@ -1,6 +1,6 @@
 import pytest
 
-from propsemiring.algebra import DomainError, table_semiring
+from propsemiring.algebra import DomainError, SizeLimitError, table_semiring
 from propsemiring.differences import (CongruenceError, SubtrahendIdeal,
                                       difference_cancellation_criterion,
                                       difference_semiring, extended_order,
@@ -137,6 +137,34 @@ class TestDifferenceSemiring:
         forged = SubtrahendIdeal(algebra=ba1, members=(1, 3), opposites=(1, 3))
         with pytest.raises(CongruenceError, match="transitive"):
             difference_semiring(ba1, forged)
+
+    def test_dense_relation_limit(self):
+        # ℤ65 has 65 subtrahends, so 4225 formal differences
+        z65 = table_semiring(zmod_spec(65))
+        with pytest.raises(SizeLimitError, match="4225"):
+            difference_semiring(z65)
+
+    @pytest.mark.parametrize("add, mul, zero, one, members, message", [
+        ([[0, 0, 0], [0, 1, 2], [2, 2, 1]], [[0, 1, 2], [1, 1, 1], [2, 2, 1]],
+         1, 0, (1, 2), "⊗ not well defined at 0-1 ~ 0-2, 1-2 ~ 1-2"),
+        # + is not commutative here, so p + β and β + p differ
+        ([[0, 1, 2], [1, 0, 1], [2, 2, 1]], [[0, 1, 0], [1, 1, 1], [0, 1, 2]],
+         0, 2, (0, 1), "⊕ not well defined at 0-0 ~ 1-1, 2-0 ~ 2-0"),
+    ])
+    def test_forged_subtrahends_break_the_congruence(self, add, mul, zero, one,
+                                                     members, message):
+        names = ["0", "1", "2"]
+        algebra = table_semiring({
+            "name": "forged", "elements": names, "zero": names[zero],
+            "one": names[one],
+            "add": [[names[v] for v in row] for row in add],
+            "mul": [[names[v] for v in row] for row in mul]})
+        assert is_ideal(algebra, members).holds
+        forged = SubtrahendIdeal(algebra=algebra, members=members,
+                                 opposites=members)
+        with pytest.raises(CongruenceError) as caught:
+            difference_semiring(algebra, forged)
+        assert str(caught.value) == message
 
 
 class TestExtendedOrder:

@@ -1,7 +1,8 @@
 import pytest
 
 from propsemiring.algebra import (DomainError, SizeLimitError,
-                                  UnsupportedOperationError, table_semiring)
+                                  UnsupportedOperationError,
+                                  free_boolean_algebra, table_semiring)
 from propsemiring.morphisms import (Morphism, check_morphism, enumerate_homs,
                                     factor, image_subalgebra, is_isomorphism,
                                     kernel, order_relation_of_map, refines,
@@ -115,6 +116,28 @@ class TestCheckMorphism:
             check_morphism(psi, "bpa")
         with pytest.raises(DomainError, match="kind"):
             check_morphism(Morphism(ba1, ba1, range(4)), "ring")
+
+
+    def test_four_atom_target_is_read_at_the_images(self, ba0, ba1):
+        ba4 = free_boolean_algebra(4)
+        a = ba4.atom_value(0)
+        inclusion = Morphism(ba0, ba4, [0, ba4.mask])
+        assert check_morphism(inclusion, "bpa").checked == 2 + 4 + 2
+        atom = Morphism(ba1, ba4, [0, ba4.mask ^ a, a, ba4.mask])
+        report = check_morphism(atom, "bpa")
+        assert report.holds and report.checked == 2 + 16 + 4
+        # !a ↦ a: !a + a = ⊥ but a + a = a
+        broken = Morphism(ba1, ba4, [0, a, a, ba4.mask])
+        report = check_morphism(broken, "bpa")
+        assert not report.holds and report.witness == ("!a", "a")
+        assert report.checked == 2 + 4 + 3
+        assert report.details == {"condition": "+ preserved"}
+
+    def test_four_atom_source_hits_the_table_limit(self, ba0):
+        ba4 = free_boolean_algebra(4)
+        psi = Morphism(ba4, ba0, [i & 1 for i in range(ba4.size)])
+        with pytest.raises(SizeLimitError, match="4096"):
+            check_morphism(psi)
 
 
 class TestKernelsAndFactoring:
