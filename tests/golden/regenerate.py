@@ -41,6 +41,24 @@ def _chain3() -> dict:
             "zero": "t", "one": "f"}
 
 
+def _chain_matrix(n: int) -> list[list[int]]:
+    return [[int(p <= q) for q in range(n)] for p in range(n)]
+
+
+def _zmod_product(m: int, k: int) -> dict:
+    """ℤm × ℤk, componentwise; its least subalgebra is ℤlcm(m, k)."""
+    pairs = [(a, b) for a in range(m) for b in range(k)]
+    names = [f"{a}.{b}" for a, b in pairs]
+
+    def table(op):
+        return [[f"{op(a, c) % m}.{op(b, d) % k}" for c, d in pairs]
+                for a, b in pairs]
+
+    return {"name": f"z{m}xz{k}", "elements": names,
+            "add": table(int.__add__), "mul": table(int.__mul__),
+            "zero": "0.0", "one": "1.1"}
+
+
 def _edited(base: dict, name: str, *edits) -> dict:
     doc = json.loads(json.dumps(base))
     doc["name"] = name
@@ -72,9 +90,17 @@ def _inputs() -> dict[str, object]:
             _edited(chain, "broken-absorb", ("mul", "t", "t", "m")),
         "chain3c.json": dict(chain, name="chain3c", complement=["f", "m", "t"]),
     })
-    for n in range(2, 8):
-        files[f"chain-z{n}.json"] = [[int(p <= q) for q in range(n)]
-                                     for p in range(n)]
+    for n in SAMPLED:
+        files[f"z{n}.json"] = zmod_spec(n)
+    for n in (*range(2, 8), *SAMPLED):
+        files[f"chain-z{n}.json"] = _chain_matrix(n)
+    files["z4xz6.json"] = _zmod_product(4, 6)
+    files["chain-z4xz6.json"] = _chain_matrix(24)
+    # The quotient of this table breaks the multiplicative identity law.
+    files["diff-broken-identity.json"] = {
+        "name": "pair", "elements": ["0", "1"],
+        "add": [["0", "1"], ["1", "0"]],
+        "mul": [["1", "0"], ["0", "1"]], "zero": "0", "one": "1"}
     # The canonical order of free:1 with one poset axiom broken each.
     canon = canonical_order(free_boolean_algebra(1)).to_matrix()
     for name, (p, q) in (("nonreflexive", (2, 2)), ("nonantisymmetric", (0, 3)),
@@ -113,6 +139,8 @@ BROKEN = [f"broken-{law}.json" for law in (
     "mul-associativity", "distributivity", "top-absorbing")]
 TABLES = [f"z{n}.json" for n in range(2, 8)] + ["bool2.json"] + BROKEN
 FREE = [f"free:{n}" for n in range(4)]
+SAMPLED = range(17, 32)  # carriers above 16: pairwise monotony is sampled
+SEEDS = (1729, 1, 42, 2024)
 
 
 def _source(spec: str) -> list[str]:
@@ -190,6 +218,21 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
                            "--mode", mode], None))
     cases.append(("hom-factor", ["hom", "factor", "--psi1", "quotient.json",
                                  "--psi2", "collapse.json"], None))
+    # The chain order breaks the sampled pairwise law on these carriers,
+    # so the witness and checked pin the seeded draw.
+    for seed in SEEDS:
+        for n in SAMPLED:
+            cases.append((f"order-seed{seed}-chain-z{n}",
+                          ["--seed", str(seed), "order", "--table",
+                           f"z{n}.json", "--order-matrix",
+                           f"chain-z{n}.json"], None))
+    for gens in ("", "0.1"):
+        cases.append((f"order-sub-chain-z4xz6{'-' + gens if gens else ''}",
+                      ["order", "--table", "z4xz6.json", "--order-matrix",
+                       "chain-z4xz6.json", "--sub", gens, "--sub-kind",
+                       "semiring"], None))
+    cases.append(("diff-broken-identity",
+                  ["diff", "--table", "diff-broken-identity.json"], None))
     return cases
 
 
