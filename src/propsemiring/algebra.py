@@ -331,9 +331,6 @@ class FreeBooleanAlgebra(Algebra):
             return int(name, 2)
         raise DomainError(f"{name!r} names no element of {self.name}")
 
-    def atom(self, i: int) -> Element:
-        return Element(self, self._atom_values[i])
-
     def atom_value(self, i: int) -> int:
         return self._atom_values[i]
 
@@ -456,6 +453,26 @@ def _load_rows(doc: dict, key: str, names: tuple[str, ...],
     return tuple(rows)
 
 
+def _check_identity_laws(names: tuple[str, ...], add_rows, mul_rows,
+                         zi: int, oi: int) -> None:
+    """Raise TableLoadError at the first cell where element ``zi`` is no
+    additive or ``oi`` no multiplicative identity of the index tables."""
+    zero, one = names[zi], names[oi]
+    for x in range(len(names)):
+        _require(add_rows[zi][x] == x,
+                 f"identity law broken at add[{zero!r}][{names[x]!r}] = "
+                 f"{names[add_rows[zi][x]]!r}, expected {names[x]!r}")
+        _require(add_rows[x][zi] == x,
+                 f"identity law broken at add[{names[x]!r}][{zero!r}] = "
+                 f"{names[add_rows[x][zi]]!r}, expected {names[x]!r}")
+        _require(mul_rows[oi][x] == x,
+                 f"identity law broken at mul[{one!r}][{names[x]!r}] = "
+                 f"{names[mul_rows[oi][x]]!r}, expected {names[x]!r}")
+        _require(mul_rows[x][oi] == x,
+                 f"identity law broken at mul[{names[x]!r}][{one!r}] = "
+                 f"{names[mul_rows[x][oi]]!r}, expected {names[x]!r}")
+
+
 def table_semiring(doc: dict, source_spec: str | None = None) -> TableAlgebra:
     """Build a TableAlgebra from a row-major JSON-style description.
 
@@ -488,20 +505,7 @@ def table_semiring(doc: dict, source_spec: str | None = None) -> TableAlgebra:
     _require(isinstance(one, str) and one in index,
              f"'one' = {one!r} is not an element")
     zi, oi = index[zero], index[one]
-
-    for x in range(len(names)):
-        _require(add_rows[zi][x] == x,
-                 f"identity law broken at add[{zero!r}][{names[x]!r}] = "
-                 f"{names[add_rows[zi][x]]!r}, expected {names[x]!r}")
-        _require(add_rows[x][zi] == x,
-                 f"identity law broken at add[{names[x]!r}][{zero!r}] = "
-                 f"{names[add_rows[x][zi]]!r}, expected {names[x]!r}")
-        _require(mul_rows[oi][x] == x,
-                 f"identity law broken at mul[{one!r}][{names[x]!r}] = "
-                 f"{names[mul_rows[oi][x]]!r}, expected {names[x]!r}")
-        _require(mul_rows[x][oi] == x,
-                 f"identity law broken at mul[{names[x]!r}][{one!r}] = "
-                 f"{names[mul_rows[x][oi]]!r}, expected {names[x]!r}")
+    _check_identity_laws(names, add_rows, mul_rows, zi, oi)
 
     comp_row = None
     if "complement" in doc:
@@ -547,9 +551,6 @@ class Subalgebra:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def contains_index(self, index: int) -> bool:
-        return index in set(self.members)
 
     def elements(self) -> list[Element]:
         return [Element(self.parent, i) for i in self.members]

@@ -526,8 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_hc.add_argument("--map", required=True, metavar="PATH")
     p_hc.add_argument("--kind", choices=("semiring", "bpa"), default="semiring")
 
-    p_he = hom_commands.add_parser("enumerate",
-                                   help="stream all homomorphisms as JSON lines")
+    p_he = hom_commands.add_parser(
+        "enumerate", help="print all homomorphisms as JSON lines; the whole "
+                          "list is found before the first line is printed")
     p_he.add_argument("--src", required=True, metavar="SPEC",
                       help="free:N or a table JSON path")
     p_he.add_argument("--dst", required=True, metavar="SPEC")

@@ -23,7 +23,8 @@ from operator import eq, getitem, itemgetter
 from typing import Iterable
 
 from .algebra import (MAX_DENSE_CARRIER, Algebra, AlgebraError, DomainError,
-                      Element, SizeLimitError, TableAlgebra, table_semiring)
+                      Element, SizeLimitError, TableAlgebra, TableLoadError,
+                      _check_identity_laws)
 from .morphisms import Morphism, check_morphism
 from .order import (OrderRelation, check_poset, _check_relation, _reflexivity,
                     _transitivity)
@@ -102,14 +103,15 @@ def _validate_subtrahends(algebra: Algebra,
         if m not in cancellable:
             raise DomainError(
                 f"subtrahend {algebra.name_of(m)} is not additively cancellable")
+    c = algebra.compiled
+    is_top, member_row = c.indicator((algebra.top_index,)), c.row(members)
     opposites = []
-    for m in members:
-        opp = next((b for b in members
-                    if algebra.add_i(m, b) == algebra.top_index), None)
-        if opp is None:
+    for m in members:  # the first member b with m + b = ⊤
+        k = c.compose(is_top, c.compose(c.add[m], member_row)).find(1)
+        if k < 0:
             raise DomainError(
                 f"subtrahend {algebra.name_of(m)} has no opposite in the ideal")
-        opposites.append(opp)
+        opposites.append(members[k])
     return SubtrahendIdeal(algebra=algebra, members=members,
                            opposites=tuple(opposites))
 
@@ -127,30 +129,26 @@ def subtrahend_ideal(algebra: Algebra,
         return _validate_subtrahends(algebra, _member_indices(algebra, members))
 
     top = algebra.top_index
-    add, mul = algebra.add_i, algebra.mul_i
-    cancellable = {e.index for e in additively_cancellable_elements(algebra)}
-    current = set(cancellable)
+    c = algebra.compiled
+    compose, is_top = c.compose, c.indicator((top,))
+
+    def keeps(i: int, inside: bytes, member_row) -> bool:
+        """i has an opposite in the set, its sums with the set stay inside
+        and its products with anything do too."""
+        sums = compose(c.add[i], member_row)
+        return (1 in compose(is_top, sums) and 0 not in compose(inside, sums)
+                and 0 not in compose(inside, c.mul[i])
+                and 0 not in compose(inside, c.mul_t[i]))
+
+    current = {e.index for e in additively_cancellable_elements(algebra)}
     current.add(top)
-    changed = True
-    while changed:
-        changed = False
-        drop = set()
-        for i in current:
-            if i == top:
-                continue
-            if not any(add(i, j) == top for j in current):
-                drop.add(i)
-                continue
-            if any(add(i, j) not in current for j in current):
-                drop.add(i)
-                continue
-            if any(mul(p, i) not in current or mul(i, p) not in current
-                   for p in range(algebra.size)):
-                drop.add(i)
-        if drop:
-            current -= drop
-            changed = True
-    return _validate_subtrahends(algebra, tuple(sorted(current)))
+    while True:
+        inside, member_row = c.indicator(current), c.row(sorted(current))
+        drop = {i for i in current if i != top
+                and not keeps(i, inside, member_row)}
+        if not drop:
+            return _validate_subtrahends(algebra, tuple(sorted(current)))
+        current -= drop
 
 
 @dataclass
@@ -264,17 +262,19 @@ def difference_semiring(algebra: Algebra,
             name = f"{name}#{n}"
         seen_names.add(name)
         names.append(name)
+    if len(seen_names) < len(names):  # a renamed class met an earlier name
+        raise TableLoadError("'elements' must be distinct")
 
+    # the quotient's tables over the representatives, in class labels
     top = algebra.top_index
-    doc = {
-        "name": f"diff({algebra.name})",
-        "elements": names,
-        "add": [[names[sums[x][y]] for y in reps] for x in reps],
-        "mul": [[names[products[x][y]] for y in reps] for x in reps],
-        "zero": names[label[index[(top, top)]]],
-        "one": names[label[index[(algebra.bot_index, top)]]],
-    }
-    quotient = table_semiring(doc, source_spec=f"diff({algebra.source_spec})")
+    zero, one = label[index[(top, top)]], label[index[(algebra.bot_index, top)]]
+    add_rows = tuple(compose(sums[x], reps) for x in reps)
+    mul_rows = tuple(compose(products[x], reps) for x in reps)
+    _check_identity_laws(tuple(names), add_rows, mul_rows, zero, one)
+    quotient = TableAlgebra(name=f"diff({algebra.name})", names=tuple(names),
+                            add_rows=add_rows, mul_rows=mul_rows,
+                            top_index=zero, bot_index=one,
+                            source_spec=f"diff({algebra.source_spec})")
 
     embedding = Morphism(algebra, quotient,
                          tuple(label[index[(p, top)]] for p in range(algebra.size)))
@@ -330,27 +330,29 @@ class ExtendedOrderResult:
         }
 
 
+def _shifted(algebra: Algebra, order: OrderRelation, members: tuple[int, ...]):
+    """Per p, the rows for q = 0, 1, ... over ξ among the members whose
+    byte ξ is 1 iff p + ξ ≼ q + ξ."""
+    c = algebra.compiled
+    up, member_row = order.rows, c.row(members)
+    shifts = [c.compose(row, member_row) for row in c.add]  # p + ξ over ξ
+    for shift_p in shifts:
+        up_of_shift = [up[x] for x in shift_p]
+        yield [bytes(map(getitem, up_of_shift, shift_q)) for shift_q in shifts]
+
+
 def _translation_invariance(prop: str, algebra: Algebra, order: OrderRelation,
                             members: tuple[int, ...]) -> PropertyReport:
     """p ≼ q exactly when p + ξ ≼ q + ξ, for every ξ among the members."""
-    c = algebra.compiled
-    up = order.up_bytes
-    member_row = c.row(members)
-    shifts = [c.compose(row, member_row) for row in c.add]  # p + ξ over ξ
     kept, gained = ({"direction": "p ≼ q but not shifted"},
                     {"direction": "shifted but not p ≼ q"})
     always, never = b"\1" * len(members), bytes(len(members))
-
-    def cases():
-        for p, (shift_p, up_p) in enumerate(zip(shifts, up)):
-            up_of_shift = [up[x] for x in shift_p]
-            for q, shift_q in enumerate(shifts):
-                # byte ξ is 1 iff p + ξ ≼ q + ξ
-                shifted = bytes(map(getitem, up_of_shift, shift_q))
-                yield (p, q), members, ((shifted, always, kept) if up_p[q]
-                                        else (shifted, never, gained),)
-
-    return _scan_rows(prop, algebra.name_of, cases())
+    return _scan_rows(prop, algebra.name_of, (
+        ((p, q), members, ((shifted, always, kept) if up_p[q]
+                           else (shifted, never, gained),))
+        for p, (up_p, row) in enumerate(zip(order.rows,
+                                            _shifted(algebra, order, members)))
+        for q, shifted in enumerate(row)))
 
 
 def extended_order(algebra: Algebra, base: OrderRelation,
@@ -364,18 +366,10 @@ def extended_order(algebra: Algebra, base: OrderRelation,
     _check_relation(base, algebra)
     if subtrahends.algebra is not algebra:
         raise DomainError("subtrahend ideal belongs to a different algebra")
-    n = algebra.size
-    add = algebra.add_i
     members = subtrahends.members
     quantifier = all if universal else any
-    rows = []
-    for p in range(n):
-        value = 0
-        for q in range(n):
-            if quantifier(base.leq_i(add(p, d), add(q, d)) for d in members):
-                value |= 1 << q
-        rows.append(value)
-    relation = OrderRelation(algebra=algebra, rows=tuple(rows))
+    relation = OrderRelation(algebra=algebra, rows=tuple(
+        bytes(map(quantifier, row)) for row in _shifted(algebra, base, members)))
 
     poset_reports = check_poset(relation)
     stability = _translation_invariance("translation-invariance", algebra,

@@ -93,10 +93,6 @@ class Morphism:
                 "target": self.target.source_spec,
                 "map": self.name_map()}
 
-    def describe(self) -> str:
-        return ",".join(f"{self.source.name_of(i)}↦{self.target.name_of(t)}"
-                        for i, t in enumerate(self.mapping))
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Morphism)
                 and other.source is self.source
@@ -237,7 +233,7 @@ def order_relation_of_map(psi: Morphism, order_src: OrderRelation,
     f = bytes(psi.mapping) if psi.target.size <= MAX_BYTE_CARRIER else psi.mapping
     compose = CompiledTables.compose
     carrier = range(psi.source.size)
-    up_dst = order_dst.up_bytes
+    up_dst = order_dst.rows
     ahead, behind = {"direction": "x ≼ y"}, {"direction": "ψx ≼ ψy"}
     width = 2 if mode == "embedding" else 1
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import eq, getitem, itemgetter
+from operator import eq, getitem
 from typing import Callable
 
 from .algebra import (MAX_DENSE_CARRIER, Algebra, Element, DomainError,
@@ -28,43 +28,31 @@ DEFAULT_SEED = 1729
 SAMPLED_TUPLES = 65536
 EXHAUSTIVE_4TUPLE_CARRIER = 16
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
 @dataclass(frozen=True)
 class OrderRelation:
-    """A binary relation as bitmask rows: rows[p] bit q set iff p ≼ q."""
+    """A binary relation as 0/1 byte rows: rows[p][q] is 1 iff p ≼ q."""
 
     algebra: Algebra
-    rows: tuple[int, ...]
+    rows: tuple[bytes, ...]
 
     def leq_i(self, p: int, q: int) -> bool:
-        return bool((self.rows[p] >> q) & 1)
-
-    @cached_property
-    def up_bytes(self) -> tuple[bytes, ...]:
-        """Up-sets as 0/1 byte rows: up_bytes[p][q] is 1 iff p ≼ q."""
-        n = self.algebra.size
-        return tuple(bytes((bits >> q) & 1 for q in range(n))
-                     for bits in self.rows)
+        return self.rows[p][q] == 1
 
     @cached_property
     def down_bytes(self) -> tuple[bytes, ...]:
         """Down-sets as 0/1 byte rows: down_bytes[q][p] is 1 iff p ≼ q."""
-        up = self.up_bytes
-        return tuple(bytes(map(itemgetter(q), up)) for q in range(len(up)))
+        return tuple(map(bytes, zip(*self.rows)))
 
     @cached_property
     def up_packed(self) -> tuple[int, ...]:
-        """The byte rows of :attr:`up_bytes` packed into ints."""
-        return tuple(int.from_bytes(row, "little") for row in self.up_bytes)
+        """The rows packed into ints, one byte per position."""
+        return tuple(map(_packed, self.rows))
 
     def leq(self, x: Element, y: Element) -> bool:
         return self.leq_i(self.algebra._member(x), self.algebra._member(y))
 
     def to_matrix(self) -> list[list[int]]:
-        n = self.algebra.size
-        return [[(self.rows[p] >> q) & 1 for q in range(n)] for p in range(n)]
+        return list(map(list, self.rows))
 
     @classmethod
     def from_matrix(cls, algebra: Algebra,
@@ -82,18 +70,21 @@ class OrderRelation:
             for q, cell in enumerate(row):
                 if cell not in (0, 1):  # True and False compare equal to 1, 0
                     raise DomainError(f"order matrix entry [{r}][{q}] must be 0 or 1")
-        return cls(algebra=algebra, rows=tuple(
-            sum(1 << q for q, cell in enumerate(row) if cell) for row in matrix))
+        return cls(algebra=algebra, rows=tuple(bytes(map(bool, row))
+                                               for row in matrix))
+
+
+def _require_dense(algebra: Algebra, order: str) -> None:
+    if algebra.size > MAX_DENSE_CARRIER:
+        raise SizeLimitError(f"{order} order needs a dense matrix; carrier "
+                             f"{algebra.size} exceeds {MAX_DENSE_CARRIER}")
 
 
 def canonical_order(algebra: Algebra) -> OrderRelation:
     """The order p ≼ q iff p + q = q; needs idempotent commutative +."""
-    n = algebra.size
-    if n > MAX_DENSE_CARRIER:
-        raise SizeLimitError(f"canonical order needs a dense matrix; "
-                             f"carrier {n} exceeds {MAX_DENSE_CARRIER}")
+    _require_dense(algebra, "canonical")
     c = algebra.compiled
-    carrier = range(n)
+    carrier = range(c.n)
     name = algebra.name_of
     doubles = c.row(map(getitem, c.add, carrier))
     p = _first_difference(doubles, c.row(carrier))
@@ -106,15 +97,16 @@ def canonical_order(algebra: Algebra) -> OrderRelation:
         raise UnsupportedOperationError(
             f"+ is not commutative at ({', '.join(commutativity.witness)}); "
             f"supply an order matrix")
-    return OrderRelation(algebra=algebra, rows=tuple(  # bit q: p + q = q
-        int(bytes(map(eq, row, carrier))[::-1].translate(_DIGITS), 2)
-        for row in c.add))
+    return OrderRelation(algebra=algebra, rows=tuple(  # byte q: p + q = q
+        bytes(map(eq, row, carrier)) for row in c.add))
 
 
 def discrete_order(algebra: Algebra) -> OrderRelation:
     """p ≼ q iff p = q; a monotone poset over any carrier."""
-    return OrderRelation(algebra=algebra,
-                         rows=tuple(1 << p for p in range(algebra.size)))
+    _require_dense(algebra, "discrete")
+    n = algebra.size
+    return OrderRelation(algebra=algebra, rows=tuple(
+        bytes(p) + b"\1" + bytes(n - p - 1) for p in range(n)))
 
 
 def _check_relation(order: OrderRelation, algebra: Algebra) -> None:
@@ -141,7 +133,7 @@ def _reflexivity(name_of: Callable, up) -> PropertyReport:
 def check_poset(order: OrderRelation) -> list[PropertyReport]:
     """Reflexivity, antisymmetry and transitivity, one report each."""
     name_of = order.algebra.name_of
-    up, down, packed = order.up_bytes, order.down_bytes, order.up_packed
+    up, down, packed = order.rows, order.down_bytes, order.up_packed
     carrier = range(len(up))
 
     reflexive = _reflexivity(name_of, up)
@@ -157,7 +149,7 @@ def check_monotony(algebra: Algebra, order: OrderRelation) -> list[PropertyRepor
     """p ≼ q implies p + r ≼ q + r, and the same for ×; one report per law."""
     _check_relation(order, algebra)
     carrier = range(algebra.size)
-    up = order.up_bytes
+    up = order.rows
     holds = b"\1" * algebra.size
 
     def cases(rows):
@@ -178,7 +170,7 @@ def check_operation_bounds(algebra: Algebra, order: OrderRelation) -> PropertyRe
     _check_relation(order, algebra)
     c = algebra.compiled
     carrier = range(c.n)
-    up = order.up_bytes
+    up = order.rows
     holds = b"\1" * c.n
     above, below = {"claim": "p ≼ p + q"}, {"claim": "p × q ≼ q"}
 
@@ -196,7 +188,7 @@ def check_bound_decomposition(algebra: Algebra,
     _check_relation(order, algebra)
     c = algebra.compiled
     carrier = range(c.n)
-    up, packed = order.up_bytes, order.up_packed
+    up, packed = order.rows, order.up_packed
     of_sum, of_product = {"claim": "p + q ≼ r"}, {"claim": "p ≼ q × r"}
 
     def cases():
@@ -221,9 +213,10 @@ def check_pairwise_monotony(algebra: Algebra, order: OrderRelation,
     """
     _check_relation(order, algebra)
     n = algebra.size
+    c = algebra.compiled
+    up = order.rows
     if n <= EXHAUSTIVE_4TUPLE_CARRIER:
-        c = algebra.compiled
-        up, packed = order.up_bytes, order.up_packed
+        packed = order.up_packed
         of_sum = {"mode": "exhaustive", "claim": "p + r ≼ q + s"}
         of_product = {"mode": "exhaustive", "claim": "p × r ≼ q × s"}
 
@@ -243,31 +236,20 @@ def check_pairwise_monotony(algebra: Algebra, order: OrderRelation,
         report = _scan_rows("pairwise-monotony", algebra.name_of, cases())
         report.details = report.details or {"mode": "exhaustive"}
         return report
-    leq = order.leq_i
-    add, mul = algebra.add_i, algebra.mul_i
-
-    def violation(p: int, q: int, r: int, s: int) -> str | None:
-        if not (leq(p, q) and leq(r, s)):
-            return None
-        if not leq(add(p, r), add(q, s)):
-            return "p + r ≼ q + s"
-        if not leq(mul(p, r), mul(q, s)):
-            return "p × r ≼ q × s"
-        return None
-
     rng = random.Random(seed)
     details = {"mode": "sampled", "seed": seed, "samples": SAMPLED_TUPLES}
-    checked = 0
-    for _ in range(SAMPLED_TUPLES):
+    claims = (("p + r ≼ q + s", c.add), ("p × r ≼ q × s", c.mul))
+    for k in range(SAMPLED_TUPLES):
         p, q, r, s = (rng.randrange(n) for _ in range(4))
-        checked += 1
-        claim = violation(p, q, r, s)
-        if claim:
-            details["claim"] = claim
-            return PropertyReport("pairwise-monotony", False,
-                                  _names(algebra, p, q, r, s), checked,
-                                  details=details)
-    return PropertyReport("pairwise-monotony", True, None, checked, details=details)
+        if up[p][q] and up[r][s]:
+            for claim, table in claims:
+                if not up[table[p][r]][table[q][s]]:
+                    details["claim"] = claim
+                    return PropertyReport("pairwise-monotony", False,
+                                          _names(algebra, p, q, r, s), k + 1,
+                                          details=details)
+    return PropertyReport("pairwise-monotony", True, None, SAMPLED_TUPLES,
+                          details=details)
 
 
 def cones(algebra: Algebra,
@@ -276,7 +258,7 @@ def cones(algebra: Algebra,
     _check_relation(order, algebra)
     c = algebra.compiled
     holds = b"\1" * c.n
-    up, down = order.up_bytes, order.down_bytes
+    up, down = order.rows, order.down_bytes
     positive = [Element(algebra, p) for p, row in enumerate(c.add)
                 if c.compose(up[p], row) == holds]
     negative = [Element(algebra, p) for p, row in enumerate(c.add)
@@ -327,17 +309,24 @@ def subalgebra_order_report(algebra: Algebra, sub: Subalgebra,
     # A validated subalgebra is closed, so it is an algebra in its own
     # right; its elements keep their parent names, so witnesses do too.
     members = sub.members
-    position = {m: i for i, m in enumerate(members)}
+    c = algebra.compiled
+    member_row = c.row(members)
+    where = [0] * c.n
+    for k, m in enumerate(members):
+        where[m] = k
+    position = c.row(where)
+
+    def restrict(rows):  # row i, column j: the position of i ∘ j
+        return tuple(c.compose(position, c.compose(rows[i], member_row))
+                     for i in members)
+
     restricted = TableAlgebra(
         name=f"{algebra.name}|sub", names=tuple(sub.element_names()),
-        add_rows=tuple(tuple(position[algebra.add_i(i, j)] for j in members)
-                       for i in members),
-        mul_rows=tuple(tuple(position[algebra.mul_i(i, j)] for j in members)
-                       for i in members),
+        add_rows=restrict(c.add), mul_rows=restrict(c.mul),
         top_index=position[algebra.top_index],
         bot_index=position[algebra.bot_index])
-    restricted_order = OrderRelation.from_matrix(
-        restricted, [[int(order.leq_i(p, q)) for q in members] for p in members])
+    restricted_order = OrderRelation(restricted, tuple(
+        c.compose(order.rows[p], member_row) for p in members))
     poset_reports = check_poset(restricted_order)
     monotony_reports = check_monotony(restricted, restricted_order)
 

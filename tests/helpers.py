@@ -8,6 +8,7 @@ check rather than the code confirming itself.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from propsemiring.formulas import (And, Atom, Const, Formula, Iff, Implies,
@@ -241,9 +242,7 @@ def cones_oracle(add, leq):
     return positive, negative
 
 
-def pairwise_monotony_oracle(add, mul, leq):
-    n = len(add)
-
+def pairwise_monotony_violation(add, mul, leq):
     def violated(p, q, r, s):
         if not (leq[p][q] and leq[r][s]):
             return None
@@ -252,8 +251,22 @@ def pairwise_monotony_oracle(add, mul, leq):
         if not leq[mul[p][r]][mul[q][s]]:
             return "p × r ≼ q × s"
         return None
+    return violated
+
+
+def pairwise_monotony_oracle(add, mul, leq):
+    n = len(add)
     return first_violation(((p, q, r, s) for p in range(n) for q in range(n)
-                            for r in range(n) for s in range(n)), violated)
+                            for r in range(n) for s in range(n)),
+                           pairwise_monotony_violation(add, mul, leq))
+
+
+def sampled_pairwise_monotony_oracle(add, mul, leq, seed, samples):
+    """The pairwise law on ``samples`` draws of (p, q, r, s), each drawn
+    as four successive ``randrange(n)`` calls of one seeded generator."""
+    rng, n = random.Random(seed), len(add)
+    draws = (tuple(rng.randrange(n) for _ in range(4)) for _ in range(samples))
+    return first_violation(draws, pairwise_monotony_violation(add, mul, leq))
 
 
 def canonical_order_oracle(add, names):
@@ -321,6 +334,26 @@ def ideal_oracle(add, mul, top, members):
         lambda p, i: (mul[p][i] not in inside or mul[i][p] not in inside)
         and "absorbing under ×")
     return witness, checked + more, tag
+
+
+def subtrahend_ideal_oracle(add, mul, top, cancellable):
+    """(members, opposites) of the union of every subset of the
+    cancellable elements plus ⊤ that is an ideal in which each member has
+    an opposite; None when no such subset exists.  The opposite of m is
+    the first member b with m + b = ⊤."""
+    candidates = sorted(set(cancellable) - {top})
+    union = set()
+    for size in range(len(candidates) + 1):
+        for subset in itertools.combinations(candidates, size):
+            members = sorted({top, *subset})
+            if ideal_oracle(add, mul, top, members)[0] is None and all(
+                    any(add[m][b] == top for b in members) for m in members):
+                union.update(members)
+    if not union:
+        return None
+    members = sorted(union)
+    return members, [next(b for b in members if add[m][b] == top)
+                     for m in members]
 
 
 def mult_left_cancellative_oracle(mul, top):
@@ -405,3 +438,29 @@ def difference_oracle(add, mul, members, names):
                                         f"{sign} not well defined at {name(x)} ~ "
                                         f"{name(x2)}, {name(y)} ~ {name(y2)}")
     return "ok", classes, len(pairs) ** 3, checked
+
+
+def quotient_identity_oracle(add, mul, top, bot, classes, names):
+    """The error for the first cell of the quotient tables where the class
+    of (⊤, ⊤) is no additive or that of (⊥, ⊤) no multiplicative identity,
+    or None.  ``classes`` lists the classes of pairs (p, α) as
+    difference_oracle returns them, each named after its first pair; the
+    parent ``names`` must not contain "-", so that these names differ."""
+    label = {y: k for k, block in enumerate(classes) for y in block}
+    reps = [block[0] for block in classes]
+    quotient = [f"{names[p]}-{names[a]}" for p, a in reps]
+    tables = {"add": [[label[(add[x[0]][y[0]], add[x[1]][y[1]])]
+                       for y in reps] for x in reps],
+              "mul": [[label[(add[mul[x[0]][y[0]]][mul[x[1]][y[1]]],
+                              add[mul[x[0]][y[1]]][mul[x[1]][y[0]]])]
+                       for y in reps] for x in reps]}
+    zero, one = label[(top, top)], label[(bot, top)]
+    for x in range(len(reps)):
+        for op, row, col in (("add", zero, x), ("add", x, zero),
+                             ("mul", one, x), ("mul", x, one)):
+            got = tables[op][row][col]
+            if got != x:
+                return (f"identity law broken at {op}[{quotient[row]!r}]"
+                        f"[{quotient[col]!r}] = {quotient[got]!r}, "
+                        f"expected {quotient[x]!r}")
+    return None

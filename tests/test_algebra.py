@@ -243,6 +243,11 @@ class TestSubalgebraClosure:
             sub = subalgebra_closure(algebra, elements, bpa_closed=with_comp)
             assert set(sub.members) == closure_oracle(algebra, gens, with_comp)
 
+    def test_closure_in_a_carrier_too_large_to_compile(self):
+        ba4 = free_boolean_algebra(4)
+        sub = subalgebra_closure(ba4, [ba4.element_named("a")])
+        assert sub.element_names() == ["⊥", "!a", "a", "⊤"]
+
     def test_bpa_closure_needs_complement(self, z3):
         with pytest.raises(UnsupportedOperationError):
             subalgebra_closure(z3, [], bpa_closed=True)

@@ -1,6 +1,7 @@
 import pytest
 
-from propsemiring.algebra import DomainError, SizeLimitError, table_semiring
+from propsemiring.algebra import (DomainError, SizeLimitError, TableLoadError,
+                                  table_semiring)
 from propsemiring.differences import (CongruenceError, SubtrahendIdeal,
                                       difference_cancellation_criterion,
                                       difference_semiring, extended_order,
@@ -165,6 +166,20 @@ class TestDifferenceSemiring:
         with pytest.raises(CongruenceError) as caught:
             difference_semiring(algebra, forged)
         assert str(caught.value) == message
+
+
+    def test_quotient_element_names_must_stay_distinct(self):
+        # ℤ6 relabelled: with ⊖ = {0, 2, 4} two classes are named b-a-b,
+        # and the second one, renamed b-a-b#3, meets an earlier class name
+        names = ["b", "b-a", "a-b", "a", "a-b#3", "c"]
+        spec = zmod_spec(6)
+        algebra = table_semiring({
+            "name": "z6", "elements": names, "zero": "b", "one": "b-a",
+            "add": [[names[int(v)] for v in row] for row in spec["add"]],
+            "mul": [[names[int(v)] for v in row] for row in spec["mul"]]})
+        ideal = subtrahend_ideal(algebra, ["b", "a-b", "a-b#3"])
+        with pytest.raises(TableLoadError, match="'elements' must be distinct"):
+            difference_semiring(algebra, ideal)
 
 
 class TestExtendedOrder:

@@ -1,6 +1,6 @@
 import pytest
 
-from propsemiring.algebra import (DomainError, Subalgebra,
+from propsemiring.algebra import (DomainError, SizeLimitError, Subalgebra,
                                   UnsupportedOperationError,
                                   free_boolean_algebra, subalgebra_closure)
 from propsemiring.order import (DEFAULT_SEED, SAMPLED_TUPLES, OrderRelation,
@@ -58,6 +58,16 @@ class TestCanonicalOrder:
         bad = [[1, 0, 0, 2]] + [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         with pytest.raises(DomainError, match="0 or 1"):
             OrderRelation.from_matrix(ba1, bad)
+
+    def test_from_matrix_takes_booleans_and_floats(self, ba1):
+        matrix = canonical_order(ba1).to_matrix()
+        loose = [[bool(cell) if p % 2 else float(cell) for cell in row]
+                 for p, row in enumerate(matrix)]
+        assert OrderRelation.from_matrix(ba1, loose) == canonical_order(ba1)
+
+    def test_discrete_order_refuses_carriers_above_the_dense_limit(self):
+        with pytest.raises(SizeLimitError, match="65536 exceeds 4096"):
+            discrete_order(free_boolean_algebra(4))
 
 
 class TestPosetLaws:

@@ -107,6 +107,11 @@ class TestClassifications:
         report = is_simple(z3)
         assert not report.holds and report.witness == ("1",)
 
+    def test_linear_laws_run_on_carriers_too_large_to_compile(self):
+        ba4 = free_boolean_algebra(4)
+        for report in (is_simple(ba4), is_multiplicatively_absorbing(ba4)):
+            assert report.holds and report.checked == 65536, report.property
+
     def test_center_of_a_commutative_algebra_is_everything(self, ba2, z3):
         assert [e.index for e in compute_center(ba2)] == list(range(16))
         assert [e.name for e in compute_center(z3)] == ["0", "1", "2"]
