@@ -74,9 +74,9 @@ class OrderRelation:
                                                for row in matrix))
 
 
-def _require_dense(algebra: Algebra, order: str) -> None:
+def _require_dense(algebra: Algebra, kind: str) -> None:
     if algebra.size > MAX_DENSE_CARRIER:
-        raise SizeLimitError(f"{order} order needs a dense matrix; carrier "
+        raise SizeLimitError(f"{kind} order needs a dense matrix; carrier "
                              f"{algebra.size} exceeds {MAX_DENSE_CARRIER}")
 
 
@@ -236,11 +236,11 @@ def check_pairwise_monotony(algebra: Algebra, order: OrderRelation,
         report = _scan_rows("pairwise-monotony", algebra.name_of, cases())
         report.details = report.details or {"mode": "exhaustive"}
         return report
-    rng = random.Random(seed)
+    draw = random.Random(seed).randrange
     details = {"mode": "sampled", "seed": seed, "samples": SAMPLED_TUPLES}
     claims = (("p + r ≼ q + s", c.add), ("p × r ≼ q × s", c.mul))
     for k in range(SAMPLED_TUPLES):
-        p, q, r, s = (rng.randrange(n) for _ in range(4))
+        p, q, r, s = draw(n), draw(n), draw(n), draw(n)
         if up[p][q] and up[r][s]:
             for claim, table in claims:
                 if not up[table[p][r]][table[q][s]]:
