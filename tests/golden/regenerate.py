@@ -210,6 +210,19 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
             cases.append((f"hom-enumerate-{kind}-{tag}",
                           ["hom", "enumerate", "--src", src, "--dst", dst,
                            "--kind", kind], None))
+    # Generating sets of every size: atoms, whole carriers, none (free:0
+    # into a target above the table limit) and one past the cap.
+    kind_pairs = {"bpa": [("free:3", "free:1"), ("free:2", "free:2"),
+                          ("free:0", "free:4")],
+                  "semiring": [("free:1", "free:2"), ("z6.json", "z6.json"),
+                               ("free:0", "free:4"), ("free:3", "free:2")]}
+    for kind, kind_pairs_of in kind_pairs.items():
+        for src, dst in kind_pairs_of:
+            tag = "-".join(s.replace(":", "").removesuffix(".json")
+                           for s in (src, dst))
+            cases.append((f"hom-enumerate-{kind}-{tag}",
+                          ["hom", "enumerate", "--src", src, "--dst", dst,
+                           "--kind", kind], None))
     for src, dst in pairs[:4]:
         tag = "-".join(s.replace(":", "") for s in (src, dst))
         for mode in ("monotone", "embedding"):
