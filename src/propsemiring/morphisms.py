@@ -3,10 +3,9 @@ kernels, factorization and the onto/order-preserving/isomorphism link.
 
 Two morphism kinds are understood.  ``semiring`` asks for preservation
 of +, × and both identities (ψ(⊤) = ⊤, ψ(⊥) = ⊥); ``bpa`` additionally
-asks for complements (ψ(!a) = !ψ(a)).  Enumeration from a free source
-fixes atom images only and extends through the disjunctive normal form,
-which is complete for the bpa kind because atoms generate under
-{+, ×, !}; the extension is re-validated by check_morphism anyway.
+asks for complements (ψ(!a) = !ψ(a)).  A homomorphism is fixed by its
+values on a generating set, so enumeration searches generator images
+only and lets check_morphism verify each derived map.
 """
 
 from __future__ import annotations
@@ -295,61 +294,62 @@ def image_subalgebra(psi: Morphism) -> Subalgebra:
     return sub
 
 
-def _extend_atom_images(src: FreeBooleanAlgebra, dst: Algebra,
-                        images: tuple[int, ...]) -> tuple[int, ...]:
-    """Extend atom images to the whole free carrier via disjunctive form.
-
-    AND lands on the additive table, OR on the multiplicative one, so a
-    minterm is a +-product of literals and an element is the ×-sum of
-    its minterms.  Empty sums/products fall back to the identities.
-    """
-    minterms = []
-    for k in range(src.rows):
-        term = dst.top_index  # identity of the additive (AND) operation
-        for i in range(src.n_atoms):
-            lit = images[i] if (k >> i) & 1 else dst.comp_i(images[i])
-            term = dst.add_i(term, lit)
-        minterms.append(term)
-    mapping = []
-    for e in range(src.size):
-        value = dst.bot_index  # identity of the multiplicative (OR) operation
-        for k in range(src.rows):
-            if (e >> k) & 1:
-                value = dst.mul_i(value, minterms[k])
-        mapping.append(value)
-    return tuple(mapping)
-
-
 def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
                    cap: int = ENUMERATION_CAP) -> list[Morphism]:
     """All homomorphisms src -> dst of the given kind, in scan order.
 
-    Free sources of the bpa kind enumerate atom images only (atoms
-    generate); everything else brute-forces all |dst|^|src| maps behind
-    the candidate cap.
+    ⊤ and ⊥ (then the atoms of a free source of the bpa kind) are closed
+    under +, × and, for bpa, ! on whole compiled rows, with a step for
+    each element reached; when the closure stalls, the least unreached
+    index is the next generator.  Generator images run in ascending
+    order, the steps derive the rest on the target and check_morphism
+    keeps the homomorphisms, in lexicographic order over the map since
+    every index below a generator is reached before it (by atom images
+    for free bpa sources).  The cap bounds the |dst|^|generators| maps.
     """
     _require_kind(kind)
     if kind == "bpa" and not (src.has_complement and dst.has_complement):
         raise UnsupportedOperationError(
             "bpa morphisms need complements on both algebras")
-    homs = []
-    if kind == "bpa" and isinstance(src, FreeBooleanAlgebra):
-        candidates = dst.size ** src.n_atoms
-        if candidates > cap:
-            raise SizeLimitError(
-                f"{candidates} atom assignments exceed the cap {cap}")
-        for images in product(range(dst.size), repeat=src.n_atoms):
-            psi = Morphism(src, dst, _extend_atom_images(src, dst, images))
-            if check_morphism(psi, kind).holds:
-                homs.append(psi)
-        return homs
-    candidates = dst.size ** src.size
+    s = src.compiled
+    reached = list(dict.fromkeys((src.top_index, src.bot_index)))
+    unreached = set(range(s.n)).difference(reached)
+    free_bpa = kind == "bpa" and isinstance(src, FreeBooleanAlgebra)
+    atoms = iter(map(src.atom_value, range(src.n_atoms)) if free_bpa else ())
+    # position k of rows[x] over earlier is an e whose image is
+    # op(ψ(x), ψ(earlier[k])); every row of the ! side is the complement
+    sides = [(dst.add_i, s.add), (lambda u, v: dst.add_i(v, u), s.add_t),
+             (dst.mul_i, s.mul), (lambda u, v: dst.mul_i(v, u), s.mul_t)]
+    if kind == "bpa":
+        sides.append((lambda _, v: dst.comp_i(v), [s.comp] * s.n))
+    generators, steps = [], []  # steps (e, op, a, b): ψ(e) = op(ψ(a), ψ(b))
+    for count, x in enumerate(reached, 1):  # reached grows while it is read
+        if not unreached:
+            break
+        earlier = s.row(reached)
+        for op, rows in sides:
+            values = CompiledTables.compose(rows[x], earlier)
+            for e in sorted(unreached.intersection(values)):
+                steps.append((e, op, x, earlier[values.index(e)]))
+                unreached.remove(e)
+                reached.append(e)
+        if count == len(reached) and unreached:  # stalled: the next generator
+            generators.append(next(atoms, min(unreached)))
+            unreached.remove(generators[-1])
+            reached.append(generators[-1])
+    candidates = dst.size ** len(generators)
     if candidates > cap:
-        raise SizeLimitError(
-            f"{candidates} candidate maps exceed the cap {cap}; "
-            f"use the bpa kind for free sources")
-    for mapping in product(range(dst.size), repeat=src.size):
-        psi = Morphism(src, dst, mapping)
+        raise SizeLimitError(f"{candidates} candidate maps exceed the cap {cap}")
+    image = [0] * src.size
+    image[src.top_index] = dst.top_index
+    image[src.bot_index] = dst.bot_index
+    homs = []
+    for values in product(range(dst.size), repeat=len(generators)):
+        for g, v in zip(generators, values):
+            image[g] = v
+        for e, op, a, b in steps:
+            image[e] = op(image[a], image[b])
+        psi = Morphism(src, dst, image)
         if check_morphism(psi, kind).holds:
             homs.append(psi)
     return homs
@@ -396,7 +396,7 @@ def verify_iso_theorem(src: Algebra, dst: Algebra, kind: str = "bpa",
     for psi in homs:
         onto = psi.is_surjective()
         preserving = order_relation_of_map(psi, order_src, order_dst, mode).holds
-        iso = is_isomorphism(psi, kind).holds
+        iso = onto and psi.is_injective()  # psi is already a homomorphism
         if (onto and preserving) != iso:
             counterexamples.append({
                 "map": psi.name_map(),

@@ -309,6 +309,13 @@ def morphism_oracle(src, dst, f, kind):
     return witness, checked + more, tag
 
 
+def homs_oracle(src, dst, kind):
+    """Every map src -> dst, in itertools.product order, that
+    morphism_oracle accepts; the algebras are given as it takes them."""
+    maps = itertools.product(range(len(dst["add"])), repeat=len(src["add"]))
+    return [f for f in maps if morphism_oracle(src, dst, f, kind)[0] is None]
+
+
 def order_map_oracle(leq_src, leq_dst, f, mode):
     def violated(x, y):
         forward, image = leq_src[x][y], leq_dst[f[x]][f[y]]

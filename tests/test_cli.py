@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -267,9 +268,18 @@ class TestHomEnumerate:
             assert err.startswith(f"{expected} {kind} homomorphisms")
 
     def test_cap_is_an_input_error(self, capsys):
-        code, _, err = run(capsys, "hom", "enumerate", "--src", "free:2",
-                           "--dst", "free:1", "--kind", "semiring")
+        # 8 generators under + and ×, so 16^8 candidate maps
+        code, _, err = run(capsys, "hom", "enumerate", "--src", "free:3",
+                           "--dst", "free:2", "--kind", "semiring")
         assert code == 2 and "cap" in err
+
+    def test_free4_source_exits_at_once(self, capsys):
+        for kind in ("semiring", "bpa"):
+            start = time.perf_counter()
+            code, _, err = run(capsys, "hom", "enumerate", "--src", "free:4",
+                               "--dst", "free:0", "--kind", kind)
+            assert code == 2 and "65536" in err and "4096" in err
+            assert time.perf_counter() - start < 5
 
 
 class TestHomFactor:

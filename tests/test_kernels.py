@@ -14,13 +14,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from propsemiring.algebra import (AlgebraError, DomainError, TableLoadError,
-                                  table_semiring)
+                                  free_boolean_algebra, table_semiring)
 from propsemiring.differences import (CongruenceError, SubtrahendIdeal,
                                       difference_cancellation_criterion,
                                       difference_semiring, extended_order,
                                       is_ideal, mult_left_cancellative,
                                       subtrahend_ideal)
-from propsemiring.morphisms import (Morphism, check_morphism,
+from propsemiring.morphisms import (Morphism, check_morphism, enumerate_homs,
                                     order_relation_of_map)
 from propsemiring.order import (SAMPLED_TUPLES, OrderRelation, canonical_order,
                                 check_bound_decomposition, check_monotony,
@@ -35,8 +35,9 @@ from helpers import (antisymmetry_oracle, associativity_oracle,
                      cancellation_criterion_oracle, canonical_order_oracle,
                      commutativity_oracle, cones_oracle, difference_oracle,
                      distributivity_oracle, entire_oracle,
-                     extended_order_oracle, ideal_oracle, monotony_oracle,
-                     morphism_oracle, mult_left_cancellative_oracle,
+                     extended_order_oracle, homs_oracle, ideal_oracle,
+                     monotony_oracle, morphism_oracle,
+                     mult_left_cancellative_oracle,
                      operation_bounds_oracle, order_map_oracle,
                      pairwise_monotony_oracle, quotient_identity_oracle,
                      reflexivity_oracle, sampled_pairwise_monotony_oracle,
@@ -230,6 +231,17 @@ def table_dict(table, comp):
     return {"add": add, "mul": mul, "top": zero, "bot": one, "comp": comp}
 
 
+def relabelled(table, comp, f):
+    """The copy of (table, comp) whose element i is renamed f[i]."""
+    add, mul, zero, one = table
+    n = len(add)
+    inverse = {v: k for k, v in enumerate(f)}
+    copy = tuple([[f[rows[inverse[i]][inverse[j]]] for j in range(n)]
+                  for i in range(n)] for rows in (add, mul)) \
+        + (f[zero], f[one])
+    return copy, [f[comp[inverse[i]]] for i in range(n)]
+
+
 @st.composite
 def maps(draw):
     """(src, dst, f): tables with complements and a map between them.
@@ -255,12 +267,7 @@ def maps(draw):
         dst_comp = draw(st.sampled_from((comp, list(reversed(comp)))))
     else:
         f = draw(st.permutations(range(n)))
-        add, mul, zero, one = src
-        inverse = {v: k for k, v in enumerate(f)}
-        dst = tuple([[f[table[inverse[i]][inverse[j]]] for j in range(n)]
-                     for i in range(n)] for table in (add, mul)) \
-            + (f[zero], f[one])
-        dst_comp = [f[comp[inverse[i]]] for i in range(n)]
+        dst, dst_comp = relabelled(src, comp, f)
     for k, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
                                         st.integers(0, n - 1)), max_size=1)):
         f[k] = v
@@ -279,6 +286,62 @@ def test_morphism_kernel_matches_definition(case):
     for kind in ("semiring", "bpa"):
         assert_matches(check_morphism(psi, kind),
                        morphism_oracle(src, dst, f, kind), "condition")
+
+
+@st.composite
+def algebra_pairs(draw):
+    """(src, dst): tables of at most 5 elements with complements, drawn
+    apart, or a table with itself or with a relabelled copy of it, so
+    that homomorphisms exist."""
+    sizes = st.integers(1, 5)
+    src = draw(cayley_tables(sizes))
+    n = len(src[0])
+    comp = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("random", "itself", "relabelled")))
+    if shape == "itself":
+        return table_dict(src, comp), table_dict(src, comp)
+    if shape == "relabelled":
+        dst, dst_comp = relabelled(src, comp, draw(st.permutations(range(n))))
+        return table_dict(src, comp), table_dict(dst, dst_comp)
+    dst = draw(cayley_tables(sizes))
+    m = len(dst[0])
+    dst_comp = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    return table_dict(src, comp), table_dict(dst, dst_comp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(algebra_pairs())
+def test_hom_search_matches_definition(pair):
+    src, dst = pair
+    source, target = algebra_from(src), algebra_from(dst)
+    for kind in ("semiring", "bpa"):
+        assert [psi.mapping for psi in enumerate_homs(source, target, kind)] \
+            == homs_oracle(src, dst, kind)
+
+
+def free_dict(k):
+    """The free Boolean algebra on k atoms as truth tables of 2^k bits:
+    + is AND, × is OR, ! is NOT."""
+    mask = (1 << (1 << k)) - 1
+    n = mask + 1
+    return {"add": [[i & j for j in range(n)] for i in range(n)],
+            "mul": [[i | j for j in range(n)] for i in range(n)],
+            "comp": [mask ^ i for i in range(n)], "top": mask, "bot": 0}
+
+
+@pytest.mark.parametrize("k, m", [(0, 2), (1, 0), (1, 1), (1, 2), (2, 0)])
+def test_hom_search_on_free_algebras_matches_definition(k, m):
+    # The semiring kind lists maps in product order; the bpa kind lists
+    # them by the images of the atoms, which generate.
+    src, dst = free_dict(k), free_dict(m)
+    source, target = free_boolean_algebra(k), free_boolean_algebra(m)
+    maps = [psi.mapping for psi in enumerate_homs(source, target, "semiring")]
+    assert maps == homs_oracle(src, dst, "semiring")
+    atoms = [sum(1 << row for row in range(1 << k) if row >> i & 1)
+             for i in range(k)]
+    maps = [psi.mapping for psi in enumerate_homs(source, target, "bpa")]
+    assert maps == sorted(homs_oracle(src, dst, "bpa"),
+                          key=lambda f: [f[a] for a in atoms])
 
 
 @settings(max_examples=300, deadline=None)

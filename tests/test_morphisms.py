@@ -313,9 +313,45 @@ class TestEnumeration:
 
     def test_candidate_cap(self, z3, ba2, ba1):
         with pytest.raises(SizeLimitError, match="cap"):
-            enumerate_homs(z3, z3, "semiring", cap=10)
+            enumerate_homs(ba2, ba1, "semiring", cap=10)  # 4^4 candidates
         with pytest.raises(SizeLimitError, match="cap"):
-            enumerate_homs(ba2, ba1, "semiring")  # 4^16 candidates
+            enumerate_homs(free_boolean_algebra(3), free_boolean_algebra(2),
+                           "semiring")  # 16^8 candidates
+
+    def test_cap_counts_generator_images(self, z3, ba2, ba1):
+        # ℤ3 is generated by ⊤ and ⊥, free:2 by its 4 minterms under +
+        # and ×, and by its 2 atoms once ! is allowed
+        assert len(enumerate_homs(z3, z3, "semiring", cap=1)) == 1
+        assert len(enumerate_homs(ba2, ba1, "semiring", cap=4 ** 4)) == 16
+        with pytest.raises(SizeLimitError, match="256 candidate"):
+            enumerate_homs(ba2, ba1, "semiring", cap=4 ** 4 - 1)
+        free3 = free_boolean_algebra(3)
+        assert len(enumerate_homs(free3, ba1, "bpa", cap=4 ** 3)) == 64
+        with pytest.raises(SizeLimitError, match="64 candidate"):
+            enumerate_homs(free3, ba1, "bpa", cap=4 ** 3 - 1)
+
+    def test_closure_takes_products_in_both_orders(self):
+        # b + b = c, and only b + c = d reaches d, after b was combined
+        # with what was reached before c: ⊤ and ⊥ generate everything,
+        # so the one candidate is the identity
+        rows = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 0, 2, 2], [3, 3, 3, 3]]
+        names = ["t", "b", "c", "d"]
+        algebra = table_semiring({
+            "name": "one-sided", "elements": names,
+            "add": [[names[v] for v in row] for row in rows],
+            "mul": [[names[i * j if 1 in (i, j) else 0] for j in range(4)]
+                    for i in range(4)],
+            "zero": "t", "one": "b"})
+        homs = enumerate_homs(algebra, algebra, "semiring", cap=1)
+        assert [psi.mapping for psi in homs] == [(0, 1, 2, 3)]
+
+    def test_semiring_kind_finds_the_bpa_maps_between_boolean_algebras(
+            self, ba2, ba1):
+        # preserving AND, OR, ⊤ and ⊥ forces complements to be preserved;
+        # the orders differ (over the map, over atom images)
+        semiring = enumerate_homs(ba2, ba1, "semiring")
+        assert len(semiring) == 16
+        assert set(semiring) == set(enumerate_homs(ba2, ba1, "bpa"))
 
 
 class TestIsoTheorem:
