@@ -311,7 +311,7 @@ class TestEnumeration:
         homs = enumerate_homs(z3, z3, "semiring")
         assert [psi.mapping for psi in homs] == [(0, 1, 2)]
 
-    def test_candidate_cap(self, z3, ba2, ba1):
+    def test_candidate_cap(self, ba2, ba1):
         with pytest.raises(SizeLimitError, match="cap"):
             enumerate_homs(ba2, ba1, "semiring", cap=10)  # 4^4 candidates
         with pytest.raises(SizeLimitError, match="cap"):
@@ -331,9 +331,9 @@ class TestEnumeration:
             enumerate_homs(free3, ba1, "bpa", cap=4 ** 3 - 1)
 
     def test_closure_takes_products_in_both_orders(self):
-        # b + b = c, and only b + c = d reaches d, after b was combined
-        # with what was reached before c: ⊤ and ⊥ generate everything,
-        # so the one candidate is the identity
+        # b + b = c and b + c = d: b was combined with what was reached
+        # before c, so d is reached from the column of c.  ⊤ and ⊥
+        # generate everything, and the one candidate is the identity.
         rows = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 0, 2, 2], [3, 3, 3, 3]]
         names = ["t", "b", "c", "d"]
         algebra = table_semiring({
