@@ -183,15 +183,8 @@ def refines(finer: KernelRelation, coarser: KernelRelation) -> bool:
     """Every block of ``finer`` sits inside some block of ``coarser``."""
     if finer.source is not coarser.source:
         raise DomainError("kernels live on different carriers")
-    coarse_of = {}
-    for k, block in enumerate(coarser.blocks):
-        for i in block:
-            coarse_of[i] = k
-    for block in finer.blocks:
-        k = coarse_of[block[0]]
-        if any(coarse_of[i] != k for i in block):
-            return False
-    return True
+    coarse_of = {i: k for k, block in enumerate(coarser.blocks) for i in block}
+    return all(len({coarse_of[i] for i in block}) == 1 for block in finer.blocks)
 
 
 def factor(psi1: Morphism, psi2: Morphism) -> Morphism | None:
@@ -296,16 +289,17 @@ def image_subalgebra(psi: Morphism) -> Subalgebra:
 
 def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
                    cap: int = ENUMERATION_CAP) -> list[Morphism]:
-    """All homomorphisms src -> dst of the given kind, in scan order.
+    """All homomorphisms src -> dst of the given kind, sorted by map.
 
     ⊤ and ⊥ (then the atoms of a free source of the bpa kind) are closed
     under +, × and, for bpa, ! on whole compiled rows, with a step for
-    each element reached; when the closure stalls, the least unreached
-    index is the next generator.  Generator images run in ascending
-    order, the steps derive the rest on the target and check_morphism
-    keeps the homomorphisms, in lexicographic order over the map since
-    every index below a generator is reached before it (by atom images
-    for free bpa sources).  The cap bounds the |dst|^|generators| maps.
+    each element reached.  A stall adds the least unreached element that
+    is no sum of two others, else the least, as a generator: a finite
+    semilattice is the sums of such elements, so relabelling a Boolean
+    carrier keeps the generator count.  The steps derive the other images
+    from the generator images and check_morphism keeps the homomorphisms
+    (in atom-image order for free bpa sources).  The cap bounds the
+    |dst|^|generators| maps.
     """
     _require_kind(kind)
     if kind == "bpa" and not (src.has_complement and dst.has_complement):
@@ -316,6 +310,8 @@ def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
     unreached = set(range(s.n)).difference(reached)
     free_bpa = kind == "bpa" and isinstance(src, FreeBooleanAlgebra)
     atoms = iter(map(src.atom_value, range(src.n_atoms)) if free_bpa else ())
+    sums = set() if free_bpa else {v for a, row in enumerate(s.add)
+                                   for b, v in enumerate(row) if a != v != b}
     # position k of rows[x] over earlier is an e whose image is
     # op(ψ(x), ψ(earlier[k])); every row of the ! side is the complement
     sides = [(dst.add_i, s.add), (lambda u, v: dst.add_i(v, u), s.add_t),
@@ -334,7 +330,7 @@ def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
                 unreached.remove(e)
                 reached.append(e)
         if count == len(reached) and unreached:  # stalled: the next generator
-            generators.append(next(atoms, min(unreached)))
+            generators.append(next(atoms, min(unreached - sums or unreached)))
             unreached.remove(generators[-1])
             reached.append(generators[-1])
     candidates = dst.size ** len(generators)
@@ -352,6 +348,8 @@ def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
         psi = Morphism(src, dst, image)
         if check_morphism(psi, kind).holds:
             homs.append(psi)
+    if not free_bpa:  # generators need not ascend
+        homs.sort(key=lambda psi: psi.mapping)
     return homs
 
 

@@ -13,8 +13,9 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from propsemiring.algebra import (AlgebraError, DomainError, TableLoadError,
-                                  free_boolean_algebra, table_semiring)
+from propsemiring.algebra import (AlgebraError, DomainError, SizeLimitError,
+                                  TableLoadError, free_boolean_algebra,
+                                  table_semiring)
 from propsemiring.differences import (CongruenceError, SubtrahendIdeal,
                                       difference_cancellation_criterion,
                                       difference_semiring, extended_order,
@@ -317,6 +318,23 @@ def test_hom_search_matches_definition(pair):
     for kind in ("semiring", "bpa"):
         assert [psi.mapping for psi in enumerate_homs(source, target, kind)] \
             == homs_oracle(src, dst, kind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations(range(8)))
+def test_generator_count_does_not_depend_on_labelling(f):
+    # The subsets of 3 points with + = ∩ and × = ∪: the three two-point
+    # sets are no intersection of two other sets and give the rest under
+    # ∩, so every relabelling needs 3 generators, 8^3 candidate maps.
+    table = ([[i & j for j in range(8)] for i in range(8)],
+             [[i | j for j in range(8)] for i in range(8)], 7, 0)
+    copy, comp = relabelled(table, [7 - i for i in range(8)], f)
+    algebra = algebra_from(table_dict(copy, comp))
+    homs = [psi.mapping
+            for psi in enumerate_homs(algebra, algebra, "semiring", cap=8 ** 3)]
+    assert len(homs) == 27 and homs == sorted(homs)  # one per map of the points
+    with pytest.raises(SizeLimitError, match="512 candidate"):
+        enumerate_homs(algebra, algebra, "semiring", cap=8 ** 3 - 1)
 
 
 def free_dict(k):
