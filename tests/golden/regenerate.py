@@ -96,6 +96,10 @@ def _inputs() -> dict[str, object]:
         files[f"chain-z{n}.json"] = _chain_matrix(n)
     files["z4xz6.json"] = _zmod_product(4, 6)
     files["chain-z4xz6.json"] = _chain_matrix(24)
+    # The discrete order of ℤ6 plus 1 ≼ 4: shifting by the subtrahend 3
+    # breaks it at p = 1, past the pairs of p = 0.
+    files["z6-one-four.json"] = [[int(p == q or (p, q) == (1, 4))
+                                  for q in range(6)] for p in range(6)]
     # The quotient of this table breaks the multiplicative identity law.
     files["diff-broken-identity.json"] = {
         "name": "pair", "elements": ["0", "1"],
@@ -125,6 +129,10 @@ def _inputs() -> dict[str, object]:
         free2.name_of(e): free1a.name_of(e >> 2) for e in range(16)}}
     files["collapse.json"] = {"source": "free:2", "target": "free:0", "map": {
         free2.name_of(e): free0.name_of(e >> 3) for e in range(16)}}
+    # a ↦ ⊤ (keep the rows with a true): its kernel crosses quotient's.
+    files["quotient-a.json"] = {"source": "free:2", "target": "free:1", "map": {
+        free2.name_of(e): free1a.name_of((e >> 1 & 1) | (e >> 3 & 1) << 1)
+        for e in range(16)}}
     files["map-comp.json"] = {"source": "chain3c.json", "target": "free:0",
                               "map": {"t": "⊤", "m": "⊤", "f": "⊥"}}
     files["z6-to-z3.json"] = {"source": "z6.json", "target": "z3.json",
@@ -246,6 +254,22 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
                        "semiring"], None))
     cases.append(("diff-broken-identity",
                   ["diff", "--table", "diff-broken-identity.json"], None))
+    cases += [
+        ("hom-factor-crossing", ["hom", "factor", "--psi1", "quotient.json",
+                                 "--psi2", "quotient-a.json"], None),
+        ("hom-factor-not-surjective", ["hom", "factor", "--psi1",
+                                       "z3-to-z6.json", "--psi2",
+                                       "z3-to-z6.json"], None),
+        ("hom-factor-different-sources", ["hom", "factor", "--psi1",
+                                          "quotient.json", "--psi2",
+                                          "z6-to-z3.json"], None),
+        ("diff-one-four-z6", ["diff", "--table", "z6.json", "--subtrahends",
+                              "0,3", "--order-matrix", "z6-one-four.json"],
+         None),
+        ("diff-universal-chain-z4xz6", ["diff", "--table", "z4xz6.json",
+                                        "--universal", "--order-matrix",
+                                        "chain-z4xz6.json"], None),
+    ]
     return cases
 
 
