@@ -96,6 +96,8 @@ def _inputs() -> dict[str, object]:
         files[f"chain-z{n}.json"] = _chain_matrix(n)
     files["z4xz6.json"] = _zmod_product(4, 6)
     files["chain-z4xz6.json"] = _chain_matrix(24)
+    files["z2xz4.json"] = _zmod_product(2, 4)
+    files["chain-z2xz4.json"] = _chain_matrix(8)
     # The discrete order of ℤ6 plus 1 ≼ 4: shifting by the subtrahend 3
     # breaks it at p = 1, past the pairs of p = 0.
     files["z6-one-four.json"] = [[int(p == q or (p, q) == (1, 4))
@@ -266,9 +268,9 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
         ("diff-one-four-z6", ["diff", "--table", "z6.json", "--subtrahends",
                               "0,3", "--order-matrix", "z6-one-four.json"],
          None),
-        ("diff-universal-chain-z4xz6", ["diff", "--table", "z4xz6.json",
+        ("diff-universal-chain-z2xz4", ["diff", "--table", "z2xz4.json",
                                         "--universal", "--order-matrix",
-                                        "chain-z4xz6.json"], None),
+                                        "chain-z2xz4.json"], None),
     ]
     return cases
 
