@@ -234,6 +234,11 @@ class Algebra:
         return f"<{type(self).__name__} {self.name} size={self.size}>"
 
 
+def row_type(n: int) -> type:
+    """Rows over n elements are bytes when each index fits in one byte."""
+    return bytes if n <= MAX_BYTE_CARRIER else tuple
+
+
 class CompiledTables:
     """The operation tables of an algebra as one row per element.
 
@@ -252,7 +257,7 @@ class CompiledTables:
                 f"carrier of {algebra.name} has {n} elements; compiled "
                 f"operation tables are limited to {MAX_DENSE_CARRIER}")
         self.n = n
-        self.row = bytes if n <= MAX_BYTE_CARRIER else tuple
+        self.row = row_type(n)
         self.add = [self.row(map(algebra.add_i, repeat(i, n), range(n)))
                     for i in range(n)]
         self.mul = [self.row(map(algebra.mul_i, repeat(i, n), range(n)))

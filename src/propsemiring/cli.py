@@ -166,9 +166,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     cancellable = additively_cancellable_elements(algebra)
 
     center_full = len(center) == algebra.size
+    central = {e.index for e in center}
     first_noncentral = next(
         (algebra.name_of(i) for i in range(algebra.size)
-         if i not in {e.index for e in center}), None)
+         if i not in central), None)
     failing_axiom = next((r for r in axioms if not r.holds), None)
 
     claims = [
@@ -220,9 +221,10 @@ def cmd_order(args: argparse.Namespace) -> int:
     positive, negative = cones(algebra, order)
 
     positive_full = len(positive) == algebra.size
+    in_positive = {e.index for e in positive}
     outside_positive = next(
         (algebra.name_of(i) for i in range(algebra.size)
-         if i not in {e.index for e in positive}), None)
+         if i not in in_positive), None)
     failing_poset = next((r for r in poset if not r.holds), None)
 
     claims = [
@@ -327,9 +329,7 @@ def cmd_hom_factor(args: argparse.Namespace) -> int:
     k1, k2 = kernel(psi1), kernel(psi2)
     does_refine = refines(k1, k2)
     psi = factor(psi1, psi2)
-    verified = psi is not None and all(
-        psi.mapping[psi1.mapping[a]] == psi2.mapping[a]
-        for a in range(psi1.source.size))
+    verified = psi is not None  # factor returns psi only if ψ ∘ ψ1 = ψ2
     doc = _report_skeleton("hom factor", args.seed, loader.inputs)
     doc.update({
         "kernels": {"psi1": k1.to_json(), "psi2": k2.to_json()},

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import eq, getitem, itemgetter
+from operator import eq, itemgetter
 from typing import Iterable
 
 from .algebra import (MAX_DENSE_CARRIER, Algebra, AlgebraError, DomainError,
@@ -91,14 +91,13 @@ class SubtrahendIdeal:
         return [self.algebra.name_of(i) for i in self.members]
 
 
-def _validate_subtrahends(algebra: Algebra,
-                          members: tuple[int, ...]) -> SubtrahendIdeal:
+def _validate_subtrahends(algebra: Algebra, members: tuple[int, ...],
+                          cancellable: set[int]) -> SubtrahendIdeal:
     ideal_report = is_ideal(algebra, members)
     if not ideal_report.holds:
         raise DomainError(
             f"subtrahends are not an ideal: {ideal_report.details['condition']} "
             f"fails at witness {ideal_report.witness}")
-    cancellable = {e.index for e in additively_cancellable_elements(algebra)}
     for m in members:
         if m not in cancellable:
             raise DomainError(
@@ -125,8 +124,10 @@ def subtrahend_ideal(algebra: Algebra,
     opposites inside it (⊤ is kept throughout).  The result can be just
     {⊤}, which is what every Boolean carrier yields.
     """
-    if members is not None:
-        return _validate_subtrahends(algebra, _member_indices(algebra, members))
+    indices = None if members is None else _member_indices(algebra, members)
+    cancellable = {e.index for e in additively_cancellable_elements(algebra)}
+    if indices is not None:
+        return _validate_subtrahends(algebra, indices, cancellable)
 
     top = algebra.top_index
     c = algebra.compiled
@@ -140,14 +141,14 @@ def subtrahend_ideal(algebra: Algebra,
                 and 0 not in compose(inside, c.mul[i])
                 and 0 not in compose(inside, c.mul_t[i]))
 
-    current = {e.index for e in additively_cancellable_elements(algebra)}
-    current.add(top)
+    current = cancellable | {top}
     while True:
         inside, member_row = c.indicator(current), c.row(sorted(current))
         drop = {i for i in current if i != top
                 and not keeps(i, inside, member_row)}
         if not drop:
-            return _validate_subtrahends(algebra, tuple(sorted(current)))
+            return _validate_subtrahends(algebra, tuple(sorted(current)),
+                                         cancellable)
         current -= drop
 
 
@@ -331,28 +332,27 @@ class ExtendedOrderResult:
 
 
 def _shifted(algebra: Algebra, order: OrderRelation, members: tuple[int, ...]):
-    """Per p, the rows for q = 0, 1, ... over ξ among the members whose
-    byte ξ is 1 iff p + ξ ≼ q + ξ."""
+    """Per p, one 0/1 row over (ξ, q) for ξ among the members and q in
+    the carrier: byte k·n + q is 1 iff p + ξ ≼ q + ξ, where ξ = members[k]."""
     c = algebra.compiled
-    up, member_row = order.rows, c.row(members)
-    shifts = [c.compose(row, member_row) for row in c.add]  # p + ξ over ξ
-    for shift_p in shifts:
-        up_of_shift = [up[x] for x in shift_p]
-        yield [bytes(map(getitem, up_of_shift, shift_q)) for shift_q in shifts]
+    return [b"".join(c.compose(order.rows[add_p[x]], c.add_t[x])
+                     for x in members) for add_p in c.add]
 
 
 def _translation_invariance(prop: str, algebra: Algebra, order: OrderRelation,
-                            members: tuple[int, ...]) -> PropertyReport:
-    """p ≼ q exactly when p + ξ ≼ q + ξ, for every ξ among the members."""
+                            members: tuple[int, ...],
+                            shifted: list[bytes]) -> PropertyReport:
+    """p ≼ q exactly when p + ξ ≼ q + ξ, for every ξ among the members;
+    ``shifted`` holds the rows of :func:`_shifted` for ``order``."""
+    n = algebra.size
     kept, gained = ({"direction": "p ≼ q but not shifted"},
                     {"direction": "shifted but not p ≼ q"})
     always, never = b"\1" * len(members), bytes(len(members))
     return _scan_rows(prop, algebra.name_of, (
-        ((p, q), members, ((shifted, always, kept) if up_p[q]
-                           else (shifted, never, gained),))
-        for p, (up_p, row) in enumerate(zip(order.rows,
-                                            _shifted(algebra, order, members)))
-        for q, shifted in enumerate(row)))
+        ((p, q), members, ((row[q::n], always, kept) if up_p[q]
+                           else (row[q::n], never, gained),))
+        for p, (up_p, row) in enumerate(zip(order.rows, shifted))
+        for q in range(n)))
 
 
 def extended_order(algebra: Algebra, base: OrderRelation,
@@ -366,16 +366,19 @@ def extended_order(algebra: Algebra, base: OrderRelation,
     _check_relation(base, algebra)
     if subtrahends.algebra is not algebra:
         raise DomainError("subtrahend ideal belongs to a different algebra")
-    members = subtrahends.members
+    members, n = subtrahends.members, algebra.size
     quantifier = all if universal else any
+    shifted = _shifted(algebra, base, members)
     relation = OrderRelation(algebra=algebra, rows=tuple(
-        bytes(map(quantifier, row)) for row in _shifted(algebra, base, members)))
+        bytes(quantifier(row[q::n]) for q in range(n)) for row in shifted))
+    base_stability = _translation_invariance("base-translation-invariance",
+                                             algebra, base, members, shifted)
+    del shifted  # at most one set of shifted rows is held at a time
 
     poset_reports = check_poset(relation)
-    stability = _translation_invariance("translation-invariance", algebra,
-                                        relation, members)
-    base_stability = _translation_invariance("base-translation-invariance",
-                                             algebra, base, members)
+    stability = _translation_invariance(
+        "translation-invariance", algebra, relation, members,
+        _shifted(algebra, relation, members))
     return ExtendedOrderResult(
         relation=relation,
         universal=universal,

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import propsemiring.cli as cli
+import propsemiring.differences as differences
 import propsemiring.morphisms as morphisms
 from propsemiring.algebra import free_boolean_algebra
 from propsemiring.cli import main
@@ -218,15 +219,8 @@ class TestHomCheck:
         assert doc["injective"] is True
 
     def test_a_homomorphism_is_verified_once(self, capsys, tmp_path,
-                                             monkeypatch):
-        original, calls = morphisms.check_morphism, []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "check_morphism", counted)
-        monkeypatch.setattr(morphisms, "check_morphism", counted)
+                                             count_calls):
+        calls = count_calls("check_morphism", morphisms, cli)
         path = write_morphism(tmp_path, "f.json", "free:1", "free:0", EVAL_TOP)
         doc = run_json(capsys, "hom", "check", "--map", path, "--kind", "bpa")
         assert doc["check"]["verdict"] == "holds"
@@ -302,6 +296,17 @@ class TestHomFactor:
         assert doc["factors"] is False
         assert doc["psi"] is None and doc["verified"] is False
 
+    def test_each_kernel_is_built_once(self, capsys, tmp_path, count_calls):
+        calls = count_calls("kernel", morphisms, cli)
+        psi1 = write_morphism(tmp_path, "id.json", "free:1", "free:1",
+                              IDENTITY1)
+        psi2 = write_morphism(tmp_path, "ev.json", "free:1", "free:0",
+                              EVAL_TOP)
+        doc = run_json(capsys, "hom", "factor", "--psi1", psi1,
+                       "--psi2", psi2)
+        assert doc["verified"] is True
+        assert len(calls) == 2
+
     def test_non_surjective_psi1(self, capsys, tmp_path):
         collapse = {"⊥": "⊥", "!a": "⊥", "a": "⊥", "⊤": "⊥"}
         psi1 = write_morphism(tmp_path, "c.json", "free:1", "free:0", collapse)
@@ -338,6 +343,15 @@ class TestHomIsoTheorem:
 
 
 class TestDiffCommand:
+    def test_two_homomorphism_checks(self, capsys, z3_path, count_calls):
+        # the embedding, once in the difference semiring and once as an
+        # isomorphism onto the quotient of trivial subtrahends
+        calls = count_calls("check_morphism", morphisms, differences, cli)
+        doc = run_json(capsys, "diff", "--table", z3_path, "--subtrahends",
+                       "0")
+        assert doc["embedding_isomorphism"]["verdict"] == "holds"
+        assert len(calls) == 2
+
     def test_boolean_case(self, capsys):
         doc = run_json(capsys, "diff", "--free-atoms", "1")
         assert doc["subtrahends"] == ["⊤"]

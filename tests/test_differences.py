@@ -1,5 +1,6 @@
 import pytest
 
+import propsemiring.differences as differences
 from propsemiring.algebra import (DomainError, SizeLimitError, TableLoadError,
                                   table_semiring)
 from propsemiring.differences import (CongruenceError, SubtrahendIdeal,
@@ -238,6 +239,14 @@ class TestExtendedOrder:
                                                   [0, 0, 1]]
         assert all(r.holds for r in universal.poset)
         assert universal.relation != existential.relation
+
+    def test_base_rows_are_shifted_once(self, z3, count_calls):
+        calls = count_calls("_shifted", differences)
+        base = discrete_order(z3)
+        result = extended_order(z3, base, subtrahend_ideal(z3))
+        orders = [order for _, order, _ in calls]
+        assert orders[0] is base and orders[1] is result.relation
+        assert len(orders) == 2
 
     def test_json_shape(self, ba1):
         base = canonical_order(ba1)

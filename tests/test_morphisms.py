@@ -1,5 +1,6 @@
 import pytest
 
+import propsemiring.morphisms as morphisms
 from propsemiring.algebra import (DomainError, SizeLimitError,
                                   UnsupportedOperationError,
                                   free_boolean_algebra, table_semiring)
@@ -180,6 +181,14 @@ class TestKernelsAndFactoring:
         with pytest.raises(ValueError, match="surjective"):
             factor(collapse, eval_top)
 
+    def test_factor_compares_every_source_element(self, ba2, ba1):
+        # ψ₁ puts 15 in the class of 0, and ψ₂ splits them only there
+        psi1 = Morphism(ba2, ba1, [a % 4 for a in range(15)] + [0])
+        psi2 = Morphism(ba2, ba2, [0] * 15 + [1])
+        assert factor(psi1, psi2) is None
+        constant = Morphism(ba2, ba2, [0] * 16)
+        assert factor(psi1, constant).mapping == (0,) * 4
+
     def test_factor_requires_shared_source(self, eval_top, ba0):
         other = Morphism(ba0, ba0, [0, 1])
         with pytest.raises(DomainError, match="shared source"):
@@ -217,26 +226,44 @@ class TestOrderBehaviourOfMaps:
             order_relation_of_map(identity1, order, order, "isotone")
 
 
+@pytest.fixture
+def atom_swap(ba2):
+    """The automorphism of free:2 that exchanges a and b."""
+
+    def rename(i):
+        # permute the two assignment bits that a and b disagree on
+        out = 0
+        for k in range(4):
+            if (i >> k) & 1:
+                a_bit, b_bit = k & 1, (k >> 1) & 1
+                out |= 1 << (a_bit << 1 | b_bit)
+        return out
+
+    return Morphism(ba2, ba2, [rename(i) for i in range(16)])
+
+
 class TestIsomorphisms:
     def test_identity_is_an_isomorphism(self, identity1):
         assert is_isomorphism(identity1, "bpa").holds
 
-    def test_atom_swap_is_an_automorphism(self, ba2):
-        a, b = ba2.atom_value(0), ba2.atom_value(1)
-        swap = {"a": "b", "b": "a"}
+    def test_atom_swap_is_an_automorphism(self, ba2, atom_swap):
+        assert atom_swap.apply(ba2.element_named("a")) == \
+            ba2.element_named("b")
+        assert is_isomorphism(atom_swap, "bpa").holds
 
-        def rename(i):
-            # permute the two assignment bits that a and b disagree on
-            out = 0
-            for k in range(4):
-                if (i >> k) & 1:
-                    a_bit, b_bit = k & 1, (k >> 1) & 1
-                    out |= 1 << (a_bit << 1 | b_bit)
-            return out
+    @pytest.mark.parametrize("kind, checked", [("semiring", 516),
+                                               ("bpa", 548)])
+    def test_checked_counts_both_directions(self, atom_swap, kind, checked):
+        # 2 identities and 16² pairs (and 16 complements for bpa), once
+        # for the map and once for its inverse
+        report = is_isomorphism(atom_swap, kind)
+        assert report.holds and report.checked == checked
 
-        psi = Morphism(ba2, ba2, [rename(i) for i in range(16)])
-        assert psi.apply(ba2.element_named("a")) == ba2.element_named("b")
-        assert is_isomorphism(psi, "bpa").holds
+    def test_a_bijective_homomorphism_is_checked_once(self, atom_swap,
+                                                      count_calls):
+        calls = count_calls("check_morphism", morphisms)
+        assert is_isomorphism(atom_swap, "bpa").holds
+        assert calls == [(atom_swap, "bpa")]
 
     def test_complement_map_is_no_homomorphism(self, ba1):
         psi = Morphism(ba1, ba1, [ba1.comp_i(i) for i in range(4)])
