@@ -141,6 +141,20 @@ def _inputs() -> dict[str, object]:
                               "map": {str(i): str(i % 3) for i in range(6)}}
     files["z3-to-z6.json"] = {"source": "z3.json", "target": "z6.json",
                               "map": {str(i): str(2 * i) for i in range(3)}}
+    # Preimage maps free:3 -> free:1 (S ↦ {y : g(y) ∈ S}), homomorphisms,
+    # and two with the image of 11111110 changed: the first violation is
+    # then at + (g = (0, 0)) or at × (g = (0, 1)), in row 00000001.  No
+    # such map fails first at !: a map between Boolean algebras that
+    # keeps +, ×, ⊤ and ⊥ keeps complements.
+    free3 = free_boolean_algebra(3)
+    for name, g, edit in (("free3-to-free1", (0, 1), None),
+                          ("free3-plus", (0, 0), 1), ("free3-times", (0, 1), 0)):
+        image = [sum(1 << y for y, x in enumerate(g) if s >> x & 1)
+                 for s in range(256)]
+        if edit is not None:
+            image[254] = edit
+        files[f"{name}.json"] = {"source": "free:3", "target": "free:1", "map": {
+            free3.name_of(e): free1a.name_of(v) for e, v in enumerate(image)}}
     return files
 
 
@@ -272,6 +286,14 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
                                         "--universal", "--order-matrix",
                                         "chain-z2xz4.json"], None),
     ]
+    for name in ("free3-to-free1", "free3-plus", "free3-times"):
+        for kind in ("semiring", "bpa"):
+            cases.append((f"hom-check-{kind}-{name}",
+                          ["hom", "check", "--map", f"{name}.json",
+                           "--kind", kind], None))
+    cases.append(("hom-iso-embedding-free3-free1",
+                  ["hom", "iso-theorem", "--src", "free:3", "--dst", "free:1",
+                   "--kind", "bpa", "--mode", "embedding"], None))
     return cases
 
 
