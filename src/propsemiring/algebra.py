@@ -26,9 +26,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter
-from typing import Iterable, Iterator
+from itertools import chain, repeat
+from operator import and_, itemgetter, or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 ADD = "add"
 MUL = "mul"
@@ -134,6 +134,14 @@ class Algebra:
 
     def index_of(self, name: str) -> int:
         raise NotImplementedError
+
+    @cached_property
+    def name_lookup(self) -> Callable[[int], str]:
+        """index ↦ name, read from one tuple of every name on carriers of
+        at most :data:`MAX_DENSE_CARRIER` elements."""
+        if self.size > MAX_DENSE_CARRIER:
+            return self.name_of
+        return tuple(map(self.name_of, range(self.size))).__getitem__
 
     def element(self, index: int) -> Element:
         if not 0 <= index < self.size:
@@ -281,6 +289,15 @@ class CompiledTables:
             return type(outer)(itemgetter(*inner)(outer) if len(inner) > 1
                                else [outer[k] for k in inner])
 
+    @staticmethod
+    def concat(rows: Sequence):
+        """The rows end to end, bytes when they are bytes, else a tuple;
+        ``rows`` is a sequence, since the bytes attempt reads it first."""
+        try:
+            return b"".join(rows)
+        except TypeError:
+            return tuple(chain.from_iterable(rows))
+
 
 class FreeBooleanAlgebra(Algebra):
     """All Boolean functions of the given atoms, operations bitwise.
@@ -339,11 +356,9 @@ class FreeBooleanAlgebra(Algebra):
     def atom_value(self, i: int) -> int:
         return self._atom_values[i]
 
-    def add_i(self, i: int, j: int) -> int:
-        return i & j
-
-    def mul_i(self, i: int, j: int) -> int:
-        return i | j
+    # C functions, so that compiling the tables stays in C
+    add_i = staticmethod(and_)
+    mul_i = staticmethod(or_)
 
     @property
     def has_complement(self) -> bool:

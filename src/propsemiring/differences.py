@@ -250,7 +250,7 @@ def difference_semiring(algebra: Algebra,
             (compose(products[x], ys), compose(products[x2], y2s), times)))
         for block in classes for x in block for x2 in block))
     if not congruence.holds:
-        x, x2, (y, y2) = congruence.witness
+        x, x2, y, y2 = congruence.witness
         raise CongruenceError("{} not well defined at {} ~ {}, {} ~ {}".format(
             congruence.details["operation"], *map(pair_name, (x, x2, y, y2))))
 

@@ -11,6 +11,7 @@ only and lets check_morphism verify each derived map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product, repeat
 
 from .algebra import (MAX_DENSE_CARRIER, Algebra, CompiledTables, DomainError,
@@ -22,6 +23,9 @@ from .properties import PropertyReport, _names, _packed, _scan_rows
 KINDS = ("semiring", "bpa")
 MODES = ("monotone", "embedding")
 ENUMERATION_CAP = 10_000_000
+# (a, b) positions of the row bands of a map check after the first
+MIN_BAND_POSITIONS = 1 << 8
+BAND_POSITIONS = 1 << 16
 
 
 class Morphism:
@@ -35,11 +39,13 @@ class Morphism:
             raise DomainError(
                 f"map must assign all {source.size} elements of {source.name}, "
                 f"got {len(mapping)}")
-        for i, t in enumerate(mapping):
-            if not 0 <= t < target.size:
-                raise DomainError(
-                    f"image of {source.name_of(i)} is index {t}, outside "
-                    f"the carrier of {target.name}")
+        size = target.size
+        if not (0 <= min(mapping) and max(mapping) < size):
+            i, t = next((i, t) for i, t in enumerate(mapping)
+                        if not 0 <= t < size)
+            raise DomainError(
+                f"image of {source.name_of(i)} is index {t}, outside "
+                f"the carrier of {target.name}")
         self.source = source
         self.target = target
         self.mapping = mapping
@@ -84,8 +90,8 @@ class Morphism:
                         tuple(self.mapping[i] for i in inner.mapping))
 
     def name_map(self) -> dict[str, str]:
-        return {self.source.name_of(i): self.target.name_of(t)
-                for i, t in enumerate(self.mapping)}
+        return dict(zip(map(self.source.name_lookup, range(self.source.size)),
+                        map(self.target.name_lookup, self.mapping)))
 
     def to_json(self) -> dict:
         return {"source": self.source.source_spec,
@@ -110,29 +116,56 @@ def _require_kind(kind: str) -> None:
         raise DomainError(f"unknown morphism kind {kind!r}; expected one of {KINDS}")
 
 
+class _Band:
+    """The positions (a, b) of rows [a0, a1) by n columns, row by row."""
+
+    __slots__ = ("a0", "a1", "n")
+
+    def __init__(self, a0: int, a1: int, n: int):
+        self.a0, self.a1, self.n = a0, a1, n
+
+    def __len__(self) -> int:
+        return (self.a1 - self.a0) * self.n
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        a, b = divmod(k, self.n)
+        return self.a0 + a, b
+
+
+@lru_cache(maxsize=64)
+def _bands(n: int) -> tuple[tuple[int, int, _Band], ...]:
+    """(a0, a1, positions) of the row bands [a0, a1) of an n-by-n scan.
+
+    The first band is row 0, so a map that fails there costs one row.
+    Each later band holds twice the positions of the one before, at least
+    MIN_BAND_POSITIONS, since a band costs more fixed work than a row,
+    and at most BAND_POSITIONS: on a 256-element carrier they hold 1, 2,
+    4, … rows.  A map that fails in row a costs O(a), one that holds
+    about log₂ n + 1 bands.
+    """
+    bands, a0, size = [], 0, n
+    while a0 < n:
+        a1 = min(a0 + max(1, size // n), n)
+        bands.append((a0, a1, _Band(a0, a1, n)))
+        a0, size = a1, min(max(2 * size, MIN_BAND_POSITIONS), BAND_POSITIONS)
+    return tuple(bands)
+
+
 def check_morphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:
-    """Exhaustively verify the homomorphism conditions of the given kind."""
+    """Exhaustively verify the homomorphism conditions of the given kind.
+
+    + and × are compared over the row bands of :func:`_bands`: ψ(a ∘ b)
+    on the band's rows a against the rows b ↦ ψ(a) ∘ ψ(b), each built
+    once per image value ψ(a) and joined in the band's order.
+    """
     _require_kind(kind)
     src, dst = psi.source, psi.target
     if kind == "bpa" and not (src.has_complement and dst.has_complement):
         raise UnsupportedOperationError(
             "bpa morphisms need complements on both algebras")
-    s = src.compiled
     # ψ as a row over the source, of the target's row type
     f = row_type(dst.size)(psi.mapping)
-    compose = CompiledTables.compose
-    # The rows b ↦ v ∘ ψ(b) and b ↦ !ψ(b); a target above the table
-    # limit is read at the images only.
-    if dst.size <= MAX_DENSE_CARRIER:
-        d = dst.compiled
-        add_after = lambda v: compose(d.add[v], f)
-        mul_after = lambda v: compose(d.mul[v], f)
-        comp_after = lambda: compose(d.comp, f)
-    else:
-        add_after = lambda v: tuple(map(dst.add_i, repeat(v), f))
-        mul_after = lambda v: tuple(map(dst.mul_i, repeat(v), f))
-        comp_after = lambda: tuple(map(dst.comp_i, f))
-    carrier = range(s.n)
+    compose, concat = CompiledTables.compose, CompiledTables.concat
     top, bot = src.top_index, src.bot_index
 
     def cases():
@@ -140,14 +173,32 @@ def check_morphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:
                             {"condition": "⊤ preserved"}),)
         yield (), (bot,), (((f[bot],), (dst.bot_index,),
                             {"condition": "⊥ preserved"}),)
+        s = src.compiled
+        # The rows b ↦ v + ψ(b) and b ↦ v × ψ(b), and b ↦ !ψ(b); a target
+        # above the table limit is read at the images only.
+        if dst.size <= MAX_DENSE_CARRIER:
+            d = dst.compiled
+            rows_after = lambda v: (compose(d.add[v], f), compose(d.mul[v], f))
+            comp_after = lambda: compose(d.comp, f)
+        else:
+            rows_after = lambda v: (tuple(map(dst.add_i, repeat(v), f)),
+                                    tuple(map(dst.mul_i, repeat(v), f)))
+            comp_after = lambda: tuple(map(dst.comp_i, f))
         plus, times = {"condition": "+ preserved"}, {"condition": "× preserved"}
-        for a, (add_a, mul_a) in enumerate(zip(s.add, s.mul)):
-            # position b: ψ(a ∘ b) against ψ(a) ∘ ψ(b)
-            yield (a,), carrier, ((compose(f, add_a), add_after(f[a]), plus),
-                                  (compose(f, mul_a), mul_after(f[a]), times))
+        after = {}  # v ↦ rows_after(v), built when a band first needs it
+        add, mul, after_of = s.add, s.mul, after.__getitem__
+        for a0, a1, positions in _bands(s.n):
+            images = f[a0:a1]
+            for v in set(images).difference(after):
+                after[v] = rows_after(v)
+            adds, muls = zip(*map(after_of, images))
+            # position (a, b): ψ(a ∘ b) against ψ(a) ∘ ψ(b)
+            yield (), positions, (
+                (compose(f, concat(add[a0:a1])), concat(adds), plus),
+                (compose(f, concat(mul[a0:a1])), concat(muls), times))
         if kind == "bpa":
-            yield (), carrier, ((compose(f, s.comp), comp_after(),
-                                 {"condition": "! preserved"}),)
+            yield (), range(s.n), ((compose(f, s.comp), comp_after(),
+                                    {"condition": "! preserved"}),)
 
     return _scan_rows(f"{kind}-homomorphism", src.name_of, cases())
 
@@ -219,17 +270,22 @@ def order_relation_of_map(psi: Morphism, order_src: OrderRelation,
     if order_dst.algebra is not psi.target:
         raise DomainError("target order belongs to a different algebra")
     f = row_type(psi.target.size)(psi.mapping)
-    compose = CompiledTables.compose
-    carrier = range(psi.source.size)
-    up_dst = order_dst.rows
+    compose, concat = CompiledTables.compose, CompiledTables.concat
+    up_src, up_dst = order_src.rows, order_dst.rows
     ahead, behind = {"direction": "x ≼ y"}, {"direction": "ψx ≼ ψy"}
     width = 2 if mode == "embedding" else 1
 
     def cases():
-        for x, up_x in enumerate(order_src.up_packed):  # bit y: x ≼ y
-            images = _packed(compose(up_dst[f[x]], f))   # bit y: ψx ≼ ψy
-            yield (x,), carrier, ((up_x, up_x & images, ahead),
-                                  (images, images & up_x, behind))[:width]
+        image_rows = {}  # v: the row y ↦ v ≼ ψy
+        for a0, a1, positions in _bands(psi.source.size):
+            images = f[a0:a1]
+            for v in set(images).difference(image_rows):
+                image_rows[v] = compose(up_dst[v], f)
+            # bit (x, y): x ≼ y, and ψx ≼ ψy
+            up = _packed(concat(up_src[a0:a1]))
+            image = _packed(concat(list(map(image_rows.__getitem__, images))))
+            yield (), positions, ((up, up & image, ahead),
+                                  (image, image & up, behind))[:width]
 
     report = _scan_rows(f"order-{mode}", psi.source.name_of, cases())
     if report.holds and mode == "embedding":

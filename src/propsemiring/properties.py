@@ -58,14 +58,24 @@ def _first_difference(a, b) -> int | None:
     """First position at which two row vectors differ, None when equal.
 
     A vector is a sequence, or an int packing one byte per position as
-    ``int.from_bytes(row, "little")`` does (position k is bit 8k).
+    ``int.from_bytes(row, "little")`` does (position k is bit 8k).  Both
+    searches stay in C, so a long row costs no Python step per position.
     """
     if a == b:
         return None
+    if isinstance(a, bytes):
+        a, b = _packed(a), _packed(b)
     if isinstance(a, int):
         d = a ^ b
         return ((d & -d).bit_length() - 1) >> 3
-    return next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
+    lo, hi = 0, len(a)  # a[:lo] == b[:lo]; they differ in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _scan_rows(name: str, name_of: Callable, cases: Iterable) -> PropertyReport:
@@ -77,9 +87,10 @@ def _scan_rows(name: str, name_of: Callable, cases: Iterable) -> PropertyReport:
     ``(a, b, details)`` of two row vectors that the law makes equal and
     the details to report when they differ.  The law fails at the first
     case and the first position k where some pair differs; at equal k the
-    earlier side wins.  The witness is the prefix and ``domain[k]``, each
-    passed through ``name_of``; ``checked`` counts the domains of the
-    earlier cases plus k + 1.
+    earlier side wins.  The witness is the prefix and ``domain[k]``, which
+    is spread when it is a tuple of indices, each passed through
+    ``name_of``; ``checked`` counts the domains of the earlier cases plus
+    k + 1.
     """
     checked = 0
     for prefix, domain, sides in cases:
@@ -89,11 +100,14 @@ def _scan_rows(name: str, name_of: Callable, cases: Iterable) -> PropertyReport:
         else:
             checked += len(domain)
             continue
-        k, side = min((k, side) for side, (a, b, _) in enumerate(sides)
-                      if (k := _first_difference(a, b)) is not None)
+        k, side = min((_first_difference(a, b), side)
+                      for side, (a, b, _) in enumerate(sides) if a != b)
         details = sides[side][2]
+        position = domain[k]
+        if not isinstance(position, tuple):
+            position = (position,)
         return PropertyReport(name, False,
-                              tuple(map(name_of, (*prefix, domain[k]))),
+                              tuple(map(name_of, (*prefix, *position))),
                               checked + k + 1,
                               details=dict(details) if details else None)
     return PropertyReport(name, True, None, checked)

@@ -458,8 +458,9 @@ def test_wide_rows_match_definitions(n, a, b, c, seed):
 
 @settings(max_examples=4, deadline=None)
 @given(n=st.integers(257, 300), k=st.integers(1, 2), edit=st.integers(0, 8),
-       seed=st.integers(0, 2 ** 32))
-def test_maps_between_byte_and_tuple_rows(n, k, edit, seed):
+       seed=st.integers(0, 2 ** 32), deep=st.integers(100, 256),
+       col=st.integers(2, 256), on_add=st.booleans())
+def test_maps_between_byte_and_tuple_rows(n, k, edit, seed, deep, col, on_add):
     # ℤ3 against a ℤn table: byte rows on one side, tuple rows on the
     # other.  x ↦ k·x mod 3 from ℤn is a homomorphism exactly when 3
     # divides n, and one image is then changed; the maps from ℤ3 keep ⊤
@@ -488,3 +489,29 @@ def test_maps_between_byte_and_tuple_rows(n, k, edit, seed):
         assert_matches(order_relation_of_map(psi, *orders),
                        order_map_oracle(leq_src, leq_dst, f, "monotone"),
                        "direction")
+    # ℤm with 3 dividing m and one cell (deep, col) of + or × changed:
+    # x ↦ k·x mod 3 then holds in every row before ``deep``, so the first
+    # violation lies several row bands in.  The orders relate x and y when
+    # their images are equal, and ``deep`` to ``col`` with unequal images.
+    m = n + (-n) % 3
+    col += (col - deep) % 3 == 0
+    table = [[(i + j) % m for j in range(m)] for i in range(m)], \
+        [[(i * j) % m for j in range(m)] for i in range(m)], 0, 1
+    op = table[0] if on_add else table[1]
+    op[deep][col] = (op[deep][col] + 1) % m
+    src = table_dict(table, [(-x) % m for x in range(m)])
+    f = [(k * x) % 3 for x in range(m)]
+    psi = Morphism(algebra_from(src), algebra_from(z3), f)
+    for kind in ("semiring", "bpa"):
+        assert_matches(check_morphism(psi, kind),
+                       morphism_oracle(src, z3, f, kind), "condition")
+    leq_src = [[int(f[x] == f[y]) for y in range(m)] for x in range(m)]
+    leq_src[deep][col] = 1
+    leq_dst = [[int(x == y) for y in range(3)] for x in range(3)]
+    orders = (OrderRelation.from_matrix(psi.source, leq_src),
+              OrderRelation.from_matrix(psi.target, leq_dst))
+    for mode in ("monotone", "embedding"):
+        report = order_relation_of_map(psi, *orders, mode)
+        assert_matches(report, order_map_oracle(leq_src, leq_dst, f, mode),
+                       "direction")
+        assert report.checked == deep * m + col + 1

@@ -1,8 +1,8 @@
 import pytest
 
 import propsemiring.morphisms as morphisms
-from propsemiring.algebra import (DomainError, SizeLimitError,
-                                  UnsupportedOperationError,
+from propsemiring.algebra import (CompiledTables, DomainError,
+                                  SizeLimitError, UnsupportedOperationError,
                                   free_boolean_algebra, table_semiring)
 from propsemiring.morphisms import (Morphism, check_morphism, enumerate_homs,
                                     factor, image_subalgebra, is_isomorphism,
@@ -63,6 +63,16 @@ class TestMorphismBasics:
         assert back.mapping == (0, 0, 3, 3)
         with pytest.raises(DomainError, match="compose"):
             eval_top.compose(eval_top)
+
+    def test_names_of_a_carrier_above_the_table_limit_are_not_listed(
+            self, ba0):
+        ba4 = free_boolean_algebra(4)
+        inclusion = Morphism(ba0, ba4, [0, ba4.mask])
+        assert inclusion.name_map() == {"⊥": "⊥", "⊤": "⊤"}
+        # free:4's 65,536 names are read one index at a time, free:0's
+        # from a tuple
+        assert ba4.name_lookup == ba4.name_of
+        assert ba0.name_lookup.__self__ == ("⊥", "⊤")
 
     def test_to_json(self, eval_top):
         assert eval_top.to_json() == {
@@ -133,6 +143,26 @@ class TestCheckMorphism:
         assert not report.holds and report.witness == ("!a", "a")
         assert report.checked == 2 + 4 + 3
         assert report.details == {"condition": "+ preserved"}
+
+    def test_a_holding_map_is_checked_in_few_row_compositions(
+            self, ba1, monkeypatch):
+        # b ↦ its values at the assignments 0 and 1: a homomorphism onto
+        # free:1.  Per image value one + and one × row, per band one + and
+        # one × composition (log₂ 256 + 1 bands), and one ! row each side;
+        # no composition reads more than 2¹⁶ positions.
+        ba3 = free_boolean_algebra(3)
+        psi = Morphism(ba3, ba1, [e & 3 for e in range(ba3.size)])
+        compose, calls = CompiledTables.compose, []
+
+        def counted(outer, inner):
+            calls.append(len(inner))
+            return compose(outer, inner)
+
+        monkeypatch.setattr(CompiledTables, "compose", staticmethod(counted))
+        report = check_morphism(psi, "bpa")
+        assert report.holds and report.checked == 2 + 256 ** 2 + 256
+        assert len(calls) <= 2 * len(psi.image_indices()) + 2 * 9 + 2
+        assert max(calls) <= 1 << 16
 
     def test_four_atom_source_hits_the_table_limit(self, ba0):
         ba4 = free_boolean_algebra(4)
