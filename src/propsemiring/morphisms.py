@@ -163,6 +163,7 @@ def check_morphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:
     if kind == "bpa" and not (src.has_complement and dst.has_complement):
         raise UnsupportedOperationError(
             "bpa morphisms need complements on both algebras")
+    s = src.compiled
     # ψ as a row over the source, of the target's row type
     f = row_type(dst.size)(psi.mapping)
     compose, concat = CompiledTables.compose, CompiledTables.concat
@@ -173,7 +174,6 @@ def check_morphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:
                             {"condition": "⊤ preserved"}),)
         yield (), (bot,), (((f[bot],), (dst.bot_index,),
                             {"condition": "⊥ preserved"}),)
-        s = src.compiled
         # The rows b ↦ v + ψ(b) and b ↦ v × ψ(b), and b ↦ !ψ(b); a target
         # above the table limit is read at the images only.
         if dst.size <= MAX_DENSE_CARRIER:

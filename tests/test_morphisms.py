@@ -166,9 +166,10 @@ class TestCheckMorphism:
 
     def test_four_atom_source_hits_the_table_limit(self, ba0):
         ba4 = free_boolean_algebra(4)
-        psi = Morphism(ba4, ba0, [i & 1 for i in range(ba4.size)])
-        with pytest.raises(SizeLimitError, match="4096"):
-            check_morphism(psi)
+        for image in ([i & 1 for i in range(ba4.size)], [0] * ba4.size):
+            # also when ⊤ is not preserved
+            with pytest.raises(SizeLimitError, match="4096"):
+                check_morphism(Morphism(ba4, ba0, image))
 
 
 class TestKernelsAndFactoring:
