@@ -262,7 +262,11 @@ def factor(psi1: Morphism, psi2: Morphism) -> Morphism | None:
 def order_relation_of_map(psi: Morphism, order_src: OrderRelation,
                           order_dst: OrderRelation,
                           mode: str = "monotone") -> PropertyReport:
-    """Does ψ preserve (monotone) or exactly reflect (embedding) ≼?"""
+    """Does ψ preserve (monotone) or exactly reflect (embedding) ≼?
+
+    x ≼ y and ψx ≼ ψy are compared as packed ints over the row bands of
+    :func:`_bands`, the rows y ↦ v ≼ ψy built once per image value v.
+    """
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
     if order_src.algebra is not psi.source:
