@@ -40,6 +40,9 @@ MAX_BYTE_CARRIER = 256    # carriers whose indices fit in one byte
 
 DEFAULT_ATOMS = ("a", "b", "c", "d")
 
+_call = itemgetter.__call__  # _call(getter, row) is getter(row)
+_BYTE_VALUES = bytes(range(MAX_BYTE_CARRIER))
+
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -277,7 +280,29 @@ class CompiledTables:
 
     def indicator(self, members: Iterable[int]) -> bytes:
         """The 0/1 byte row that is 1 exactly at ``members``."""
+        if self.row is bytes:  # in C: maketrans lets the last pair win
+            members = bytes(members)
+            return bytes.maketrans(_BYTE_VALUES + members,
+                                   bytes(MAX_BYTE_CARRIER) + b"\1" * len(members)
+                                   )[:self.n]
         return bytes(map(set(members).__contains__, range(self.n)))
+
+    def slab(self, rows: Iterable):
+        """The rows of this carrier as one slab, row by row: ``bytes`` rows
+        end to end, tuple rows as a tuple of the rows, which copies no
+        entry (``properties._first_difference`` reads both kinds)."""
+        return b"".join(rows) if self.row is bytes else tuple(rows)
+
+    def composer(self, rows: Sequence) -> Callable:
+        """The map outer ↦ slab(compose(outer, row) for row in rows), for a
+        row ``outer`` of this carrier; it stays in C: one
+        ``bytes.translate`` over the joined rows, or one ``itemgetter``
+        per tuple row, built here once."""
+        if self.row is bytes:
+            translate = b"".join(rows).translate
+            return lambda outer: translate(outer.ljust(MAX_BYTE_CARRIER, b"\0"))
+        getters = [itemgetter(*row) for row in rows]
+        return lambda outer: tuple(map(_call, getters, repeat(outer)))
 
     @staticmethod
     def compose(outer, inner):

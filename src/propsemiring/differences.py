@@ -343,16 +343,25 @@ def _translation_invariance(prop: str, algebra: Algebra, order: OrderRelation,
                             members: tuple[int, ...],
                             shifted: list[bytes]) -> PropertyReport:
     """p ≼ q exactly when p + ξ ≼ q + ξ, for every ξ among the members;
-    ``shifted`` holds the rows of :func:`_shifted` for ``order``."""
-    n = algebra.size
+    ``shifted`` holds the rows of :func:`_shifted` for ``order``.  A p
+    holds when its row is up(p) once per member, one case of n·|members|
+    tuples; the first p that fails runs the cases (p, q), which name the
+    witness."""
+    n, width = algebra.size, len(members)
     kept, gained = ({"direction": "p ≼ q but not shifted"},
                     {"direction": "shifted but not p ≼ q"})
-    always, never = b"\1" * len(members), bytes(len(members))
-    return _scan_rows(prop, algebra.name_of, (
-        ((p, q), members, ((row[q::n], always, kept) if up_p[q]
-                           else (row[q::n], never, gained),))
-        for p, (up_p, row) in enumerate(zip(order.rows, shifted))
-        for q in range(n)))
+    always, never = b"\1" * width, bytes(width)
+
+    def cases():
+        for p, (up_p, row) in enumerate(zip(order.rows, shifted)):
+            if row == up_p * width:
+                yield (p,), range(n * width), ()
+                continue
+            for q in range(n):
+                yield (p, q), members, ((row[q::n], always, kept) if up_p[q]
+                                        else (row[q::n], never, gained),)
+
+    return _scan_rows(prop, algebra.name_of, cases())
 
 
 def extended_order(algebra: Algebra, base: OrderRelation,

@@ -11,21 +11,17 @@ only and lets check_morphism verify each derived map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product, repeat
 
 from .algebra import (MAX_DENSE_CARRIER, Algebra, CompiledTables, DomainError,
                       Element, FreeBooleanAlgebra, SizeLimitError, Subalgebra,
                       UnsupportedOperationError, row_type)
 from .order import OrderRelation, canonical_order
-from .properties import PropertyReport, _names, _packed, _scan_rows
+from .properties import PropertyReport, _bands, _names, _packed, _scan_rows
 
 KINDS = ("semiring", "bpa")
 MODES = ("monotone", "embedding")
 ENUMERATION_CAP = 10_000_000
-# (a, b) positions of the row bands of a map check after the first
-MIN_BAND_POSITIONS = 1 << 8
-BAND_POSITIONS = 1 << 16
 
 
 class Morphism:
@@ -116,47 +112,12 @@ def _require_kind(kind: str) -> None:
         raise DomainError(f"unknown morphism kind {kind!r}; expected one of {KINDS}")
 
 
-class _Band:
-    """The positions (a, b) of rows [a0, a1) by n columns, row by row."""
-
-    __slots__ = ("a0", "a1", "n")
-
-    def __init__(self, a0: int, a1: int, n: int):
-        self.a0, self.a1, self.n = a0, a1, n
-
-    def __len__(self) -> int:
-        return (self.a1 - self.a0) * self.n
-
-    def __getitem__(self, k: int) -> tuple[int, int]:
-        a, b = divmod(k, self.n)
-        return self.a0 + a, b
-
-
-@lru_cache(maxsize=64)
-def _bands(n: int) -> tuple[tuple[int, int, _Band], ...]:
-    """(a0, a1, positions) of the row bands [a0, a1) of an n-by-n scan.
-
-    The first band is row 0, so a map that fails there costs one row.
-    Each later band holds twice the positions of the one before, at least
-    MIN_BAND_POSITIONS, since a band costs more fixed work than a row,
-    and at most BAND_POSITIONS: on a 256-element carrier they hold 1, 2,
-    4, … rows.  A map that fails in row a costs O(a), one that holds
-    about log₂ n + 1 bands.
-    """
-    bands, a0, size = [], 0, n
-    while a0 < n:
-        a1 = min(a0 + max(1, size // n), n)
-        bands.append((a0, a1, _Band(a0, a1, n)))
-        a0, size = a1, min(max(2 * size, MIN_BAND_POSITIONS), BAND_POSITIONS)
-    return tuple(bands)
-
-
 def check_morphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:
     """Exhaustively verify the homomorphism conditions of the given kind.
 
-    + and × are compared over the row bands of :func:`_bands`: ψ(a ∘ b)
-    on the band's rows a against the rows b ↦ ψ(a) ∘ ψ(b), each built
-    once per image value ψ(a) and joined in the band's order.
+    + and × are compared over the row bands of :func:`properties._bands`:
+    ψ(a ∘ b) on the band's rows a against the rows b ↦ ψ(a) ∘ ψ(b), each
+    built once per image value ψ(a) and joined in the band's order.
     """
     _require_kind(kind)
     src, dst = psi.source, psi.target
@@ -265,7 +226,8 @@ def order_relation_of_map(psi: Morphism, order_src: OrderRelation,
     """Does ψ preserve (monotone) or exactly reflect (embedding) ≼?
 
     x ≼ y and ψx ≼ ψy are compared as packed ints over the row bands of
-    :func:`_bands`, the rows y ↦ v ≼ ψy built once per image value v.
+    :func:`properties._bands`, the rows y ↦ v ≼ ψy built once per image
+    value v.
     """
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")

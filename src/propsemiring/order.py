@@ -11,22 +11,27 @@ must be supplied instead.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
-from operator import eq, getitem
-from typing import Callable
+from functools import cached_property, lru_cache, reduce
+from itertools import chain, compress, islice, repeat
+from operator import and_, eq, getitem, or_
+from typing import Callable, Iterator
 
-from .algebra import (MAX_DENSE_CARRIER, Algebra, Element, DomainError,
-                      SizeLimitError, Subalgebra, TableAlgebra,
+from .algebra import (MAX_BYTE_CARRIER, MAX_DENSE_CARRIER, Algebra, Element,
+                      DomainError, SizeLimitError, Subalgebra, TableAlgebra,
                       UnsupportedOperationError)
 from .properties import (PropertyReport, additively_cancellable_elements,
-                         _commutativity, _first_difference, _names, _packed,
-                         _scan_rows)
+                         _commutativity, _first_difference, _leading_cases,
+                         _names, _packed, _scan_rows)
 
 DEFAULT_SEED = 1729
 SAMPLED_TUPLES = 65536
 EXHAUSTIVE_4TUPLE_CARRIER = 16
+# above this many elements in up(p), monotony decides p by its translations
+FEW_ABOVE = 2
+DRAW_WORDS = 4096  # Mersenne Twister outputs the sampled draw takes at once
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # complements a 0/1 row
 
 @dataclass(frozen=True)
 class OrderRelation:
@@ -146,23 +151,46 @@ def check_poset(order: OrderRelation) -> list[PropertyReport]:
 
 
 def check_monotony(algebra: Algebra, order: OrderRelation) -> list[PropertyReport]:
-    """p ≼ q implies p + r ≼ q + r, and the same for ×; one report per law."""
-    _check_relation(order, algebra)
-    carrier = range(algebra.size)
-    up = order.rows
-    holds = b"\1" * algebra.size
+    """p ≼ q implies p + r ≼ q + r, and the same for ×; one report per law.
 
-    def cases(rows):
-        for p, row in enumerate(up):
+    The cases (p, q) run over r and name the witness.  On byte rows, a p
+    after the leading ones (``properties._leading_cases``) with more than
+    FEW_ABOVE elements above it is first decided by its translations: for
+    every r the images q ∘ r of the q in up(p) must lie in up(p ∘ r), two
+    ``bytes.translate`` calls per r.  Such a p that holds is one case of
+    |up(p)|·n tuples; one that fails runs its cases.
+    """
+    _check_relation(order, algebra)
+    c = algebra.compiled
+    carrier = range(c.n)
+    up = order.rows
+    holds = b"\1" * c.n
+    lead = _leading_cases(c.n) if c.row is bytes else c.n
+    above = list(map(bytes.count, up, repeat(1))) if lead < c.n else ()
+
+    def cases(rows, cols):
+        tables = None  # up rows and columns as translate tables
+        for p, upp in enumerate(up):
+            if p >= lead and above[p] > FEW_ABOVE:
+                if tables is None:
+                    tables = [[r.ljust(MAX_BYTE_CARRIER, b"\0") for r in rs]
+                              for rs in (up, cols)]
+                members = bytes(compress(carrier, upp))
+                # per r, byte k is 1 iff p∘r ≼ members[k]∘r
+                kept = b"".join(map(bytes.translate,
+                                    map(members.translate, tables[1]),
+                                    map(tables[0].__getitem__, rows[p])))
+                if 0 not in kept:
+                    yield (p,), range(len(kept)), ()
+                    continue
             up_of_row = [up[x] for x in rows[p]]
-            for q in compress(carrier, row):
+            for q in compress(carrier, upp):
                 # byte r is 1 iff p∘r ≼ q∘r
                 yield (p, q), carrier, (
                     (bytes(map(getitem, up_of_row, rows[q])), holds, None),)
 
-    c = algebra.compiled
-    return [_scan_rows("monotony-add", algebra.name_of, cases(c.add)),
-            _scan_rows("monotony-mul", algebra.name_of, cases(c.mul))]
+    return [_scan_rows("monotony-add", algebra.name_of, cases(c.add, c.add_t)),
+            _scan_rows("monotony-mul", algebra.name_of, cases(c.mul, c.mul_t))]
 
 
 def check_operation_bounds(algebra: Algebra, order: OrderRelation) -> PropertyReport:
@@ -184,15 +212,37 @@ def check_operation_bounds(algebra: Algebra, order: OrderRelation) -> PropertyRe
 
 def check_bound_decomposition(algebra: Algebra,
                               order: OrderRelation) -> PropertyReport:
-    """p + q ≼ r bounds both terms; p ≼ q × r bounds p by both factors."""
+    """p + q ≼ r bounds both terms; p ≼ q × r bounds p by both factors.
+
+    The cases (p, q) run over r and name the witness.  Each p after the
+    leading ones (``properties._leading_cases``) is first decided on
+    packed up-sets: up(p + q) ⊆ up(p) ∩ up(q) for every q, and no x
+    outside up(p) has a product x × r or r × x inside it (the values of
+    row and column x of ×, packed once per call when first needed).  A p
+    that holds is one case of n² tuples; one that fails runs its cases.
+    """
     _check_relation(order, algebra)
     c = algebra.compiled
     carrier = range(c.n)
     up, packed = order.rows, order.up_packed
     of_sum, of_product = {"claim": "p + q ≼ r"}, {"claim": "p ≼ q × r"}
+    lead = _leading_cases(c.n)
+    factors = []  # per x, the values of row and column x of ×, packed
+
+    def bounds_hold(ap, upp, pp):
+        sums = list(map(packed.__getitem__, ap))  # up(p + q) per q
+        if reduce(or_, sums) & ~pp or list(map(and_, sums, packed)) != sums:
+            return False
+        if not factors:
+            factors.extend(_packed(c.indicator(row + col))
+                           for row, col in zip(c.mul, c.mul_t))
+        return not reduce(or_, compress(factors, upp.translate(_FLIP)), 0) & pp
 
     def cases():
         for p, (ap, upp, pp) in enumerate(zip(c.add, up, packed)):
+            if p >= lead and bounds_hold(ap, upp, pp):
+                yield (p,), range(c.n * c.n), ()
+                continue
             for q, (mq, pq) in enumerate(zip(c.mul, packed)):
                 sum_up = packed[ap[q]]
                 below_product = _packed(c.compose(upp, mq))
@@ -236,11 +286,11 @@ def check_pairwise_monotony(algebra: Algebra, order: OrderRelation,
         report = _scan_rows("pairwise-monotony", algebra.name_of, cases())
         report.details = report.details or {"mode": "exhaustive"}
         return report
-    draw = random.Random(seed).randrange
+    draws = _draws(random.Random(seed), n)
     details = {"mode": "sampled", "seed": seed, "samples": SAMPLED_TUPLES}
     claims = (("p + r ≼ q + s", c.add), ("p × r ≼ q × s", c.mul))
-    for k in range(SAMPLED_TUPLES):
-        p, q, r, s = draw(n), draw(n), draw(n), draw(n)
+    for k, (p, q, r, s) in enumerate(islice(zip(draws, draws, draws, draws),
+                                            SAMPLED_TUPLES)):
         if up[p][q] and up[r][s]:
             for claim, table in claims:
                 if not up[table[p][r]][table[q][s]]:
@@ -250,6 +300,44 @@ def check_pairwise_monotony(algebra: Algebra, order: OrderRelation,
                                           details=details)
     return PropertyReport("pairwise-monotony", True, None, SAMPLED_TUPLES,
                           details=details)
+
+
+def _draws(rng: random.Random, n: int) -> Iterator[int]:
+    """The values of successive ``rng.randrange(n)`` calls, drawn in bulk.
+
+    randrange(n) reads the next 32-bit Mersenne Twister output w as
+    w >> (32 - k), k = n.bit_length(), and draws again while that is n or
+    more.  ``getrandbits(32·m)`` returns the next m outputs, the first in
+    the lowest bits, so m outputs at a time are shifted and masked as one
+    int; below 257 elements the accepted values are then picked from its
+    bytes, else from its 32-bit lanes.  m doubles from 16 to DRAW_WORDS,
+    so that a draw that fails early stays small.
+    """
+    k = n.bit_length()
+    below = (b"\1" * n).ljust(MAX_BYTE_CARRIER, b"\0")  # byte v: v < n
+
+    def accepted(words):
+        values = ((rng.getrandbits(32 * words) >> 32 - k) & _lanes(k, words)
+                  ).to_bytes(4 * words, "little")
+        if n > MAX_BYTE_CARRIER:
+            return filter(n.__gt__, struct.unpack(f"<{words}I", values))
+        low = values[0::4]  # accepted: below n for k ≤ 8, bit 8 clear for 256
+        return compress(low, low.translate(below) if k <= 8
+                        else values[1::4].translate(_FLIP))
+
+    def sizes():
+        words = 16
+        while True:
+            yield words
+            words = min(2 * words, DRAW_WORDS)
+
+    return chain.from_iterable(map(accepted, sizes()))
+
+
+@lru_cache(maxsize=32)
+def _lanes(k: int, words: int) -> int:
+    """The low k bits of each of ``words`` 32-bit lanes."""
+    return ((1 << k) - 1) * int.from_bytes(b"\1\0\0\0" * words, "little")
 
 
 def cones(algebra: Algebra,

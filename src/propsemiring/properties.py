@@ -10,14 +10,31 @@ Every law of n² or more tuples, here and in the other modules, runs on
 compiled rows through :func:`_scan_rows`, which compares whole rows over
 the last index of the tuple and derives the witness and ``checked`` from
 the position of the first violation.
+
+A law of n³ tuples decides each outer index at once, after the leading
+ones that run case by case (:func:`_leading_cases`).  Associativity and
+distributivity compare one slab per index: all its n² positions (j, k)
+in scan order, in a few C calls, in bands of at most 2¹⁶ positions
+above 256 elements (:func:`_bands`), so the first differing position
+still names the witness.  Monotony and bound decomposition (``order``)
+and translation invariance (``differences``) decide an index by set
+inclusions on packed or byte rows instead; an index that holds is one
+case with no sides, and the first that fails runs its cases (p, q),
+which name the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .algebra import Algebra, Element
+
+# positions of a row band: at least this many after the first band of a
+# map check, at most this many in any band
+MIN_BAND_POSITIONS = 1 << 8
+BAND_POSITIONS = 1 << 16
 
 
 @dataclass
@@ -57,9 +74,11 @@ def _names(algebra: Algebra, *indices: int) -> tuple[str, ...]:
 def _first_difference(a, b) -> int | None:
     """First position at which two row vectors differ, None when equal.
 
-    A vector is a sequence, or an int packing one byte per position as
-    ``int.from_bytes(row, "little")`` does (position k is bit 8k).  Both
-    searches stay in C, so a long row costs no Python step per position.
+    A vector is a sequence, an int packing one byte per position as
+    ``int.from_bytes(row, "little")`` does (position k is bit 8k), or a
+    slab of tuple rows (a tuple of equal-length tuples, see
+    ``CompiledTables.slab``) whose positions run row by row.  Every
+    search stays in C, so a long row costs no Python step per position.
     """
     if a == b:
         return None
@@ -75,7 +94,45 @@ def _first_difference(a, b) -> int | None:
             lo = mid
         else:
             hi = mid
+    if isinstance(a[lo], tuple):  # the first differing row of a slab
+        return lo * len(a[lo]) + _first_difference(a[lo], b[lo])
     return lo
+
+
+class _Band:
+    """The positions (a, b) of rows [a0, a1) by n columns, row by row."""
+
+    __slots__ = ("a0", "a1", "n")
+
+    def __init__(self, a0: int, a1: int, n: int):
+        self.a0, self.a1, self.n = a0, a1, n
+
+    def __len__(self) -> int:
+        return (self.a1 - self.a0) * self.n
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        a, b = divmod(k, self.n)
+        return self.a0 + a, b
+
+
+@lru_cache(maxsize=64)
+def _bands(n: int, rows: int = 1) -> tuple[tuple[int, int, _Band], ...]:
+    """(a0, a1, positions) of the row bands [a0, a1) of an n-by-n scan.
+
+    The first band holds ``rows`` rows; each later band holds twice the
+    positions of the one before, at least MIN_BAND_POSITIONS, and no band
+    more than BAND_POSITIONS (but at least one row).  A map check starts
+    from row 0, so a map that fails in row a costs O(a) and one that
+    holds about log₂ n + 1 bands (on a 256-element carrier they hold 1,
+    2, 4, … rows); a law's slab asks for all n rows, so it is one band up
+    to 256 elements and bands of 2¹⁶ positions above.
+    """
+    bands, a0, size = [], 0, rows * n
+    while a0 < n:
+        a1 = min(a0 + max(1, min(size, BAND_POSITIONS) // n), n)
+        bands.append((a0, a1, _Band(a0, a1, n)))
+        a0, size = a1, min(max(2 * size, MIN_BAND_POSITIONS), BAND_POSITIONS)
+    return tuple(bands)
 
 
 def _scan_rows(name: str, name_of: Callable, cases: Iterable) -> PropertyReport:
@@ -90,7 +147,8 @@ def _scan_rows(name: str, name_of: Callable, cases: Iterable) -> PropertyReport:
     earlier side wins.  The witness is the prefix and ``domain[k]``, which
     is spread when it is a tuple of indices, each passed through
     ``name_of``; ``checked`` counts the domains of the earlier cases plus
-    k + 1.
+    k + 1.  A case with no sides holds: an index already decided at once
+    counts its tuples through the length of its domain.
     """
     checked = 0
     for prefix, domain, sides in cases:
@@ -125,12 +183,46 @@ def _commutativity(name: str, name_of: Callable, rows, cols) -> PropertyReport:
                        for i, row in enumerate(rows)))
 
 
+@lru_cache(maxsize=64)
+def _leading_cases(n: int) -> int:
+    """How many outer indices of a law of n³ tuples run one case per
+    middle index before the others are decided at once: the first, so
+    that a table that fails there costs what it reaches, and more until
+    their cases cover MIN_BAND_POSITIONS positions, since deciding an
+    index at once costs more fixed work than a case."""
+    return max(1, -(-MIN_BAND_POSITIONS // (n * n)))
+
+
+def _slabs(c, rows) -> list:
+    """(rows, positions, composer) per band of a slab over positions
+    (j, k): one band up to 256 elements, bands of BAND_POSITIONS above;
+    ``rows`` is the band's slice of j and ``composer`` is ``c.composer``
+    of the band's rows."""
+    return [(slice(a0, a1), positions, c.composer(rows[a0:a1]))
+            for a0, a1, positions in _bands(c.n, c.n)]
+
+
 def _associativity(name: str, algebra: Algebra, rows) -> PropertyReport:
-    compose = algebra.compiled.compose
-    carrier = range(len(rows))
-    return _scan_rows(name, algebra.name_of, (
-        ((i, j), carrier, ((rows[ri[j]], compose(ri, rows[j]), None),))
-        for i, ri in enumerate(rows) for j in carrier))
+    """(i∘j)∘k = i∘(j∘k).  The leading indices i run one case per j
+    (:func:`_leading_cases`); every later i is one slab per band,
+    position (j, k) holding row i∘j of the table on one side and ri
+    composed with row j on the other."""
+    c = algebra.compiled
+    compose, slab, carrier = c.compose, c.slab, range(c.n)
+    lead = _leading_cases(c.n)
+
+    def cases():
+        for i, ri in enumerate(rows[:lead]):
+            for j in carrier:
+                yield (i, j), carrier, ((rows[ri[j]], compose(ri, rows[j]), None),)
+        slabs = _slabs(c, rows) if lead < c.n else ()
+        for i in range(lead, c.n):
+            ri = rows[i]
+            for band, positions, composed in slabs:
+                yield (i,), positions, ((slab(map(rows.__getitem__, ri[band])),
+                                         composed(ri), None),)
+
+    return _scan_rows(name, algebra.name_of, cases())
 
 
 def _two_sided(name: str, algebra: Algebra, op: Callable[[int, int], int],
@@ -148,18 +240,40 @@ def _two_sided(name: str, algebra: Algebra, op: Callable[[int, int], int],
 
 
 def _distributivity(algebra: Algebra) -> PropertyReport:
-    """i × (j + k) = i×j + i×k (left) and (j + k) × i = j×i + k×i (right)."""
+    """i × (j + k) = i×j + i×k (left) and (j + k) × i = j×i + k×i (right).
+
+    The leading indices i run one case per j (:func:`_leading_cases`).
+    Every later i is one slab per band of positions (j, k): the sums
+    j + k composed into row i (column i on the right) against the rows
+    k ↦ v + i×k (v + k×i), each built once per value v = i×j (j×i) when
+    a band first needs it.  Where column i equals row i, both laws share
+    the slabs.
+    """
     c = algebra.compiled
-    add, mul, mul_t, compose = c.add, c.mul, c.mul_t, c.compose
+    add, compose, slab = c.add, c.compose, c.slab
     carrier = range(c.n)
+    lead = _leading_cases(c.n)
     left, right = {"side": "left"}, {"side": "right"}
 
     def cases():
-        for i, (mi, ci) in enumerate(zip(mul, mul_t)):
+        for i, (mi, ci) in enumerate(zip(c.mul[:lead], c.mul_t[:lead])):
             for j, aj in enumerate(add):
                 yield (i, j), carrier, (
                     (compose(mi, aj), compose(add[mi[j]], mi), left),
                     (compose(ci, aj), compose(add[ci[j]], ci), right))
+        slabs = _slabs(c, add) if lead < c.n else ()
+        for i in range(lead, c.n):
+            mi, ci = c.mul[i], c.mul_t[i]
+            rows = [(mi, {})] if mi == ci else [(mi, {}), (ci, {})]
+            for band, positions, of_sums in slabs:
+                sides = []
+                for row, after in rows:
+                    for v in set(row[band]).difference(after):
+                        after[v] = compose(add[v], row)
+                    sides.append((of_sums(row),
+                                  slab(map(after.__getitem__, row[band]))))
+                (l, r), (l_t, r_t) = sides[0], sides[-1]
+                yield (i,), positions, ((l, r, left), (l_t, r_t, right))
 
     return _scan_rows("distributivity", algebra.name_of, cases())
 

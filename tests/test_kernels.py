@@ -6,8 +6,14 @@ verdict, first witness, checked count and details as a plain scan of each
 law's definition.  Tables of 257-300 elements take the tuple-row path of
 the compiled tables; they are broken near the start so that the oracles
 stay cheap, and maps between them and ℤ₃ mix byte rows with tuple rows.
+From 9 elements on, the n³ laws decide the outer indices after the
+leading ones at once, so tables of 9-24 elements, chains that fail late
+inside one outer index and ℤm tables whose slabs take two bands check
+those paths; chains that fail after hundreds of samples check the bulk
+draw of the sampled pairwise law around powers of two.
 """
 
+import functools
 import random
 
 import pytest
@@ -27,7 +33,9 @@ from propsemiring.order import (SAMPLED_TUPLES, OrderRelation, canonical_order,
                                 check_bound_decomposition, check_monotony,
                                 check_operation_bounds, check_pairwise_monotony,
                                 check_poset, cones)
-from propsemiring.properties import (additively_cancellable_elements,
+from propsemiring.properties import (BAND_POSITIONS, _associativity,
+                                     _distributivity, _leading_cases,
+                                     additively_cancellable_elements,
                                      check_semiring_axioms, is_entire,
                                      is_zerosumfree)
 
@@ -515,3 +523,157 @@ def test_maps_between_byte_and_tuple_rows(n, k, edit, seed, deep, col, on_add):
         assert_matches(report, order_map_oracle(leq_src, leq_dst, f, mode),
                        "direction")
         assert report.checked == deep * m + col + 1
+
+
+@settings(max_examples=3, deadline=None)
+@given(m=st.integers(280, 300), row=st.integers(240, 279),
+       col=st.integers(2, 6), on_add=st.booleans())
+def test_law_slabs_across_bands_match_definitions(m, row, col, on_add):
+    # ℤm has tuple rows, and the m² positions (j, k) of an outer index
+    # take two bands, the first of 65536 // m ≤ 234 rows.  One cell
+    # (row, col) of + or × is changed in a row past the first band; the
+    # law of that operation then fails at an outer index below 3 (for +
+    # at j = row - 1, in the second band), distributivity below 7.
+    assert m * m > BAND_POSITIONS and row > BAND_POSITIONS // m
+    add = [[(i + j) % m for j in range(m)] for i in range(m)]
+    mul = [[(i * j) % m for j in range(m)] for i in range(m)]
+    op = add if on_add else mul
+    op[row][col] = (op[row][col] + 1) % m
+    algebra = algebra_of(add, mul, 0, 1)
+    c = algebra.compiled
+    assert c.row is tuple
+    assert_matches(_associativity("associativity", algebra,
+                                  c.add if on_add else c.mul),
+                   associativity_oracle(op))
+    assert_matches(_distributivity(algebra), distributivity_oracle(add, mul),
+                   "side")
+
+
+@settings(max_examples=20, deadline=None)
+@given(cayley_tables(st.integers(9, 20)))
+def test_law_slabs_of_byte_rows_match_definitions(table):
+    # From 9 elements on, the outer indices after the leading ones are
+    # decided one slab at a time (and one verdict per p for the order
+    # laws), so the edits of these tables land inside slabs.
+    algebra = assert_axioms_match(table)
+    rng = random.Random(len(table[0]))
+    n = len(table[0])
+    leq = [[int(p == q or rng.random() < 0.2) for q in range(n)]
+           for p in range(n)]
+    assert_order_laws_match(table, leq)
+    assert _leading_cases(n) < n and algebra.compiled.row is bytes
+
+
+def max_min_tables(n, plus_is_max):
+    """+ and × as max and min of indices, or min and max."""
+    high = [[max(i, j) for j in range(n)] for i in range(n)]
+    low = [[min(i, j) for j in range(n)] for i in range(n)]
+    return (high, low) if plus_is_max else (low, high)
+
+
+def late_failure_table(n, law, where, v, x):
+    """(add, mul, zero, one, leq) whose first violation of ``law`` lies at
+    an outer index p > 0, in the last q of p (``x`` is then its r), in the
+    last r (``x`` is then its q) or in both; the edited cell avoids the
+    rows and columns of the identities."""
+    plus_is_max = law in ("monotony-add", "p + q ≼ r")
+    add, mul = max_min_tables(n, plus_is_max)
+    zero, one = (0, n - 1) if plus_is_max else (n - 1, 0)
+    row, col = {"last q": (n - 1, x), "last r": (x, n - 1),
+                "last q and r": (n - 1, n - 1)}[where]
+    if law.startswith("monotony"):
+        # 0 only below itself, a chain 1 ≼ … ≼ n-1: p ≼ q ⇒ p∘r ≼ q∘r fails
+        # first at (v + 1, n - 1, x), at (1, x, n - 1) or at (1, n - 1, n - 1)
+        leq = [[int(p == q or 1 <= p <= q) for q in range(n)]
+               for p in range(n)]
+        (add if law == "monotony-add" else mul)[row][col] = v
+    elif law == "p + q ≼ r":  # a chain: fails first at (v, n - 1, x)
+        leq = [[int(p <= q) for q in range(n)] for p in range(n)]
+        add[v][n - 1] = x
+    else:  # a reversed chain: fails first at p = v
+        leq = [[int(p >= q) for q in range(n)] for p in range(n)]
+        mul[row][col] = v
+    return add, mul, zero, one, leq
+
+
+LATE_FAILURES = [(law, where) for law in ("monotony-add", "monotony-mul",
+                                          "p ≼ q × r")
+                 for where in ("last q", "last r", "last q and r")] \
+    + [("p + q ≼ r", "last q")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(17, 24), case=st.sampled_from(LATE_FAILURES),
+       v=st.integers(2, 12), x=st.integers(1, 12))
+def test_order_verdicts_catch_a_late_failure(n, case, v, x):
+    # The p after the first are decided by one verdict each; a verdict
+    # that missed the last q or r of a failing p would report holds.
+    law, where = case
+    if where == "last r":
+        x = max(x, 2)  # a q above the first element of the chain
+    elif law.startswith("monotony"):
+        x = min(x, v)  # r ≤ v keeps every p ≤ v monotone
+    add, mul, zero, one, leq = late_failure_table(n, law, where, v, x)
+    algebra = algebra_of(add, mul, zero, one)
+    order = OrderRelation.from_matrix(algebra, leq)
+    if law.startswith("monotony"):
+        op = add if law == "monotony-add" else mul
+        report = check_monotony(algebra, order)[op is mul]
+        expected = monotony_oracle(op, leq)
+        assert_matches(report, expected)
+    else:
+        expected = bound_decomposition_oracle(add, mul, leq)
+        assert_matches(check_bound_decomposition(algebra, order), expected,
+                       "claim")
+        assert expected[2] == law
+    p, q, r = expected[0]
+    assert p > 0 and (q == n - 1 or where == "last r") \
+        and (r == n - 1 or where == "last q")
+
+
+@functools.lru_cache(maxsize=None)
+def rarely_failing_chain(n):
+    """A chain ordered by index with + = max and × = min, whose last row
+    of + is 1 in about n / 16 columns: the pairwise law then fails in
+    about one sample in 16·n, so a sampled draw meets it after hundreds
+    or thousands of samples."""
+    add, mul = max_min_tables(n, True)
+    for s in range(n - 1 - max(1, n // 16), n - 1):
+        add[n - 1][s] = 1
+    leq = [[int(p <= q) for q in range(n)] for p in range(n)]
+    algebra = algebra_of(add, mul, 0, n - 1)
+    return add, mul, leq, algebra, OrderRelation.from_matrix(algebra, leq)
+
+
+@pytest.mark.parametrize("n", [17, 31, 32, 33, 127, 128, 129, 255, 256, 257])
+@pytest.mark.parametrize("seed", [0, 1, 2, 1729])
+def test_bulk_draw_matches_randrange_at_bit_length_edges(n, seed):
+    # randrange(n) keeps n.bit_length() bits of a 32-bit output and
+    # draws again from n on, so the sizes around powers of two are where
+    # a bulk draw could shift; the byte path ends at 256.
+    add, mul, leq, algebra, order = rarely_failing_chain(n)
+    report = check_pairwise_monotony(algebra, order, seed=seed)
+    expected = sampled_pairwise_monotony_oracle(add, mul, leq, seed,
+                                                SAMPLED_TUPLES)
+    assert expected[0] is not None
+    assert_matches(report, expected, "claim",
+                   always={"mode": "sampled", "seed": seed,
+                           "samples": SAMPLED_TUPLES})
+
+
+@pytest.mark.parametrize("n, p0", [(17, 2), (17, 9), (24, 15)])
+def test_bound_verdict_checks_the_last_sum_against_p(n, p0):
+    # The chain 0 ≼ n-1 ≼ 1 ≼ 2 ≼ … ≼ n-2 with + its join and × its
+    # meet.  p0 + (n-1) is changed from p0 to n-1: up(n-1) still lies in
+    # up(q) for q = n-1 but not in up(p0), so only the inclusion of the
+    # last sum in up(p) shows the failure, at (p0, n-1, 1).
+    key = [0] + list(range(2, n)) + [1]  # the place of each index in the chain
+    add = [[max(i, j, key=key.__getitem__) for j in range(n)] for i in range(n)]
+    mul = [[min(i, j, key=key.__getitem__) for j in range(n)] for i in range(n)]
+    leq = [[int(key[p] <= key[q]) for q in range(n)] for p in range(n)]
+    add[p0][n - 1] = n - 1
+    algebra = algebra_of(add, mul, 0, n - 2)
+    expected = bound_decomposition_oracle(add, mul, leq)
+    assert expected[0] == (p0, n - 1, 1)
+    assert_matches(check_bound_decomposition(
+        algebra, OrderRelation.from_matrix(algebra, leq)), expected, "claim")
