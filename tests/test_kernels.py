@@ -6,7 +6,7 @@ verdict, first witness, checked count and details as a plain scan of each
 law's definition.  Tables of 257-300 elements take the tuple-row path of
 the compiled tables; they are broken near the start so that the oracles
 stay cheap, and maps between them and ℤ₃ mix byte rows with tuple rows.
-From 9 elements on, the n³ laws decide the outer indices after the
+From 7 elements on, the n³ laws decide the outer indices after the
 leading ones at once, so tables of 9-24 elements, chains that fail late
 inside one outer index and ℤm tables whose slabs take two bands check
 those paths; chains that fail after hundreds of samples check the bulk
@@ -550,18 +550,16 @@ def test_law_slabs_across_bands_match_definitions(m, row, col, on_add):
 
 
 @settings(max_examples=20, deadline=None)
-@given(cayley_tables(st.integers(9, 20)))
-def test_law_slabs_of_byte_rows_match_definitions(table):
-    # From 9 elements on, the outer indices after the leading ones are
+@given(st.data())
+def test_law_slabs_of_byte_rows_match_definitions(data):
+    # From 7 elements on, the outer indices after the leading ones are
     # decided one slab at a time (and one verdict per p for the order
     # laws), so the edits of these tables land inside slabs.
+    table = data.draw(cayley_tables(st.integers(9, 20)))
     algebra = assert_axioms_match(table)
-    rng = random.Random(len(table[0]))
-    n = len(table[0])
-    leq = [[int(p == q or rng.random() < 0.2) for q in range(n)]
-           for p in range(n)]
-    assert_order_laws_match(table, leq)
-    assert _leading_cases(n) < n and algebra.compiled.row is bytes
+    assert_order_laws_match(table, data.draw(relations(table[0])))
+    assert _leading_cases(len(table[0])) < len(table[0])
+    assert algebra.compiled.row is bytes
 
 
 def max_min_tables(n, plus_is_max):
