@@ -24,12 +24,13 @@ from typing import Iterable
 
 from .algebra import (MAX_DENSE_CARRIER, Algebra, AlgebraError, DomainError,
                       Element, SizeLimitError, TableAlgebra, TableLoadError,
-                      _check_identity_laws)
+                      UnsupportedOperationError, _check_identity_laws)
 from .morphisms import Morphism, check_morphism
 from .order import (OrderRelation, check_poset, _check_relation, _reflexivity,
                     _transitivity)
-from .properties import (PropertyReport, _commutativity, _names, _packed,
-                         _scan_rows, additively_cancellable_elements)
+from .properties import (PropertyReport, _associativity, _commutativity,
+                         _names, _packed, _scan_rows,
+                         additively_cancellable_elements)
 
 
 class CongruenceError(AlgebraError):
@@ -122,7 +123,9 @@ def subtrahend_ideal(algebra: Algebra,
     Starts from the additively cancellable elements that have opposites
     and shrinks to the largest subset that is still an ideal with
     opposites inside it (⊤ is kept throughout).  The result can be just
-    {⊤}, which is what every Boolean carrier yields.
+    {⊤}, which is what every Boolean carrier yields.  Shrinking finds that
+    subset only when + is commutative and associative, so without
+    ``members`` any other + is refused with the first violation.
     """
     indices = None if members is None else _member_indices(algebra, members)
     cancellable = {e.index for e in additively_cancellable_elements(algebra)}
@@ -131,6 +134,15 @@ def subtrahend_ideal(algebra: Algebra,
 
     top = algebra.top_index
     c = algebra.compiled
+    for law, report in (
+            ("commutative", _commutativity("add-commutativity",
+                                           algebra.name_of, c.add, c.add_t)),
+            ("associative", _associativity("add-associativity", algebra,
+                                           c.add))):
+        if not report.holds:
+            raise UnsupportedOperationError(
+                f"+ is not {law} at ({', '.join(report.witness)}); "
+                f"name the subtrahends")
     compose, is_top = c.compose, c.indicator((top,))
 
     def keeps(i: int, inside: bytes, member_row) -> bool:

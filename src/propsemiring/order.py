@@ -14,7 +14,7 @@ import random
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from operator import and_, eq, getitem, or_
 from typing import Callable, Iterator
 
@@ -22,8 +22,8 @@ from .algebra import (MAX_BYTE_CARRIER, MAX_DENSE_CARRIER, Algebra, Element,
                       DomainError, SizeLimitError, Subalgebra, TableAlgebra,
                       UnsupportedOperationError)
 from .properties import (PropertyReport, additively_cancellable_elements,
-                         _commutativity, _first_difference, _leading_cases,
-                         _names, _packed, _scan_rows)
+                         _Band, _commutativity, _first_difference, _names,
+                         _packed, _scan_rows)
 
 DEFAULT_SEED = 1729
 SAMPLED_TUPLES = 65536
@@ -154,24 +154,21 @@ def check_monotony(algebra: Algebra, order: OrderRelation) -> list[PropertyRepor
     """p ≼ q implies p + r ≼ q + r, and the same for ×; one report per law.
 
     The cases (p, q) run over r and name the witness.  On byte rows, a p
-    after the leading ones (``properties._leading_cases``) with more than
-    FEW_ABOVE elements above it is first decided by its translations: for
-    every r the images q ∘ r of the q in up(p) must lie in up(p ∘ r), two
-    ``bytes.translate`` calls per r.  Such a p that holds is one case of
-    |up(p)|·n tuples; one that fails runs its cases.
+    with more than FEW_ABOVE elements above it is first decided by its
+    translations: for every r the images q ∘ r of the q in up(p) must lie
+    in up(p ∘ r), two ``bytes.translate`` calls per r.  Such a p that
+    holds is one case of |up(p)|·n tuples; one that fails runs its cases.
     """
     _check_relation(order, algebra)
     c = algebra.compiled
     carrier = range(c.n)
     up = order.rows
     holds = b"\1" * c.n
-    lead = _leading_cases(c.n) if c.row is bytes else c.n
-    above = list(map(bytes.count, up, repeat(1))) if lead < c.n else ()
 
     def cases(rows, cols):
         tables = None  # up rows and columns as translate tables
         for p, upp in enumerate(up):
-            if p >= lead and above[p] > FEW_ABOVE:
+            if c.row is bytes and upp.count(1) > FEW_ABOVE:
                 if tables is None:
                     tables = [[r.ljust(MAX_BYTE_CARRIER, b"\0") for r in rs]
                               for rs in (up, cols)]
@@ -214,19 +211,18 @@ def check_bound_decomposition(algebra: Algebra,
                               order: OrderRelation) -> PropertyReport:
     """p + q ≼ r bounds both terms; p ≼ q × r bounds p by both factors.
 
-    The cases (p, q) run over r and name the witness.  Each p after the
-    leading ones (``properties._leading_cases``) is first decided on
-    packed up-sets: up(p + q) ⊆ up(p) ∩ up(q) for every q, and no x
-    outside up(p) has a product x × r or r × x inside it (the values of
-    row and column x of ×, packed once per call when first needed).  A p
-    that holds is one case of n² tuples; one that fails runs its cases.
+    The cases (p, q) run over r and name the witness.  Each p is first
+    decided on packed up-sets: up(p + q) ⊆ up(p) ∩ up(q) for every q,
+    and no x outside up(p) has a product x × r or r × x inside it (the
+    values of row and column x of ×, packed once per call when first
+    needed).  A p that holds is one case of n² tuples; one that fails
+    runs its cases.
     """
     _check_relation(order, algebra)
     c = algebra.compiled
     carrier = range(c.n)
     up, packed = order.rows, order.up_packed
     of_sum, of_product = {"claim": "p + q ≼ r"}, {"claim": "p ≼ q × r"}
-    lead = _leading_cases(c.n)
     factors = []  # per x, the values of row and column x of ×, packed
 
     def bounds_hold(ap, upp, pp):
@@ -240,7 +236,7 @@ def check_bound_decomposition(algebra: Algebra,
 
     def cases():
         for p, (ap, upp, pp) in enumerate(zip(c.add, up, packed)):
-            if p >= lead and bounds_hold(ap, upp, pp):
+            if bounds_hold(ap, upp, pp):
                 yield (p,), range(c.n * c.n), ()
                 continue
             for q, (mq, pq) in enumerate(zip(c.mul, packed)):
@@ -258,7 +254,10 @@ def check_pairwise_monotony(algebra: Algebra, order: OrderRelation,
                             seed: int = DEFAULT_SEED) -> PropertyReport:
     """p ≼ q and r ≼ s imply p + r ≼ q + s and p × r ≼ q × s.
 
-    Scans all 4-tuples up to carrier 16; larger carriers are sampled
+    Scans all 4-tuples up to carrier 16, one case per pair (p, q) over
+    the n² positions (r, s): where p ≼ q, the slab r ↦ (s ↦ p∘r ≼ q∘s)
+    must hold wherever r ≼ s.  Its rows s ↦ x ≼ q∘s are built once per q
+    and joined along row p of the operation.  Larger carriers are sampled
     with the given seed and the report says so.
     """
     _check_relation(order, algebra)
@@ -266,22 +265,29 @@ def check_pairwise_monotony(algebra: Algebra, order: OrderRelation,
     c = algebra.compiled
     up = order.rows
     if n <= EXHAUSTIVE_4TUPLE_CARRIER:
-        packed = order.up_packed
+        compose, slab = c.compose, c.slab
+        positions = _Band(0, n, n)
+        ordered = _packed(slab(up))  # position (r, s) is 1 iff r ≼ s
         of_sum = {"mode": "exhaustive", "claim": "p + r ≼ q + s"}
         of_product = {"mode": "exhaustive", "claim": "p × r ≼ q × s"}
+        below = {}  # per q, the rows s ↦ x ≼ q + s and s ↦ x ≼ q × s per x
 
         def cases():
             for p, (ap, mp, upp) in enumerate(zip(c.add, c.mul, up)):
                 for q, (aq, mq) in enumerate(zip(c.add, c.mul)):
-                    for r, pr in enumerate(packed):
-                        if not upp[q]:
-                            yield (p, q, r), range(n), ()
-                            continue
-                        # bit s is set iff r ≼ s, resp. p∘r ≼ q∘s
-                        sums = _packed(c.compose(up[ap[r]], aq))
-                        products = _packed(c.compose(up[mp[r]], mq))
-                        yield (p, q, r), range(n), (
-                            (pr, pr & sums, of_sum), (pr, pr & products, of_product))
+                    if not upp[q]:
+                        yield (p, q), positions, ()
+                        continue
+                    if q not in below:
+                        below[q] = ([compose(x, aq) for x in up],
+                                    [compose(x, mq) for x in up])
+                    sums, products = below[q]
+                    # position (r, s) is 1 iff p∘r ≼ q∘s
+                    sum_slab = _packed(slab(map(sums.__getitem__, ap)))
+                    product_slab = _packed(slab(map(products.__getitem__, mp)))
+                    yield (p, q), positions, (
+                        (ordered, ordered & sum_slab, of_sum),
+                        (ordered, ordered & product_slab, of_product))
 
         report = _scan_rows("pairwise-monotony", algebra.name_of, cases())
         report.details = report.details or {"mode": "exhaustive"}

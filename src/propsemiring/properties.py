@@ -11,16 +11,17 @@ compiled rows through :func:`_scan_rows`, which compares whole rows over
 the last index of the tuple and derives the witness and ``checked`` from
 the position of the first violation.
 
-A law of n³ tuples decides each outer index at once, after the leading
-ones that run case by case (:func:`_leading_cases`).  Associativity and
-distributivity compare one slab per index: all its n² positions (j, k)
-in scan order, in a few C calls, in bands of at most 2¹⁶ positions
-above 256 elements (:func:`_bands`), so the first differing position
-still names the witness.  Monotony and bound decomposition (``order``)
-and translation invariance (``differences``) decide an index by set
-inclusions on packed or byte rows instead; an index that holds is one
-case with no sides, and the first that fails runs its cases (p, q),
-which name the witness.
+A law of n³ tuples decides each outer index at once, on every carrier.
+Associativity and distributivity compare one slab per index: all its n²
+positions (j, k) in scan order, in a few C calls, in bands of at most
+2¹⁶ positions above 256 elements (:func:`_bands`), so the first
+differing position still names the witness.  Monotony and bound
+decomposition (``order``) and translation invariance (``differences``)
+decide an index by set inclusions on packed or byte rows instead; an
+index that holds is one case with no sides, and the first that fails
+runs its cases (p, q), which name the witness.  Exhaustive pairwise
+monotony (``order``) compares one slab per pair (p, q) over its n²
+positions (r, s).
 """
 
 from __future__ import annotations
@@ -183,16 +184,6 @@ def _commutativity(name: str, name_of: Callable, rows, cols) -> PropertyReport:
                        for i, row in enumerate(rows)))
 
 
-@lru_cache(maxsize=64)
-def _leading_cases(n: int) -> int:
-    """How many outer indices of a law of n³ tuples run one case per
-    middle index before the others are decided at once: the first, so
-    that a table that fails there costs what it reaches, and more until
-    their cases cover MIN_BAND_POSITIONS positions, since deciding an
-    index at once costs more fixed work than a case."""
-    return max(1, -(-MIN_BAND_POSITIONS // (n * n)))
-
-
 def _slabs(c, rows) -> list:
     """(rows, positions, composer) per band of a slab over positions
     (j, k): one band up to 256 elements, bands of BAND_POSITIONS above;
@@ -203,21 +194,15 @@ def _slabs(c, rows) -> list:
 
 
 def _associativity(name: str, algebra: Algebra, rows) -> PropertyReport:
-    """(i∘j)∘k = i∘(j∘k).  The leading indices i run one case per j
-    (:func:`_leading_cases`); every later i is one slab per band,
-    position (j, k) holding row i∘j of the table on one side and ri
-    composed with row j on the other."""
+    """(i∘j)∘k = i∘(j∘k).  Each i is one slab per band, position (j, k)
+    holding row i∘j of the table on one side and ri composed with row j
+    on the other."""
     c = algebra.compiled
-    compose, slab, carrier = c.compose, c.slab, range(c.n)
-    lead = _leading_cases(c.n)
+    slab = c.slab
 
     def cases():
-        for i, ri in enumerate(rows[:lead]):
-            for j in carrier:
-                yield (i, j), carrier, ((rows[ri[j]], compose(ri, rows[j]), None),)
-        slabs = _slabs(c, rows) if lead < c.n else ()
-        for i in range(lead, c.n):
-            ri = rows[i]
+        slabs = _slabs(c, rows)
+        for i, ri in enumerate(rows):
             for band, positions, composed in slabs:
                 yield (i,), positions, ((slab(map(rows.__getitem__, ri[band])),
                                          composed(ri), None),)
@@ -242,28 +227,19 @@ def _two_sided(name: str, algebra: Algebra, op: Callable[[int, int], int],
 def _distributivity(algebra: Algebra) -> PropertyReport:
     """i × (j + k) = i×j + i×k (left) and (j + k) × i = j×i + k×i (right).
 
-    The leading indices i run one case per j (:func:`_leading_cases`).
-    Every later i is one slab per band of positions (j, k): the sums
-    j + k composed into row i (column i on the right) against the rows
+    Each i is one slab per band of positions (j, k): the sums j + k
+    composed into row i (column i on the right) against the rows
     k ↦ v + i×k (v + k×i), each built once per value v = i×j (j×i) when
     a band first needs it.  Where column i equals row i, both laws share
     the slabs.
     """
     c = algebra.compiled
     add, compose, slab = c.add, c.compose, c.slab
-    carrier = range(c.n)
-    lead = _leading_cases(c.n)
     left, right = {"side": "left"}, {"side": "right"}
 
     def cases():
-        for i, (mi, ci) in enumerate(zip(c.mul[:lead], c.mul_t[:lead])):
-            for j, aj in enumerate(add):
-                yield (i, j), carrier, (
-                    (compose(mi, aj), compose(add[mi[j]], mi), left),
-                    (compose(ci, aj), compose(add[ci[j]], ci), right))
-        slabs = _slabs(c, add) if lead < c.n else ()
-        for i in range(lead, c.n):
-            mi, ci = c.mul[i], c.mul_t[i]
+        slabs = _slabs(c, add)
+        for i, (mi, ci) in enumerate(zip(c.mul, c.mul_t)):
             rows = [(mi, {})] if mi == ci else [(mi, {}), (ci, {})]
             for band, positions, of_sums in slabs:
                 sides = []

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 
 import propsemiring.differences as differences
 from propsemiring.algebra import (DomainError, SizeLimitError, TableLoadError,
-                                  table_semiring)
+                                  UnsupportedOperationError, table_semiring)
 from propsemiring.differences import (CongruenceError, SubtrahendIdeal,
                                       difference_cancellation_criterion,
                                       difference_semiring, extended_order,
@@ -85,6 +87,24 @@ class TestSubtrahendIdeals:
     def test_z4_keeps_everything(self, z4):
         # every element of a group is cancellable and has an opposite
         assert subtrahend_ideal(z4).size == 4
+
+    @pytest.mark.parametrize("top_squared", [0, 2])
+    def test_a_non_associative_sum_is_refused(self, top_squared):
+        # {0, 2} is an ideal with opposites, but (1 + 1) + 2 ≠ 1 + (1 + 2),
+        # so shrinking from the cancellable elements loses it: it ends at
+        # {0}, or with 0 × 0 = 2 at a set that is no ideal
+        names = ["0", "1", "2", "3"]
+        add = [[0, 1, 2, 3], [1, 0, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
+        mul = [[top_squared, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2],
+               [0, 3, 2, 1]]
+        algebra = table_semiring({
+            "name": "nonassoc", "elements": names, "zero": "0", "one": "1",
+            "add": [[names[v] for v in row] for row in add],
+            "mul": [[names[v] for v in row] for row in mul]})
+        with pytest.raises(UnsupportedOperationError,
+                           match=re.escape("+ is not associative at (1, 1, 2)")):
+            subtrahend_ideal(algebra)
+        assert subtrahend_ideal(algebra, ["0", "2"]).element_names() == ["0", "2"]
 
 
 class TestDifferenceSemiring:

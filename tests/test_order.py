@@ -1,7 +1,7 @@
 import pytest
 
-from propsemiring.algebra import (DomainError, SizeLimitError, Subalgebra,
-                                  UnsupportedOperationError,
+from propsemiring.algebra import (CompiledTables, DomainError, SizeLimitError,
+                                  Subalgebra, UnsupportedOperationError,
                                   free_boolean_algebra, subalgebra_closure)
 from propsemiring.order import (DEFAULT_SEED, SAMPLED_TUPLES, OrderRelation,
                                 canonical_order, check_bound_decomposition,
@@ -139,6 +139,22 @@ class TestMonotonyAndBounds:
         assert report.details == {"mode": "exhaustive"}
         report = check_pairwise_monotony(ba2, canonical_order(ba2))
         assert report.holds and report.checked == 16 ** 4
+
+    def test_exhaustive_pairwise_composes_rows_once_per_q(self, ba2,
+                                                          monkeypatch):
+        # per q, one + and one × row s ↦ x ≼ q∘s for every x: 2n² rows,
+        # however many pairs (p, q) and positions (r, s) read them
+        order = canonical_order(ba2)
+        compose, calls = CompiledTables.compose, []
+
+        def counted(outer, inner):
+            calls.append(len(inner))
+            return compose(outer, inner)
+
+        monkeypatch.setattr(CompiledTables, "compose", staticmethod(counted))
+        report = check_pairwise_monotony(ba2, order)
+        assert report.holds and report.checked == 16 ** 4
+        assert len(calls) <= 2 * 16 ** 2
 
     def test_pairwise_monotony_samples_large_carriers(self):
         algebra = free_boolean_algebra(3)
