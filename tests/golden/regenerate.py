@@ -59,6 +59,15 @@ def _zmod_product(m: int, k: int) -> dict:
             "zero": "0.0", "one": "1.1"}
 
 
+def _ordered_table(name: str, n: int, add) -> dict:
+    """Indices 0 … n-1 with the given + and min as ×: ⊤ is 0, ⊥ is n-1."""
+    names = [str(i) for i in range(n)]
+    return {"name": name, "elements": names,
+            "add": [[names[add(i, j)] for j in range(n)] for i in range(n)],
+            "mul": [[names[min(i, j)] for j in range(n)] for i in range(n)],
+            "zero": "0", "one": names[n - 1]}
+
+
 def _edited(base: dict, name: str, *edits) -> dict:
     doc = json.loads(json.dumps(base))
     doc["name"] = name
@@ -102,6 +111,18 @@ def _inputs() -> dict[str, object]:
     # breaks it at p = 1, past the pairs of p = 0.
     files["z6-one-four.json"] = [[int(p == q or (p, q) == (1, 4))
                                   for q in range(6)] for p in range(6)]
+    # Above 16 elements.  Saturating + under p ≼ p + 1: monotone in each
+    # argument, but the relation is not transitive and the pairwise law
+    # fails at (0, 1, 0, 1).  The right-zero + (p + r = r unless r = 0)
+    # under the preorder of the levels ⌊p/2⌋: monotone in its first
+    # argument only, since q + 0 = q and q + 1 = 1 need q ≼ 1.
+    files["sat17.json"] = _ordered_table("sat17", 17,
+                                         lambda i, j: min(i + j, 16))
+    files["succ-sat17.json"] = [[int(q - p in (0, 1)) for q in range(17)]
+                                for p in range(17)]
+    files["rz18.json"] = _ordered_table("rz18", 18, lambda i, j: j or i)
+    files["levels-rz18.json"] = [[int(p // 2 <= q // 2) for q in range(18)]
+                                 for p in range(18)]
     # The quotient of this table breaks the multiplicative identity law.
     files["diff-broken-identity.json"] = {
         "name": "pair", "elements": ["0", "1"],
@@ -294,6 +315,13 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
     cases.append(("hom-iso-embedding-free3-free1",
                   ["hom", "iso-theorem", "--src", "free:3", "--dst", "free:1",
                    "--kind", "bpa", "--mode", "embedding"], None))
+    cases += [
+        ("order-nontransitive-sat17", ["order", "--table", "sat17.json",
+                                       "--order-matrix", "succ-sat17.json"],
+         None),
+        ("order-preorder-rz18", ["order", "--table", "rz18.json",
+                                 "--order-matrix", "levels-rz18.json"], None),
+    ]
     return cases
 
 
