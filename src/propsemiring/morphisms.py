@@ -52,6 +52,9 @@ class Morphism:
         mapping = [-1] * source.size
         seen = set()
         for src_name, dst_name in name_map.items():
+            if not isinstance(dst_name, str):
+                raise DomainError(f"the image of {src_name!r} must be an "
+                                  f"element name, got {dst_name!r}")
             i = source.index_of(src_name)
             if i in seen:
                 raise DomainError(f"{src_name!r} is mapped twice")

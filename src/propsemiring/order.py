@@ -6,31 +6,29 @@ reads backwards from pointwise truth: p ≼ q exactly when q implies p,
 so ⊤ is the minimum and ⊥ the maximum.  Algebras whose addition is not
 idempotent and commutative have no canonical order; an explicit matrix
 must be supplied instead.
+
+Every check is exact.  Pairwise monotony covers all n⁴ tuples on every
+carrier: by monotony in each argument where the order is transitive,
+else by a scan of the 4-tuples that names the first witness.
 """
 
 from __future__ import annotations
 
-import random
-import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from itertools import chain, compress, islice
+from functools import cached_property, reduce
+from itertools import compress
 from operator import and_, eq, getitem, or_
-from typing import Callable, Iterator
+from typing import Callable
 
 from .algebra import (MAX_BYTE_CARRIER, MAX_DENSE_CARRIER, Algebra, Element,
                       DomainError, SizeLimitError, Subalgebra, TableAlgebra,
                       UnsupportedOperationError)
 from .properties import (PropertyReport, additively_cancellable_elements,
-                         _Band, _commutativity, _first_difference, _names,
-                         _packed, _scan_rows)
+                         _Band, _commutativity, _first_difference, _packed,
+                         _scan_rows)
 
-DEFAULT_SEED = 1729
-SAMPLED_TUPLES = 65536
-EXHAUSTIVE_4TUPLE_CARRIER = 16
 # above this many elements in up(p), monotony decides p by its translations
 FEW_ABOVE = 2
-DRAW_WORDS = 4096  # Mersenne Twister outputs the sampled draw takes at once
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # complements a 0/1 row
 
 @dataclass(frozen=True)
@@ -70,6 +68,9 @@ class OrderRelation:
         if len(matrix) != n:
             raise DomainError(f"order matrix must have {n} rows, got {len(matrix)}")
         for r, row in enumerate(matrix):
+            if not isinstance(row, (list, tuple)):
+                raise DomainError(f"order matrix row {r} must be a list, "
+                                  f"got {row!r}")
             if len(row) != n:
                 raise DomainError(f"order matrix row {r} must have {n} entries")
             for q, cell in enumerate(row):
@@ -150,8 +151,9 @@ def check_poset(order: OrderRelation) -> list[PropertyReport]:
     return [reflexive, antisymmetric, transitive]
 
 
-def check_monotony(algebra: Algebra, order: OrderRelation) -> list[PropertyReport]:
-    """p ≼ q implies p + r ≼ q + r, and the same for ×; one report per law.
+def _monotony(name: str, algebra: Algebra, up, rows, cols) -> PropertyReport:
+    """p ≼ q implies rows[p][r] ≼ rows[q][r] for every r; ``cols`` is the
+    transpose of ``rows``.
 
     The cases (p, q) run over r and name the witness.  On byte rows, a p
     with more than FEW_ABOVE elements above it is first decided by its
@@ -159,13 +161,11 @@ def check_monotony(algebra: Algebra, order: OrderRelation) -> list[PropertyRepor
     in up(p ∘ r), two ``bytes.translate`` calls per r.  Such a p that
     holds is one case of |up(p)|·n tuples; one that fails runs its cases.
     """
-    _check_relation(order, algebra)
     c = algebra.compiled
     carrier = range(c.n)
-    up = order.rows
     holds = b"\1" * c.n
 
-    def cases(rows, cols):
+    def cases():
         tables = None  # up rows and columns as translate tables
         for p, upp in enumerate(up):
             if c.row is bytes and upp.count(1) > FEW_ABOVE:
@@ -186,8 +186,16 @@ def check_monotony(algebra: Algebra, order: OrderRelation) -> list[PropertyRepor
                 yield (p, q), carrier, (
                     (bytes(map(getitem, up_of_row, rows[q])), holds, None),)
 
-    return [_scan_rows("monotony-add", algebra.name_of, cases(c.add, c.add_t)),
-            _scan_rows("monotony-mul", algebra.name_of, cases(c.mul, c.mul_t))]
+    return _scan_rows(name, algebra.name_of, cases())
+
+
+def check_monotony(algebra: Algebra, order: OrderRelation) -> list[PropertyReport]:
+    """p ≼ q implies p + r ≼ q + r, and the same for ×; one report per law
+    (see :func:`_monotony`)."""
+    _check_relation(order, algebra)
+    c = algebra.compiled
+    return [_monotony("monotony-add", algebra, order.rows, c.add, c.add_t),
+            _monotony("monotony-mul", algebra, order.rows, c.mul, c.mul_t)]
 
 
 def check_operation_bounds(algebra: Algebra, order: OrderRelation) -> PropertyReport:
@@ -250,100 +258,59 @@ def check_bound_decomposition(algebra: Algebra,
     return _scan_rows("bound-decomposition", algebra.name_of, cases())
 
 
-def check_pairwise_monotony(algebra: Algebra, order: OrderRelation,
-                            seed: int = DEFAULT_SEED) -> PropertyReport:
+def check_pairwise_monotony(algebra: Algebra,
+                            order: OrderRelation) -> PropertyReport:
     """p ≼ q and r ≼ s imply p + r ≼ q + s and p × r ≼ q × s.
 
-    Scans all 4-tuples up to carrier 16, one case per pair (p, q) over
-    the n² positions (r, s): where p ≼ q, the slab r ↦ (s ↦ p∘r ≼ q∘s)
-    must hold wherever r ≼ s.  Its rows s ↦ x ≼ q∘s are built once per q
-    and joined along row p of the operation.  Larger carriers are sampled
-    with the given seed and the report says so.
+    Exact over all n⁴ tuples on every carrier.  Where ≼ is transitive,
+    the law follows from monotony in each argument: p∘r ≼ q∘r ≼ q∘s.  So
+    when transitivity holds, and monotony holds in the first argument of
+    + and × and in the second (a table equal to its transpose has one
+    law for both), the law holds and no tuple is scanned.  Otherwise the
+    scan runs one case per pair (p, q) over the n² positions (r, s): where
+    p ≼ q, the slab r ↦ (s ↦ p∘r ≼ q∘s) must hold wherever r ≼ s.  Its
+    rows s ↦ x ≼ q∘s are built once per q and joined along row p of the
+    operation, and the first failing case names the witness.
     """
     _check_relation(order, algebra)
-    n = algebra.size
     c = algebra.compiled
-    up = order.rows
-    if n <= EXHAUSTIVE_4TUPLE_CARRIER:
-        compose, slab = c.compose, c.slab
-        positions = _Band(0, n, n)
-        ordered = _packed(slab(up))  # position (r, s) is 1 iff r ≼ s
-        of_sum = {"mode": "exhaustive", "claim": "p + r ≼ q + s"}
-        of_product = {"mode": "exhaustive", "claim": "p × r ≼ q × s"}
-        below = {}  # per q, the rows s ↦ x ≼ q + s and s ↦ x ≼ q × s per x
+    n, up = c.n, order.rows
+    exhaustive = {"mode": "exhaustive"}
+    laws = [(c.add, c.add_t), (c.mul, c.mul_t)]
+    laws += [(cols, rows) for rows, cols in laws if rows != cols]
+    if (_transitivity("transitivity", algebra.name_of, up,
+                      order.up_packed).holds
+            and all(_monotony("monotony", algebra, up, rows, cols).holds
+                    for rows, cols in laws)):
+        return PropertyReport("pairwise-monotony", True, None, n ** 4,
+                              details=exhaustive)
+    compose, join = c.compose, b"".join  # 0/1 rows are bytes on any carrier
+    positions = _Band(0, n, n)
+    ordered = _packed(join(up))  # position (r, s) is 1 iff r ≼ s
+    of_sum = dict(exhaustive, claim="p + r ≼ q + s")
+    of_product = dict(exhaustive, claim="p × r ≼ q × s")
+    below = {}  # per q, the rows s ↦ x ≼ q + s and s ↦ x ≼ q × s per x
 
-        def cases():
-            for p, (ap, mp, upp) in enumerate(zip(c.add, c.mul, up)):
-                for q, (aq, mq) in enumerate(zip(c.add, c.mul)):
-                    if not upp[q]:
-                        yield (p, q), positions, ()
-                        continue
-                    if q not in below:
-                        below[q] = ([compose(x, aq) for x in up],
-                                    [compose(x, mq) for x in up])
-                    sums, products = below[q]
-                    # position (r, s) is 1 iff p∘r ≼ q∘s
-                    sum_slab = _packed(slab(map(sums.__getitem__, ap)))
-                    product_slab = _packed(slab(map(products.__getitem__, mp)))
-                    yield (p, q), positions, (
-                        (ordered, ordered & sum_slab, of_sum),
-                        (ordered, ordered & product_slab, of_product))
+    def cases():
+        for p, (ap, mp, upp) in enumerate(zip(c.add, c.mul, up)):
+            for q, (aq, mq) in enumerate(zip(c.add, c.mul)):
+                if not upp[q]:
+                    yield (p, q), positions, ()
+                    continue
+                if q not in below:
+                    below[q] = ([compose(x, aq) for x in up],
+                                [compose(x, mq) for x in up])
+                sums, products = below[q]
+                # position (r, s) is 1 iff p∘r ≼ q∘s
+                sum_slab = _packed(join(map(sums.__getitem__, ap)))
+                product_slab = _packed(join(map(products.__getitem__, mp)))
+                yield (p, q), positions, (
+                    (ordered, ordered & sum_slab, of_sum),
+                    (ordered, ordered & product_slab, of_product))
 
-        report = _scan_rows("pairwise-monotony", algebra.name_of, cases())
-        report.details = report.details or {"mode": "exhaustive"}
-        return report
-    draws = _draws(random.Random(seed), n)
-    details = {"mode": "sampled", "seed": seed, "samples": SAMPLED_TUPLES}
-    claims = (("p + r ≼ q + s", c.add), ("p × r ≼ q × s", c.mul))
-    for k, (p, q, r, s) in enumerate(islice(zip(draws, draws, draws, draws),
-                                            SAMPLED_TUPLES)):
-        if up[p][q] and up[r][s]:
-            for claim, table in claims:
-                if not up[table[p][r]][table[q][s]]:
-                    details["claim"] = claim
-                    return PropertyReport("pairwise-monotony", False,
-                                          _names(algebra, p, q, r, s), k + 1,
-                                          details=details)
-    return PropertyReport("pairwise-monotony", True, None, SAMPLED_TUPLES,
-                          details=details)
-
-
-def _draws(rng: random.Random, n: int) -> Iterator[int]:
-    """The values of successive ``rng.randrange(n)`` calls, drawn in bulk.
-
-    randrange(n) reads the next 32-bit Mersenne Twister output w as
-    w >> (32 - k), k = n.bit_length(), and draws again while that is n or
-    more.  ``getrandbits(32·m)`` returns the next m outputs, the first in
-    the lowest bits, so m outputs at a time are shifted and masked as one
-    int; below 257 elements the accepted values are then picked from its
-    bytes, else from its 32-bit lanes.  m doubles from 16 to DRAW_WORDS,
-    so that a draw that fails early stays small.
-    """
-    k = n.bit_length()
-    below = (b"\1" * n).ljust(MAX_BYTE_CARRIER, b"\0")  # byte v: v < n
-
-    def accepted(words):
-        values = ((rng.getrandbits(32 * words) >> 32 - k) & _lanes(k, words)
-                  ).to_bytes(4 * words, "little")
-        if n > MAX_BYTE_CARRIER:
-            return filter(n.__gt__, struct.unpack(f"<{words}I", values))
-        low = values[0::4]  # accepted: below n for k ≤ 8, bit 8 clear for 256
-        return compress(low, low.translate(below) if k <= 8
-                        else values[1::4].translate(_FLIP))
-
-    def sizes():
-        words = 16
-        while True:
-            yield words
-            words = min(2 * words, DRAW_WORDS)
-
-    return chain.from_iterable(map(accepted, sizes()))
-
-
-@lru_cache(maxsize=32)
-def _lanes(k: int, words: int) -> int:
-    """The low k bits of each of ``words`` 32-bit lanes."""
-    return ((1 << k) - 1) * int.from_bytes(b"\1\0\0\0" * words, "little")
+    report = _scan_rows("pairwise-monotony", algebra.name_of, cases())
+    report.details = report.details or exhaustive
+    return report
 
 
 def cones(algebra: Algebra,

@@ -19,8 +19,9 @@ differing position still names the witness.  Monotony and bound
 decomposition (``order``) and translation invariance (``differences``)
 decide an index by set inclusions on packed or byte rows instead; an
 index that holds is one case with no sides, and the first that fails
-runs its cases (p, q), which name the witness.  Exhaustive pairwise
-monotony (``order``) compares one slab per pair (p, q) over its n²
+runs its cases (p, q), which name the witness.  Pairwise monotony
+(``order``) reduces to monotony in each argument where the order is
+transitive, and otherwise compares one slab per pair (p, q) over its n²
 positions (r, s).
 """
 

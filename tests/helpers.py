@@ -261,14 +261,6 @@ def pairwise_monotony_oracle(add, mul, leq):
                            pairwise_monotony_violation(add, mul, leq))
 
 
-def sampled_pairwise_monotony_oracle(add, mul, leq, seed, samples):
-    """The pairwise law on ``samples`` draws of (p, q, r, s), each drawn
-    as four successive ``randrange(n)`` calls of one seeded generator."""
-    rng, n = random.Random(seed), len(add)
-    draws = (tuple(rng.randrange(n) for _ in range(4)) for _ in range(samples))
-    return first_violation(draws, pairwise_monotony_violation(add, mul, leq))
-
-
 def canonical_order_oracle(add, names):
     """The matrix p ≼ q iff p + q = q, or the error message for + that is
     not idempotent or not commutative."""

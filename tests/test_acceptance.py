@@ -93,7 +93,7 @@ def test_criterion_02_classification_ledger(capsys):
 
 def test_criterion_03_canonical_order_laws(capsys):
     def body():
-        for n in range(3):
+        for n in range(4):
             algebra = free_boolean_algebra(n)
             order = canonical_order(algebra)
             reports = (check_poset(order)
@@ -104,13 +104,12 @@ def test_criterion_03_canonical_order_laws(capsys):
             reports.append(pairwise)
             for report in reports:
                 assert report.holds, (n, report.property, report.witness)
-            assert pairwise.details["mode"] == "exhaustive"
-            if n == 2:
-                assert pairwise.checked == 65536
+            assert pairwise.details == {"mode": "exhaustive"}
+            assert pairwise.checked == algebra.size ** 4
 
     criterion(capsys, "ACCEPT-03",
               "canonical order satisfies poset, monotony, bound and pairwise "
-              "laws exhaustively up to n=2", body, limit=30.0)
+              "laws exhaustively up to n=3", body, limit=30.0)
 
 
 def test_criterion_04_cones(capsys):

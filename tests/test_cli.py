@@ -152,6 +152,24 @@ class TestOrderCommand:
             "refuted-with-witness"
         assert claims["negative-cone-empty"]["verdict"] == "confirmed"
 
+    @pytest.mark.parametrize("row", [1, None, "0110"])
+    def test_matrix_row_that_is_no_list(self, capsys, tmp_path, row):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps([[1, 0, 0, 0], row, [0, 0, 1, 0],
+                                    [0, 0, 0, 1]]), encoding="utf-8")
+        code, out, err = run(capsys, "order", "--free-atoms", "1",
+                             "--order-matrix", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: order matrix row 1 must be a list")
+
+    def test_matrix_of_bare_numbers(self, capsys, tmp_path):
+        path = tmp_path / "rows.json"
+        path.write_text("[1, 2, 3, 4]", encoding="utf-8")
+        code, _, err = run(capsys, "order", "--free-atoms", "1",
+                           "--order-matrix", str(path))
+        assert code == 2
+        assert err == "error: order matrix row 0 must be a list, got 1\n"
+
     def test_order_embedded_in_table(self, capsys, tmp_path):
         spec = zmod_spec(2)
         spec["order"] = [[1, 0], [0, 1]]
@@ -205,6 +223,25 @@ class TestHomCheck:
                               {"⊥": "⊥", "⊤": "⊤"})
         code, _, err = run(capsys, "hom", "check", "--map", path)
         assert code == 2 and "does not cover" in err
+
+    @pytest.mark.parametrize("key", ["source", "target"])
+    @pytest.mark.parametrize("value", [5, None, ["free:1"]])
+    def test_carrier_that_is_no_string(self, capsys, tmp_path, key, value):
+        carriers = {"source": "free:1", "target": "free:0", key: value}
+        path = write_morphism(tmp_path, "f.json", carriers["source"],
+                              carriers["target"], EVAL_TOP)
+        code, out, err = run(capsys, "hom", "check", "--map", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: '{key}' must be a string")
+
+    @pytest.mark.parametrize("image", [7, ["⊤"], None])
+    def test_image_that_is_no_name(self, capsys, tmp_path, image):
+        path = write_morphism(tmp_path, "f.json", "free:1", "free:0",
+                              dict(EVAL_TOP, a=image))
+        code, out, err = run(capsys, "hom", "check", "--map", path)
+        assert code == 2 and out == ""
+        assert err == (f"error: the image of 'a' must be an element name, "
+                       f"got {image!r}\n")
 
     def test_table_paths_resolve_relative_to_the_morphism_file(
             self, capsys, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@
 A refactor of the law kernels must leave all of them unchanged.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -50,3 +51,35 @@ def test_corpus_replays_byte_for_byte(workdir, monkeypatch):
         if got != want:
             mismatches.append(case["id"])
     assert not mismatches, mismatches
+
+
+def _without_pairwise(doc: dict) -> str:
+    """The document minus its pairwise-monotony check and claim, as
+    sorted JSON."""
+    doc = dict(doc, checks=[c for c in doc["checks"]
+                            if c["property"] != "pairwise-monotony"],
+               claims=[c for c in doc["claims"]
+                       if c["id"] != "pairwise-monotony"])
+    return json.dumps(doc, sort_keys=True, ensure_ascii=False)
+
+
+def test_exact_pairwise_changed_only_the_pairwise_report():
+    # These order documents once reported pairwise monotony from a
+    # sampled draw (every carrier above 16 elements) and were regenerated
+    # when the law became exact.  pairwise_regenerated.json holds, per
+    # case, the SHA-256 of the sampled document without that check and
+    # claim; the exact document without them must hash the same.
+    with open(os.path.join(GOLDEN, "pairwise_regenerated.json"),
+              encoding="utf-8") as handle:
+        digests = json.load(handle)
+    assert len(digests) == 67
+    for case_id, digest in digests.items():
+        with open(os.path.join(GOLDEN, "expected", case_id + ".out"),
+                  encoding="utf-8") as handle:
+            doc = json.load(handle)
+        rest = _without_pairwise(doc).encode("utf-8")
+        assert hashlib.sha256(rest).hexdigest() == digest, case_id
+        pairwise, = (c for c in doc["checks"]
+                     if c["property"] == "pairwise-monotony")
+        assert pairwise["mode"] == "exhaustive", case_id
+        assert "samples" not in pairwise and "seed" not in pairwise, case_id

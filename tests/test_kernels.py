@@ -9,12 +9,13 @@ stay cheap, and maps between them and ℤ₃ mix byte rows with tuple rows.
 The n³ laws decide every outer index at once on every carrier, so all of
 these tables reach the slabs and per-index verdicts; tables of 9-24
 elements, chains that fail late inside one outer index and ℤm tables
-whose slabs take two bands check them further.  Chains that fail after
-hundreds of samples check the bulk draw of the sampled pairwise law
-around powers of two.
+whose slabs take two bands check them further.  Pairwise monotony is
+exact on every carrier: tables of 17-24 elements under random relations,
+chains and discrete orders, non-commutative tables monotone in one
+argument only, and tables of 257-300 elements check both of its ways, the
+reduction to monotony in each argument and the slab scan.
 """
 
-import functools
 import random
 import re
 
@@ -31,7 +32,7 @@ from propsemiring.differences import (CongruenceError, SubtrahendIdeal,
                                       subtrahend_ideal)
 from propsemiring.morphisms import (Morphism, check_morphism, enumerate_homs,
                                     order_relation_of_map)
-from propsemiring.order import (SAMPLED_TUPLES, OrderRelation, canonical_order,
+from propsemiring.order import (OrderRelation, canonical_order,
                                 check_bound_decomposition, check_monotony,
                                 check_operation_bounds, check_pairwise_monotony,
                                 check_poset, cones)
@@ -51,8 +52,8 @@ from helpers import (antisymmetry_oracle, associativity_oracle,
                      mult_left_cancellative_oracle,
                      operation_bounds_oracle, order_map_oracle,
                      pairwise_monotony_oracle, quotient_identity_oracle,
-                     reflexivity_oracle, sampled_pairwise_monotony_oracle,
-                     subtrahend_ideal_oracle, transitivity_oracle,
+                     reflexivity_oracle, subtrahend_ideal_oracle,
+                     transitivity_oracle,
                      translation_invariance_oracle, zerosumfree_oracle)
 
 
@@ -187,18 +188,69 @@ def test_order_kernels_match_definitions(data):
                    always={"mode": "exhaustive"})
 
 
+def assert_pairwise_matches(table, leq):
+    algebra = algebra_of(*table)
+    assert_matches(check_pairwise_monotony(
+        algebra, OrderRelation.from_matrix(algebra, leq)),
+        pairwise_monotony_oracle(table[0], table[1], leq), "claim",
+        always={"mode": "exhaustive"})
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
-def test_sampled_pairwise_draw_matches_definition(data):
+def test_pairwise_monotony_above_16_matches_definition(data):
     table = data.draw(cayley_tables(st.integers(17, 24)))
-    leq = data.draw(relations(table[0]))
-    seed = data.draw(st.integers(0, 2 ** 32))
-    algebra = algebra_of(*table)
-    report = check_pairwise_monotony(
-        algebra, OrderRelation.from_matrix(algebra, leq), seed=seed)
-    assert_matches(report, sampled_pairwise_monotony_oracle(
-        table[0], table[1], leq, seed, SAMPLED_TUPLES), "claim",
-        always={"mode": "sampled", "seed": seed, "samples": SAMPLED_TUPLES})
+    assert_pairwise_matches(table, data.draw(relations(table[0])))
+
+
+@pytest.mark.parametrize("n", [17, 24])
+@pytest.mark.parametrize("shape", ["chain", "discrete"])
+def test_pairwise_monotony_of_orders_above_16(n, shape):
+    # Both orders are transitive.  Under the discrete order every table
+    # is monotone, so the reduction decides; under the chain max / min
+    # is too, while ℤn and the noise table fail and reach the scan.
+    bit = (lambda p, q: p <= q) if shape == "chain" else (lambda p, q: p == q)
+    leq = [[int(bit(p, q)) for q in range(n)] for p in range(n)]
+    zmod = ([[(i + j) % n for j in range(n)] for i in range(n)],
+            [[(i * j) % n for j in range(n)] for i in range(n)], 0, 1)
+    lattice = (*max_min_tables(n, True), 0, n - 1)
+    rng = random.Random(n)
+    add, mul = ([[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+                for _ in range(2))
+    for x in range(n):  # loading enforces the two identity laws
+        add[0][x] = add[x][0] = mul[1][x] = mul[x][1] = x
+    for table in (zmod, lattice, (add, mul, 0, 1)):
+        assert_pairwise_matches(table, leq)
+
+
+def right_zero_table(n):
+    """p + r = r unless r = 0, with 0 the identity, and × = min with
+    identity n - 1: + is monotone in its first argument under every
+    reflexive relation, and in its second one only where 0 is related
+    to nothing else."""
+    add = [[j or i for j in range(n)] for i in range(n)]
+    mul = [[min(i, j) for j in range(n)] for i in range(n)]
+    return add, mul, 0, n - 1
+
+
+@pytest.mark.parametrize("isolated", [False, True])
+def test_pairwise_monotony_of_a_noncommutative_table(isolated):
+    # The preorder of the levels ⌊p/2⌋, with 0 related only to itself or
+    # as the least level: transitive, + and × monotone in the first
+    # argument, + monotone in the second only with 0 isolated.
+    n = 18
+    table = right_zero_table(n)
+    add, mul = table[:2]
+    leq = [[int(p == q if 0 in (p, q) and isolated else p // 2 <= q // 2)
+            for q in range(n)] for p in range(n)]
+    transpose = [list(col) for col in zip(*add)]
+    assert transitivity_oracle(leq)[0] is None
+    assert monotony_oracle(add, leq)[0] is None
+    assert monotony_oracle(mul, leq)[0] is None
+    assert (monotony_oracle(transpose, leq)[0] is None) == isolated
+    assert_pairwise_matches(table, leq)
+    if not isolated:
+        assert pairwise_monotony_oracle(add, mul, leq)[0] == (2, 2, 0, 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -467,6 +519,9 @@ def test_wide_rows_match_definitions(n, a, b, c, seed):
     rng = random.Random(seed)
     leq = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
     assert_order_laws_match(table, leq)
+    chain = [[int(p <= q) for q in range(n)] for p in range(n)]
+    for relation in (leq, chain):  # the slab scan joins tuple-row slabs
+        assert_pairwise_matches(table, relation)
     algebra = algebra_of(*table)
     members = [0, b, n - b]
     assert_matches(is_ideal(algebra, members),
@@ -635,36 +690,6 @@ def test_order_verdicts_catch_a_late_failure(n, case, v, x):
     p, q, r = expected[0]
     assert p > 0 and (q == n - 1 or where == "last r") \
         and (r == n - 1 or where == "last q")
-
-
-@functools.lru_cache(maxsize=None)
-def rarely_failing_chain(n):
-    """A chain ordered by index with + = max and × = min, whose last row
-    of + is 1 in about n / 16 columns: the pairwise law then fails in
-    about one sample in 16·n, so a sampled draw meets it after hundreds
-    or thousands of samples."""
-    add, mul = max_min_tables(n, True)
-    for s in range(n - 1 - max(1, n // 16), n - 1):
-        add[n - 1][s] = 1
-    leq = [[int(p <= q) for q in range(n)] for p in range(n)]
-    algebra = algebra_of(add, mul, 0, n - 1)
-    return add, mul, leq, algebra, OrderRelation.from_matrix(algebra, leq)
-
-
-@pytest.mark.parametrize("n", [17, 31, 32, 33, 127, 128, 129, 255, 256, 257])
-@pytest.mark.parametrize("seed", [0, 1, 2, 1729])
-def test_bulk_draw_matches_randrange_at_bit_length_edges(n, seed):
-    # randrange(n) keeps n.bit_length() bits of a 32-bit output and
-    # draws again from n on, so the sizes around powers of two are where
-    # a bulk draw could shift; the byte path ends at 256.
-    add, mul, leq, algebra, order = rarely_failing_chain(n)
-    report = check_pairwise_monotony(algebra, order, seed=seed)
-    expected = sampled_pairwise_monotony_oracle(add, mul, leq, seed,
-                                                SAMPLED_TUPLES)
-    assert expected[0] is not None
-    assert_matches(report, expected, "claim",
-                   always={"mode": "sampled", "seed": seed,
-                           "samples": SAMPLED_TUPLES})
 
 
 @pytest.mark.parametrize("n, p0", [(17, 2), (17, 9), (24, 15)])

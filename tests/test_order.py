@@ -3,12 +3,13 @@ import pytest
 from propsemiring.algebra import (CompiledTables, DomainError, SizeLimitError,
                                   Subalgebra, UnsupportedOperationError,
                                   free_boolean_algebra, subalgebra_closure)
-from propsemiring.order import (DEFAULT_SEED, SAMPLED_TUPLES, OrderRelation,
-                                canonical_order, check_bound_decomposition,
-                                check_monotony, check_operation_bounds,
-                                check_pairwise_monotony, check_poset, cones,
-                                discrete_order, subalgebra_order_report)
+from propsemiring.order import (OrderRelation, canonical_order,
+                                check_bound_decomposition, check_monotony,
+                                check_operation_bounds, check_pairwise_monotony,
+                                check_poset, cones, discrete_order,
+                                subalgebra_order_report)
 
+from helpers import zmod_spec
 from test_properties import noncommutative_spec
 from propsemiring.algebra import table_semiring
 
@@ -140,11 +141,21 @@ class TestMonotonyAndBounds:
         report = check_pairwise_monotony(ba2, canonical_order(ba2))
         assert report.holds and report.checked == 16 ** 4
 
-    def test_exhaustive_pairwise_composes_rows_once_per_q(self, ba2,
-                                                          monkeypatch):
-        # per q, one + and one × row s ↦ x ≼ q∘s for every x: 2n² rows,
-        # however many pairs (p, q) and positions (r, s) read them
-        order = canonical_order(ba2)
+    def test_exhaustive_pairwise_composes_rows_once_per_q(self, monkeypatch):
+        # + = max and × = min on 0 … 15 under p ≼ p + 1: the law holds,
+        # but the relation is not transitive, so every pair (p, q) is
+        # scanned.  Per q, one + and one × row s ↦ x ≼ q∘s for every x:
+        # 2n² rows, however many pairs and positions (r, s) read them.
+        n = 16
+        names = [str(i) for i in range(n)]
+        algebra = table_semiring({
+            "name": "chain16", "elements": names,
+            "add": [[names[max(i, j)] for j in range(n)] for i in range(n)],
+            "mul": [[names[min(i, j)] for j in range(n)] for i in range(n)],
+            "zero": "0", "one": names[-1]})
+        order = OrderRelation.from_matrix(algebra, [
+            [int(q - p in (0, 1)) for q in range(n)] for p in range(n)])
+        assert not check_poset(order)[2].holds
         compose, calls = CompiledTables.compose, []
 
         def counted(outer, inner):
@@ -152,18 +163,31 @@ class TestMonotonyAndBounds:
             return compose(outer, inner)
 
         monkeypatch.setattr(CompiledTables, "compose", staticmethod(counted))
-        report = check_pairwise_monotony(ba2, order)
-        assert report.holds and report.checked == 16 ** 4
-        assert len(calls) <= 2 * 16 ** 2
+        report = check_pairwise_monotony(algebra, order)
+        assert report.holds and report.checked == n ** 4
+        assert 2 * n < len(calls) <= 2 * n ** 2
 
-    def test_pairwise_monotony_samples_large_carriers(self):
+    def test_pairwise_monotony_is_exact_on_three_atoms(self):
         algebra = free_boolean_algebra(3)
         report = check_pairwise_monotony(algebra, canonical_order(algebra))
-        assert report.holds and report.checked == SAMPLED_TUPLES
-        assert report.details == {"mode": "sampled", "seed": DEFAULT_SEED,
-                                  "samples": SAMPLED_TUPLES}
-        again = check_pairwise_monotony(algebra, canonical_order(algebra))
-        assert again == report  # same seed, same verdict
+        assert report.holds and report.checked == 256 ** 4 == 4294967296
+        assert report.details == {"mode": "exhaustive"}
+
+    def test_pairwise_monotony_on_tuple_rows(self):
+        # ℤ300 has tuple rows: the discrete order holds by the reduction,
+        # the chain fails at (0, 1, 1, 299), 1 ≼ 1 + 299 = 0 being false.
+        n = 300
+        algebra = table_semiring(zmod_spec(n))
+        assert algebra.compiled.row is tuple
+        report = check_pairwise_monotony(algebra, discrete_order(algebra))
+        assert report.holds and report.checked == n ** 4
+        chain = OrderRelation.from_matrix(algebra, [
+            [int(p <= q) for q in range(n)] for p in range(n)])
+        report = check_pairwise_monotony(algebra, chain)
+        assert report.witness == ("0", "1", "1", "299")
+        assert report.checked == n * n + n + 299 + 1
+        assert report.details == {"mode": "exhaustive",
+                                  "claim": "p + r ≼ q + s"}
 
     def test_discrete_order_is_a_monotone_poset(self, z3):
         order = discrete_order(z3)
