@@ -11,9 +11,10 @@ these tables reach the slabs and per-index verdicts; tables of 9-24
 elements, chains that fail late inside one outer index and ℤm tables
 whose slabs take two bands check them further.  Pairwise monotony is
 exact on every carrier: tables of 17-24 elements under random relations,
-chains and discrete orders, non-commutative tables monotone in one
-argument only, and tables of 257-300 elements check both of its ways, the
-reduction to monotony in each argument and the slab scan.
+chains and discrete orders, a relation monotone in each argument but not
+transitive, a non-commutative table monotone in one argument only, and
+tables of 257-300 elements check both of its ways, the reduction to
+monotony in each argument and the slab scan.
 """
 
 import random
@@ -204,23 +205,16 @@ def test_pairwise_monotony_above_16_matches_definition(data):
 
 
 @pytest.mark.parametrize("n", [17, 24])
-@pytest.mark.parametrize("shape", ["chain", "discrete"])
-def test_pairwise_monotony_of_orders_above_16(n, shape):
-    # Both orders are transitive.  Under the discrete order every table
-    # is monotone, so the reduction decides; under the chain max / min
-    # is too, while ℤn and the noise table fail and reach the scan.
-    bit = (lambda p, q: p <= q) if shape == "chain" else (lambda p, q: p == q)
-    leq = [[int(bit(p, q)) for q in range(n)] for p in range(n)]
-    zmod = ([[(i + j) % n for j in range(n)] for i in range(n)],
-            [[(i * j) % n for j in range(n)] for i in range(n)], 0, 1)
-    lattice = (*max_min_tables(n, True), 0, n - 1)
-    rng = random.Random(n)
-    add, mul = ([[rng.randrange(n) for _ in range(n)] for _ in range(n)]
-                for _ in range(2))
-    for x in range(n):  # loading enforces the two identity laws
-        add[0][x] = add[x][0] = mul[1][x] = mul[x][1] = x
-    for table in (zmod, lattice, (add, mul, 0, 1)):
-        assert_pairwise_matches(table, leq)
+def test_pairwise_monotony_of_a_nontransitive_relation(n):
+    # Saturating + and min as × under p ≼ p + 1: monotone in each
+    # argument, but 0 ≼ 1 ≼ 2 without 0 ≼ 2, and 0 + 0 ⋠ 1 + 1.
+    add = [[min(i + j, n - 1) for j in range(n)] for i in range(n)]
+    mul = [[min(i, j) for j in range(n)] for i in range(n)]
+    leq = [[int(q - p in (0, 1)) for q in range(n)] for p in range(n)]
+    assert transitivity_oracle(leq)[0] == (0, 1, 2)
+    assert all(monotony_oracle(op, leq)[0] is None for op in (add, mul))
+    assert pairwise_monotony_oracle(add, mul, leq)[0] == (0, 1, 0, 1)
+    assert_pairwise_matches((add, mul, 0, n - 1), leq)
 
 
 def right_zero_table(n):
