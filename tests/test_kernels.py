@@ -54,8 +54,8 @@ from helpers import (antisymmetry_oracle, associativity_oracle,
                      operation_bounds_oracle, order_map_oracle,
                      pairwise_monotony_oracle, quotient_identity_oracle,
                      reflexivity_oracle, subtrahend_ideal_oracle,
-                     transitivity_oracle,
-                     translation_invariance_oracle, zerosumfree_oracle)
+                     transitivity_oracle, translation_invariance_oracle,
+                     zerosumfree_oracle)
 
 
 def algebra_of(add, mul, zero, one, comp=None):
@@ -229,9 +229,8 @@ def right_zero_table(n):
 
 @pytest.mark.parametrize("isolated", [False, True])
 def test_pairwise_monotony_of_a_noncommutative_table(isolated):
-    # The preorder of the levels ⌊p/2⌋, with 0 related only to itself or
-    # as the least level: transitive, + and × monotone in the first
-    # argument, + monotone in the second only with 0 isolated.
+    # The preorder of the levels ⌊p/2⌋ is transitive; ``isolated`` takes
+    # 0 out of the least level, so that + is monotone in both arguments.
     n = 18
     table = right_zero_table(n)
     add, mul = table[:2]
