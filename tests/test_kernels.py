@@ -14,7 +14,9 @@ exact on every carrier: tables of 17-24 elements under random relations,
 chains and discrete orders, a relation monotone in each argument but not
 transitive, a non-commutative table monotone in one argument only, and
 tables of 257-300 elements check both of its ways, the reduction to
-monotony in each argument and the slab scan.
+monotony in each argument and the slab scan; chains of 17-257 elements
+whose last row of + fails in a few drawn columns check that the scan
+names the first witness when it lies in the last q.
 """
 
 import random
@@ -683,6 +685,33 @@ def test_order_verdicts_catch_a_late_failure(n, case, v, x):
     p, q, r = expected[0]
     assert p > 0 and (q == n - 1 or where == "last r") \
         and (r == n - 1 or where == "last q")
+
+
+@pytest.mark.parametrize("n", [17, 31, 32, 33, 127, 128, 129, 255, 256, 257])
+@pytest.mark.parametrize("seed", [0, 1, 2, 1729])
+def test_bulk_draw_matches_randrange_at_bit_length_edges(n, seed):
+    # Named for the sampled draw it pinned at these sizes; it now pins
+    # the exact scan there.  A chain ordered by index with + = max and
+    # × = min, whose last row of + is 1 in about n / 16 columns drawn with
+    # randrange: ≼ is transitive, so only the failing first-argument law
+    # sends the check to the slab scan, and its first witness is
+    # (0, n-1, 2, s) for the least drawn s.  Rows turn from bytes to
+    # tuples between 256 and 257.
+    add, mul = max_min_tables(n, True)
+    rng = random.Random(seed)
+    drawn = {2 + rng.randrange(n - 3) for _ in range(max(1, n // 16))}
+    for s in drawn:
+        add[n - 1][s] = 1
+    leq = [[int(p <= q) for q in range(n)] for p in range(n)]
+    algebra = algebra_of(add, mul, 0, n - 1)
+    report = check_pairwise_monotony(algebra,
+                                     OrderRelation.from_matrix(algebra, leq))
+    s = min(drawn)
+    expected = ((0, n - 1, 2, s), (n - 1) * n * n + 2 * n + s + 1,
+                "p + r ≼ q + s")
+    if n <= 33:
+        assert pairwise_monotony_oracle(add, mul, leq) == expected
+    assert_matches(report, expected, "claim", always={"mode": "exhaustive"})
 
 
 @pytest.mark.parametrize("n, p0", [(17, 2), (17, 9), (24, 15)])
