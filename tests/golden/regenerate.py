@@ -68,6 +68,16 @@ def _ordered_table(name: str, n: int, add) -> dict:
             "zero": "0", "one": names[n - 1]}
 
 
+def _boolean(k: int) -> dict:
+    """The subsets of k atoms as k-bit masks: + is intersection, × union."""
+    names = [format(i, f"0{k}b") for i in range(1 << k)]
+    n = len(names)
+    return {"name": f"bool{n}", "elements": names,
+            "add": [[names[i & j] for j in range(n)] for i in range(n)],
+            "mul": [[names[i | j] for j in range(n)] for i in range(n)],
+            "zero": names[-1], "one": names[0]}
+
+
 def _edited(base: dict, name: str, *edits) -> dict:
     doc = json.loads(json.dumps(base))
     doc["name"] = name
@@ -123,6 +133,15 @@ def _inputs() -> dict[str, object]:
     files["rz18.json"] = _ordered_table("rz18", 18, lambda i, j: j or i)
     files["levels-rz18.json"] = [[int(p // 2 <= q // 2) for q in range(18)]
                                  for p in range(18)]
+    # 101100 + 001110 changed from 001100 to 101100: + is then neither
+    # commutative nor associative, and associativity fails first at
+    # (100000, 101100, 001110), half way through the scan, at a third
+    # argument that is not a generator of + (the sets of five atoms and
+    # the full set).  The order is the canonical one of the intact table.
+    files["bool64-late.json"] = _edited(_boolean(6), "bool64-late",
+                                        ("add", "101100", "001110", "101100"))
+    files["bool64-canonical.json"] = [[int(p & q == q) for q in range(64)]
+                                      for p in range(64)]
     # The quotient of this table breaks the multiplicative identity law.
     files["diff-broken-identity.json"] = {
         "name": "pair", "elements": ["0", "1"],
@@ -322,6 +341,10 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
          None),
         ("order-preorder-rz18", ["order", "--table", "rz18.json",
                                  "--order-matrix", "levels-rz18.json"], None),
+        ("check-bool64-late", ["check", "--table", "bool64-late.json"], None),
+        ("order-bool64-late", ["order", "--table", "bool64-late.json",
+                               "--order-matrix", "bool64-canonical.json"],
+         None),
     ]
     return cases
 
