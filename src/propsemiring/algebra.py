@@ -26,8 +26,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import and_, itemgetter, or_
+from itertools import chain, compress, repeat
+from operator import and_, itemgetter, ne, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 ADD = "add"
@@ -42,6 +42,18 @@ DEFAULT_ATOMS = ("a", "b", "c", "d")
 
 _call = itemgetter.__call__  # _call(getter, row) is getter(row)
 _BYTE_VALUES = bytes(range(MAX_BYTE_CARRIER))
+_ZERO_TO_FF = b"\xff" + bytes(MAX_BYTE_CARRIER - 1)  # a translate table
+
+
+def _from_bytes(data: bytes) -> int:
+    return int.from_bytes(data, "little")
+
+
+def _byte_table(n: int) -> tuple[int, int]:
+    """Two n-by-n byte tables packed into ints, rows end to end: byte
+    (x, y) is y in the first and x in the second."""
+    return (_from_bytes(_BYTE_VALUES[:n] * n),
+            _from_bytes(b"".join([bytes((x,)) * n for x in range(n)])))
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -181,6 +193,11 @@ class Algebra:
     def comp_i(self, i: int) -> int:
         raise UnsupportedOperationError(f"{self.name} has no complement")
 
+    def table_rows(self, op: str) -> Iterable[Iterable[int]]:
+        """Row i of the table of ``op`` (ADD or MUL) lists i ∘ j by j."""
+        scalar, n = self.add_i if op == ADD else self.mul_i, self.size
+        return (map(scalar, repeat(i, n), range(n)) for i in range(n))
+
     # -- operations on elements -------------------------------------------
 
     def _member(self, x: Element) -> int:
@@ -259,6 +276,10 @@ class CompiledTables:
     ``bytes`` when the carrier fits in a byte, so that :meth:`compose`
     runs whole rows through ``bytes.translate`` in C, and tuples up to
     :data:`MAX_DENSE_CARRIER`.
+
+    :meth:`generators` gives a generating set of each operation, and
+    ``associative`` holds Light's associativity verdict per operation
+    (``properties._associative``); both are computed once per algebra.
     """
 
     def __init__(self, algebra: Algebra):
@@ -269,14 +290,80 @@ class CompiledTables:
                 f"operation tables are limited to {MAX_DENSE_CARRIER}")
         self.n = n
         self.row = row_type(n)
-        self.add = [self.row(map(algebra.add_i, repeat(i, n), range(n)))
-                    for i in range(n)]
-        self.mul = [self.row(map(algebra.mul_i, repeat(i, n), range(n)))
-                    for i in range(n)]
-        self.add_t = [self.row(col) for col in zip(*self.add)]
-        self.mul_t = [self.row(col) for col in zip(*self.mul)]
+        self.add = list(map(self.row, algebra.table_rows(ADD)))
+        self.mul = list(map(self.row, algebra.table_rows(MUL)))
+        self.add_t = self._transposed(self.add)
+        self.mul_t = self._transposed(self.mul)
         self.comp = (self.row(map(algebra.comp_i, range(n)))
                      if algebra.has_complement else None)
+        self._irreducible: dict[str, frozenset[int]] = {}
+        self._generators: dict[str, tuple[int, ...]] = {}
+        self.associative: dict[str, bool] = {}
+
+    def _transposed(self, rows: list) -> list:
+        """The columns of ``rows``: strided slices of the joined byte rows,
+        else tuples from ``zip``."""
+        if self.row is bytes:
+            joined = b"".join(rows)
+            return [joined[j::self.n] for j in range(self.n)]
+        return [self.row(col) for col in zip(*rows)]
+
+    def tables(self, op: str) -> tuple[list, list]:
+        """The rows and the columns of ``op`` (ADD or MUL)."""
+        return (self.add, self.add_t) if op == ADD else (self.mul, self.mul_t)
+
+    def irreducible(self, op: str) -> frozenset[int]:
+        """The elements v that are no product x ∘ y with x ≠ v ≠ y, found
+        in C: on byte rows, each product x ∘ y = y becomes x, and v is
+        then a product of two others iff it occurs outside row v; on tuple
+        rows, per row x, the products at the columns y ≠ x ∘ y."""
+        if op not in self._irreducible:
+            n, rows = self.n, self.tables(op)[0]
+            carrier = range(n)
+            if self.row is bytes:
+                table = _from_bytes(b"".join(rows))
+                columns, own = _byte_table(n)
+                fixed = (table ^ columns).to_bytes(n * n, "little").translate(
+                    _ZERO_TO_FF)  # 255 where x ∘ y = y
+                find = (table ^ (table ^ own) & _from_bytes(fixed)).to_bytes(
+                    n * n, "little").find
+                irreducible = frozenset(v for v in carrier if find(v, 0, v * n)
+                                        < 0 and find(v, v * n + n) < 0)
+            else:
+                products = set()
+                for x, row in enumerate(rows):
+                    found = set(compress(row, map(ne, row, carrier)))
+                    found.discard(x)
+                    products |= found
+                irreducible = frozenset(carrier).difference(products)
+            self._irreducible[op] = irreducible
+        return self._irreducible[op]
+
+    def generators(self, op: str) -> tuple[int, ...]:
+        """A generating set of ``op``, ascending: the irreducible elements,
+        then at each stall of their closure the least element not reached.
+        The closure composes the row and the column of each element
+        reached with all elements reached, so it takes O(n²) steps in C.
+        """
+        if op not in self._generators:
+            rows, cols = self.tables(op)
+            generators = sorted(self.irreducible(op))
+            reached = list(generators)
+            unreached = set(range(self.n)).difference(reached)
+            done = 0  # reached[:done] are composed with the others
+            while unreached:
+                if done == len(reached):  # stalled
+                    generators.append(min(unreached))
+                    reached.append(generators[-1])
+                    unreached.remove(generators[-1])
+                x, among = reached[done], self.row(reached)
+                done += 1
+                found = unreached.intersection(self.compose(rows[x], among)
+                                               + self.compose(cols[x], among))
+                reached.extend(found)
+                unreached -= found
+            self._generators[op] = tuple(sorted(generators))
+        return self._generators[op]
 
     def indicator(self, members: Iterable[int]) -> bytes:
         """The 0/1 byte row that is 1 exactly at ``members``."""
@@ -381,9 +468,18 @@ class FreeBooleanAlgebra(Algebra):
     def atom_value(self, i: int) -> int:
         return self._atom_values[i]
 
-    # C functions, so that compiling the tables stays in C
     add_i = staticmethod(and_)
     mul_i = staticmethod(or_)
+
+    def table_rows(self, op: str) -> Iterable[Iterable[int]]:
+        """On byte rows, each table is one bitwise operation on the byte
+        tables of :func:`_byte_table`, cut into rows."""
+        n = self.size
+        if n > MAX_BYTE_CARRIER:
+            return super().table_rows(op)
+        table = (and_ if op == ADD else or_)(*_byte_table(n)).to_bytes(
+            n * n, "little")
+        return [table[x * n:x * n + n] for x in range(n)]
 
     @property
     def has_complement(self) -> bool:
@@ -436,6 +532,9 @@ class TableAlgebra(Algebra):
     def mul_i(self, i: int, j: int) -> int:
         return self.mul_rows[i][j]
 
+    def table_rows(self, op: str) -> tuple[tuple[int, ...], ...]:
+        return self.add_rows if op == ADD else self.mul_rows
+
     @property
     def has_complement(self) -> bool:
         return self.comp_row is not None
@@ -478,6 +577,20 @@ def _require(condition: bool, message: str) -> None:
         raise TableLoadError(message)
 
 
+def _indices(cells: list, index: dict[str, int],
+             where: str) -> tuple[int, ...]:
+    """The indices of the element names ``cells``, mapped in C.  At the
+    first cell that names no element, TableLoadError cites it as
+    ``where[position]``."""
+    try:
+        return tuple(map(index.__getitem__, cells))
+    except (KeyError, TypeError):  # a missing or an unhashable cell
+        for c, cell in enumerate(cells):
+            _require(isinstance(cell, str) and cell in index,
+                     f"{where}[{c}] = {cell!r} is not an element")
+        raise
+
+
 def _load_rows(doc: dict, key: str, names: tuple[str, ...],
                index: dict[str, int]) -> tuple[tuple[int, ...], ...]:
     table = doc.get(key)
@@ -488,13 +601,7 @@ def _load_rows(doc: dict, key: str, names: tuple[str, ...],
     for r, row in enumerate(table):
         _require(isinstance(row, list) and len(row) == n,
                  f"{key}[{r}] must be a list of {n} entries")
-        out = []
-        for c, cell in enumerate(row):
-            got = index.get(cell) if isinstance(cell, str) else None
-            _require(got is not None,
-                     f"{key}[{r}][{c}] = {cell!r} is not an element")
-            out.append(got)
-        rows.append(tuple(out))
+        rows.append(_indices(row, index, f"{key}[{r}]"))
     return tuple(rows)
 
 
@@ -557,13 +664,7 @@ def table_semiring(doc: dict, source_spec: str | None = None) -> TableAlgebra:
         comp = doc["complement"]
         _require(isinstance(comp, list) and len(comp) == len(names),
                  f"'complement' must list {len(names)} elements")
-        out = []
-        for i, cell in enumerate(comp):
-            got = index.get(cell) if isinstance(cell, str) else None
-            _require(got is not None,
-                     f"complement[{i}] = {cell!r} is not an element")
-            out.append(got)
-        comp_row = tuple(out)
+        comp_row = _indices(comp, index, "complement")
 
     order_matrix = None
     if "order" in doc:

@@ -22,9 +22,10 @@ from itertools import chain, compress
 from operator import eq, itemgetter
 from typing import Iterable
 
-from .algebra import (MAX_DENSE_CARRIER, Algebra, AlgebraError, DomainError,
-                      Element, SizeLimitError, TableAlgebra, TableLoadError,
-                      UnsupportedOperationError, _check_identity_laws)
+from .algebra import (ADD, MAX_DENSE_CARRIER, Algebra, AlgebraError,
+                      DomainError, Element, SizeLimitError, TableAlgebra,
+                      TableLoadError, UnsupportedOperationError,
+                      _check_identity_laws)
 from .morphisms import Morphism, check_morphism
 from .order import (OrderRelation, check_poset, _check_relation, _reflexivity,
                     _transitivity)
@@ -138,7 +139,7 @@ def subtrahend_ideal(algebra: Algebra,
             ("commutative", _commutativity("add-commutativity",
                                            algebra.name_of, c.add, c.add_t)),
             ("associative", _associativity("add-associativity", algebra,
-                                           c.add))):
+                                           ADD))):
         if not report.holds:
             raise UnsupportedOperationError(
                 f"+ is not {law} at ({', '.join(report.witness)}); "

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product, repeat
 
-from .algebra import (MAX_DENSE_CARRIER, Algebra, CompiledTables, DomainError,
-                      Element, FreeBooleanAlgebra, SizeLimitError, Subalgebra,
-                      UnsupportedOperationError, row_type)
+from .algebra import (ADD, MAX_DENSE_CARRIER, Algebra, CompiledTables,
+                      DomainError, Element, FreeBooleanAlgebra, SizeLimitError,
+                      Subalgebra, UnsupportedOperationError, row_type)
 from .order import OrderRelation, canonical_order
 from .properties import PropertyReport, _bands, _names, _packed, _scan_rows
 
@@ -307,12 +307,13 @@ def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
     ⊤ and ⊥ (then the atoms of a free source of the bpa kind) are closed
     under +, × and, for bpa, ! on whole compiled rows, with a step for
     each element reached.  A stall adds the least unreached element that
-    is no sum of two others, else the least, as a generator: a finite
-    semilattice is the sums of such elements, so relabelling a Boolean
-    carrier keeps the generator count.  The steps derive the other images
-    from the generator images and check_morphism keeps the homomorphisms
-    (in atom-image order for free bpa sources).  The cap bounds the
-    |dst|^|generators| maps.
+    is no sum of two others (``CompiledTables.irreducible``, which also
+    seeds the generating sets of the law checks), else the least, as a
+    generator: a finite semilattice is the sums of such elements, so
+    relabelling a Boolean carrier keeps the generator count.  The steps
+    derive the other images from the generator images and check_morphism
+    keeps the homomorphisms (in atom-image order for free bpa sources).
+    The cap bounds the |dst|^|generators| maps.
     """
     _require_kind(kind)
     if kind == "bpa" and not (src.has_complement and dst.has_complement):
@@ -323,8 +324,7 @@ def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
     unreached = set(range(s.n)).difference(reached)
     free_bpa = kind == "bpa" and isinstance(src, FreeBooleanAlgebra)
     atoms = iter(map(src.atom_value, range(src.n_atoms)) if free_bpa else ())
-    sums = set() if free_bpa else {v for a, row in enumerate(s.add)
-                                   for b, v in enumerate(row) if a != v != b}
+    preferred = frozenset() if free_bpa else s.irreducible(ADD)
     # position k of rows[x] over earlier is an e whose image is
     # op(ψ(x), ψ(earlier[k])); every row of the ! side is the complement
     sides = [(dst.add_i, s.add), (lambda u, v: dst.add_i(v, u), s.add_t),
@@ -343,7 +343,8 @@ def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
                 unreached.remove(e)
                 reached.append(e)
         if count == len(reached) and unreached:  # stalled: the next generator
-            generators.append(next(atoms, min(unreached - sums or unreached)))
+            generators.append(next(atoms, min(unreached & preferred
+                                              or unreached)))
             unreached.remove(generators[-1])
             reached.append(generators[-1])
     candidates = dst.size ** len(generators)

@@ -7,9 +7,15 @@ so ⊤ is the minimum and ⊥ the maximum.  Algebras whose addition is not
 idempotent and commutative have no canonical order; an explicit matrix
 must be supplied instead.
 
-Every check is exact.  Pairwise monotony covers all n⁴ tuples on every
-carrier: by monotony in each argument where the order is transitive,
-else by a scan of the 4-tuples that names the first witness.
+Every check is exact.  Monotony in one argument of an associative
+operation holds once it holds at each element of the operation's
+generating set, since the r with p∘r ≼ q∘r for all p ≼ q are closed
+under ∘; a law that fails there, or an operation that is not
+associative, is scanned for its first witness.  Pairwise monotony covers
+all n⁴ tuples on every carrier: by monotony in each argument where the
+order is transitive, else by a scan of the 4-tuples that names the first
+witness.  Transitivity and each monotony law are decided once per
+relation, however many checks read them.
 """
 
 from __future__ import annotations
@@ -20,12 +26,12 @@ from itertools import compress
 from operator import and_, eq, getitem, or_
 from typing import Callable
 
-from .algebra import (MAX_BYTE_CARRIER, MAX_DENSE_CARRIER, Algebra, Element,
-                      DomainError, SizeLimitError, Subalgebra, TableAlgebra,
-                      UnsupportedOperationError)
+from .algebra import (ADD, MAX_BYTE_CARRIER, MAX_DENSE_CARRIER, MUL, Algebra,
+                      Element, DomainError, SizeLimitError, Subalgebra,
+                      TableAlgebra, UnsupportedOperationError)
 from .properties import (PropertyReport, additively_cancellable_elements,
-                         _Band, _commutativity, _first_difference, _packed,
-                         _scan_rows)
+                         _Band, _associative, _commutativity,
+                         _first_difference, _packed, _scan_rows)
 
 # above this many elements in up(p), monotony decides p by its translations
 FEW_ABOVE = 2
@@ -50,6 +56,18 @@ class OrderRelation:
     def up_packed(self) -> tuple[int, ...]:
         """The rows packed into ints, one byte per position."""
         return tuple(map(_packed, self.rows))
+
+    @cached_property
+    def transitivity(self) -> PropertyReport:
+        """The transitivity report, decided once per relation."""
+        return _transitivity("transitivity", self.algebra.name_of, self.rows,
+                             self.up_packed)
+
+    @cached_property
+    def monotony(self) -> dict[tuple[str, bool], PropertyReport]:
+        """The monotony reports decided so far, by operation and argument
+        (see :func:`_monotony`)."""
+        return {}
 
     def leq(self, x: Element, y: Element) -> bool:
         return self.leq_i(self.algebra._member(x), self.algebra._member(y))
@@ -147,21 +165,57 @@ def check_poset(order: OrderRelation) -> list[PropertyReport]:
     antisymmetric = _scan_rows("antisymmetry", name_of, (  # q ≠ p both ways
         ((p,), carrier, ((both, both & 1 << 8 * p, None),))
         for p, both in enumerate(pp & _packed(dp) for pp, dp in zip(packed, down))))
-    transitive = _transitivity("transitivity", name_of, up, packed)
-    return [reflexive, antisymmetric, transitive]
+    return [reflexive, antisymmetric, order.transitivity]
 
 
-def _monotony(name: str, algebra: Algebra, up, rows, cols) -> PropertyReport:
-    """p ≼ q implies rows[p][r] ≼ rows[q][r] for every r; ``cols`` is the
-    transpose of ``rows``.
+def _monotone_at_generators(c, up, op: str, cols) -> bool:
+    """Whether ∘ = ``op`` is associative and p ≼ s implies
+    cols[g][p] ≼ cols[g][s] for every g of its generating set: per g, one
+    packed slab over all (p, s), tested against ≼."""
+    if not _associative(c, op):
+        return False
+    ordered = _packed(b"".join(up))  # position (p, s) is 1 iff p ≼ s
+    for g in c.generators(op):
+        images = cols[g]  # p ↦ p ∘ g, or g ∘ p for the second argument
+        below = {x: c.compose(up[x], images) for x in set(images)}
+        # position (p, s) is 1 iff p ∘ g ≼ s ∘ g
+        if ordered & ~_packed(b"".join(map(below.__getitem__, images))):
+            return False
+    return True
 
-    The cases (p, q) run over r and name the witness.  On byte rows, a p
-    with more than FEW_ABOVE elements above it is first decided by its
-    translations: for every r the images q ∘ r of the q in up(p) must lie
-    in up(p ∘ r), two ``bytes.translate`` calls per r.  Such a p that
-    holds is one case of |up(p)|·n tuples; one that fails runs its cases.
+
+def _monotony(order: OrderRelation, op: str,
+              second: bool = False) -> PropertyReport:
+    """p ≼ q implies p ∘ r ≼ q ∘ r for every r, for the operation ``op``
+    (ADD or MUL), or r ∘ p ≼ r ∘ q with ``second``; decided once per
+    relation and kept in ``order.monotony``.
+
+    When ∘ is associative, the r for which the law holds are closed
+    under ∘, so the law holds over all |≼|·n tuples once it holds at
+    each r of the generating set of ∘ (:func:`_monotone_at_generators`).
+    Otherwise the cases (p, q) run over r and name the witness.  On byte
+    rows, a p with more than FEW_ABOVE elements above it is first decided
+    by its translations: for every r the images q ∘ r of the q in up(p)
+    must lie in up(p ∘ r), two ``bytes.translate`` calls per r.  Such a p
+    that holds is one case of |up(p)|·n tuples; one that fails runs its
+    cases.
     """
+    key = (op, second)
+    if key not in order.monotony:
+        order.monotony[key] = _monotony_scan(order, op, second)
+    return order.monotony[key]
+
+
+def _monotony_scan(order: OrderRelation, op: str,
+                   second: bool) -> PropertyReport:
+    algebra, up = order.algebra, order.rows
+    name = f"monotony-{op}" + ("-second" if second else "")
     c = algebra.compiled
+    rows, cols = c.tables(op)
+    if second:
+        rows, cols = cols, rows
+    if _monotone_at_generators(c, up, op, cols):
+        return PropertyReport(name, True, None, b"".join(up).count(1) * c.n)
     carrier = range(c.n)
     holds = b"\1" * c.n
 
@@ -193,9 +247,7 @@ def check_monotony(algebra: Algebra, order: OrderRelation) -> list[PropertyRepor
     """p ≼ q implies p + r ≼ q + r, and the same for ×; one report per law
     (see :func:`_monotony`)."""
     _check_relation(order, algebra)
-    c = algebra.compiled
-    return [_monotony("monotony-add", algebra, order.rows, c.add, c.add_t),
-            _monotony("monotony-mul", algebra, order.rows, c.mul, c.mul_t)]
+    return [_monotony(order, ADD), _monotony(order, MUL)]
 
 
 def check_operation_bounds(algebra: Algebra, order: OrderRelation) -> PropertyReport:
@@ -276,12 +328,10 @@ def check_pairwise_monotony(algebra: Algebra,
     c = algebra.compiled
     n, up = c.n, order.rows
     exhaustive = {"mode": "exhaustive"}
-    laws = [(c.add, c.add_t), (c.mul, c.mul_t)]
-    laws += [(cols, rows) for rows, cols in laws if rows != cols]
-    if (_transitivity("transitivity", algebra.name_of, up,
-                      order.up_packed).holds
-            and all(_monotony("monotony", algebra, up, rows, cols).holds
-                    for rows, cols in laws)):
+    laws = [(ADD, False), (MUL, False)] + [
+        (op, True) for op in (ADD, MUL) if c.tables(op)[0] != c.tables(op)[1]]
+    if order.transitivity.holds and all(_monotony(order, op, second).holds
+                                        for op, second in laws):
         return PropertyReport("pairwise-monotony", True, None, n ** 4,
                               details=exhaustive)
     compose, join = c.compose, b"".join  # 0/1 rows are bytes on any carrier

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .algebra import Algebra, Element
+from .algebra import ADD, MUL, Algebra, CompiledTables, Element
 
 # positions of a row band: at least this many after the first band of a
 # map check, at most this many in any band
@@ -194,12 +194,33 @@ def _slabs(c, rows) -> list:
             for a0, a1, positions in _bands(c.n, c.n)]
 
 
-def _associativity(name: str, algebra: Algebra, rows) -> PropertyReport:
-    """(i∘j)∘k = i∘(j∘k).  Each i is one slab per band, position (j, k)
-    holding row i∘j of the table on one side and ri composed with row j
-    on the other."""
+def _associative(c: CompiledTables, op: str) -> bool:
+    """Whether ``op`` is associative, by Light's test (Clifford & Preston,
+    1961, §1.2): the z with (x∘y)∘z = x∘(y∘z) for all x, y are closed
+    under ∘, so it suffices that they include a generating set G.  Per
+    g in G this is one slab per band over the positions (y, x): column g
+    composed into the columns y against the columns y∘g.  Decided once
+    per operation and kept in ``c.associative``.
+    """
+    if op not in c.associative:
+        cols, slab = c.tables(op)[1], c.slab
+        slabs = _slabs(c, cols)
+        c.associative[op] = all(
+            composed(cols[g]) == slab(map(cols.__getitem__, cols[g][band]))
+            for g in c.generators(op) for band, _, composed in slabs)
+    return c.associative[op]
+
+
+def _associativity(name: str, algebra: Algebra, op: str) -> PropertyReport:
+    """(i∘j)∘k = i∘(j∘k) for the operation ``op`` (ADD or MUL).  Where
+    :func:`_associative` finds the law, it holds over all n³ tuples;
+    otherwise each i is one slab per band, position (j, k) holding row
+    i∘j of the table on one side and ri composed with row j on the
+    other, and the first difference names the witness."""
     c = algebra.compiled
-    slab = c.slab
+    if _associative(c, op):
+        return PropertyReport(name, True, None, c.n ** 3)
+    rows, slab = c.tables(op)[0], c.slab
 
     def cases():
         slabs = _slabs(c, rows)
@@ -232,15 +253,19 @@ def _distributivity(algebra: Algebra) -> PropertyReport:
     composed into row i (column i on the right) against the rows
     k ↦ v + i×k (v + k×i), each built once per value v = i×j (j×i) when
     a band first needs it.  Where column i equals row i, both laws share
-    the slabs.
+    the slabs.  When × is associative, the i for which both laws hold
+    are closed under ×, so the law holds over all n³ tuples once it
+    holds for each i of the generating set of ×; otherwise every i is
+    scanned and the first difference names the witness.
     """
     c = algebra.compiled
     add, compose, slab = c.add, c.compose, c.slab
     left, right = {"side": "left"}, {"side": "right"}
 
-    def cases():
+    def cases(outer):
         slabs = _slabs(c, add)
-        for i, (mi, ci) in enumerate(zip(c.mul, c.mul_t)):
+        for i in outer:
+            mi, ci = c.mul[i], c.mul_t[i]
             rows = [(mi, {})] if mi == ci else [(mi, {}), (ci, {})]
             for band, positions, of_sums in slabs:
                 sides = []
@@ -252,7 +277,11 @@ def _distributivity(algebra: Algebra) -> PropertyReport:
                 (l, r), (l_t, r_t) = sides[0], sides[-1]
                 yield (i,), positions, ((l, r, left), (l_t, r_t, right))
 
-    return _scan_rows("distributivity", algebra.name_of, cases())
+    if _associative(c, MUL) and all(
+            a == b for _, _, sides in cases(c.generators(MUL))
+            for a, b, _ in sides):
+        return PropertyReport("distributivity", True, None, c.n ** 3)
+    return _scan_rows("distributivity", algebra.name_of, cases(range(c.n)))
 
 
 def is_multiplicatively_absorbing(algebra: Algebra) -> PropertyReport:
@@ -266,11 +295,11 @@ def check_semiring_axioms(algebra: Algebra) -> list[PropertyReport]:
     c = algebra.compiled
     return [
         _commutativity("add-commutativity", algebra.name_of, c.add, c.add_t),
-        _associativity("add-associativity", algebra, c.add),
+        _associativity("add-associativity", algebra, ADD),
         _two_sided("add-identity", algebra, algebra.add_i, algebra.top_index,
                    details={"identity": algebra.name_of(algebra.top_index)}),
         _commutativity("mul-commutativity", algebra.name_of, c.mul, c.mul_t),
-        _associativity("mul-associativity", algebra, c.mul),
+        _associativity("mul-associativity", algebra, MUL),
         _two_sided("mul-identity", algebra, algebra.mul_i, algebra.bot_index,
                    details={"identity": algebra.name_of(algebra.bot_index)}),
         _distributivity(algebra),

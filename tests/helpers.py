@@ -114,6 +114,29 @@ def closure_oracle(algebra, seeds: set[int], with_complement: bool) -> set[int]:
     return members
 
 
+def irreducible_oracle(op):
+    """The elements that are no product x ∘ y of two others."""
+    n = len(op)
+    return {v for v in range(n)} - {op[x][y] for x in range(n)
+                                    for y in range(n) if x != op[x][y] != y}
+
+
+def generators_oracle(op):
+    """The irreducible elements, then while their closure under ``op`` is
+    not the carrier, the least element outside it; ascending."""
+    n = len(op)
+    generators = irreducible_oracle(op)
+    while True:
+        closure, grown = set(generators), True
+        while grown:
+            products = {op[x][y] for x in closure for y in closure}
+            grown = not products <= closure
+            closure |= products
+        if len(closure) == n:
+            return tuple(sorted(generators))
+        generators.add(min(set(range(n)) - closure))
+
+
 # -- law oracles --------------------------------------------------------------
 #
 # Each oracle scans the tuples of one law in lexicographic order, straight

@@ -25,9 +25,12 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from propsemiring.algebra import (AlgebraError, DomainError, SizeLimitError,
-                                  TableLoadError, UnsupportedOperationError,
+from propsemiring.algebra import (ADD, MUL, AlgebraError, DomainError,
+                                  SizeLimitError, TableLoadError,
+                                  UnsupportedOperationError,
                                   free_boolean_algebra, table_semiring)
+import propsemiring.order as order_module
+from propsemiring.cli import main
 from propsemiring.differences import (CongruenceError, SubtrahendIdeal,
                                       difference_cancellation_criterion,
                                       difference_semiring, extended_order,
@@ -39,8 +42,8 @@ from propsemiring.order import (OrderRelation, canonical_order,
                                 check_bound_decomposition, check_monotony,
                                 check_operation_bounds, check_pairwise_monotony,
                                 check_poset, cones)
-from propsemiring.properties import (BAND_POSITIONS, _associativity,
-                                     _distributivity,
+from propsemiring.properties import (BAND_POSITIONS, _associative,
+                                     _associativity, _distributivity,
                                      additively_cancellable_elements,
                                      check_semiring_axioms, is_entire,
                                      is_zerosumfree)
@@ -50,7 +53,8 @@ from helpers import (antisymmetry_oracle, associativity_oracle,
                      cancellation_criterion_oracle, canonical_order_oracle,
                      commutativity_oracle, cones_oracle, difference_oracle,
                      distributivity_oracle, entire_oracle,
-                     extended_order_oracle, homs_oracle, ideal_oracle,
+                     extended_order_oracle, generators_oracle, homs_oracle,
+                     ideal_oracle, irreducible_oracle,
                      monotony_oracle, morphism_oracle,
                      mult_left_cancellative_oracle,
                      operation_bounds_oracle, order_map_oracle,
@@ -602,7 +606,7 @@ def test_law_slabs_across_bands_match_definitions(m, row, col, on_add):
     c = algebra.compiled
     assert c.row is tuple
     assert_matches(_associativity("associativity", algebra,
-                                  c.add if on_add else c.mul),
+                                  ADD if on_add else MUL),
                    associativity_oracle(op))
     assert_matches(_distributivity(algebra), distributivity_oracle(add, mul),
                    "side")
@@ -730,3 +734,220 @@ def test_bound_verdict_checks_the_last_sum_against_p(n, p0):
     assert expected[0] == (p0, n - 1, 1)
     assert_matches(check_bound_decomposition(
         algebra, OrderRelation.from_matrix(algebra, leq)), expected, "claim")
+
+
+# -- laws decided on generating sets ------------------------------------------
+
+
+def subsets_table(k, f=None):
+    """(add, mul, zero, one) of the subsets of k points as bit masks, +
+    intersection and × union; mask m is relabelled f[m]."""
+    n = 1 << k
+    f = list(range(n)) if f is None else f
+    add, mul = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            add[f[x]][f[y]] = f[x & y]
+            mul[f[x]][f[y]] = f[x | y]
+    return add, mul, f[n - 1], f[0]
+
+
+def canonical_matrix(add):
+    n = len(add)
+    return [[int(add[p][q] == q) for q in range(n)] for p in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cayley_tables())
+def test_generating_sets_match_definition(table):
+    c = algebra_of(*table).compiled
+    for op, rows in ((ADD, table[0]), (MUL, table[1])):
+        assert c.irreducible(op) == irreducible_oracle(rows)
+        assert c.generators(op) == generators_oracle(rows)
+
+
+@st.composite
+def subset_tables(draw, points=st.integers(1, 5)):
+    """A relabelled subsets table with at most two cells of + or ×
+    changed (never in a row or column of the identity), and the canonical
+    order of the intact table with at most two entries flipped."""
+    k = draw(points)
+    n = 1 << k
+    add, mul, zero, one = subsets_table(k, draw(st.permutations(range(n))))
+    leq = canonical_matrix(add)
+    cell = st.integers(0, n - 1)
+    for on_add, i, j, v in draw(st.lists(
+            st.tuples(st.booleans(), cell, cell, cell), max_size=2)):
+        if (zero if on_add else one) not in (i, j):
+            (add if on_add else mul)[i][j] = v
+    for p, q in draw(st.lists(st.tuples(cell, cell), max_size=2)):
+        leq[p][q] ^= 1
+    return (add, mul, zero, one), leq
+
+
+@settings(max_examples=100, deadline=None)
+@given(subset_tables())
+def test_laws_decided_on_generating_sets_match_definitions(case):
+    # An intact table holds every n³ law and its order is monotone, so
+    # each law is decided on a generating set; an edit or a flipped entry
+    # sends some of them to the scans.
+    table, leq = case
+    add, mul = table[:2]
+    c = assert_axioms_match(table).compiled
+    for op, rows in ((ADD, add), (MUL, mul)):
+        assert c.generators(op) == generators_oracle(rows)
+    algebra, order = assert_order_laws_match(table, leq)
+    if len(add) <= 8:
+        assert_matches(check_pairwise_monotony(algebra, order),
+                       pairwise_monotony_oracle(add, mul, leq), "claim",
+                       always={"mode": "exhaustive"})
+
+
+@settings(max_examples=3, deadline=None)
+@given(n=st.integers(257, 300), a=st.integers(2, 6), b=st.integers(2, 6),
+       steps=st.sets(st.integers(1, 299), max_size=3))
+def test_laws_decided_on_generating_sets_of_tuple_rows(n, a, b, steps):
+    # ℤn with a × b changed.  + stays associative, and its generating set
+    # is the fallback 0, 1; under p ≼ q iff q - p lies in {0} ∪ steps,
+    # which is invariant under translation, monotony of + holds over
+    # |≼|·n tuples and is decided at those two.  × fails associativity,
+    # distributivity and monotony within the first rows, after its
+    # generators have been tried.
+    add = [[(i + j) % n for j in range(n)] for i in range(n)]
+    mul = [[(i * j) % n for j in range(n)] for i in range(n)]
+    mul[a][b] = (a * b + 1) % n
+    algebra = algebra_of(add, mul, 0, 1)
+    c = algebra.compiled
+    assert c.row is tuple and c.generators(ADD) == (0, 1)
+    for op, rows in ((ADD, add), (MUL, mul)):
+        assert c.irreducible(op) == irreducible_oracle(rows)
+        assert c.generators(op) == generators_oracle(rows)
+    reports = {r.property: r for r in check_semiring_axioms(algebra)}
+    # ℤn is associative under +, so the law holds on all n³ tuples
+    assert (reports["add-associativity"].holds,
+            reports["add-associativity"].checked) == (True, n ** 3)
+    assert_matches(reports["mul-associativity"], associativity_oracle(mul))
+    assert_matches(reports["distributivity"], distributivity_oracle(add, mul),
+                   "side")
+    leq = [[int((q - p) % n in steps | {0}) for q in range(n)]
+           for p in range(n)]
+    monotony_add, monotony_mul = check_monotony(
+        algebra, OrderRelation.from_matrix(algebra, leq))
+    assert_matches(monotony_add, monotony_oracle(add, leq))
+    assert monotony_add.holds
+    assert_matches(monotony_mul, monotony_oracle(mul, leq))
+
+
+def test_associativity_witness_after_a_generator_failure():
+    # The subsets of six points with 101100 + 001110 changed to 101100:
+    # Light's test fails at a generator, and the scan then names the
+    # first witness, whose third argument is no generator.
+    add, mul, zero, one = subsets_table(6)
+    add[0b101100][0b001110] = 0b101100
+    algebra = algebra_of(add, mul, zero, one)
+    c = algebra.compiled
+    expected = associativity_oracle(add)
+    assert expected[0] == (0b100000, 0b101100, 0b001110)
+    assert expected[0][2] not in c.generators(ADD)
+    assert not _associative(c, ADD)
+    assert_matches(_associativity("associativity", algebra, ADD), expected)
+
+
+def distributive_at(add, mul, i):
+    n = len(add)
+    return all(mul[i][add[j][k]] == add[mul[i][j]][mul[i][k]]
+               and mul[add[j][k]][i] == add[mul[j][i]][mul[k][i]]
+               for j in range(n) for k in range(n))
+
+
+def test_distributivity_of_a_nonassociative_product_is_scanned():
+    # The subsets of four points with 0011 × 0101 changed to 1111: ×
+    # still distributes over + at each of its generators (⊥ and the
+    # points), but not at 0011, and it is no longer associative, so the
+    # generators cannot decide the law.
+    add, mul, zero, one = subsets_table(4)
+    mul[0b0011][0b0101] = 0b1111
+    algebra = algebra_of(add, mul, zero, one)
+    c = algebra.compiled
+    assert c.generators(MUL) == generators_oracle(mul) == (0, 1, 2, 4, 8)
+    assert associativity_oracle(mul)[0] is not None
+    assert all(distributive_at(add, mul, g) for g in c.generators(MUL))
+    expected = distributivity_oracle(add, mul)
+    assert expected[0] is not None
+    assert_matches(_distributivity(algebra), expected, "side")
+
+
+def test_monotony_of_a_nonassociative_sum_is_scanned():
+    # The subsets of four points with 0011 + 0101 changed to 0000, under
+    # the canonical order of the intact table: + is monotone at each of
+    # its generators (the sets of three points and the full set), but
+    # not at 0101, and it is no longer associative.
+    add, mul, zero, one = subsets_table(4)
+    leq = canonical_matrix(add)
+    add[0b0011][0b0101] = 0
+    table = (add, mul, zero, one)
+    c = algebra_of(*table).compiled
+    assert c.generators(ADD) == generators_oracle(add) == (7, 11, 13, 14, 15)
+    assert associativity_oracle(add)[0] is not None
+    assert all(leq[add[p][g]][add[q][g]] for g in c.generators(ADD)
+               for p in range(16) for q in range(16) if leq[p][q])
+    assert monotony_oracle(add, leq)[0] is not None
+    assert_order_laws_match(table, leq)
+
+
+@pytest.mark.parametrize("n", [3, 7, 12, 16])
+def test_generating_set_of_zn_needs_the_fallback(n):
+    # No element of ℤn (n ≥ 3) is irreducible under +, so the generating
+    # set is the least element, 0, and then the least one it misses, 1.
+    table = zmod_table(n)
+    c = assert_axioms_match(table).compiled
+    assert c.irreducible(ADD) == frozenset()
+    assert c.generators(ADD) == generators_oracle(table[0]) == (0, 1)
+    for leq in ([[int(p <= q) for q in range(n)] for p in range(n)],
+                [[int(p == q) for q in range(n)] for p in range(n)]):
+        assert_order_laws_match(table, leq)
+
+
+def zmod_table(n):
+    return ([[(i + j) % n for j in range(n)] for i in range(n)],
+            [[(i * j) % n for j in range(n)] for i in range(n)], 0, 1 % n)
+
+
+def test_associativity_of_three_atoms_takes_two_slabs_per_generator(
+        monkeypatch):
+    # The exact scan compares 2·256 slabs per operation; Light's test
+    # compares two per generator, of which each operation has nine.
+    algebra = free_boolean_algebra(3)
+    c = algebra.compiled
+    calls = []
+    slab, composer = c.slab, c.composer
+
+    def counted_composer(rows):
+        composed = composer(rows)
+        return lambda outer: calls.append("compose") or composed(outer)
+
+    monkeypatch.setattr(c, "slab", lambda rows: calls.append("slab")
+                        or slab(rows))
+    monkeypatch.setattr(c, "composer", counted_composer)
+    for op in (ADD, MUL):
+        calls.clear()
+        report = _associativity("associativity", algebra, op)
+        assert (report.holds, report.checked) == (True, 256 ** 3)
+        assert len(c.generators(op)) == 9
+        assert calls.count("slab") == calls.count("compose") == 9
+
+
+def test_order_decides_transitivity_and_monotony_once(monkeypatch, capsys):
+    # check_poset, check_monotony and the reduction of pairwise monotony
+    # read the same transitivity and first-argument monotony reports; +
+    # and × of free:3 are commutative, so no second-argument law runs.
+    calls = []
+    for name in ("_transitivity", "_monotony_scan"):
+        original = getattr(order_module, name)
+        monkeypatch.setattr(order_module, name,
+                            lambda *args, original=original, name=name:
+                            calls.append(name) or original(*args))
+    assert main(["order", "--free-atoms", "3"]) == 0
+    assert '"pairwise-monotony"' in capsys.readouterr().out
+    assert sorted(calls) == ["_monotony_scan", "_monotony_scan",
+                             "_transitivity"]
