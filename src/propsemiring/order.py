@@ -318,7 +318,10 @@ def check_pairwise_monotony(algebra: Algebra,
     the law follows from monotony in each argument: p∘r ≼ q∘r ≼ q∘s.  So
     when transitivity holds, and monotony holds in the first argument of
     + and × and in the second (a table equal to its transpose has one
-    law for both), the law holds and no tuple is scanned.  Otherwise the
+    law for both), the law holds and no tuple is scanned.  Those reports
+    are the relation's own (``order.transitivity``, :func:`_monotony`),
+    so after check_poset and check_monotony only the second-argument
+    laws are new.  Otherwise the
     scan runs one case per pair (p, q) over the n² positions (r, s): where
     p ≼ q, the slab r ↦ (s ↦ p∘r ≼ q∘s) must hold wherever r ≼ s.  Its
     rows s ↦ x ≼ q∘s are built once per q and joined along row p of the

@@ -1,17 +1,29 @@
-"""Exhaustive semiring-axiom and classification checkers.
+"""Exact semiring-axiom and classification checkers.
 
-Every checker scans the whole carrier in lexicographic order and returns
-a PropertyReport.  A fails verdict always carries the first witness the
-scan met, so re-running the cited elements through the operation tables
-reproduces the violated equation.  Exhaustive scanning is the point:
-these checkers double as the oracle for every claim about an instance.
+Every checker decides its law over the whole carrier and returns a
+PropertyReport.  A fails verdict always carries the first witness in
+lexicographic order, so re-running the cited elements through the
+operation tables reproduces the violated equation; these checkers double
+as the oracle for every claim about an instance.
 
 Every law of n² or more tuples, here and in the other modules, runs on
 compiled rows through :func:`_scan_rows`, which compares whole rows over
 the last index of the tuple and derives the witness and ``checked`` from
 the position of the first violation.
 
-A law of n³ tuples decides each outer index at once, on every carrier.
+A law of n³ tuples that holds is decided on a generating set G of one
+operation (``CompiledTables.generators``), where it holds exactly when
+it holds everywhere.  Associativity holds iff (x∘y)∘g = x∘(y∘g) for all
+x, y and every g in G, by Light's test (:func:`_associative`); once ×
+is associative, distributivity holds iff it holds at every i in G×, and
+once ∘ is associative, monotony in one argument of ∘ (``order``) holds
+iff it holds at every r in G∘, since in each case the elements where the
+law holds are closed under the operation.  A holding law reports every
+tuple it covers as ``checked``.  Where that test fails, or its premise
+does, the scan below decides the law and names the first witness, so
+verdicts, witnesses and ``checked`` do not depend on G.
+
+A scanned law of n³ tuples decides each outer index at once.
 Associativity and distributivity compare one slab per index: all its n²
 positions (j, k) in scan order, in a few C calls, in bands of at most
 2¹⁶ positions above 256 elements (:func:`_bands`), so the first
@@ -44,7 +56,10 @@ class PropertyReport:
     """Outcome of one exhaustive check.
 
     ``witness`` holds element names; ``checked`` counts the tuples the
-    scan examined before stopping (everything, when the property holds).
+    verdict covers: those of the scan up to and including the first
+    witness when the property fails, and every tuple of the law when it
+    holds, also where a generating set or a reduction decided it
+    without scanning them.
     """
 
     property: str

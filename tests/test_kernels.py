@@ -16,7 +16,14 @@ transitive, a non-commutative table monotone in one argument only, and
 tables of 257-300 elements check both of its ways, the reduction to
 monotony in each argument and the slab scan; chains of 17-257 elements
 whose last row of + fails in a few drawn columns check that the scan
-names the first witness when it lies in the last q.
+names the first witness when it lies in the last q.  Holding n³ laws
+are decided on generating sets: the sets are compared with a closure
+from their definition, the laws with the scans on relabelled Boolean
+tables with a few cells changed, on ℤn and on ℤn of 257-300 elements,
+and three tables pin the fallback to the scan where the test at the
+generators, or its associativity premise, fails.  Two count tests pin
+two slabs per generator for associativity on free:3 and one decision
+of transitivity and of each monotony law per ``order`` command.
 """
 
 import random
