@@ -34,7 +34,6 @@ ADD = "add"
 MUL = "mul"
 
 MAX_FREE_ATOMS = 4
-MAX_CARRIER = 1 << 16
 MAX_DENSE_CARRIER = 4096  # dense n-by-n structures (tables, order matrices)
 MAX_BYTE_CARRIER = 256    # carriers whose indices fit in one byte
 
@@ -195,8 +194,7 @@ class Algebra:
 
     def table_rows(self, op: str) -> Iterable[Iterable[int]]:
         """Row i of the table of ``op`` (ADD or MUL) lists i ∘ j by j."""
-        scalar, n = self.add_i if op == ADD else self.mul_i, self.size
-        return (map(scalar, repeat(i, n), range(n)) for i in range(n))
+        raise NotImplementedError
 
     # -- operations on elements -------------------------------------------
 
@@ -267,15 +265,25 @@ def row_type(n: int) -> type:
     return bytes if n <= MAX_BYTE_CARRIER else tuple
 
 
+def transposed(rows: Sequence) -> list:
+    """The columns of the rows of a matrix, of the rows' type: strided
+    slices of the joined rows when they are bytes, else tuples from
+    ``zip``; either way in C."""
+    if isinstance(rows[0], bytes):
+        joined, width = b"".join(rows), len(rows[0])
+        return [joined[j::width] for j in range(width)]
+    return list(zip(*rows))
+
+
 class CompiledTables:
     """The operation tables of an algebra as one row per element.
 
     ``add[i][j]`` is i + j and ``mul[i][j]`` is i × j; ``add_t`` and
-    ``mul_t`` are the transposes, so ``add_t[j][i]`` is also i + j, and
-    ``comp`` is the complement row (None without a complement).  Rows are
-    ``bytes`` when the carrier fits in a byte, so that :meth:`compose`
-    runs whole rows through ``bytes.translate`` in C, and tuples up to
-    :data:`MAX_DENSE_CARRIER`.
+    ``mul_t`` are their :func:`transposed` columns, so ``add_t[j][i]`` is
+    also i + j, and ``comp`` is the complement row (None without a
+    complement).  Rows are ``bytes`` when the carrier fits in a byte, so
+    that :meth:`compose` runs whole rows through ``bytes.translate`` in
+    C, and tuples up to :data:`MAX_DENSE_CARRIER`.
 
     :meth:`generators` gives a generating set of each operation, and
     ``associative`` holds Light's associativity verdict per operation
@@ -292,21 +300,13 @@ class CompiledTables:
         self.row = row_type(n)
         self.add = list(map(self.row, algebra.table_rows(ADD)))
         self.mul = list(map(self.row, algebra.table_rows(MUL)))
-        self.add_t = self._transposed(self.add)
-        self.mul_t = self._transposed(self.mul)
+        self.add_t = transposed(self.add)
+        self.mul_t = transposed(self.mul)
         self.comp = (self.row(map(algebra.comp_i, range(n)))
                      if algebra.has_complement else None)
         self._irreducible: dict[str, frozenset[int]] = {}
         self._generators: dict[str, tuple[int, ...]] = {}
         self.associative: dict[str, bool] = {}
-
-    def _transposed(self, rows: list) -> list:
-        """The columns of ``rows``: strided slices of the joined byte rows,
-        else tuples from ``zip``."""
-        if self.row is bytes:
-            joined = b"".join(rows)
-            return [joined[j::self.n] for j in range(self.n)]
-        return [self.row(col) for col in zip(*rows)]
 
     def tables(self, op: str) -> tuple[list, list]:
         """The rows and the columns of ``op`` (ADD or MUL)."""
@@ -471,12 +471,10 @@ class FreeBooleanAlgebra(Algebra):
     add_i = staticmethod(and_)
     mul_i = staticmethod(or_)
 
-    def table_rows(self, op: str) -> Iterable[Iterable[int]]:
-        """On byte rows, each table is one bitwise operation on the byte
-        tables of :func:`_byte_table`, cut into rows."""
+    def table_rows(self, op: str) -> list[bytes]:
+        """One bitwise operation on the byte tables of :func:`_byte_table`,
+        cut into rows (compiled tables refuse free:4 before reading them)."""
         n = self.size
-        if n > MAX_BYTE_CARRIER:
-            return super().table_rows(op)
         table = (and_ if op == ADD else or_)(*_byte_table(n)).to_bytes(
             n * n, "little")
         return [table[x * n:x * n + n] for x in range(n)]

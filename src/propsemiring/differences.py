@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import eq, itemgetter
+from operator import eq
 from typing import Iterable
 
 from .algebra import (ADD, MAX_DENSE_CARRIER, Algebra, AlgebraError,
                       DomainError, Element, SizeLimitError, TableAlgebra,
                       TableLoadError, UnsupportedOperationError,
-                      _check_identity_laws)
+                      _check_identity_laws, transposed)
 from .morphisms import Morphism, check_morphism
 from .order import (OrderRelation, check_poset, _check_relation, _reflexivity,
                     _transitivity)
@@ -226,8 +226,8 @@ def difference_semiring(algebra: Algebra,
     # verify all three properties anyway; transitivity is the real one.
     for report, where in (
             (_reflexivity(pairs.__getitem__, related), "reflexive at {}"),
-            (_commutativity("symmetry", pairs.__getitem__, related, [
-                bytes(map(itemgetter(y), related)) for y in range(len(pairs))]),
+            (_commutativity("symmetry", pairs.__getitem__, related,
+                            transposed(related)),
              "symmetric at {}, {}"),
             (_transitivity("transitivity", pair_name, related,
                            list(map(_packed, related))),

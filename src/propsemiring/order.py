@@ -28,7 +28,7 @@ from typing import Callable
 
 from .algebra import (ADD, MAX_BYTE_CARRIER, MAX_DENSE_CARRIER, MUL, Algebra,
                       Element, DomainError, SizeLimitError, Subalgebra,
-                      TableAlgebra, UnsupportedOperationError)
+                      TableAlgebra, UnsupportedOperationError, transposed)
 from .properties import (PropertyReport, additively_cancellable_elements,
                          _Band, _associative, _commutativity,
                          _first_difference, _packed, _scan_rows)
@@ -48,9 +48,10 @@ class OrderRelation:
         return self.rows[p][q] == 1
 
     @cached_property
-    def down_bytes(self) -> tuple[bytes, ...]:
-        """Down-sets as 0/1 byte rows: down_bytes[q][p] is 1 iff p ≼ q."""
-        return tuple(map(bytes, zip(*self.rows)))
+    def down_bytes(self) -> list[bytes]:
+        """Down-sets, the :func:`transposed` rows: down_bytes[q][p] is 1
+        iff p ≼ q."""
+        return transposed(self.rows)
 
     @cached_property
     def up_packed(self) -> tuple[int, ...]:
@@ -255,16 +256,16 @@ def check_operation_bounds(algebra: Algebra, order: OrderRelation) -> PropertyRe
     _check_relation(order, algebra)
     c = algebra.compiled
     carrier = range(c.n)
-    up = order.rows
     holds = b"\1" * c.n
     above, below = {"claim": "p ≼ p + q"}, {"claim": "p × q ≼ q"}
+    # the columns q ↦ (p ↦ p × q ≼ q): down(q) composed with column q of ×
+    bounded = transposed(list(map(c.compose, order.down_bytes, c.mul_t)))
 
     return _scan_rows("operation-bounds", algebra.name_of, (
         # byte q is 1 iff p ≼ p + q, resp. iff p × q ≼ q
-        ((p,), carrier, ((c.compose(up[p], ap), holds, above),
-                         (bytes(map(getitem, map(up.__getitem__, mp), carrier)),
-                          holds, below)))
-        for p, (ap, mp) in enumerate(zip(c.add, c.mul))))
+        ((p,), carrier, ((c.compose(up, ap), holds, above),
+                         (bounded[p], holds, below)))
+        for p, (ap, up) in enumerate(zip(c.add, order.rows))))
 
 
 def check_bound_decomposition(algebra: Algebra,

@@ -13,8 +13,8 @@ the position of the first violation.
 
 A law of n³ tuples that holds is decided on a generating set G of one
 operation (``CompiledTables.generators``), where it holds exactly when
-it holds everywhere.  Associativity holds iff (x∘y)∘g = x∘(y∘g) for all
-x, y and every g in G, by Light's test (:func:`_associative`); once ×
+it holds everywhere.  Associativity holds iff (g∘y)∘z = g∘(y∘z) for
+every g in G and all y, z, by Light's test (:func:`_associative`); once ×
 is associative, distributivity holds iff it holds at every i in G×, and
 once ∘ is associative, monotony in one argument of ∘ (``order``) holds
 iff it holds at every r in G∘, since in each case the elements where the
@@ -209,42 +209,41 @@ def _slabs(c, rows) -> list:
             for a0, a1, positions in _bands(c.n, c.n)]
 
 
+def _associativity_cases(c: CompiledTables, op: str, outer: Iterable[int]):
+    """Per i in ``outer``, one slab per band over the positions (j, k):
+    row i∘j of the table against row i composed with row j."""
+    rows, slab = c.tables(op)[0], c.slab
+    row, slabs = rows.__getitem__, _slabs(c, rows)
+    for i in outer:
+        for band, positions, composed in slabs:
+            yield (i,), positions, ((slab(map(row, rows[i][band])),
+                                     composed(rows[i]), None),)
+
+
 def _associative(c: CompiledTables, op: str) -> bool:
     """Whether ``op`` is associative, by Light's test (Clifford & Preston,
-    1961, §1.2): the z with (x∘y)∘z = x∘(y∘z) for all x, y are closed
-    under ∘, so it suffices that they include a generating set G.  Per
-    g in G this is one slab per band over the positions (y, x): column g
-    composed into the columns y against the columns y∘g.  Decided once
-    per operation and kept in ``c.associative``.
+    1961, §1.2) on left elements: the x with (x∘y)∘z = x∘(y∘z) for all
+    y, z are closed under ∘, since for two of them, x1 and x2,
+    ((x1∘x2)∘y)∘z = (x1∘(x2∘y))∘z = x1∘((x2∘y)∘z) = x1∘(x2∘(y∘z)) =
+    (x1∘x2)∘(y∘z).  So it suffices that each x of a generating set passes
+    its case of :func:`_associativity`.  Decided once per operation and
+    kept in ``c.associative``.
     """
     if op not in c.associative:
-        cols, slab = c.tables(op)[1], c.slab
-        slabs = _slabs(c, cols)
-        c.associative[op] = all(
-            composed(cols[g]) == slab(map(cols.__getitem__, cols[g][band]))
-            for g in c.generators(op) for band, _, composed in slabs)
+        c.associative[op] = all(a == b for _, _, sides in _associativity_cases(
+            c, op, c.generators(op)) for a, b, _ in sides)
     return c.associative[op]
 
 
 def _associativity(name: str, algebra: Algebra, op: str) -> PropertyReport:
-    """(i∘j)∘k = i∘(j∘k) for the operation ``op`` (ADD or MUL).  Where
-    :func:`_associative` finds the law, it holds over all n³ tuples;
-    otherwise each i is one slab per band, position (j, k) holding row
-    i∘j of the table on one side and ri composed with row j on the
-    other, and the first difference names the witness."""
+    """(i∘j)∘k = i∘(j∘k) for the operation ``op`` (ADD or MUL): over all
+    n³ tuples where :func:`_associative` holds, else every i runs its
+    case and the first difference names the witness."""
     c = algebra.compiled
     if _associative(c, op):
         return PropertyReport(name, True, None, c.n ** 3)
-    rows, slab = c.tables(op)[0], c.slab
-
-    def cases():
-        slabs = _slabs(c, rows)
-        for i, ri in enumerate(rows):
-            for band, positions, composed in slabs:
-                yield (i,), positions, ((slab(map(rows.__getitem__, ri[band])),
-                                         composed(ri), None),)
-
-    return _scan_rows(name, algebra.name_of, cases())
+    return _scan_rows(name, algebra.name_of,
+                      _associativity_cases(c, op, range(c.n)))
 
 
 def _two_sided(name: str, algebra: Algebra, op: Callable[[int, int], int],

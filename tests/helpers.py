@@ -137,6 +137,11 @@ def generators_oracle(op):
         generators.add(min(set(range(n)) - closure))
 
 
+def transpose_oracle(rows):
+    """Column j of a matrix, entry by entry, as a list."""
+    return [[row[j] for row in rows] for j in range(len(rows[0]))]
+
+
 # -- law oracles --------------------------------------------------------------
 #
 # Each oracle scans the tuples of one law in lexicographic order, straight

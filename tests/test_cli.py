@@ -170,6 +170,26 @@ class TestOrderCommand:
         assert code == 2
         assert err == "error: order matrix row 0 must be a list, got 1\n"
 
+    @pytest.mark.parametrize("doc", [5, "0110", {"rows": [[1]]}])
+    def test_matrix_file_that_is_no_list(self, capsys, tmp_path, doc):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "order", "--free-atoms", "1",
+                             "--order-matrix", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: expected a 0/1 matrix (bare or "
+                       f"under an 'order' key)\n")
+
+    def test_matrix_under_an_order_key(self, capsys, tmp_path):
+        matrix = [[1 if p == q else 0 for q in range(4)] for p in range(4)]
+        path = tmp_path / "discrete.json"
+        path.write_text(json.dumps({"order": matrix}), encoding="utf-8")
+        doc = run_json(capsys, "order", "--free-atoms", "1",
+                       "--order-matrix", str(path))
+        assert doc["order_used"] == "supplied"
+        assert doc["inputs"][-1]["source"] == str(path)
+        assert claims_of(doc)["operation-bounds"]["witness"] == ["!a", "⊥"]
+
     def test_order_embedded_in_table(self, capsys, tmp_path):
         spec = zmod_spec(2)
         spec["order"] = [[1, 0], [0, 1]]
@@ -234,6 +254,22 @@ class TestHomCheck:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}: '{key}' must be a string")
 
+    def test_map_is_required(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"source": "free:1", "target": "free:0"}),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "hom", "check", "--map", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: a morphism needs source, target "
+                       f"and map\n")
+
+    def test_map_that_is_a_list(self, capsys, tmp_path):
+        path = write_morphism(tmp_path, "f.json", "free:1", "free:0",
+                              list(EVAL_TOP.items()))
+        code, out, err = run(capsys, "hom", "check", "--map", path)
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: 'map' must be an object\n"
+
     @pytest.mark.parametrize("image", [7, ["⊤"], None])
     def test_image_that_is_no_name(self, capsys, tmp_path, image):
         path = write_morphism(tmp_path, "f.json", "free:1", "free:0",
@@ -296,6 +332,12 @@ class TestHomEnumerate:
                               "--dst", dst, "--kind", kind)
             assert len(out.strip().splitlines()) == expected, (src, dst, kind)
             assert err.startswith(f"{expected} {kind} homomorphisms")
+
+    def test_free_spec_needs_an_atom_count(self, capsys):
+        code, out, err = run(capsys, "hom", "enumerate", "--src", "free:x",
+                             "--dst", "free:0")
+        assert code == 2 and out == ""
+        assert err == "error: bad algebra spec 'free:x': expected free:N\n"
 
     def test_cap_is_an_input_error(self, capsys):
         # 8 generators under + and ×, so 16^8 candidate maps

@@ -53,6 +53,11 @@ class TestIdeals:
         mixed = is_ideal(ba1, [ba1.top, 2])
         assert by_name.holds and mixed.holds
 
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_indices_outside_the_carrier_are_rejected(self, ba1, index):
+        with pytest.raises(DomainError, match=f"index {index} outside"):
+            is_ideal(ba1, [3, index])
+
     def test_downward_sets_are_not_ideals(self, ba1):
         # ⊥ pulls in !a via !a × ⊥ = !a, so {⊥, a, ⊤} fails absorption
         report = is_ideal(ba1, ["⊥", "a", "⊤"])
@@ -246,6 +251,12 @@ class TestExtendedOrder:
         # (≼' = ≼) ⇔ base stability: False ⇔ False
         assert result.similarity_iff
 
+    def test_foreign_subtrahends_are_rejected(self, z3):
+        # a carrier of the same size, whose ideal would otherwise be read
+        other = table_semiring(zmod_spec(3))
+        with pytest.raises(DomainError, match="different algebra"):
+            extended_order(z3, discrete_order(z3), subtrahend_ideal(other))
+
     def test_universal_quantifier_is_stricter(self, z3):
         matrix = [[1 if p == q else 0 for q in range(3)] for p in range(3)]
         matrix[0][1] = 1
@@ -325,6 +336,12 @@ class TestCancellation:
                         if (c - d) * (a - b) % 4 == 0 and witness is None:
                             witness = (str(a), str(b), str(c), str(d))
         assert report.witness == witness == ("0", "2", "0", "2")
+
+    def test_criterion_rejects_foreign_subtrahends(self, z5):
+        # a carrier of the same size, whose ideal would otherwise be read
+        other = table_semiring(zmod_spec(5))
+        with pytest.raises(DomainError, match="different algebra"):
+            difference_cancellation_criterion(z5, subtrahend_ideal(other))
 
     def test_biconditional_on_prime_moduli(self, z2, z3, z5):
         for algebra in (z2, z3, z5):

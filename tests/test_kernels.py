@@ -21,7 +21,10 @@ are decided on generating sets: the sets are compared with a closure
 from their definition, the laws with the scans on relabelled Boolean
 tables with a few cells changed, on ℤn and on ℤn of 257-300 elements,
 and three tables pin the fallback to the scan where the test at the
-generators, or its associativity premise, fails.  Two count tests pin
+generators, or its associativity premise, fails.  Light's test alone is
+compared with the associativity oracle for both operations of every
+hypothesis table, and ``transposed`` with a transpose oracle on byte and
+tuple rows at the byte-row edge.  Two count tests pin
 two slabs per generator for associativity on free:3 and one decision
 of transitivity and of each monotony law per ``order`` command.
 """
@@ -35,7 +38,8 @@ from hypothesis import example, given, settings, strategies as st
 from propsemiring.algebra import (ADD, MUL, AlgebraError, DomainError,
                                   SizeLimitError, TableLoadError,
                                   UnsupportedOperationError,
-                                  free_boolean_algebra, table_semiring)
+                                  free_boolean_algebra, table_semiring,
+                                  transposed)
 import propsemiring.order as order_module
 from propsemiring.cli import main
 from propsemiring.differences import (CongruenceError, SubtrahendIdeal,
@@ -68,7 +72,7 @@ from helpers import (antisymmetry_oracle, associativity_oracle,
                      pairwise_monotony_oracle, quotient_identity_oracle,
                      reflexivity_oracle, subtrahend_ideal_oracle,
                      transitivity_oracle, translation_invariance_oracle,
-                     zerosumfree_oracle)
+                     transpose_oracle, zerosumfree_oracle)
 
 
 def algebra_of(add, mul, zero, one, comp=None):
@@ -771,6 +775,27 @@ def test_generating_sets_match_definition(table):
     for op, rows in ((ADD, table[0]), (MUL, table[1])):
         assert c.irreducible(op) == irreducible_oracle(rows)
         assert c.generators(op) == generators_oracle(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 256, 257])
+@pytest.mark.parametrize("row", [bytes, tuple])
+def test_transposed_matches_definition(n, row):
+    # 0/1 rows are bytes at every size; table rows are bytes up to 256
+    # elements and tuples above.
+    rng = random.Random(n)
+    rows = [row(rng.randrange(256) for _ in range(n)) for _ in range(n)]
+    columns = transposed(rows)
+    assert all(type(column) is row for column in columns)
+    assert list(map(list, columns)) == transpose_oracle(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cayley_tables())
+@example(right_zero_table(5))  # associative, and + is not commutative
+def test_light_test_matches_definition(table):
+    c = algebra_of(*table).compiled
+    for op, rows in ((ADD, table[0]), (MUL, table[1])):
+        assert _associative(c, op) == (associativity_oracle(rows)[0] is None)
 
 
 @st.composite

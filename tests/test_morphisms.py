@@ -46,6 +46,12 @@ class TestMorphismBasics:
             Morphism.from_names(ba1, ba0, {"⊥": "nope", "!a": "⊥",
                                            "a": "⊤", "⊤": "⊤"})
 
+    def test_an_element_named_twice_is_rejected(self, ba1, ba0):
+        # "top" is another name of ⊤
+        with pytest.raises(DomainError, match="'top' is mapped twice"):
+            Morphism.from_names(ba1, ba0, {"⊥": "⊥", "!a": "⊥", "a": "⊤",
+                                           "⊤": "⊤", "top": "⊤"})
+
     def test_mapping_length_is_checked(self, ba1, ba0):
         with pytest.raises(DomainError, match="all 4 elements"):
             Morphism(ba1, ba0, [0, 1])
@@ -256,6 +262,18 @@ class TestOrderBehaviourOfMaps:
         with pytest.raises(DomainError, match="mode"):
             order_relation_of_map(identity1, order, order, "isotone")
 
+    @pytest.mark.parametrize("foreign", ["source", "target"])
+    def test_order_of_another_algebra_is_rejected(self, identity1, ba1,
+                                                  foreign):
+        # a carrier of the same size, whose order would otherwise scan
+        orders = {"source": canonical_order(ba1),
+                  "target": canonical_order(ba1),
+                  foreign: canonical_order(free_boolean_algebra(1))}
+        with pytest.raises(DomainError,
+                           match=f"{foreign} order belongs to a different"):
+            order_relation_of_map(identity1, orders["source"],
+                                  orders["target"])
+
 
 @pytest.fixture
 def atom_swap(ba2):
@@ -433,6 +451,11 @@ class TestIsoTheorem:
         for c in report.counterexamples:
             assert c["onto"] and c["order_preserving"]
             assert not c["isomorphism"]
+
+    def test_unknown_mode_is_rejected_first(self, z3):
+        # before the canonical orders, which ℤ3 does not have
+        with pytest.raises(DomainError, match="unknown mode 'isotone'"):
+            verify_iso_theorem(z3, z3, "semiring", "isotone")
 
     def test_semiring_kind_via_brute_force(self, ba0):
         report = verify_iso_theorem(ba0, ba0, "semiring", "embedding")

@@ -69,6 +69,11 @@ class TestCanonicalOrder:
         with pytest.raises(SizeLimitError, match="65536 exceeds 4096"):
             discrete_order(free_boolean_algebra(4))
 
+    def test_from_matrix_refuses_carriers_above_the_dense_limit(self):
+        # refused before the row count is compared
+        with pytest.raises(SizeLimitError, match="above carrier 4096"):
+            OrderRelation.from_matrix(free_boolean_algebra(4), [])
+
 
 class TestPosetLaws:
     def test_canonical_order_is_a_poset(self, ba2):
@@ -117,6 +122,12 @@ class TestMonotonyAndBounds:
         assert mul_report.witness == ("⊥", "⊤", "!a")
         # replay: ⊥ × !a = !a and ⊤ × !a = ⊤, but !a ≼ ⊤ is not in the order
         assert not add_report.holds
+
+    def test_relation_of_another_algebra_is_rejected(self, ba1):
+        # a carrier of the same size, whose relation would otherwise scan
+        other = free_boolean_algebra(1)
+        with pytest.raises(DomainError, match="different algebra"):
+            check_monotony(ba1, canonical_order(other))
 
     def test_operation_bounds_hold_canonically(self, ba1, ba2):
         for algebra in (ba1, ba2):
