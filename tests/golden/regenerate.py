@@ -25,7 +25,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.dirname(HERE))
 
-from helpers import bool2_spec, zmod_spec  # noqa: E402
+from helpers import bool2_spec, product_spec, zmod_spec  # noqa: E402
 
 from propsemiring.algebra import free_boolean_algebra  # noqa: E402
 from propsemiring.cli import main  # noqa: E402
@@ -43,20 +43,6 @@ def _chain3() -> dict:
 
 def _chain_matrix(n: int) -> list[list[int]]:
     return [[int(p <= q) for q in range(n)] for p in range(n)]
-
-
-def _zmod_product(m: int, k: int) -> dict:
-    """ℤm × ℤk, componentwise; its least subalgebra is ℤlcm(m, k)."""
-    pairs = [(a, b) for a in range(m) for b in range(k)]
-    names = [f"{a}.{b}" for a, b in pairs]
-
-    def table(op):
-        return [[f"{op(a, c) % m}.{op(b, d) % k}" for c, d in pairs]
-                for a, b in pairs]
-
-    return {"name": f"z{m}xz{k}", "elements": names,
-            "add": table(int.__add__), "mul": table(int.__mul__),
-            "zero": "0.0", "one": "1.1"}
 
 
 def _ordered_table(name: str, n: int, add) -> dict:
@@ -113,10 +99,14 @@ def _inputs() -> dict[str, object]:
         files[f"z{n}.json"] = zmod_spec(n)
     for n in (*range(2, 8), *SEEDED):
         files[f"chain-z{n}.json"] = _chain_matrix(n)
-    files["z4xz6.json"] = _zmod_product(4, 6)
+    files["z4xz6.json"] = product_spec(zmod_spec(4), zmod_spec(6))
     files["chain-z4xz6.json"] = _chain_matrix(24)
-    files["z2xz4.json"] = _zmod_product(2, 4)
+    files["z2xz4.json"] = product_spec(zmod_spec(2), zmod_spec(4))
     files["chain-z2xz4.json"] = _chain_matrix(8)
+    files["z12.json"] = zmod_spec(12)
+    # ⊖ is the 4 elements (a, ⊤) of ℤ4 × 2², so the 64 differences fall
+    # into 16 classes of 4 pairs each.
+    files["z4xbool4.json"] = product_spec(zmod_spec(4), _boolean(2))
     # The discrete order of ℤ6 plus 1 ≼ 4: shifting by the subtrahend 3
     # breaks it at p = 1, past the pairs of p = 0.
     files["z6-one-four.json"] = [[int(p == q or (p, q) == (1, 4))
@@ -345,6 +335,9 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
         ("order-bool64-late", ["order", "--table", "bool64-late.json",
                                "--order-matrix", "bool64-canonical.json"],
          None),
+        ("diff-z12", ["diff", "--table", "z12.json", "--emit", "d_z12.json"],
+         "d_z12.json"),
+        ("diff-z4xbool4", ["diff", "--table", "z4xbool4.json"], None),
     ]
     return cases
 

@@ -28,6 +28,28 @@ def zmod_spec(n: int) -> dict:
     }
 
 
+def product_spec(left: dict, right: dict) -> dict:
+    """The direct product of two table descriptions, componentwise: the
+    element named "x.y" is the pair (x, y), left component major."""
+    pairs = [(x, y) for x in range(len(left["elements"]))
+             for y in range(len(right["elements"]))]
+
+    def name(x, y):
+        return f"{left['elements'][x]}.{right['elements'][y]}"
+
+    def table(op):
+        index = [{e: i for i, e in enumerate(spec["elements"])}
+                 for spec in (left, right)]
+        return [[name(index[0][left[op][a][c]], index[1][right[op][b][d]])
+                 for c, d in pairs] for a, b in pairs]
+
+    return {"name": f"{left['name']}x{right['name']}",
+            "elements": [name(x, y) for x, y in pairs],
+            "add": table("add"), "mul": table("mul"),
+            "zero": f"{left['zero']}.{right['zero']}",
+            "one": f"{left['one']}.{right['one']}"}
+
+
 def bool2_spec() -> dict:
     """The 2-element Boolean table: AND as +, OR as ×, ⊤ additive identity."""
     return {
