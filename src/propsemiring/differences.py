@@ -13,19 +13,28 @@ For Boolean carriers only ⊤ is cancellable, so ⊖ = {⊤} and the quotient
 is a copy of the carrier; modular tables ℤn provide the interesting
 cases.  Every structural fact used here (equivalence, congruence, the
 embedding p ↦ (p, ⊤)) is verified at construction time, not assumed.
+
+The congruence is decided by comparing each pair with the first pair of
+its class, in rows and in columns of the tables of classes of ⊕ and ⊗:
+an equivalence compatible with each argument separately is a
+congruence.  That takes O(N²) label comparisons over N pairs where the
+definition has (Σ block²)² positions, n⁶ on ℤn.  Where a comparison
+fails, the definition's scan runs and names the first witness.  Pair
+(p, α) is coded p·|⊖| + position(α), and ⊖ must be an ideal, so those
+tables are built from the + table by row operations in C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import eq
+from operator import add, eq
 from typing import Iterable
 
 from .algebra import (ADD, MAX_DENSE_CARRIER, Algebra, AlgebraError,
                       DomainError, Element, SizeLimitError, TableAlgebra,
                       TableLoadError, UnsupportedOperationError,
-                      _check_identity_laws, transposed)
+                      _check_identity_laws, row_type, transposed)
 from .morphisms import Morphism, check_morphism
 from .order import (OrderRelation, check_poset, _check_relation, _reflexivity,
                     _transitivity)
@@ -93,13 +102,19 @@ class SubtrahendIdeal:
         return [self.algebra.name_of(i) for i in self.members]
 
 
-def _validate_subtrahends(algebra: Algebra, members: tuple[int, ...],
-                          cancellable: set[int]) -> SubtrahendIdeal:
+def _require_ideal(algebra: Algebra, members: Iterable) -> None:
+    """Raise DomainError naming the first condition of :func:`is_ideal`
+    that ``members`` fail."""
     ideal_report = is_ideal(algebra, members)
     if not ideal_report.holds:
         raise DomainError(
             f"subtrahends are not an ideal: {ideal_report.details['condition']} "
             f"fails at witness {ideal_report.witness}")
+
+
+def _validate_subtrahends(algebra: Algebra, members: tuple[int, ...],
+                          cancellable: set[int]) -> SubtrahendIdeal:
+    _require_ideal(algebra, members)
     for m in members:
         if m not in cancellable:
             raise DomainError(
@@ -196,26 +211,42 @@ def difference_semiring(algebra: Algebra,
                         ) -> DifferenceSemiring:
     """Build the difference semiring over the given (or computed) ⊖.
 
-    The relation is verified to be an equivalence and a congruence for
-    both operations before the quotient tables are built; violations
-    raise CongruenceError with a witness, though they cannot occur once
-    the subtrahends validate as cancellable.
+    ⊖ must be an ideal (DomainError naming the condition that fails), so
+    that every sum and product of pairs is a pair again.  The relation is
+    verified to be an equivalence and a congruence for both operations
+    before the quotient tables are built; violations raise
+    CongruenceError with a witness, though they cannot occur once the
+    subtrahends validate as cancellable.
+
+    The congruence is decided against class representatives.  An
+    equivalence is a congruence iff it is compatible with each argument
+    separately (Burris & Sankappanavar, *A Course in Universal Algebra*,
+    1981, ch. II), so it is enough that every row and every column of the
+    class tables [x ⊕ y] and [x ⊗ y] equals that of its representative
+    r(x), the first pair of its class: x ~ x2 and y ~ y2 then give
+    [x∘y] = [r(x)∘y] = [x2∘y] = [x2∘r(y)] = [x2∘y2].  That is 2N row
+    comparisons per operation over N pairs.  A congruence that holds
+    reports ``checked`` as the definition's scan would, (Σ block²)²
+    positions.  Where a comparison fails the congruence fails, and the
+    scan over related pairs (x, x2) and (y, y2) runs to name the first
+    witness.
     """
     if subtrahends is None:
         subtrahends = subtrahend_ideal(algebra)
     if subtrahends.algebra is not algebra:
         raise DomainError("subtrahend ideal belongs to a different algebra")
+    members = subtrahends.members
+    _require_ideal(algebra, members)
 
     c = algebra.compiled
-    compose, add, mul = c.compose, c.add, c.mul
-    pairs = [(p, a) for p in range(algebra.size) for a in subtrahends.members]
+    compose, n, width = c.compose, c.n, len(members)
+    pairs = [(p, a) for p in range(n) for a in members]
     if len(pairs) > MAX_DENSE_CARRIER:  # the relation is held as dense rows
         raise SizeLimitError(f"{len(pairs)} differences exceed {MAX_DENSE_CARRIER}")
-    index = {x: i for i, x in enumerate(pairs)}
     firsts, seconds = c.row(p for p, _ in pairs), c.row(a for _, a in pairs)
     # related[x][y] is 1 iff x ~ y, that is iff p + β = q + α for
     # x = (p, α) and y = (q, β)
-    related = [bytes(map(eq, compose(add[p], seconds),
+    related = [bytes(map(eq, compose(c.add[p], seconds),
                          compose(c.add_t[a], firsts))) for p, a in pairs]
 
     def pair_name(i: int) -> str:
@@ -245,53 +276,93 @@ def difference_semiring(algebra: Algebra,
             for y in block:
                 label[y] = len(classes)
             classes.append(block)
-
-    # sums[x][y] and products[x][y]: the classes of x ⊕ y and x ⊗ y
-    sums = [tuple(label[index[add[p][q], add[a][b]]] for q, b in pairs)
-            for p, a in pairs]
-    products = [tuple(label[index[add[mul[p][q]][mul[a][b]],
-                                  add[mul[p][b]][mul[a][q]]]] for q, b in pairs)
-                for p, a in pairs]
-    # x ~ x2 and y ~ y2 force [x ∘ y] = [x2 ∘ y2]: one case per (x, x2),
-    # one position per (y, y2)
-    related_pairs = [(y, y2) for block in classes for y in block for y2 in block]
-    ys, y2s = zip(*related_pairs)
-    plus, times = {"operation": "⊕"}, {"operation": "⊗"}
-    congruence = _scan_rows("difference-congruence", lambda v: v, (
-        ((x, x2), related_pairs, (
-            (compose(sums[x], ys), compose(sums[x2], y2s), plus),
-            (compose(products[x], ys), compose(products[x2], y2s), times)))
-        for block in classes for x in block for x2 in block))
-    if not congruence.holds:
-        x, x2, y, y2 = congruence.witness
-        raise CongruenceError("{} not well defined at {} ~ {}, {} ~ {}".format(
-            congruence.details["operation"], *map(pair_name, (x, x2, y, y2))))
-
+    label = row_type(len(classes))(label)
     reps = [block[0] for block in classes]
+
+    # Pair (u, v) sits at code u·width + position(v).  Per cell
+    # k = i·n + j of the + table, high[k] is the code of (i + j, ⊖[0])
+    # and low[k] the position of i + j, so a pair's code is a high part
+    # plus a low part; the ideal keeps every low part defined.
+    position = [0] * n
+    for k, a in enumerate(members):
+        position[a] = k
+    flat = c.concat(c.add)
+    high = compose(tuple(range(0, n * width, width)), flat)
+    low = compose(tuple(position), flat)
+
+    def classes_of(highs, lows):
+        """The row y ↦ label of the pair with code highs[y] + lows[y]."""
+        return compose(label, tuple(map(add, highs, lows)))
+
+    # sums[x][y] and products[x][y]: the classes of x ⊕ y and x ⊗ y, over
+    # x = (p, α) and y = (q, β).  x ⊕ y reads the + cells p·n + q and
+    # α·n + β; x ⊗ y reads (p×q)·n + α×β and (p×β)·n + α×q.
+    sum_high = [compose(high[p * n:p * n + n], firsts) for p in range(n)]
+    sum_low = {a: compose(low[a * n:a * n + n], seconds) for a in members}
+    sums = [classes_of(sum_high[p], sum_low[a]) for p, a in pairs]
+    times_n = tuple(range(0, n * n, n))  # i ↦ i·n
+    by_p = [(compose(row, firsts), compose(row, seconds))  # (p×q)·n, (p×β)·n
+            for row in (compose(times_n, mul_p) for mul_p in c.mul)]
+    by_a = {a: (compose(c.mul[a], seconds), compose(c.mul[a], firsts))
+            for a in members}  # α×β, α×q
+    products = []
+    for p, a in pairs:
+        (pq, pb), (ab, aq) = by_p[p], by_a[a]
+        products.append(classes_of(compose(high, tuple(map(add, pq, ab))),
+                                   compose(low, tuple(map(add, pb, aq)))))
+
+    rep_of = [reps[k] for k in label]
+
+    def compatible(rows: list) -> bool:
+        """Every row and every column equals its representative's."""
+        return all(list(map(table.__getitem__, rep_of)) == table
+                   for table in (rows, transposed(rows)))
+
+    if compatible(sums) and compatible(products):
+        congruence = PropertyReport(
+            "difference-congruence", True, None,
+            sum(len(block) ** 2 for block in classes) ** 2)
+    else:
+        # x ~ x2 and y ~ y2 force [x ∘ y] = [x2 ∘ y2]: one case per
+        # (x, x2), one position per (y, y2)
+        related_pairs = [(y, y2) for block in classes for y in block
+                         for y2 in block]
+        ys, y2s = zip(*related_pairs)
+        plus, times = {"operation": "⊕"}, {"operation": "⊗"}
+        congruence = _scan_rows("difference-congruence", lambda v: v, (
+            ((x, x2), related_pairs, (
+                (compose(sums[x], ys), compose(sums[x2], y2s), plus),
+                (compose(products[x], ys), compose(products[x2], y2s), times)))
+            for block in classes for x in block for x2 in block))
+        if not congruence.holds:
+            x, x2, y, y2 = congruence.witness
+            raise CongruenceError("{} not well defined at {} ~ {}, {} ~ {}".format(
+                congruence.details["operation"], *map(pair_name, (x, x2, y, y2))))
+
     names = []
     seen_names = set()
-    for n, rep in enumerate(reps):
+    for k, rep in enumerate(reps):
         name = pair_name(rep)
         if name in seen_names:
-            name = f"{name}#{n}"
+            name = f"{name}#{k}"
         seen_names.add(name)
         names.append(name)
     if len(seen_names) < len(names):  # a renamed class met an earlier name
         raise TableLoadError("'elements' must be distinct")
 
-    # the quotient's tables over the representatives, in class labels
-    top = algebra.top_index
-    zero, one = label[index[(top, top)]], label[index[(algebra.bot_index, top)]]
-    add_rows = tuple(compose(sums[x], reps) for x in reps)
-    mul_rows = tuple(compose(products[x], reps) for x in reps)
+    # the quotient's tables over the representatives, in class labels;
+    # p ↦ class of (p, ⊤) reads every width-th label from (0, ⊤) on
+    embedded = tuple(label[position[algebra.top_index]::width])
+    zero, one = embedded[algebra.top_index], embedded[algebra.bot_index]
+    add_rows = tuple(tuple(compose(sums[x], reps)) for x in reps)
+    mul_rows = tuple(tuple(compose(products[x], reps)) for x in reps)
     _check_identity_laws(tuple(names), add_rows, mul_rows, zero, one)
     quotient = TableAlgebra(name=f"diff({algebra.name})", names=tuple(names),
                             add_rows=add_rows, mul_rows=mul_rows,
                             top_index=zero, bot_index=one,
                             source_spec=f"diff({algebra.source_spec})")
 
-    embedding = Morphism(algebra, quotient,
-                         tuple(label[index[(p, top)]] for p in range(algebra.size)))
+    embedding = Morphism(algebra, quotient, embedded)
     emb_report = check_morphism(embedding, "semiring")
     if not emb_report.holds or not embedding.is_injective():
         raise CongruenceError("embedding p ↦ (p, ⊤) failed verification")

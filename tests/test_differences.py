@@ -177,6 +177,14 @@ class TestDifferenceSemiring:
         # + is not commutative here, so p + β and β + p differ
         ([[0, 1, 2], [1, 0, 1], [2, 2, 1]], [[0, 1, 0], [1, 1, 1], [0, 1, 2]],
          0, 2, (0, 1), "⊕ not well defined at 0-0 ~ 1-1, 2-0 ~ 2-0"),
+        # × is not commutative in the next two, and ⊗ differs between
+        # pairs of one class in its first argument only, then in its
+        # second argument only: rows against representatives catch the
+        # first, columns the second
+        ([[1, 2, 0], [2, 0, 1], [0, 1, 2]], [[2, 0, 1], [0, 1, 2], [2, 2, 2]],
+         2, 1, (0, 1, 2), "⊗ not well defined at 0-1 ~ 1-2, 0-1 ~ 0-1"),
+        ([[1, 2, 0], [2, 0, 1], [0, 1, 2]], [[0, 1, 2], [1, 1, 2], [2, 1, 2]],
+         2, 0, (0, 1, 2), "⊗ not well defined at 0-1 ~ 0-1, 0-1 ~ 1-2"),
     ])
     def test_forged_subtrahends_break_the_congruence(self, add, mul, zero, one,
                                                      members, message):
@@ -193,6 +201,25 @@ class TestDifferenceSemiring:
             difference_semiring(algebra, forged)
         assert str(caught.value) == message
 
+
+    def test_unclosed_forged_subtrahends_are_refused(self):
+        # 1 + 1 = 2 lies outside {0, 1}, so the pair (0, 1) ⊕ (0, 1)
+        # would have no place among the pairs
+        z6 = table_semiring(zmod_spec(6))
+        forged = SubtrahendIdeal(algebra=z6, members=(0, 1), opposites=(0, 5))
+        with pytest.raises(DomainError, match=re.escape(
+                "subtrahends are not an ideal: closed under + fails at "
+                "witness ('1', '1')")):
+            difference_semiring(z6, forged)
+
+    def test_holding_congruence_runs_no_scan(self, count_calls):
+        # ℤ9 has 81 pairs in 9 classes of 9: the reduction decides the
+        # congruence, and the count is still that of the definition's scan
+        scans = count_calls("_scan_rows", differences)
+        diff = difference_semiring(table_semiring(zmod_spec(9)))
+        assert [c for c in scans if c[0] == "difference-congruence"] == []
+        assert diff.reports["congruence"].holds
+        assert diff.reports["congruence"].checked == (9 * 9 ** 2) ** 2
 
     def test_quotient_element_names_must_stay_distinct(self):
         # ℤ6 relabelled: with ⊖ = {0, 2, 4} two classes are named b-a-b,

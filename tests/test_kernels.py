@@ -24,7 +24,10 @@ and three tables pin the fallback to the scan where the test at the
 generators, or its associativity premise, fails.  Light's test alone is
 compared with the associativity oracle for both operations of every
 hypothesis table, and ``transposed`` with a transpose oracle on byte and
-tuple rows at the byte-row edge.  Two count tests pin
+tuple rows at the byte-row edge.  The difference congruence, decided
+against class representatives, is compared with its definition scan,
+and a set of subtrahends that is no ideal must be refused with the
+condition it fails.  Two count tests pin
 two slabs per generator for associativity on free:3 and one decision
 of transitivity and of each monotony law per ``order`` command.
 """
@@ -488,8 +491,12 @@ def test_difference_kernels_match_definitions(data):
                    "direction")
     assert_matches(result.base_stability,
                    translation_invariance_oracle(add, leq, members), "direction")
-    if ideal_oracle(add, mul, zero, members)[0] is not None:
-        return  # pairs could combine to pairs outside the carrier of pairs
+    ideal = ideal_oracle(add, mul, zero, members)
+    if ideal[0] is not None:  # pairs could combine outside the pairs
+        with pytest.raises(DomainError,
+                           match=re.escape(f"not an ideal: {ideal[2]} fails")):
+            difference_semiring(algebra, forged)
+        return
     expected = difference_oracle(add, mul, members, algebra.names)
     if expected[0] == "error":
         with pytest.raises(CongruenceError) as caught:
