@@ -201,7 +201,6 @@ class TestDifferenceSemiring:
             difference_semiring(algebra, forged)
         assert str(caught.value) == message
 
-
     def test_unclosed_forged_subtrahends_are_refused(self):
         # 1 + 1 = 2 lies outside {0, 1}, so the pair (0, 1) ⊕ (0, 1)
         # would have no place among the pairs
