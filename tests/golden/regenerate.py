@@ -132,6 +132,13 @@ def _inputs() -> dict[str, object]:
                                         ("add", "101100", "001110", "101100"))
     files["bool64-canonical.json"] = [[int(p & q == q) for q in range(64)]
                                       for p in range(64)]
+    # Indices 0 … 11 with + max and × min, 9 × 10 changed from 9 to 10:
+    # × is no longer commutative, and under the canonical order (the
+    # chain) only the bound p × q ≼ p fails, at (9, 10).  Bound
+    # decomposition then fails late, first at (10, 9, 10).
+    files["chain12-late.json"] = _edited(
+        _ordered_table("chain12", 12, max), "chain12-late",
+        ("mul", "9", "10", "10"))
     # The quotient of this table breaks the multiplicative identity law.
     files["diff-broken-identity.json"] = {
         "name": "pair", "elements": ["0", "1"],
@@ -338,6 +345,8 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
         ("diff-z12", ["diff", "--table", "z12.json", "--emit", "d_z12.json"],
          "d_z12.json"),
         ("diff-z4xbool4", ["diff", "--table", "z4xbool4.json"], None),
+        ("order-chain12-late", ["order", "--table", "chain12-late.json"],
+         None),
     ]
     return cases
 
