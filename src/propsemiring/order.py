@@ -14,6 +14,10 @@ under ∘; a law that fails there, or an operation that is not
 associative, is scanned for its first witness.  Pairwise monotony covers
 all n⁴ tuples on every carrier: by monotony in each argument where the
 order is transitive, else by a scan of the 4-tuples that names the first
+witness.  Bound decomposition covers all n³ tuples the same way: where
+the order is transitive it follows from p ≼ p + q, q ≼ p + q,
+p × q ≼ p and p × q ≼ q (p + q ≼ r gives p ≼ p + q ≼ r, and p ≼ q × r
+gives p ≼ q × r ≼ q), four n² bounds; else a scan names the first
 witness.  Transitivity and each monotony law are decided once per
 relation, however many checks read them.
 """
@@ -272,7 +276,14 @@ def check_bound_decomposition(algebra: Algebra,
                               order: OrderRelation) -> PropertyReport:
     """p + q ≼ r bounds both terms; p ≼ q × r bounds p by both factors.
 
-    The cases (p, q) run over r and name the witness.  Each p is first
+    Exact over all n³ tuples.  Where ≼ is transitive, the law follows
+    from the four operation bounds p ≼ p + q, q ≼ p + q, p × q ≼ p and
+    p × q ≼ q: p + q ≼ r then gives p ≼ p + q ≼ r and q ≼ p + q ≼ r,
+    and p ≼ q × r gives p ≼ q × r ≼ q and p ≼ q × r ≼ r.  So when the
+    bounds hold (one ``compose`` of an up-set or down-set with a row or
+    column of + or × per element and bound) and ``order.transitivity``
+    holds, the law holds and no tuple is scanned.  Otherwise the cases
+    (p, q) run over r and name the witness.  Each p is first
     decided on packed up-sets: up(p + q) ⊆ up(p) ∩ up(q) for every q,
     and no x outside up(p) has a product x × r or r × x inside it (the
     values of row and column x of ×, packed once per call when first
@@ -283,6 +294,15 @@ def check_bound_decomposition(algebra: Algebra,
     c = algebra.compiled
     carrier = range(c.n)
     up, packed = order.rows, order.up_packed
+    holds = b"\1" * c.n
+    # byte q of compose(up[p], add[p]) is 1 iff p ≼ p + q, of
+    # compose(up[q], add_t[q]) byte p iff q ≼ p + q, and of the down-sets
+    # composed with × and its columns iff p × q ≼ p, resp. p × q ≼ q
+    bounds = ((up, c.add), (up, c.add_t), (order.down_bytes, c.mul),
+              (order.down_bytes, c.mul_t))
+    if all(c.compose(x, y) == holds for sets, table in bounds
+           for x, y in zip(sets, table)) and order.transitivity.holds:
+        return PropertyReport("bound-decomposition", True, None, c.n ** 3)
     of_sum, of_product = {"claim": "p + q ≼ r"}, {"claim": "p ≼ q × r"}
     factors = []  # per x, the values of row and column x of ×, packed
 

@@ -24,12 +24,18 @@ and three tables pin the fallback to the scan where the test at the
 generators, or its associativity premise, fails.  Light's test alone is
 compared with the associativity oracle for both operations of every
 hypothesis table, and ``transposed`` with a transpose oracle on byte and
-tuple rows at the byte-row edge.  The difference congruence, decided
-against class representatives, is compared with its definition scan,
-and a set of subtrahends that is no ideal must be refused with the
-condition it fails.  Two count tests pin
-two slabs per generator for associativity on free:3 and one decision
-of transitivity and of each monotony law per ``order`` command.
+tuple rows at the byte-row edge.  Bound decomposition, decided from
+transitivity and the four operation bounds, is compared with its
+definition where exactly one bound fails under a chain and where every
+bound holds under a relation that is not transitive.  The difference
+congruence, decided against class representatives, is compared with
+its definition scan, also on ℤn with a random × and every element a
+subtrahend, where ~ is an equivalence and mostly no congruence; a set
+of subtrahends that is no ideal must be refused with the condition it
+fails.  Three count tests pin two slabs per generator for
+associativity on free:3, no scan of bound decomposition on free:3, and
+one decision of transitivity and of each monotony law per ``order``
+command.
 """
 
 import random
@@ -71,7 +77,7 @@ from helpers import (antisymmetry_oracle, associativity_oracle,
                      ideal_oracle, irreducible_oracle,
                      monotony_oracle, morphism_oracle,
                      mult_left_cancellative_oracle,
-                     operation_bounds_oracle, order_map_oracle,
+                     operation_bounds_oracle, order_map_oracle, pairs_of,
                      pairwise_monotony_oracle, quotient_identity_oracle,
                      reflexivity_oracle, subtrahend_ideal_oracle,
                      transitivity_oracle, translation_invariance_oracle,
@@ -463,15 +469,34 @@ def test_order_map_kernel_matches_definition(data):
                    {"injective": len(set(f)) == len(f)})
 
 
+@st.composite
+def subtrahend_cases(draw):
+    """(table, members): a random table with at most three subtrahends,
+    or ℤn (n ≤ 4) under + with a random × and the whole carrier as
+    subtrahends.  + is then a group, so ~ is an equivalence, and on three
+    or four elements the random × mostly keeps it from being a
+    congruence."""
+    if draw(st.booleans()):
+        table = draw(cayley_tables())
+        n, zero = len(table[0]), table[2]
+        return table, sorted(draw(st.sets(st.integers(0, n - 1), max_size=2))
+                             | draw(st.sampled_from(({zero}, set()))))
+    n = draw(st.integers(2, 4))
+    cell = st.integers(0, n - 1)
+    add = [[(i + j) % n for j in range(n)] for i in range(n)]
+    mul = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    one = draw(cell)
+    for x in range(n):
+        mul[one][x] = mul[x][one] = x
+    return (add, mul, 0, one), list(range(n))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_difference_kernels_match_definitions(data):
-    table = data.draw(cayley_tables())
+    table, members = data.draw(subtrahend_cases())
     add, mul, zero, _ = table
-    n = len(add)
     algebra = algebra_of(*table)
-    members = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=2))
-                     | data.draw(st.sampled_from(({zero}, set()))))
     assert_matches(is_ideal(algebra, members),
                    ideal_oracle(add, mul, zero, members), "condition")
     assert_matches(mult_left_cancellative(algebra),
@@ -752,6 +777,62 @@ def test_bound_verdict_checks_the_last_sum_against_p(n, p0):
     assert expected[0] == (p0, n - 1, 1)
     assert_matches(check_bound_decomposition(
         algebra, OrderRelation.from_matrix(algebra, leq)), expected, "claim")
+
+
+def failing_bounds(add, mul, leq):
+    """The operation bounds that fail for some pair (p, q)."""
+    n = len(add)
+    bounds = {"p ≼ p + q": lambda p, q: leq[p][add[p][q]],
+              "q ≼ p + q": lambda p, q: leq[q][add[p][q]],
+              "p × q ≼ p": lambda p, q: leq[mul[p][q]][p],
+              "p × q ≼ q": lambda p, q: leq[mul[p][q]][q]}
+    return [claim for claim, bound in bounds.items()
+            if not all(bound(p, q) for p, q in pairs_of(n))]
+
+
+@pytest.mark.parametrize("op, row, col, value, bound", [
+    ("add", 4, 3, 3, "p ≼ p + q"), ("add", 3, 4, 3, "q ≼ p + q"),
+    ("mul", 2, 4, 3, "p × q ≼ p"), ("mul", 4, 2, 3, "p × q ≼ q")])
+def test_bound_decomposition_where_one_bound_fails(op, row, col, value,
+                                                   bound):
+    # The chain of six indices with + max and × min, one cell changed so
+    # that the operation is no longer commutative: ≼ is transitive, and
+    # only one of the four bounds fails, so the reduction must not apply.
+    add, mul = max_min_tables(6, True)
+    (add if op == "add" else mul)[row][col] = value
+    leq = [[int(p <= q) for q in range(6)] for p in range(6)]
+    assert transitivity_oracle(leq)[0] is None
+    assert failing_bounds(add, mul, leq) == [bound]
+    algebra = algebra_of(add, mul, 0, 5)
+    expected = bound_decomposition_oracle(add, mul, leq)
+    assert expected[0] is not None
+    assert_matches(check_bound_decomposition(
+        algebra, OrderRelation.from_matrix(algebra, leq)), expected, "claim")
+
+
+def test_bound_decomposition_of_a_nontransitive_relation():
+    # The canonical order of the subsets of three points (q ⊆ p) with
+    # 001 ≼ 010 added: every bound holds, but 101 ≼ 001 ≼ 010 and not
+    # 101 ≼ 010, and the law fails at p = 101, q = 011, r = 010.
+    add, mul, zero, one = subsets_table(3)
+    leq = canonical_matrix(add)
+    leq[0b001][0b010] = 1
+    assert transitivity_oracle(leq)[0] is not None
+    assert failing_bounds(add, mul, leq) == []
+    expected = bound_decomposition_oracle(add, mul, leq)
+    assert expected[0] is not None
+    assert_order_laws_match((add, mul, zero, one), leq)
+
+
+def test_holding_bound_decomposition_runs_no_scan(count_calls):
+    # free:3 under its canonical order: transitivity and the four bounds
+    # decide the law, and the count is still that of the n³ scan
+    scans = count_calls("_scan_rows", order_module)
+    algebra = free_boolean_algebra(3)
+    report = check_bound_decomposition(algebra, canonical_order(algebra))
+    assert [s[0] for s in scans] == ["transitivity"]
+    assert (report.holds, report.witness, report.checked, report.details) \
+        == (True, None, 256 ** 3, None)
 
 
 # -- laws decided on generating sets ------------------------------------------
