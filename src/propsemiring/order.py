@@ -295,13 +295,17 @@ def check_bound_decomposition(algebra: Algebra,
     carrier = range(c.n)
     up, packed = order.rows, order.up_packed
     holds = b"\1" * c.n
+
+    def bounded(sets, table):  # compose(sets[k], table[k]) is all ones
+        return all(c.compose(x, y) == holds for x, y in zip(sets, table))
+
     # byte q of compose(up[p], add[p]) is 1 iff p ≼ p + q, of
     # compose(up[q], add_t[q]) byte p iff q ≼ p + q, and of the down-sets
     # composed with × and its columns iff p × q ≼ p, resp. p × q ≼ q
-    bounds = ((up, c.add), (up, c.add_t), (order.down_bytes, c.mul),
-              (order.down_bytes, c.mul_t))
-    if all(c.compose(x, y) == holds for sets, table in bounds
-           for x, y in zip(sets, table)) and order.transitivity.holds:
+    if (bounded(up, c.add) and bounded(up, c.add_t)
+            and bounded(order.down_bytes, c.mul)
+            and bounded(order.down_bytes, c.mul_t)
+            and order.transitivity.holds):
         return PropertyReport("bound-decomposition", True, None, c.n ** 3)
     of_sum, of_product = {"claim": "p + q ≼ r"}, {"claim": "p ≼ q × r"}
     factors = []  # per x, the values of row and column x of ×, packed
