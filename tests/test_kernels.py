@@ -813,14 +813,15 @@ def test_bound_decomposition_where_one_bound_fails(op, row, col, value,
 def test_bound_decomposition_of_a_nontransitive_relation():
     # The canonical order of the subsets of three points (q ⊆ p) with
     # 001 ≼ 010 added: every bound holds, but 101 ≼ 001 ≼ 010 and not
-    # 101 ≼ 010, and the law fails at p = 101, q = 011, r = 010.
+    # 101 ≼ 010, so the law fails, first at p = 001, q = 101, r = 010
+    # (001 + 101 = 001 ≼ 010, and not 101 ≼ 010).
     add, mul, zero, one = subsets_table(3)
     leq = canonical_matrix(add)
     leq[0b001][0b010] = 1
     assert transitivity_oracle(leq)[0] is not None
     assert failing_bounds(add, mul, leq) == []
     expected = bound_decomposition_oracle(add, mul, leq)
-    assert expected[0] is not None
+    assert expected[0] == (0b001, 0b101, 0b010)
     assert_order_laws_match((add, mul, zero, one), leq)
 
 
