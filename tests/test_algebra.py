@@ -156,6 +156,30 @@ class TestTableLoading:
         with pytest.raises(TableLoadError, match="identity law"):
             table_semiring(doc)
 
+    @pytest.mark.parametrize("edits, cell", [
+        ([("add", 0, 2, "1")], "add['0']['2'] = '1', expected '2'"),
+        ([("add", 2, 0, "1")], "add['2']['0'] = '1', expected '2'"),
+        ([("mul", 1, 2, "0")], "mul['1']['2'] = '0', expected '2'"),
+        ([("mul", 2, 1, "0")], "mul['2']['1'] = '0', expected '2'"),
+        # two cells of one x: add[zero][x], add[x][zero], mul[one][x],
+        # mul[x][one] are checked in this order, x by x
+        ([("add", 2, 0, "1"), ("add", 0, 2, "1")],
+         "add['0']['2'] = '1', expected '2'"),
+        ([("mul", 1, 2, "0"), ("add", 2, 0, "1")],
+         "add['2']['0'] = '1', expected '2'"),
+        ([("mul", 2, 1, "0"), ("mul", 1, 2, "0")],
+         "mul['1']['2'] = '0', expected '2'"),
+        ([("mul", 1, 2, "0"), ("add", 0, 1, "2")],
+         "add['0']['1'] = '2', expected '1'"),
+    ])
+    def test_first_broken_identity_cell_is_named(self, edits, cell):
+        doc = zmod_spec(3)
+        for op, row, col, value in edits:
+            doc[op][row][col] = value
+        with pytest.raises(TableLoadError) as caught:
+            table_semiring(doc)
+        assert str(caught.value) == "identity law broken at " + cell
+
     def test_duplicate_elements_rejected(self):
         doc = zmod_spec(2)
         doc["elements"] = ["0", "0"]
@@ -251,6 +275,24 @@ class TestSubalgebraClosure:
     def test_bpa_closure_needs_complement(self, z3):
         with pytest.raises(UnsupportedOperationError):
             subalgebra_closure(z3, [], bpa_closed=True)
+
+    @pytest.mark.parametrize("names, bpa_closed, defect", [
+        (["⊥"], False, "⊤ is missing"),
+        (["⊤"], False, "⊥ is missing"),
+        # a + b and a × b both escape: + is named first
+        (["⊥", "a", "b", "⊤"], False, "a + b = 1000 escapes"),
+        (["⊥", "1000", "a", "b", "⊤"], False, "a × b = 1110 escapes"),
+        # × escapes at an earlier pair than +
+        (["⊥", "0001", "!b", "a", "⊤"], False, "0001 × a = 1011 escapes"),
+        (["⊥", "1000", "a", "b", "1110", "⊤"], False, None),
+        (["⊥", "1000", "a", "b", "1110", "⊤"], True, "!1000 = 0111 escapes"),
+    ])
+    def test_closure_defect_names_the_first_violation(self, ba2, names,
+                                                      bpa_closed, defect):
+        from propsemiring.algebra import Subalgebra
+        members = tuple(sorted(map(ba2.index_of, names)))
+        sub = Subalgebra(parent=ba2, members=members)
+        assert sub.closure_defect(bpa_closed) == defect
 
     def test_validate_flags_non_closed_sets(self, ba1):
         from propsemiring.algebra import Subalgebra

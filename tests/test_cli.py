@@ -7,6 +7,7 @@ import propsemiring.differences as differences
 import propsemiring.morphisms as morphisms
 from propsemiring.algebra import free_boolean_algebra
 from propsemiring.cli import main
+from propsemiring.properties import PropertyReport
 
 from helpers import zmod_spec
 
@@ -458,6 +459,40 @@ class TestDiffCommand:
         assert claims["difference-cancellation-iff"]["verdict"] == "confirmed"
         assert claims["difference-embedding"]["verdict"] == "confirmed"
         assert "difference-isomorphic-to-parent" not in claims
+
+    @pytest.mark.parametrize("quotient, criterion, witness", [
+        (("1", "2", "0"), None, ["quotient: fails", "criterion: holds",
+                                 "1", "2", "0"]),
+        (None, ("0", "1", "2", "1"), ["quotient: holds", "criterion: fails",
+                                      "0", "1", "2", "1"]),
+        (None, (), ["quotient: holds", "criterion: fails"]),
+    ])
+    def test_refuted_cancellation_claim(self, capsys, z3_path, monkeypatch,
+                                        quotient, criterion, witness):
+        # a valid instance never refutes the biconditional, so one side of
+        # a real report is forged to fail (an empty witness stands for
+        # one without elements)
+        verify = cli.verify_difference_cancellation
+
+        def forged(algebra, sub):
+            report = verify(algebra, sub)
+            for side, names in (("quotient_cancellative", quotient),
+                                ("criterion", criterion)):
+                if names is not None:
+                    setattr(report, side, PropertyReport(
+                        "forged", False, names or None, 1))
+            return report
+
+        monkeypatch.setattr(cli, "verify_difference_cancellation", forged)
+        doc = run_json(capsys, "diff", "--table", z3_path)
+        assert doc["cancellation"]["biconditional_holds"] is False
+        assert claims_of(doc)["difference-cancellation-iff"] == {
+            "id": "difference-cancellation-iff",
+            "statement": "the difference semiring is multiplicatively "
+                         "left-cancellative exactly when c×a + Δ×b ≠ "
+                         "c×b + Δ×a whenever Δ ≠ c and a ≠ b",
+            "verdict": "refuted-with-witness",
+            "witness": witness}
 
     def test_explicit_subtrahends(self, capsys, z3_path):
         doc = run_json(capsys, "diff", "--table", z3_path,
