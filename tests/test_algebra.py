@@ -21,6 +21,14 @@ class TestFreeBooleanAlgebra:
             free_boolean_algebra(-1)
         assert free_boolean_algebra(4).size == 65536
 
+    def test_atom_names_must_match_the_count(self):
+        with pytest.raises(DomainError, match="expected 2 atom names, got 1"):
+            free_boolean_algebra(2, ["a"])
+
+    def test_four_atoms_are_too_large_for_a_table_dict(self):
+        with pytest.raises(SizeLimitError, match="too large .*65536"):
+            free_boolean_algebra(4).to_table_dict()
+
     def test_identity_roles(self, ba1):
         # additive identity is ⊤ (all-ones), multiplicative is ⊥ (all-zeros)
         assert ba1.top.index == ba1.mask
@@ -225,6 +233,19 @@ class TestTableLoading:
         doc["order"] = [[1, 2], [0, 1]]
         with pytest.raises(TableLoadError, match="0 or 1"):
             table_semiring(doc)
+
+    def test_index_of_reads_top_and_bot_aliases(self, z3):
+        assert z3.index_of("top") == z3.top_index == 0
+        assert z3.index_of("bot") == z3.bot_index == 1
+        with pytest.raises(DomainError, match="'7' names no element of z3"):
+            z3.index_of("7")
+
+    def test_table_dict_keeps_a_loaded_order(self):
+        doc = zmod_spec(2)
+        doc["order"] = [[1, 1], [0, 1]]
+        table = table_semiring(doc).to_table_dict()
+        assert table["order"] == [[1, 1], [0, 1]]
+        assert table_semiring(table).order_matrix == ((1, 1), (0, 1))
 
     def test_round_trip_through_table_dict(self, ba1):
         reloaded = table_semiring(ba1.to_table_dict())

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from propsemiring.algebra import UnsupportedOperationError
 from propsemiring.formulas import (And, Atom, Const, Iff, Implies, Not, Or,
                                    ParseError, UnboundAtomError, atoms_of,
                                    evaluate, parse, unparse)
@@ -137,6 +138,17 @@ class TestEvaluation:
             evaluate(parse("z"), ba1)
         with pytest.raises(UnboundAtomError):
             evaluate(parse("a & b"), ba1, {"a": ba1.top})
+
+    def test_evaluation_needs_a_free_algebra(self, z3):
+        with pytest.raises(UnsupportedOperationError,
+                           match="needs a free Boolean algebra"):
+            evaluate(parse("a"), z3)
+
+    def test_binding_by_element_name(self, ba2):
+        a, not_b = ba2.element_named("a"), ba2.element_named("!b")
+        assert evaluate(parse("x & y"), ba2, {"x": "a", "y": "!b"}) == \
+            evaluate(parse("x & y"), ba2, {"x": a, "y": "!b"}) == \
+            ba2.add(a, not_b)
 
     def test_explicit_binding_may_shadow(self, ba2):
         binding = {"a": ba2.bot, "b": ba2.top}
