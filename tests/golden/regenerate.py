@@ -347,6 +347,8 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
         ("diff-z4xbool4", ["diff", "--table", "z4xbool4.json"], None),
         ("order-chain12-late", ["order", "--table", "chain12-late.json"],
          None),
+        ("diff-universal-z4xz6", ["diff", "--table", "z4xz6.json",
+                                  "--universal"], None),
     ]
     return cases
 
