@@ -607,20 +607,14 @@ def _check_identity_laws(names: tuple[str, ...], add_rows, mul_rows,
                          zi: int, oi: int) -> None:
     """Raise TableLoadError at the first cell where element ``zi`` is no
     additive or ``oi`` no multiplicative identity of the index tables."""
-    zero, one = names[zi], names[oi]
+    laws = (("add", add_rows, zi), ("mul", mul_rows, oi))
     for x in range(len(names)):
-        _require(add_rows[zi][x] == x,
-                 f"identity law broken at add[{zero!r}][{names[x]!r}] = "
-                 f"{names[add_rows[zi][x]]!r}, expected {names[x]!r}")
-        _require(add_rows[x][zi] == x,
-                 f"identity law broken at add[{names[x]!r}][{zero!r}] = "
-                 f"{names[add_rows[x][zi]]!r}, expected {names[x]!r}")
-        _require(mul_rows[oi][x] == x,
-                 f"identity law broken at mul[{one!r}][{names[x]!r}] = "
-                 f"{names[mul_rows[oi][x]]!r}, expected {names[x]!r}")
-        _require(mul_rows[x][oi] == x,
-                 f"identity law broken at mul[{names[x]!r}][{one!r}] = "
-                 f"{names[mul_rows[x][oi]]!r}, expected {names[x]!r}")
+        for key, rows, e in laws:
+            for i, j in ((e, x), (x, e)):  # e ∘ x, then x ∘ e
+                _require(rows[i][j] == x,
+                         f"identity law broken at {key}[{names[i]!r}]"
+                         f"[{names[j]!r}] = {names[rows[i][j]]!r}, "
+                         f"expected {names[x]!r}")
 
 
 def table_semiring(doc: dict, source_spec: str | None = None) -> TableAlgebra:
@@ -712,14 +706,12 @@ class Subalgebra:
             return "⊥ is missing"
         for i in self.members:
             for j in self.members:
-                s = algebra.add_i(i, j)
-                if s not in members:
-                    return (f"{algebra.name_of(i)} + {algebra.name_of(j)} = "
-                            f"{algebra.name_of(s)} escapes")
-                p = algebra.mul_i(i, j)
-                if p not in members:
-                    return (f"{algebra.name_of(i)} × {algebra.name_of(j)} = "
-                            f"{algebra.name_of(p)} escapes")
+                for symbol, op in (("+", algebra.add_i), ("×", algebra.mul_i)):
+                    r = op(i, j)
+                    if r not in members:
+                        return (f"{algebra.name_of(i)} {symbol} "
+                                f"{algebra.name_of(j)} = "
+                                f"{algebra.name_of(r)} escapes")
         if bpa_closed:
             for i in self.members:
                 c = algebra.comp_i(i)

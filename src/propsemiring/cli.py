@@ -19,14 +19,15 @@ import os
 import sys
 
 from . import __version__
-from .algebra import (Algebra, AlgebraError, SizeLimitError,
-                      free_boolean_algebra, subalgebra_closure, table_semiring)
+from .algebra import (Algebra, AlgebraError, free_boolean_algebra,
+                      subalgebra_closure, table_semiring)
 from .differences import (extended_order, subtrahend_ideal,
                           verify_difference_cancellation)
 from .formulas import ParseError, UnboundAtomError, atoms_of, evaluate, parse, \
     unparse, Const, Atom, Not, And, Or, Implies, Iff
-from .morphisms import (Morphism, check_morphism, enumerate_homs, factor,
-                        is_isomorphism, kernel, refines, verify_iso_theorem)
+from .morphisms import (KINDS, MODES, Morphism, check_morphism,
+                        enumerate_homs, factor, is_isomorphism, kernel,
+                        refines, verify_iso_theorem)
 from .order import (OrderRelation, canonical_order,
                     check_bound_decomposition, check_monotony,
                     check_operation_bounds, check_pairwise_monotony,
@@ -58,10 +59,21 @@ def _claim(claim_id: str, statement: str, verdict: str,
             "witness": witness}
 
 
-def _claim_from_report(claim_id: str, statement: str, report) -> dict:
-    verdict = CONFIRMED if report.holds else REFUTED
-    witness = list(report.witness) if report.witness else None
-    return _claim(claim_id, statement, verdict, witness)
+def _claim_from_report(claim_id: str, statement: str, *reports) -> dict:
+    failing = next((r for r in reports if not r.holds), None)
+    if failing is None:
+        return _claim(claim_id, statement, CONFIRMED)
+    witness = list(failing.witness) if failing.witness else None
+    return _claim(claim_id, statement, REFUTED, witness)
+
+
+def _whole_carrier_claim(claim_id: str, statement: str, algebra: Algebra,
+                         elements) -> dict:
+    inside = {e.index for e in elements}
+    outside = [algebra.name_of(i) for i in range(algebra.size)
+               if i not in inside][:1]
+    return _claim(claim_id, statement, REFUTED if outside else CONFIRMED,
+                  outside or None)
 
 
 def _report_skeleton(command: str, seed: int, inputs: list[dict]) -> dict:
@@ -170,28 +182,19 @@ def cmd_check(args: argparse.Namespace) -> int:
     center = compute_center(algebra)
     cancellable = additively_cancellable_elements(algebra)
 
-    center_full = len(center) == algebra.size
-    central = {e.index for e in center}
-    first_noncentral = next(
-        (algebra.name_of(i) for i in range(algebra.size)
-         if i not in central), None)
-    failing_axiom = next((r for r in axioms if not r.holds), None)
-
     claims = [
-        _claim("semiring",
-               "the carrier forms a commutative semiring: both operations are "
-               "commutative monoids (identities ⊤ and ⊥), × distributes over + "
-               "and ⊤ absorbs under ×",
-               CONFIRMED if failing_axiom is None else REFUTED,
-               list(failing_axiom.witness) if failing_axiom
-               and failing_axiom.witness else None),
+        _claim_from_report(
+            "semiring",
+            "the carrier forms a commutative semiring: both operations are "
+            "commutative monoids (identities ⊤ and ⊥), × distributes over + "
+            "and ⊤ absorbs under ×", *axioms),
         _claim_from_report("zerosumfree", "p + q = ⊤ forces p = q = ⊤",
                            zerosumfree),
         _claim_from_report("entire", "p × q = ⊤ forces p = ⊤ or q = ⊤", entire),
         _claim_from_report("simple", "p + ⊥ = ⊥ for every p", simple),
-        _claim("commutative", "every element is central: p × q = q × p",
-               CONFIRMED if center_full else REFUTED,
-               None if center_full else [first_noncentral]),
+        _whole_carrier_claim("commutative",
+                             "every element is central: p × q = q × p",
+                             algebra, center),
         _claim_from_report("multiplicatively-absorbing",
                            "⊤ × p = ⊤ = p × ⊤ for every p", absorbing),
     ]
@@ -202,7 +205,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "checks": [r.to_json() for r in axioms
                    ] + [zerosumfree.to_json(), entire.to_json(),
                         simple.to_json(), absorbing.to_json()],
-        "center": {"size": len(center), "full": center_full,
+        "center": {"size": len(center), "full": len(center) == algebra.size,
                    "elements": [e.name for e in center]},
         "additively_cancellable": [e.name for e in cancellable],
         "claims": claims,
@@ -225,18 +228,10 @@ def cmd_order(args: argparse.Namespace) -> int:
     pairwise = check_pairwise_monotony(algebra, order)
     positive, negative = cones(algebra, order)
 
-    positive_full = len(positive) == algebra.size
-    in_positive = {e.index for e in positive}
-    outside_positive = next(
-        (algebra.name_of(i) for i in range(algebra.size)
-         if i not in in_positive), None)
-    failing_poset = next((r for r in poset if not r.holds), None)
-
     claims = [
-        _claim("poset", "≼ is reflexive, antisymmetric and transitive",
-               CONFIRMED if failing_poset is None else REFUTED,
-               list(failing_poset.witness) if failing_poset
-               and failing_poset.witness else None),
+        _claim_from_report("poset",
+                           "≼ is reflexive, antisymmetric and transitive",
+                           *poset),
         _claim_from_report("monotony-add", "p ≼ q implies p + r ≼ q + r",
                            monotony[0]),
         _claim_from_report("monotony-mul", "p ≼ q implies p × r ≼ q × r",
@@ -249,11 +244,10 @@ def cmd_order(args: argparse.Namespace) -> int:
         _claim_from_report("pairwise-monotony",
                            "p ≼ q and r ≼ s imply p + r ≼ q + s and "
                            "p × r ≼ q × s", pairwise),
-        _claim("positive-cone-carrier",
-               "every p satisfies p ≼ p + q for all q "
-               "(the positive cone is the whole carrier)",
-               CONFIRMED if positive_full else REFUTED,
-               None if positive_full else [outside_positive]),
+        _whole_carrier_claim("positive-cone-carrier",
+                             "every p satisfies p ≼ p + q for all q "
+                             "(the positive cone is the whole carrier)",
+                             algebra, positive),
         _claim("negative-cone-empty",
                "no p satisfies p + q ≼ p for all q (the negative cone is empty)",
                CONFIRMED if not negative else REFUTED,
@@ -410,31 +404,25 @@ def cmd_diff(args: argparse.Namespace) -> int:
             "difference-isomorphic-to-parent",
             "trivial subtrahends ({⊤}) give a difference semiring "
             "isomorphic to the carrier", embedding_iso))
-    if cancellation.hypothesis_met:
-        witness = None
-        if not cancellation.biconditional_holds:
-            sides = [f"quotient: {cancellation.quotient_cancellative.verdict}",
-                     f"criterion: {cancellation.criterion.verdict}"]
-            broken = (cancellation.quotient_cancellative
-                      if not cancellation.quotient_cancellative.holds
-                      else cancellation.criterion)
-            if broken.witness:
-                sides.extend(broken.witness)
-            witness = sides
-        claims.append(_claim(
-            "difference-cancellation-iff",
-            "the difference semiring is multiplicatively left-cancellative "
-            "exactly when c×a + Δ×b ≠ c×b + Δ×a whenever Δ ≠ c and a ≠ b",
-            CONFIRMED if cancellation.biconditional_holds else REFUTED,
-            witness))
+    statement = ("the difference semiring is multiplicatively "
+                 "left-cancellative exactly when c×a + Δ×b ≠ c×b + Δ×a "
+                 "whenever Δ ≠ c and a ≠ b")
+    if not cancellation.hypothesis_met:
+        statement += (" (hypothesis: the carrier is multiplicatively "
+                      "left-cancellative)")
+        verdict = OUT_OF_HYPOTHESIS
+        witness = list(cancellation.hypothesis.witness or [])
+    elif cancellation.biconditional_holds:
+        verdict, witness = CONFIRMED, None
     else:
-        claims.append(_claim(
-            "difference-cancellation-iff",
-            "the difference semiring is multiplicatively left-cancellative "
-            "exactly when c×a + Δ×b ≠ c×b + Δ×a whenever Δ ≠ c and a ≠ b "
-            "(hypothesis: the carrier is multiplicatively left-cancellative)",
-            OUT_OF_HYPOTHESIS,
-            list(cancellation.hypothesis.witness or [])))
+        quotient, criterion = (cancellation.quotient_cancellative,
+                               cancellation.criterion)
+        broken = criterion if quotient.holds else quotient
+        verdict = REFUTED
+        witness = [f"quotient: {quotient.verdict}",
+                   f"criterion: {criterion.verdict}", *(broken.witness or ())]
+    claims.append(_claim("difference-cancellation-iff", statement, verdict,
+                         witness))
 
     doc = _report_skeleton("diff", args.seed, loader.inputs)
     doc.update({
@@ -513,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = commands.add_parser(
         "check", help="semiring axioms and classifications")
     _algebra_source(p_check)
+    p_check.set_defaults(run=cmd_check)
 
     p_order = commands.add_parser(
         "order", help="poset, monotony, bounds and cones")
@@ -524,13 +513,15 @@ def build_parser() -> argparse.ArgumentParser:
                               "to report on")
     p_order.add_argument("--sub-kind", choices=("bpa", "semiring"),
                          default="bpa", help="closure kind for --sub")
+    p_order.set_defaults(run=cmd_order)
 
     p_hom = commands.add_parser("hom", help="homomorphism tools")
     hom_commands = p_hom.add_subparsers(dest="hom_command", required=True)
 
     p_hc = hom_commands.add_parser("check", help="verify a morphism file")
     p_hc.add_argument("--map", required=True, metavar="PATH")
-    p_hc.add_argument("--kind", choices=("semiring", "bpa"), default="semiring")
+    p_hc.add_argument("--kind", choices=KINDS, default="semiring")
+    p_hc.set_defaults(run=cmd_hom_check)
 
     p_he = hom_commands.add_parser(
         "enumerate", help="print all homomorphisms as JSON lines; the whole "
@@ -538,21 +529,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_he.add_argument("--src", required=True, metavar="SPEC",
                       help="free:N or a table JSON path")
     p_he.add_argument("--dst", required=True, metavar="SPEC")
-    p_he.add_argument("--kind", choices=("semiring", "bpa"), default="semiring")
+    p_he.add_argument("--kind", choices=KINDS, default="semiring")
+    p_he.set_defaults(run=cmd_hom_enumerate)
 
     p_hf = hom_commands.add_parser("factor",
                                    help="factor psi2 through surjective psi1")
     p_hf.add_argument("--psi1", required=True, metavar="PATH")
     p_hf.add_argument("--psi2", required=True, metavar="PATH")
+    p_hf.set_defaults(run=cmd_hom_factor)
 
     p_hi = hom_commands.add_parser(
         "iso-theorem",
         help="test: onto and order-preserving iff isomorphism")
     p_hi.add_argument("--src", required=True, metavar="SPEC")
     p_hi.add_argument("--dst", required=True, metavar="SPEC")
-    p_hi.add_argument("--kind", choices=("semiring", "bpa"), default="bpa")
-    p_hi.add_argument("--mode", choices=("monotone", "embedding"),
-                      default="embedding")
+    p_hi.add_argument("--kind", choices=KINDS, default="bpa")
+    p_hi.add_argument("--mode", choices=MODES, default="embedding")
+    p_hi.set_defaults(run=cmd_hom_iso_theorem)
 
     p_diff = commands.add_parser(
         "diff", help="subtrahends, difference semiring and extended order")
@@ -565,11 +558,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="read the extension quantifier as for-all")
     p_diff.add_argument("--emit", default=None, metavar="PATH",
                         help="write the difference semiring as table JSON")
+    p_diff.set_defaults(run=cmd_diff)
 
     p_parse = commands.add_parser("parse", help="parse and evaluate a formula")
     p_parse.add_argument("formula")
     p_parse.add_argument("--atoms", default=None, metavar="CSV",
                          help="atom names; default: the formula's own atoms")
+    p_parse.set_defaults(run=cmd_parse)
 
     return parser
 
@@ -582,22 +577,8 @@ def main(argv: list[str] | None = None) -> int:
             except (ValueError, OSError):
                 pass
     args = build_parser().parse_args(argv)
-    handlers = {
-        "check": cmd_check,
-        "order": cmd_order,
-        "diff": cmd_diff,
-        "parse": cmd_parse,
-    }
-    hom_handlers = {
-        "check": cmd_hom_check,
-        "enumerate": cmd_hom_enumerate,
-        "factor": cmd_hom_factor,
-        "iso-theorem": cmd_hom_iso_theorem,
-    }
     try:
-        if args.command == "hom":
-            return hom_handlers[args.hom_command](args)
-        return handlers[args.command](args)
+        return args.run(args)
     except (AlgebraError, ParseError, UnboundAtomError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from itertools import product, repeat
 from .algebra import (ADD, MAX_DENSE_CARRIER, Algebra, CompiledTables,
                       DomainError, Element, FreeBooleanAlgebra, SizeLimitError,
                       Subalgebra, UnsupportedOperationError, row_type)
-from .order import OrderRelation, canonical_order
+from .order import OrderRelation, _leq_slab, canonical_order
 from .properties import PropertyReport, _bands, _names, _packed, _scan_rows
 
 KINDS = ("semiring", "bpa")
@@ -230,7 +230,7 @@ def order_relation_of_map(psi: Morphism, order_src: OrderRelation,
 
     x ≼ y and ψx ≼ ψy are compared as packed ints over the row bands of
     :func:`properties._bands`, the rows y ↦ v ≼ ψy built once per image
-    value v.
+    value v (:func:`order._leq_slab`).
     """
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -239,7 +239,6 @@ def order_relation_of_map(psi: Morphism, order_src: OrderRelation,
     if order_dst.algebra is not psi.target:
         raise DomainError("target order belongs to a different algebra")
     f = row_type(psi.target.size)(psi.mapping)
-    compose, concat = CompiledTables.compose, CompiledTables.concat
     up_src, up_dst = order_src.rows, order_dst.rows
     ahead, behind = {"direction": "x ≼ y"}, {"direction": "ψx ≼ ψy"}
     width = 2 if mode == "embedding" else 1
@@ -247,12 +246,9 @@ def order_relation_of_map(psi: Morphism, order_src: OrderRelation,
     def cases():
         image_rows = {}  # v: the row y ↦ v ≼ ψy
         for a0, a1, positions in _bands(psi.source.size):
-            images = f[a0:a1]
-            for v in set(images).difference(image_rows):
-                image_rows[v] = compose(up_dst[v], f)
             # bit (x, y): x ≼ y, and ψx ≼ ψy
-            up = _packed(concat(up_src[a0:a1]))
-            image = _packed(concat(list(map(image_rows.__getitem__, images))))
+            up = _packed(b"".join(up_src[a0:a1]))
+            image = _leq_slab(up_dst, f[a0:a1], f, image_rows)
             yield (), positions, ((up, up & image, ahead),
                                   (image, image & up, behind))[:width]
 

@@ -31,8 +31,9 @@ from operator import and_, eq, getitem, or_
 from typing import Callable
 
 from .algebra import (ADD, MAX_BYTE_CARRIER, MAX_DENSE_CARRIER, MUL, Algebra,
-                      Element, DomainError, SizeLimitError, Subalgebra,
-                      TableAlgebra, UnsupportedOperationError, transposed)
+                      CompiledTables, Element, DomainError, SizeLimitError,
+                      Subalgebra, TableAlgebra, UnsupportedOperationError,
+                      transposed)
 from .properties import (PropertyReport, additively_cancellable_elements,
                          _Band, _associative, _commutativity,
                          _first_difference, _packed, _scan_rows)
@@ -173,6 +174,15 @@ def check_poset(order: OrderRelation) -> list[PropertyReport]:
     return [reflexive, antisymmetric, order.transitivity]
 
 
+def _leq_slab(up, left, right, below: dict) -> int:
+    """The packed slab over (a, b), 1 where left[a] ≼ right[b]: the rows
+    b ↦ x ≼ right[b], built in ``below`` when first needed, joined along
+    ``left``."""
+    for x in set(left).difference(below):
+        below[x] = CompiledTables.compose(up[x], right)
+    return _packed(b"".join(map(below.__getitem__, left)))
+
+
 def _monotone_at_generators(c, up, op: str, cols) -> bool:
     """Whether ∘ = ``op`` is associative and p ≼ s implies
     cols[g][p] ≼ cols[g][s] for every g of its generating set: per g, one
@@ -182,9 +192,8 @@ def _monotone_at_generators(c, up, op: str, cols) -> bool:
     ordered = _packed(b"".join(up))  # position (p, s) is 1 iff p ≼ s
     for g in c.generators(op):
         images = cols[g]  # p ↦ p ∘ g, or g ∘ p for the second argument
-        below = {x: c.compose(up[x], images) for x in set(images)}
         # position (p, s) is 1 iff p ∘ g ≼ s ∘ g
-        if ordered & ~_packed(b"".join(map(below.__getitem__, images))):
+        if ordered & ~_leq_slab(up, images, images, {}):
             return False
     return True
 
@@ -362,12 +371,11 @@ def check_pairwise_monotony(algebra: Algebra,
                                         for op, second in laws):
         return PropertyReport("pairwise-monotony", True, None, n ** 4,
                               details=exhaustive)
-    compose, join = c.compose, b"".join  # 0/1 rows are bytes on any carrier
     positions = _Band(0, n, n)
-    ordered = _packed(join(up))  # position (r, s) is 1 iff r ≼ s
+    ordered = _packed(b"".join(up))  # position (r, s) is 1 iff r ≼ s
     of_sum = dict(exhaustive, claim="p + r ≼ q + s")
     of_product = dict(exhaustive, claim="p × r ≼ q × s")
-    below = {}  # per q, the rows s ↦ x ≼ q + s and s ↦ x ≼ q × s per x
+    below = {}  # per q, the rows s ↦ x ≼ q + s and s ↦ x ≼ q × s by x
 
     def cases():
         for p, (ap, mp, upp) in enumerate(zip(c.add, c.mul, up)):
@@ -375,16 +383,12 @@ def check_pairwise_monotony(algebra: Algebra,
                 if not upp[q]:
                     yield (p, q), positions, ()
                     continue
-                if q not in below:
-                    below[q] = ([compose(x, aq) for x in up],
-                                [compose(x, mq) for x in up])
-                sums, products = below[q]
+                sums, products = below.setdefault(q, ({}, {}))
                 # position (r, s) is 1 iff p∘r ≼ q∘s
-                sum_slab = _packed(join(map(sums.__getitem__, ap)))
-                product_slab = _packed(join(map(products.__getitem__, mp)))
                 yield (p, q), positions, (
-                    (ordered, ordered & sum_slab, of_sum),
-                    (ordered, ordered & product_slab, of_product))
+                    (ordered, ordered & _leq_slab(up, ap, aq, sums), of_sum),
+                    (ordered, ordered & _leq_slab(up, mp, mq, products),
+                     of_product))
 
     report = _scan_rows("pairwise-monotony", algebra.name_of, cases())
     report.details = report.details or exhaustive

@@ -188,6 +188,11 @@ def _scan_rows(name: str, name_of: Callable, cases: Iterable) -> PropertyReport:
     return PropertyReport(name, True, None, checked)
 
 
+def _holds(cases: Iterable) -> bool:
+    """Whether every side of every :func:`_scan_rows` case is equal."""
+    return all(a == b for _, _, sides in cases for a, b, _ in sides)
+
+
 def _packed(row) -> int:
     """A 0/1 row as an int, one byte per position."""
     return int.from_bytes(row, "little")
@@ -230,8 +235,7 @@ def _associative(c: CompiledTables, op: str) -> bool:
     kept in ``c.associative``.
     """
     if op not in c.associative:
-        c.associative[op] = all(a == b for _, _, sides in _associativity_cases(
-            c, op, c.generators(op)) for a, b, _ in sides)
+        c.associative[op] = _holds(_associativity_cases(c, op, c.generators(op)))
     return c.associative[op]
 
 
@@ -291,9 +295,7 @@ def _distributivity(algebra: Algebra) -> PropertyReport:
                 (l, r), (l_t, r_t) = sides[0], sides[-1]
                 yield (i,), positions, ((l, r, left), (l_t, r_t, right))
 
-    if _associative(c, MUL) and all(
-            a == b for _, _, sides in cases(c.generators(MUL))
-            for a, b, _ in sides):
+    if _associative(c, MUL) and _holds(cases(c.generators(MUL))):
         return PropertyReport("distributivity", True, None, c.n ** 3)
     return _scan_rows("distributivity", algebra.name_of, cases(range(c.n)))
 
