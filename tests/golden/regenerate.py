@@ -139,6 +139,15 @@ def _inputs() -> dict[str, object]:
     files["chain12-late.json"] = _edited(
         _ordered_table("chain12", 12, max), "chain12-late",
         ("mul", "9", "10", "10"))
+    # The subsets of 2 and 3 atoms, and the 2-atom table with 00 + 01
+    # changed from 00 to 01: + is then neither commutative nor
+    # associative.  A map between it and the intact table can keep + and
+    # × at the generators of both operations (01, 10, 11 and 00, 01, 10)
+    # and still fail in row 00 of +, whichever side the edited table is on.
+    files["bool4.json"] = _boolean(2)
+    files["bool8.json"] = _boolean(3)
+    files["bool4-skew.json"] = _edited(_boolean(2), "bool4-skew",
+                                       ("add", "00", "01", "01"))
     # The quotient of this table breaks the multiplicative identity law.
     files["diff-broken-identity.json"] = {
         "name": "pair", "elements": ["0", "1"],
@@ -349,6 +358,18 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
          None),
         ("diff-universal-z4xz6", ["diff", "--table", "z4xz6.json",
                                   "--universal"], None),
+        ("hom-iso-monotone-free3-free0",
+         ["hom", "iso-theorem", "--src", "free:3", "--dst", "free:0",
+          "--kind", "bpa", "--mode", "monotone"], None),
+        ("hom-iso-monotone-semiring-bool8-bool4",
+         ["hom", "iso-theorem", "--src", "bool8.json", "--dst", "bool4.json",
+          "--kind", "semiring", "--mode", "monotone"], None),
+        ("hom-enumerate-semiring-bool4skew-bool4",
+         ["hom", "enumerate", "--src", "bool4-skew.json", "--dst",
+          "bool4.json", "--kind", "semiring"], None),
+        ("hom-enumerate-semiring-bool4-bool4skew",
+         ["hom", "enumerate", "--src", "bool4.json", "--dst",
+          "bool4-skew.json", "--kind", "semiring"], None),
     ]
     return cases
 
