@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from typing import NamedTuple
 
 from . import __version__
 from .algebra import (Algebra, AlgebraError, free_boolean_algebra,
@@ -59,7 +60,17 @@ def _claim(claim_id: str, statement: str, verdict: str,
             "witness": witness}
 
 
+class _Finding(NamedTuple):
+    """A verdict that no report carries, for :func:`_claim_from_report`."""
+
+    holds: bool
+    witness: list[str] | None
+
+
 def _claim_from_report(claim_id: str, statement: str, *reports) -> dict:
+    """Confirmed when every report holds, else refuted with the witness
+    of the first that fails; a report is anything with ``holds`` and
+    ``witness``."""
     failing = next((r for r in reports if not r.holds), None)
     if failing is None:
         return _claim(claim_id, statement, CONFIRMED)
@@ -67,13 +78,13 @@ def _claim_from_report(claim_id: str, statement: str, *reports) -> dict:
     return _claim(claim_id, statement, REFUTED, witness)
 
 
-def _whole_carrier_claim(claim_id: str, statement: str, algebra: Algebra,
-                         elements) -> dict:
+def _whole_carrier(algebra: Algebra, elements) -> _Finding:
+    """Whether ``elements`` cover the carrier, the first one missing as
+    the witness."""
     inside = {e.index for e in elements}
     outside = [algebra.name_of(i) for i in range(algebra.size)
                if i not in inside][:1]
-    return _claim(claim_id, statement, REFUTED if outside else CONFIRMED,
-                  outside or None)
+    return _Finding(not outside, outside)
 
 
 def _report_skeleton(command: str, seed: int, inputs: list[dict]) -> dict:
@@ -192,9 +203,9 @@ def cmd_check(args: argparse.Namespace) -> int:
                            zerosumfree),
         _claim_from_report("entire", "p × q = ⊤ forces p = ⊤ or q = ⊤", entire),
         _claim_from_report("simple", "p + ⊥ = ⊥ for every p", simple),
-        _whole_carrier_claim("commutative",
-                             "every element is central: p × q = q × p",
-                             algebra, center),
+        _claim_from_report("commutative",
+                           "every element is central: p × q = q × p",
+                           _whole_carrier(algebra, center)),
         _claim_from_report("multiplicatively-absorbing",
                            "⊤ × p = ⊤ = p × ⊤ for every p", absorbing),
     ]
@@ -244,14 +255,14 @@ def cmd_order(args: argparse.Namespace) -> int:
         _claim_from_report("pairwise-monotony",
                            "p ≼ q and r ≼ s imply p + r ≼ q + s and "
                            "p × r ≼ q × s", pairwise),
-        _whole_carrier_claim("positive-cone-carrier",
-                             "every p satisfies p ≼ p + q for all q "
-                             "(the positive cone is the whole carrier)",
-                             algebra, positive),
-        _claim("negative-cone-empty",
-               "no p satisfies p + q ≼ p for all q (the negative cone is empty)",
-               CONFIRMED if not negative else REFUTED,
-               [e.name for e in negative] if negative else None),
+        _claim_from_report("positive-cone-carrier",
+                           "every p satisfies p ≼ p + q for all q "
+                           "(the positive cone is the whole carrier)",
+                           _whole_carrier(algebra, positive)),
+        _claim_from_report("negative-cone-empty",
+                           "no p satisfies p + q ≼ p for all q (the negative "
+                           "cone is empty)",
+                           _Finding(not negative, [e.name for e in negative])),
     ]
 
     doc = _report_skeleton("order", args.seed, loader.inputs)
@@ -347,18 +358,13 @@ def cmd_hom_iso_theorem(args: argparse.Namespace) -> int:
     src = loader.resolve(args.src)
     dst = loader.resolve(args.dst)
     report = verify_iso_theorem(src, dst, kind=args.kind, mode=args.mode)
-    witness = None
-    if report.counterexamples:
-        first = report.counterexamples[0]
-        witness = [",".join(f"{k}↦{v}" for k, v in sorted(first["map"].items()))]
     doc = _report_skeleton("hom iso-theorem", args.seed, loader.inputs)
     doc.update({
         "result": report.to_json(),
-        "claims": [_claim(
+        "claims": [_claim_from_report(
             "onto-order-preserving-iff-isomorphism",
             "a homomorphism is onto and order-preserving exactly when it "
-            "is an isomorphism",
-            CONFIRMED if report.holds else REFUTED, witness)],
+            "is an isomorphism", report)],
     })
     print(_dumps(doc))
     return 0
@@ -391,13 +397,13 @@ def cmd_diff(args: argparse.Namespace) -> int:
             "translation-invariance",
             "the extended order is invariant under adding any subtrahend "
             "to both sides", extension.stability),
-        _claim("similarity-iff",
-               "the extended order equals ≼ exactly when ≼ is itself "
-               "invariant under adding subtrahends",
-               CONFIRMED if extension.similarity_iff else REFUTED,
-               None if extension.similarity_iff else
-               [f"matches_base={extension.matches_base}",
-                f"base_stability={extension.base_stability.verdict}"]),
+        _claim_from_report(
+            "similarity-iff",
+            "the extended order equals ≼ exactly when ≼ is itself "
+            "invariant under adding subtrahends",
+            _Finding(extension.similarity_iff,
+                     [f"matches_base={extension.matches_base}",
+                      f"base_stability={extension.base_stability.verdict}"])),
     ]
     if trivial:
         claims.append(_claim_from_report(

@@ -5,7 +5,9 @@ Two morphism kinds are understood.  ``semiring`` asks for preservation
 of +, × and both identities (ψ(⊤) = ⊤, ψ(⊥) = ⊥); ``bpa`` additionally
 asks for complements (ψ(!a) = !ψ(a)).  A homomorphism is fixed by its
 values on a generating set, so enumeration searches generator images
-only and lets check_morphism verify each derived map.
+only, and decides each derived map on the rows of the generators of +
+and × where both carriers are associative (Light's test), else by
+check_morphism.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product, repeat
 
-from .algebra import (ADD, MAX_DENSE_CARRIER, Algebra, CompiledTables,
+from .algebra import (ADD, MAX_DENSE_CARRIER, MUL, Algebra, CompiledTables,
                       DomainError, Element, FreeBooleanAlgebra, SizeLimitError,
                       Subalgebra, UnsupportedOperationError, row_type)
 from .order import OrderRelation, _leq_slab, canonical_order
-from .properties import PropertyReport, _bands, _names, _packed, _scan_rows
+from .properties import (PropertyReport, _associative, _bands, _names, _packed,
+                         _scan_rows)
 
 KINDS = ("semiring", "bpa")
 MODES = ("monotone", "embedding")
@@ -307,9 +310,25 @@ def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
     seeds the generating sets of the law checks), else the least, as a
     generator: a finite semilattice is the sums of such elements, so
     relabelling a Boolean carrier keeps the generator count.  The steps
-    derive the other images from the generator images and check_morphism
-    keeps the homomorphisms (in atom-image order for free bpa sources).
+    derive the other images from the generator images, and the
+    homomorphisms are kept (in atom-image order for free bpa sources).
     The cap bounds the |dst|^|generators| maps.
+
+    ψ(⊥) = ⊥ holds by construction, and so does ψ(⊤) = ⊤ unless ⊤ = ⊥
+    in the source only, where check_morphism refuses every map.  A
+    derived map is first compared on the rows of the source's generating
+    sets G+ and G× (``CompiledTables.generators``): ψ(g ∘ b) against
+    ψ(g) ∘ ψ(b) for g in G∘ and every b, one ``compose`` over the joined
+    rows per operation, and for the bpa kind ψ(!a) against !ψ(a) for
+    every a.
+    These positions are some of the definition's, so a difference
+    rejects the map.  Where all are equal and + and × are associative on
+    both carriers (Light's test, decided once per carrier), the map is a
+    homomorphism: the a with ψ(a ∘ b) = ψ(a) ∘ ψ(b) for all b are closed
+    under ∘, since for two of them, a1 and a2, ψ((a1∘a2)∘b) =
+    ψ(a1∘(a2∘b)) = ψ(a1)∘(ψ(a2)∘ψ(b)) = (ψ(a1)∘ψ(a2))∘ψ(b) =
+    ψ(a1∘a2)∘ψ(b), and G∘ generates the carrier under ∘.  Otherwise, or
+    above the table limit of the target, check_morphism decides the map.
     """
     _require_kind(kind)
     if kind == "bpa" and not (src.has_complement and dst.has_complement):
@@ -349,12 +368,35 @@ def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
     image = [0] * src.size
     image[src.top_index] = dst.top_index
     image[src.bot_index] = dst.bot_index
+    compose, concat, as_row = (CompiledTables.compose, CompiledTables.concat,
+                               row_type(dst.size))
+    by_rows = (dst.size <= MAX_DENSE_CARRIER
+               and image[src.top_index] == dst.top_index)
+    if by_rows:  # per operation: G∘'s rows joined, G∘ and the target's rows
+        d = dst.compiled
+        generator_rows = [
+            (concat([s.tables(op)[0][g] for g in s.generators(op)]),
+             s.generators(op), d.tables(op)[0]) for op in (ADD, MUL)]
+    associative = None  # both carriers, both operations; read when needed
     homs = []
     for values in product(range(dst.size), repeat=len(generators)):
         for g, v in zip(generators, values):
             image[g] = v
         for e, op, a, b in steps:
             image[e] = op(image[a], image[b])
+        if by_rows:
+            f = as_row(image)
+            if any(compose(f, joined) != concat([compose(after[f[g]], f)
+                                                 for g in gens])
+                   for joined, gens, after in generator_rows) or (
+                    kind == "bpa" and compose(f, s.comp) != compose(d.comp, f)):
+                continue
+            if associative is None:
+                associative = all(_associative(c, op) for c in (s, d)
+                                  for op in (ADD, MUL))
+            if associative:
+                homs.append(Morphism(src, dst, image))
+                continue
         psi = Morphism(src, dst, image)
         if check_morphism(psi, kind).holds:
             homs.append(psi)
@@ -381,6 +423,15 @@ class IsoTheoremReport:
     def holds(self) -> bool:
         return not self.counterexamples
 
+    @property
+    def witness(self) -> list[str] | None:
+        """The first counterexample's map as one "a↦b,…" string, sorted
+        by source name."""
+        if not self.counterexamples:
+            return None
+        return [",".join(f"{k}↦{v}" for k, v in
+                         sorted(self.counterexamples[0]["map"].items()))]
+
     def to_json(self) -> dict:
         return {
             "property": "onto-order-preserving-iff-isomorphism",
@@ -394,7 +445,14 @@ class IsoTheoremReport:
 
 def verify_iso_theorem(src: Algebra, dst: Algebra, kind: str = "bpa",
                        mode: str = "embedding") -> IsoTheoremReport:
-    """Test onto ∧ order-preserving ⇔ isomorphism over all homomorphisms."""
+    """Test onto ∧ order-preserving ⇔ isomorphism over all homomorphisms.
+
+    In ``monotone`` mode every homomorphism preserves the canonical
+    orders (p ≼ q iff p + q = q), since p + q = q gives ψp + ψq =
+    ψ(p + q) = ψq, so no map is scanned; ``embedding`` mode scans each
+    map with :func:`order_relation_of_map`.  Both orders are built in
+    either mode, so a carrier without one is refused alike.
+    """
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
     order_src = canonical_order(src)
@@ -403,7 +461,8 @@ def verify_iso_theorem(src: Algebra, dst: Algebra, kind: str = "bpa",
     counterexamples = []
     for psi in homs:
         onto = psi.is_surjective()
-        preserving = order_relation_of_map(psi, order_src, order_dst, mode).holds
+        preserving = mode == "monotone" or order_relation_of_map(
+            psi, order_src, order_dst, mode).holds
         iso = onto and psi.is_injective()  # psi is already a homomorphism
         if (onto and preserving) != iso:
             counterexamples.append({
