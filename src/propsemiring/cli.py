@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import sys
-from typing import NamedTuple
 
 from . import __version__
 from .algebra import (Algebra, AlgebraError, free_boolean_algebra,
@@ -60,11 +59,11 @@ def _claim(claim_id: str, statement: str, verdict: str,
             "witness": witness}
 
 
-class _Finding(NamedTuple):
+class _Finding:
     """A verdict that no report carries, for :func:`_claim_from_report`."""
 
-    holds: bool
-    witness: list[str] | None
+    def __init__(self, holds: bool, witness: list[str] | None):
+        self.holds, self.witness = holds, witness
 
 
 def _claim_from_report(claim_id: str, statement: str, *reports) -> dict:

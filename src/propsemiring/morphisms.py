@@ -320,9 +320,8 @@ def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
     sets G+ and G× (``CompiledTables.generators``): ψ(g ∘ b) against
     ψ(g) ∘ ψ(b) for g in G∘ and every b, one ``compose`` over the joined
     rows per operation, and for the bpa kind ψ(!a) against !ψ(a) for
-    every a.
-    These positions are some of the definition's, so a difference
-    rejects the map.  Where all are equal and + and × are associative on
+    every a.  These positions are some of the definition's, so a
+    difference rejects the map.  Where all are equal and + and × are associative on
     both carriers (Light's test, decided once per carrier), the map is a
     homomorphism: the a with ψ(a ∘ b) = ψ(a) ∘ ψ(b) for all b are closed
     under ∘, since for two of them, a1 and a2, ψ((a1∘a2)∘b) =
@@ -371,13 +370,13 @@ def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
     compose, concat, as_row = (CompiledTables.compose, CompiledTables.concat,
                                row_type(dst.size))
     by_rows = (dst.size <= MAX_DENSE_CARRIER
-               and image[src.top_index] == dst.top_index)
+               and image[src.top_index] == dst.top_index)  # ψ(⊤) = ⊤
     if by_rows:  # per operation: G∘'s rows joined, G∘ and the target's rows
         d = dst.compiled
         generator_rows = [
             (concat([s.tables(op)[0][g] for g in s.generators(op)]),
              s.generators(op), d.tables(op)[0]) for op in (ADD, MUL)]
-    associative = None  # both carriers, both operations; read when needed
+    associative = None  # of both carriers, found once a map needs it
     homs = []
     for values in product(range(dst.size), repeat=len(generators)):
         for g, v in zip(generators, values):
@@ -394,11 +393,8 @@ def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
             if associative is None:
                 associative = all(_associative(c, op) for c in (s, d)
                                   for op in (ADD, MUL))
-            if associative:
-                homs.append(Morphism(src, dst, image))
-                continue
         psi = Morphism(src, dst, image)
-        if check_morphism(psi, kind).holds:
+        if associative or check_morphism(psi, kind).holds:
             homs.append(psi)
     if not free_bpa:  # generators need not ascend
         homs.sort(key=lambda psi: psi.mapping)

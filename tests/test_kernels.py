@@ -32,12 +32,20 @@ congruence, decided against class representatives, is compared with
 its definition scan, also on ℤn with a random × and every element a
 subtrahend, where ~ is an equivalence and mostly no congruence; a set
 of subtrahends that is no ideal must be refused with the condition it
-fails.  Three count tests pin two slabs per generator for
-associativity on free:3, no scan of bound decomposition on free:3, and
-one decision of transitivity and of each monotony law per ``order``
-command.
+fails.  The homomorphism search, which decides candidates on the rows
+of the generators where both carriers are associative, is compared
+with its definition where + is not associative on one side and a
+candidate keeps those rows but fails elsewhere, and where only ! fails;
+the iso-theorem verdicts of both modes are rebuilt from the oracles on
+tables whose + is idempotent and commutative.  Count tests pin two
+slabs per generator for associativity on free:3, no scan of bound
+decomposition on free:3, one decision of transitivity and of each
+monotony law per ``order`` command, no map scan in the free:3 → free:1
+search of the bpa kind and no order map in its monotone iso-theorem,
+and ``check_morphism`` in a search from a non-associative source.
 """
 
+import itertools
 import random
 import re
 
@@ -49,15 +57,18 @@ from propsemiring.algebra import (ADD, MUL, AlgebraError, DomainError,
                                   UnsupportedOperationError,
                                   free_boolean_algebra, table_semiring,
                                   transposed)
+import propsemiring.morphisms as morphisms_module
 import propsemiring.order as order_module
+import propsemiring.properties as properties_module
 from propsemiring.cli import main
 from propsemiring.differences import (CongruenceError, SubtrahendIdeal,
                                       difference_cancellation_criterion,
                                       difference_semiring, extended_order,
                                       is_ideal, mult_left_cancellative,
                                       subtrahend_ideal)
-from propsemiring.morphisms import (Morphism, check_morphism, enumerate_homs,
-                                    order_relation_of_map)
+from propsemiring.morphisms import (KINDS, MODES, Morphism, check_morphism,
+                                    enumerate_homs, order_relation_of_map,
+                                    verify_iso_theorem)
 from propsemiring.order import (OrderRelation, canonical_order,
                                 check_bound_decomposition, check_monotony,
                                 check_operation_bounds, check_pairwise_monotony,
@@ -378,12 +389,11 @@ def test_morphism_kernel_matches_definition(case):
 
 
 @st.composite
-def algebra_pairs(draw):
+def algebra_pairs(draw, tables=cayley_tables(st.integers(1, 5))):
     """(src, dst): tables of at most 5 elements with complements, drawn
     apart, or a table with itself or with a relabelled copy of it, so
     that homomorphisms exist."""
-    sizes = st.integers(1, 5)
-    src = draw(cayley_tables(sizes))
+    src = draw(tables)
     n = len(src[0])
     comp = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     shape = draw(st.sampled_from(("random", "itself", "relabelled")))
@@ -392,7 +402,7 @@ def algebra_pairs(draw):
     if shape == "relabelled":
         dst, dst_comp = relabelled(src, comp, draw(st.permutations(range(n))))
         return table_dict(src, comp), table_dict(dst, dst_comp)
-    dst = draw(cayley_tables(sizes))
+    dst = draw(tables)
     m = len(dst[0])
     dst_comp = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
     return table_dict(src, comp), table_dict(dst, dst_comp)
@@ -448,6 +458,86 @@ def test_hom_search_on_free_algebras_matches_definition(k, m):
     maps = [psi.mapping for psi in enumerate_homs(source, target, "bpa")]
     assert maps == sorted(homs_oracle(src, dst, "bpa"),
                           key=lambda f: [f[a] for a in atoms])
+
+
+def generator_rows_hold(src, dst, f):
+    """ψ(g ∘ b) = ψ(g) ∘ ψ(b) for + and ×, every generator g of ∘
+    (generators_oracle) and every b."""
+    return all(f[src[op][g][b]] == dst[op][f[g]][f[b]]
+               for op in ("add", "mul") for g in generators_oracle(src[op])
+               for b in range(len(f)))
+
+
+def skewed_subsets(k):
+    """The subsets of k points with ∅ + {0} changed from ∅ to {0}: + is
+    then neither commutative nor associative."""
+    add, mul, zero, one = subsets_table(k)
+    add[0][1] = 1
+    return add, mul, zero, one
+
+
+@pytest.mark.parametrize("case", ["skewed-source", "skewed-target",
+                                  "identity-complement"])
+def test_hom_search_where_generator_rows_hold_and_the_map_fails(case):
+    # Some map keeps + and × on the rows of the generators of both
+    # operations and is no homomorphism: + is not associative on one
+    # side, and the map fails in row ∅ of +, or both sides are
+    # associative and the map fails at !, which is the identity on the
+    # source.
+    subsets, skewed = (table_dict(table, [3, 2, 1, 0])
+                       for table in (subsets_table(2), skewed_subsets(2)))
+    src, dst, kind = {
+        "skewed-source": (skewed, subsets, "semiring"),
+        "skewed-target": (subsets, skewed, "semiring"),
+        "identity-complement": (table_dict(subsets_table(2), [0, 1, 2, 3]),
+                                subsets, "bpa")}[case]
+    homs = homs_oracle(src, dst, kind)
+    assert any(f not in homs and generator_rows_hold(src, dst, f)
+               for f in itertools.product(range(4), repeat=4))
+    source, target = algebra_from(src), algebra_from(dst)
+    assert [psi.mapping for psi in enumerate_homs(source, target, kind)] \
+        == homs
+
+
+def semilattice_sum(table):
+    """The table with + made idempotent and commutative: each cell below
+    the diagonal copies its mirror, and x + x = x."""
+    add, mul, zero, one = table
+    n = len(add)
+    return ([[add[min(i, j)][max(i, j)] if i != j else i for j in range(n)]
+             for i in range(n)], mul, zero, one)
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebra_pairs(cayley_tables(st.integers(1, 5)).map(semilattice_sum)))
+def test_iso_theorem_verdicts_match_definition(pair):
+    # Both carriers have canonical orders.  Every homomorphism is monotone
+    # under them, so the monotone verdict reads no map; the embedding
+    # verdict still scans each.  The counterexamples are rebuilt from the
+    # oracles of the homomorphisms and of the order maps.
+    src, dst = pair
+    source, target = algebra_from(src), algebra_from(dst)
+    leq_src, leq_dst = canonical_matrix(src["add"]), canonical_matrix(dst["add"])
+    names = [f"x{i}" for i in range(max(len(leq_src), len(leq_dst)))]
+    for kind in KINDS:
+        homs = homs_oracle(src, dst, kind)
+        for f in homs:
+            assert order_map_oracle(leq_src, leq_dst, f, "monotone")[0] is None
+        for mode in MODES:
+            expected = []
+            for f in homs:
+                onto = len(set(f)) == len(leq_dst)
+                preserving = order_map_oracle(leq_src, leq_dst, f, mode)[0] is None
+                iso = onto and len(set(f)) == len(f)
+                if (onto and preserving) != iso:
+                    expected.append({"map": {names[a]: names[t]
+                                             for a, t in enumerate(f)},
+                                     "onto": onto,
+                                     "order_preserving": preserving,
+                                     "isomorphism": iso})
+            report = verify_iso_theorem(source, target, kind, mode)
+            assert (report.hom_count, report.counterexamples) \
+                == (len(homs), expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1056,6 +1146,36 @@ def test_associativity_of_three_atoms_takes_two_slabs_per_generator(
         assert (report.holds, report.checked) == (True, 256 ** 3)
         assert len(c.generators(op)) == 9
         assert calls.count("slab") == calls.count("compose") == 9
+
+
+def test_hom_search_decides_on_generator_rows(count_calls):
+    # free:3 -> free:1, bpa: the rows of the nine generators of + and of
+    # × and the ! row decide all 64 candidates, and both carriers are
+    # associative, so no map check scans.  A monotone iso-theorem run
+    # scans no order map; an embedding run scans one per homomorphism.
+    scans = count_calls("_scan_rows", morphisms_module, order_module,
+                        properties_module)
+    maps = count_calls("order_relation_of_map", morphisms_module)
+    source, target = free_boolean_algebra(3), free_boolean_algebra(1)
+    assert len(enumerate_homs(source, target, "bpa")) == 64
+    assert scans == []
+    report = verify_iso_theorem(source, target, "bpa", "monotone")
+    assert report.hom_count == 64 and maps == []
+    report = verify_iso_theorem(source, target, "bpa", "embedding")
+    assert report.hom_count == len(maps) == 64
+
+
+def test_hom_search_on_a_nonassociative_source_checks_maps(count_calls):
+    # The skewed subsets of 2 points fail Light's test, so each candidate
+    # whose generator rows hold goes to check_morphism: the homomorphism
+    # and three maps that fail at ∅ + {0} or later.
+    checks = count_calls("check_morphism", morphisms_module)
+    add, mul, zero, one = skewed_subsets(2)
+    homs = enumerate_homs(algebra_of(add, mul, zero, one),
+                          algebra_of(*subsets_table(2)))
+    assert [psi.mapping for psi in homs] == [(0, 0, 3, 3)]
+    assert [psi.mapping for psi, *_ in checks] == [
+        (0, 0, 3, 3), (0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 0, 3)]
 
 
 def test_order_decides_transitivity_and_monotony_once(monkeypatch, capsys):
