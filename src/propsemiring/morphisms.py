@@ -5,9 +5,9 @@ Two morphism kinds are understood.  ``semiring`` asks for preservation
 of +, × and both identities (ψ(⊤) = ⊤, ψ(⊥) = ⊥); ``bpa`` additionally
 asks for complements (ψ(!a) = !ψ(a)).  A homomorphism is fixed by its
 values on a generating set, so enumeration searches generator images
-only, and decides each derived map on the rows of the generators of +
-and × where both carriers are associative (Light's test), else by
-check_morphism.
+only.  Each derived map is compared on the rows of the generators of +
+and ×, which reject it, or accept it where both carriers are
+associative (Light's test); otherwise check_morphism decides.
 """
 
 from __future__ import annotations
