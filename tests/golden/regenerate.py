@@ -371,7 +371,31 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
          ["hom", "enumerate", "--src", "bool4.json", "--dst",
           "bool4-skew.json", "--kind", "semiring"], None),
     ]
+    # Formulas: every precedence level, both associativities, the
+    # Unicode spellings, an atom the formula does not mention, and one
+    # case per ParseError message (exit 2).
+    cases += [(f"parse-{tag}", ["parse", text, *extra], None)
+              for tag, text, extra in PARSE]
     return cases
+
+
+PARSE = [
+    ("ladder", "!a & b | c -> d <-> a", []),
+    ("ladder-parenthesised", "((a <-> b) -> c | d) & !(a & 1)", []),
+    ("imp-right", "a -> b -> c", []),
+    ("imp-left", "(a -> b) -> c", []),
+    ("iff-left", "a <-> b <-> c", []),
+    ("iff-right", "a <-> (b <-> c)", []),
+    ("unicode", "¬a ∧ b ∨ c → 1 ↔ 0", []),
+    ("constants", "0 | !1", []),
+    ("extra-atom", "b & a", ["--atoms", "a,b,c"]),
+    ("error-multibyte-char", "¬a ∧ $", []),
+    ("error-trailing", "a b", []),
+    ("error-expected-close", "(a | b c", []),
+    ("error-close-at-end", "(a | b  ", []),
+    ("error-end-of-input", "a →", []),
+    ("error-unexpected-token", "a & ) b", []),
+]
 
 
 def run_case(argv: list[str]) -> tuple[int, bytes, bytes]:
