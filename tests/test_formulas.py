@@ -66,6 +66,23 @@ class TestParsing:
             parse("¬a $")
         assert err.value.position == 4
 
+    @pytest.mark.parametrize("text, message", [
+        ("¬a ∧ $", "unexpected character '$' (byte 8)"),
+        ("a b", "unexpected 'b' after formula (byte 2)"),
+        ("(a | b c", "expected ')', found 'c' (byte 7)"),
+        ("(a | b  ", "expected ')', found end of input (byte 8)"),
+        ("a →", "unexpected end of input (byte 5)"),
+        ("a & ) b", "unexpected token ')' (byte 4)"),
+        ("a ↔ ¬", "unexpected end of input (byte 8)"),
+        ("\t∨", "unexpected token '∨' (byte 1)"),
+    ])
+    def test_error_messages(self, text, message):
+        # the end of input sits at the whole UTF-8 length, trailing
+        # whitespace included; a token is quoted as it was spelled
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse("a b")
