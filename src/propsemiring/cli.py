@@ -23,8 +23,8 @@ from .algebra import (Algebra, AlgebraError, free_boolean_algebra,
                       subalgebra_closure, table_semiring)
 from .differences import (extended_order, subtrahend_ideal,
                           verify_difference_cancellation)
-from .formulas import ParseError, UnboundAtomError, atoms_of, evaluate, parse, \
-    unparse, Const, Atom, Not, And, Or, Implies, Iff
+from .formulas import (CONNECTIVES, Atom, Const, Not, ParseError,
+                       UnboundAtomError, atoms_of, evaluate, parse, unparse)
 from .morphisms import (KINDS, MODES, Morphism, check_morphism,
                         enumerate_homs, factor, is_isomorphism, kernel,
                         refines, verify_iso_theorem)
@@ -84,15 +84,6 @@ def _whole_carrier(algebra: Algebra, elements) -> _Finding:
     outside = [algebra.name_of(i) for i in range(algebra.size)
                if i not in inside][:1]
     return _Finding(not outside, outside)
-
-
-def _report_skeleton(command: str, seed: int, inputs: list[dict]) -> dict:
-    return {
-        "tool": {"name": TOOL_NAME, "version": __version__},
-        "command": command,
-        "seed": seed,
-        "inputs": inputs,
-    }
 
 
 class _Loader:
@@ -181,8 +172,7 @@ def _order_for(algebra: Algebra, args: argparse.Namespace,
 
 # -- check ----------------------------------------------------------------
 
-def cmd_check(args: argparse.Namespace) -> int:
-    loader = _Loader()
+def cmd_check(args: argparse.Namespace, loader: _Loader) -> dict:
     algebra = loader.from_args(args)
     axioms = check_semiring_axioms(algebra)
     zerosumfree = is_zerosumfree(algebra)
@@ -209,8 +199,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                            "⊤ × p = ⊤ = p × ⊤ for every p", absorbing),
     ]
 
-    doc = _report_skeleton("check", args.seed, loader.inputs)
-    doc.update({
+    return {
         "algebra": algebra.summary(),
         "checks": [r.to_json() for r in axioms
                    ] + [zerosumfree.to_json(), entire.to_json(),
@@ -219,15 +208,12 @@ def cmd_check(args: argparse.Namespace) -> int:
                    "elements": [e.name for e in center]},
         "additively_cancellable": [e.name for e in cancellable],
         "claims": claims,
-    })
-    print(_dumps(doc))
-    return 0
+    }
 
 
 # -- order ----------------------------------------------------------------
 
-def cmd_order(args: argparse.Namespace) -> int:
-    loader = _Loader()
+def cmd_order(args: argparse.Namespace, loader: _Loader) -> dict:
     algebra = loader.from_args(args)
     order, order_used = _order_for(algebra, args, loader)
 
@@ -264,8 +250,7 @@ def cmd_order(args: argparse.Namespace) -> int:
                            _Finding(not negative, [e.name for e in negative])),
     ]
 
-    doc = _report_skeleton("order", args.seed, loader.inputs)
-    doc.update({
+    doc = {
         "algebra": algebra.summary(),
         "order_used": order_used,
         "checks": [r.to_json() for r in poset + monotony
@@ -274,7 +259,7 @@ def cmd_order(args: argparse.Namespace) -> int:
         "cones": {"positive": [e.name for e in positive],
                   "negative": [e.name for e in negative]},
         "claims": claims,
-    })
+    }
 
     if args.sub is not None:
         names = [s for s in args.sub.split(",") if s]
@@ -287,20 +272,16 @@ def cmd_order(args: argparse.Namespace) -> int:
             "members": sub.element_names(),
             "report": subalgebra_order_report(algebra, sub, order).to_json(),
         }
-
-    print(_dumps(doc))
-    return 0
+    return doc
 
 
 # -- hom --------------------------------------------------------------------
 
-def cmd_hom_check(args: argparse.Namespace) -> int:
-    loader = _Loader()
+def cmd_hom_check(args: argparse.Namespace, loader: _Loader) -> dict:
     psi = loader.morphism(args.map)
     report = check_morphism(psi, args.kind)
     kern = kernel(psi)
-    doc = _report_skeleton("hom check", args.seed, loader.inputs)
-    doc.update({
+    doc = {
         "kind": args.kind,
         "map": psi.name_map(),
         "check": report.to_json(),
@@ -311,15 +292,13 @@ def cmd_hom_check(args: argparse.Namespace) -> int:
             "homomorphism",
             "the map preserves +, ×, ⊤ and ⊥ (and ! for the bpa kind)",
             report)],
-    })
+    }
     if report.holds:  # the image of a homomorphism is a subalgebra
         doc["image"] = [psi.target.name_of(t) for t in psi.image_indices()]
-    print(_dumps(doc))
-    return 0
+    return doc
 
 
-def cmd_hom_enumerate(args: argparse.Namespace) -> int:
-    loader = _Loader()
+def cmd_hom_enumerate(args: argparse.Namespace, loader: _Loader) -> None:
     src = loader.resolve(args.src)
     dst = loader.resolve(args.dst)
     homs = enumerate_homs(src, dst, args.kind)
@@ -328,51 +307,41 @@ def cmd_hom_enumerate(args: argparse.Namespace) -> int:
                          separators=(",", ":"), ensure_ascii=False))
     print(f"{len(homs)} {args.kind} homomorphisms "
           f"{src.source_spec} -> {dst.source_spec}", file=sys.stderr)
-    return 0
 
 
-def cmd_hom_factor(args: argparse.Namespace) -> int:
-    loader = _Loader()
+def cmd_hom_factor(args: argparse.Namespace, loader: _Loader) -> dict:
     psi1 = loader.morphism(args.psi1)
     psi2 = loader.morphism(args.psi2)
     k1, k2 = kernel(psi1), kernel(psi2)
     does_refine = refines(k1, k2)
     psi = factor(psi1, psi2)
     verified = psi is not None  # factor returns psi only if ψ ∘ ψ1 = ψ2
-    doc = _report_skeleton("hom factor", args.seed, loader.inputs)
-    doc.update({
+    return {
         "kernels": {"psi1": k1.to_json(), "psi2": k2.to_json()},
         "refines": does_refine,
         "factors": psi is not None,
         "psi": psi.to_json() if psi is not None else None,
         "verified": verified,
         "claims": [],
-    })
-    print(_dumps(doc))
-    return 0
+    }
 
 
-def cmd_hom_iso_theorem(args: argparse.Namespace) -> int:
-    loader = _Loader()
+def cmd_hom_iso_theorem(args: argparse.Namespace, loader: _Loader) -> dict:
     src = loader.resolve(args.src)
     dst = loader.resolve(args.dst)
     report = verify_iso_theorem(src, dst, kind=args.kind, mode=args.mode)
-    doc = _report_skeleton("hom iso-theorem", args.seed, loader.inputs)
-    doc.update({
+    return {
         "result": report.to_json(),
         "claims": [_claim_from_report(
             "onto-order-preserving-iff-isomorphism",
             "a homomorphism is onto and order-preserving exactly when it "
             "is an isomorphism", report)],
-    })
-    print(_dumps(doc))
-    return 0
+    }
 
 
 # -- diff ---------------------------------------------------------------------
 
-def cmd_diff(args: argparse.Namespace) -> int:
-    loader = _Loader()
+def cmd_diff(args: argparse.Namespace, loader: _Loader) -> dict:
     algebra = loader.from_args(args)
     if args.subtrahends is not None:
         names = [s for s in args.subtrahends.split(",") if s]
@@ -429,8 +398,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     claims.append(_claim("difference-cancellation-iff", statement, verdict,
                          witness))
 
-    doc = _report_skeleton("diff", args.seed, loader.inputs)
-    doc.update({
+    doc = {
         "algebra": algebra.summary(),
         "subtrahends": sub.element_names(),
         "difference": diff.algebra.summary(),
@@ -440,13 +408,12 @@ def cmd_diff(args: argparse.Namespace) -> int:
         "extended_order": extension.to_json(),
         "cancellation": cancellation.to_json(),
         "claims": claims,
-    })
+    }
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as handle:
             handle.write(_dumps(diff.to_table_dict()) + "\n")
         doc["emitted"] = args.emit
-    print(_dumps(doc))
-    return 0
+    return doc
 
 
 # -- parse ----------------------------------------------------------------
@@ -458,12 +425,12 @@ def _ast_json(f) -> dict:
         return {"atom": f.name}
     if isinstance(f, Not):
         return {"op": "not", "args": [_ast_json(f.operand)]}
-    ops = {And: "and", Or: "or", Implies: "implies", Iff: "iff"}
-    return {"op": ops[type(f)],
+    return {"op": CONNECTIVES[type(f)].name,
             "args": [_ast_json(f.left), _ast_json(f.right)]}
 
 
-def cmd_parse(args: argparse.Namespace) -> int:
+def cmd_parse(args: argparse.Namespace, loader: _Loader) -> dict:
+    loader.inputs.append({"source": args.formula})
     formula = parse(args.formula)
     if args.atoms:
         atom_names = [s for s in args.atoms.split(",") if s]
@@ -471,17 +438,14 @@ def cmd_parse(args: argparse.Namespace) -> int:
         atom_names = atoms_of(formula)
     algebra = free_boolean_algebra(len(atom_names), atom_names)
     element = evaluate(formula, algebra)
-    doc = _report_skeleton("parse", args.seed, [{"source": args.formula}])
-    doc.update({
+    return {
         "formula": unparse(formula),
         "ast": _ast_json(formula),
         "algebra": algebra.summary(),
         "atoms": list(algebra.atoms),
         "element": {"name": element.name, "index": element.index,
                     "bits": element.bits()},
-    })
-    print(_dumps(doc))
-    return 0
+    }
 
 
 # -- wiring ----------------------------------------------------------------
@@ -582,8 +546,16 @@ def main(argv: list[str] | None = None) -> int:
             except (ValueError, OSError):
                 pass
     args = build_parser().parse_args(argv)
+    loader = _Loader()
     try:
-        return args.run(args)
+        body = args.run(args, loader)
+        if body is not None:  # hom enumerate prints JSON lines itself
+            command = (args.command if args.command != "hom"
+                       else f"hom {args.hom_command}")
+            print(_dumps({"tool": {"name": TOOL_NAME, "version": __version__},
+                          "command": command, "seed": args.seed,
+                          "inputs": loader.inputs, **body}))
+        return 0
     except (AlgebraError, ParseError, UnboundAtomError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,9 @@ positions count bytes of the UTF-8 encoding.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .algebra import Element, FreeBooleanAlgebra, UnsupportedOperationError
 
@@ -83,138 +85,111 @@ class Iff(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # one of ! & | -> <-> ( ) const ident end
-    text: str
-    pos: int   # byte offset
+class Connective(NamedTuple):
+    """One binary connective: spelling, binding and meaning."""
+
+    node: type            # the AST class
+    token: str            # ASCII spelling
+    alias: str            # Unicode spelling
+    level: int            # 1 binds loosest
+    right: bool           # right-associative
+    truth: Callable[[int, int, int], int]  # (mask, left, right) -> result
+    name: str             # the "op" of the AST JSON
 
 
-_SINGLE = {"!": "!", "&": "&", "|": "|", "(": "(", ")": ")",
-           "¬": "!", "∧": "&", "∨": "|"}
+# Every binary connective, loosest first; packed truth tables are ints,
+# one bit per row, and mask holds every row.
+CONNECTIVES = {c.node: c for c in (
+    Connective(Iff, "<->", "↔", 1, False, lambda m, p, q: m ^ p ^ q, "iff"),
+    Connective(Implies, "->", "→", 2, True, lambda m, p, q: (m ^ p) | q,
+               "implies"),
+    Connective(Or, "|", "∨", 3, False, lambda m, p, q: p | q, "or"),
+    Connective(And, "&", "∧", 4, False, lambda m, p, q: p & q, "and"),
+)}
+_BINARY = {c.token: c for c in CONNECTIVES.values()}
+_NOT_LEVEL = len(CONNECTIVES) + 1  # ! binds tighter than every connective
+
+# Token kind of each operator spelling (no spelling is a prefix of another).
+_KIND = {"!": "!", "¬": "!", "(": "(", ")": ")",
+         **{s: c.token for c in CONNECTIVES.values()
+            for s in (c.token, c.alias)}}
+_LEXEME = re.compile(r"\s*(?:(?P<op>%s)|(?P<const>[01])"
+                     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S))"
+                     % "|".join(map(re.escape, _KIND)))
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, spelling, byte offset) of each token, then the end token."""
     tokens = []
-    i = 0
-    pos = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            pos += len(ch.encode("utf-8"))
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(_Token("<->", "<->", pos))
-            i += 3
-            pos += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("->", "->", pos))
-            i += 2
-            pos += 2
-            continue
-        if ch == "→":
-            tokens.append(_Token("->", ch, pos))
-        elif ch == "↔":
-            tokens.append(_Token("<->", ch, pos))
-        elif ch in _SINGLE:
-            tokens.append(_Token(_SINGLE[ch], ch, pos))
-        elif ch in "01":
-            tokens.append(_Token("const", ch, pos))
-        elif ch.isascii() and (ch.isalpha() or ch == "_"):
-            j = i + 1
-            while j < length and text[j].isascii() and (text[j].isalnum()
-                                                        or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], pos))
-            pos += j - i
-            i = j
-            continue
-        else:
-            raise ParseError(f"unexpected character {ch!r}", pos)
-        pos += len(ch.encode("utf-8"))
-        i += 1
-    tokens.append(_Token("end", "", pos))
+    done = pos = 0  # characters and bytes before the last token
+    for match in _LEXEME.finditer(text):
+        kind, start = match.lastgroup, match.start(match.lastgroup)
+        pos += len(text[done:start].encode("utf-8"))
+        done = start
+        spelled = match.group(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {spelled!r}", pos)
+        tokens.append((_KIND[spelled] if kind == "op" else kind, spelled, pos))
+    tokens.append(("end", "", len(text.encode("utf-8"))))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.at = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.at]
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.at]
+    def advance(self) -> None:
         self.at += 1
-        return token
 
     def formula(self) -> Formula:
-        node = self.iff()
-        tail = self.peek()
-        if tail.kind != "end":
-            raise ParseError(f"unexpected {tail.text!r} after formula", tail.pos)
+        node = self.binary(1)
+        kind, spelled, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {spelled!r} after formula", pos)
         return node
 
-    def iff(self) -> Formula:
-        node = self.imp()
-        while self.peek().kind == "<->":
-            self.advance()
-            node = Iff(node, self.imp())
-        return node
-
-    def imp(self) -> Formula:
-        node = self.or_()
-        if self.peek().kind == "->":
-            self.advance()
-            node = Implies(node, self.imp())
-        return node
-
-    def or_(self) -> Formula:
-        node = self.and_()
-        while self.peek().kind == "|":
-            self.advance()
-            node = Or(node, self.and_())
-        return node
-
-    def and_(self) -> Formula:
+    def binary(self, floor: int) -> Formula:
+        """Precedence climbing: the longest formula whose connectives all
+        have level ``floor`` or above."""
         node = self.not_()
-        while self.peek().kind == "&":
+        while True:
+            c = _BINARY.get(self.peek()[0])
+            if c is None or c.level < floor:
+                return node
             self.advance()
-            node = And(node, self.not_())
-        return node
+            node = c.node(node, self.binary(c.level + (not c.right)))
 
     def not_(self) -> Formula:
-        if self.peek().kind == "!":
+        if self.peek()[0] == "!":
             self.advance()
             return Not(self.not_())
         return self.primary()
 
     def primary(self) -> Formula:
-        token = self.peek()
-        if token.kind == "const":
+        kind, spelled, pos = self.peek()
+        if kind == "const":
             self.advance()
-            return Const(int(token.text))
-        if token.kind == "ident":
+            return Const(int(spelled))
+        if kind == "ident":
             self.advance()
-            return Atom(token.text)
-        if token.kind == "(":
+            return Atom(spelled)
+        if kind == "(":
             self.advance()
-            node = self.iff()
-            closing = self.peek()
-            if closing.kind != ")":
-                raise ParseError(f"expected ')', found {closing.text!r}"
-                                 if closing.kind != "end" else
-                                 "expected ')', found end of input", closing.pos)
+            node = self.binary(1)
+            kind, spelled, pos = self.peek()
+            if kind != ")":
+                raise ParseError(f"expected ')', found {spelled!r}"
+                                 if kind != "end" else
+                                 "expected ')', found end of input", pos)
             self.advance()
             return node
-        if token.kind == "end":
-            raise ParseError("unexpected end of input", token.pos)
-        raise ParseError(f"unexpected token {token.text!r}", token.pos)
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        raise ParseError(f"unexpected token {spelled!r}", pos)
 
 
 def parse(text: str) -> Formula:
@@ -222,28 +197,17 @@ def parse(text: str) -> Formula:
     return _Parser(_tokenize(text)).formula()
 
 
-_LEVEL = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6, Const: 6}
-
-
 def _render(f: Formula, floor: int) -> str:
-    level = _LEVEL[type(f)]
     if isinstance(f, Const):
-        s = "1" if f.value else "0"
-    elif isinstance(f, Atom):
-        s = f.name
-    elif isinstance(f, Not):
-        s = "!" + _render(f.operand, 5)
-    elif isinstance(f, And):
-        s = _render(f.left, 4) + " & " + _render(f.right, 5)
-    elif isinstance(f, Or):
-        s = _render(f.left, 3) + " | " + _render(f.right, 4)
-    elif isinstance(f, Implies):
-        s = _render(f.left, 3) + " -> " + _render(f.right, 2)
-    else:
-        s = _render(f.left, 1) + " <-> " + _render(f.right, 2)
-    if level < floor:
-        return "(" + s + ")"
-    return s
+        return "1" if f.value else "0"
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Not):
+        return "!" + _render(f.operand, _NOT_LEVEL)
+    c = CONNECTIVES[type(f)]
+    s = (f"{_render(f.left, c.level + c.right)} {c.token} "
+         f"{_render(f.right, c.level + (not c.right))}")
+    return f"({s})" if c.level < floor else s
 
 
 def unparse(f: Formula) -> str:
@@ -261,9 +225,8 @@ def atoms_of(f: Formula) -> list[str]:
             seen.add(node.name)
         elif isinstance(node, Not):
             stack.append(node.operand)
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            stack.append(node.left)
-            stack.append(node.right)
+        elif type(node) in CONNECTIVES:
+            stack += (node.left, node.right)
     return sorted(seen)
 
 
@@ -302,14 +265,9 @@ def evaluate(f: Formula, algebra: FreeBooleanAlgebra,
             return idx
         if isinstance(node, Not):
             return mask ^ walk(node.operand)
-        if isinstance(node, And):
-            return walk(node.left) & walk(node.right)
-        if isinstance(node, Or):
-            return walk(node.left) | walk(node.right)
-        if isinstance(node, Implies):
-            return (mask ^ walk(node.left)) | walk(node.right)
-        if isinstance(node, Iff):
-            return mask ^ (walk(node.left) ^ walk(node.right))
+        c = CONNECTIVES.get(type(node))
+        if c is not None:
+            return c.truth(mask, walk(node.left), walk(node.right))
         raise TypeError(f"not a formula node: {node!r}")
 
     return algebra.element(walk(f))
