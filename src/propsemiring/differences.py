@@ -121,15 +121,14 @@ def _validate_subtrahends(algebra: Algebra, members: tuple[int, ...],
                 f"subtrahend {algebra.name_of(m)} is not additively cancellable")
     c = algebra.compiled
     is_top, member_row = c.indicator((algebra.top_index,)), c.row(members)
-    opposites = []
-    for m in members:  # the first member b with m + b = ⊤
-        k = c.compose(is_top, c.compose(c.add[m], member_row)).find(1)
-        if k < 0:
-            raise DomainError(
-                f"subtrahend {algebra.name_of(m)} has no opposite in the ideal")
-        opposites.append(members[k])
+    # Each member's opposite exists: its + row is injective and maps the
+    # ideal, which is closed under +, into itself, so it permutes the
+    # ideal and reaches ⊤ there.  Take the first member b with m + b = ⊤.
+    opposites = tuple(
+        members[c.compose(is_top, c.compose(c.add[m], member_row)).find(1)]
+        for m in members)
     return SubtrahendIdeal(algebra=algebra, members=members,
-                           opposites=tuple(opposites))
+                           opposites=opposites)
 
 
 def subtrahend_ideal(algebra: Algebra,
