@@ -121,7 +121,7 @@ _LEXEME = re.compile(r"\s*(?:(?P<op>%s)|(?P<const>[01])"
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, spelling, byte offset) of each token, then the end token."""
     tokens = []
-    done = pos = 0  # characters and bytes before the last token
+    done = pos = 0  # character index and byte offset of the last token
     for match in _LEXEME.finditer(text):
         kind, start = match.lastgroup, match.start(match.lastgroup)
         pos += len(text[done:start].encode("utf-8"))
@@ -204,7 +204,7 @@ def _render(f: Formula, floor: int) -> str:
         return f.name
     if isinstance(f, Not):
         return "!" + _render(f.operand, _NOT_LEVEL)
-    c = CONNECTIVES[type(f)]
+    c = CONNECTIVES[type(f)]  # the side it does not associate to binds tighter
     s = (f"{_render(f.left, c.level + c.right)} {c.token} "
          f"{_render(f.right, c.level + (not c.right))}")
     return f"({s})" if c.level < floor else s
