@@ -90,13 +90,6 @@ class Element:
     def name(self) -> str:
         return self.algebra.name_of(self.index)
 
-    @property
-    def value(self) -> int | None:
-        """Packed truth table for free-algebra elements, None otherwise."""
-        if isinstance(self.algebra, FreeBooleanAlgebra):
-            return self.index
-        return None
-
     def bits(self) -> str:
         """Truth table as a 0/1 string, highest assignment first."""
         algebra = self.algebra

@@ -37,7 +37,6 @@ from .properties import (additively_cancellable_elements,
                          is_simple, is_zerosumfree)
 
 TOOL_NAME = "propsemiring"
-DEFAULT_SEED = 1729
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted-with-witness"
@@ -431,21 +430,24 @@ def _ast_json(f) -> dict:
 
 def cmd_parse(args: argparse.Namespace, loader: _Loader) -> dict:
     loader.inputs.append({"source": args.formula})
-    formula = parse(args.formula)
-    if args.atoms:
-        atom_names = [s for s in args.atoms.split(",") if s]
-    else:
-        atom_names = atoms_of(formula)
-    algebra = free_boolean_algebra(len(atom_names), atom_names)
-    element = evaluate(formula, algebra)
-    return {
-        "formula": unparse(formula),
-        "ast": _ast_json(formula),
-        "algebra": algebra.summary(),
-        "atoms": list(algebra.atoms),
-        "element": {"name": element.name, "index": element.index,
-                    "bits": element.bits()},
-    }
+    try:  # parse, evaluate, unparse and _ast_json recurse on the nesting
+        formula = parse(args.formula)
+        if args.atoms:
+            atom_names = [s for s in args.atoms.split(",") if s]
+        else:
+            atom_names = atoms_of(formula)
+        algebra = free_boolean_algebra(len(atom_names), atom_names)
+        element = evaluate(formula, algebra)
+        return {
+            "formula": unparse(formula),
+            "ast": _ast_json(formula),
+            "algebra": algebra.summary(),
+            "atoms": list(algebra.atoms),
+            "element": {"name": element.name, "index": element.index,
+                        "bits": element.bits()},
+        }
+    except RecursionError:
+        raise ValueError("formula nests too deeply") from None
 
 
 # -- wiring ----------------------------------------------------------------
@@ -462,9 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog=TOOL_NAME,
         description="verification workbench for finite proposition semirings "
                     "(+ is AND with identity ⊤, × is OR with identity ⊥)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="recorded in the report's seed field; every "
-                             "check is exhaustive, so no verdict reads it")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_check = commands.add_parser(
@@ -553,8 +552,8 @@ def main(argv: list[str] | None = None) -> int:
             command = (args.command if args.command != "hom"
                        else f"hom {args.hom_command}")
             print(_dumps({"tool": {"name": TOOL_NAME, "version": __version__},
-                          "command": command, "seed": args.seed,
-                          "inputs": loader.inputs, **body}))
+                          "command": command, "inputs": loader.inputs,
+                          **body}))
         return 0
     except (AlgebraError, ParseError, UnboundAtomError, ValueError, OSError,
             json.JSONDecodeError) as exc:

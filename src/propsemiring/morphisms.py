@@ -307,7 +307,7 @@ def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
     under +, × and, for bpa, ! on whole compiled rows, with a step for
     each element reached.  A stall adds the least unreached element that
     is no sum of two others (``CompiledTables.irreducible``, which also
-    seeds the generating sets of the law checks), else the least, as a
+    starts the generating sets of the law checks), else the least, as a
     generator: a finite semilattice is the sums of such elements, so
     relabelling a Boolean carrier keeps the generator count.  The steps
     derive the other images from the generator images, and the

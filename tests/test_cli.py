@@ -52,7 +52,6 @@ class TestCheckCommand:
         doc = run_json(capsys, "check", "--free-atoms", "1")
         assert doc["tool"]["name"] == "propsemiring"
         assert doc["command"] == "check"
-        assert doc["seed"] == 1729
         assert doc["inputs"] == [{"source": "free:1"}]
         assert doc["algebra"]["size"] == 4
         assert doc["algebra"]["top"] == "⊤"
@@ -570,6 +569,16 @@ class TestParseCommand:
         code, _, err = run(capsys, "parse", "a & b", "--atoms", "a")
         assert code == 2 and "'b'" in err
 
+    @pytest.mark.parametrize("formula", [
+        "(" * 400 + "a" + ")" * 400,
+        "!" * 1200 + "a",
+        " -> ".join(["a", "b", "c"] * 400),
+    ], ids=["parentheses", "negations", "implications"])
+    def test_deep_nesting_is_an_input_error(self, capsys, formula):
+        code, out, err = run(capsys, "parse", formula)
+        assert (code, out) == (2, "")
+        assert err == "error: formula nests too deeply\n"
+
 
 class TestDeterminism:
     def test_reports_are_byte_identical_across_runs(self, capsys, z3_path):
@@ -586,9 +595,38 @@ class TestDeterminism:
             outputs.add(out)
         assert len(outputs) == 2
 
-    def test_seed_is_recorded(self, capsys):
-        doc = run_json(capsys, "--seed", "7", "order", "--free-atoms", "1")
-        assert doc["seed"] == 7
+    def test_top_level_keys(self, capsys, tmp_path):
+        ev = write_morphism(tmp_path, "ev.json", "free:1", "free:0", EVAL_TOP)
+        ident = write_morphism(tmp_path, "id.json", "free:1", "free:1",
+                               IDENTITY1)
+        runs = {
+            ("check", "--free-atoms", "1"):
+                {"additively_cancellable", "algebra", "center", "checks",
+                 "claims"},
+            ("order", "--free-atoms", "1"):
+                {"algebra", "checks", "claims", "cones", "order_used"},
+            ("diff", "--free-atoms", "1"):
+                {"algebra", "cancellation", "checks", "claims", "difference",
+                 "embedding", "embedding_isomorphism", "extended_order",
+                 "subtrahends"},
+            ("parse", "a"): {"algebra", "ast", "atoms", "element", "formula"},
+            ("hom", "check", "--map", ev):
+                {"check", "claims", "image", "injective", "kernel", "kind",
+                 "map", "surjective"},
+            ("hom", "factor", "--psi1", ident, "--psi2", ev):
+                {"claims", "factors", "kernels", "psi", "refines", "verified"},
+            ("hom", "iso-theorem", "--src", "free:1", "--dst", "free:0"):
+                {"claims", "result"},
+        }
+        for argv, body in runs.items():
+            doc = run_json(capsys, *argv)
+            assert set(doc) == {"tool", "command", "inputs"} | body, argv
+
+    def test_seed_option_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "7", "order", "--free-atoms", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_json_is_sorted_and_unicode(self, capsys):
         _, out, _ = run(capsys, "check", "--free-atoms", "0")
