@@ -103,7 +103,8 @@ def _options(parser, prefix=()):
 
 def test_every_option_is_exercised_by_a_case():
     # An option that no case passes can change nothing the corpus sees.
-    unused = [" ".join((*words, flag)) for words, flag in _options(build_parser())
+    unused = [" ".join((*words, flag))
+              for words, flag in _options(build_parser())
               if not any(case["argv"][:len(words)] == list(words)
                          and flag in case["argv"] for case in CASES)]
     assert not unused, unused
