@@ -332,30 +332,48 @@ class CompiledTables:
             self._irreducible[op] = irreducible
         return self._irreducible[op]
 
-    def generators(self, op: str) -> tuple[int, ...]:
-        """A generating set of ``op``, ascending: the irreducible elements,
-        then at each stall of their closure the least element not reached.
-        The closure composes the row and the column of each element
-        reached with all elements reached, so it takes O(n²) steps in C.
+    def closure(self, seeds: Iterable[int], sides: Sequence[Sequence],
+                preferred: frozenset[int]) -> tuple[list[int], list[tuple]]:
+        """The generators and steps of a closure of ``seeds`` under
+        ``sides``, tables whose row x lists x ∘ y by y.
+
+        Each element reached is composed once, on whole rows in C, with all
+        reached so far, so a side whose rows differ needs its transpose
+        too.  At a stall the least unreached element of ``preferred``, else
+        the least, is the next generator: preferring the irreducibles keeps
+        the generator count of a finite semilattice under relabelling, as
+        it is their sums.  A step (e, k, x, y) records that e =
+        sides[k][x][y] was reached first that way; steps are in discovery
+        order, e ascending within one side of one x.
         """
+        reached = list(dict.fromkeys(seeds))
+        unreached = set(range(self.n)).difference(reached)
+        generators, steps = [], []
+        done = 0  # reached[:done] have been composed
+        while unreached:
+            if done == len(reached):  # stalled: the next generator
+                generators.append(min(unreached & preferred or unreached))
+                reached.append(generators[-1])
+                unreached.remove(generators[-1])
+            x, earlier = reached[done], self.row(reached)
+            done += 1
+            for k, rows in enumerate(sides):
+                values = self.compose(rows[x], earlier)
+                found = sorted(unreached.intersection(values))
+                if found:  # the first y of each value wins, read backwards
+                    first = dict(zip(reversed(values), reversed(earlier)))
+                    steps.extend((e, k, x, first[e]) for e in found)
+                    unreached.difference_update(found)
+                    reached.extend(found)
+        return generators, steps
+
+    def generators(self, op: str) -> tuple[int, ...]:
+        """A generating set of ``op``, ascending: the irreducible elements
+        and the generators of their :meth:`closure` under ``op``."""
         if op not in self._generators:
-            rows, cols = self.tables(op)
-            generators = sorted(self.irreducible(op))
-            reached = list(generators)
-            unreached = set(range(self.n)).difference(reached)
-            done = 0  # reached[:done] are composed with the others
-            while unreached:
-                if done == len(reached):  # stalled
-                    generators.append(min(unreached))
-                    reached.append(generators[-1])
-                    unreached.remove(generators[-1])
-                x, among = reached[done], self.row(reached)
-                done += 1
-                found = unreached.intersection(self.compose(rows[x], among)
-                                               + self.compose(cols[x], among))
-                reached.extend(found)
-                unreached -= found
-            self._generators[op] = tuple(sorted(generators))
+            seeds = sorted(self.irreducible(op))
+            self._generators[op] = tuple(sorted(
+                seeds + self.closure(seeds, self.tables(op), frozenset())[0]))
         return self._generators[op]
 
     def indicator(self, members: Iterable[int]) -> bytes:

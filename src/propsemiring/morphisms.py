@@ -276,8 +276,7 @@ def is_isomorphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:
                                       details={"reason": "not injective"})
             seen[t] = a
     if not psi.is_surjective():
-        missing = next(t for t in range(psi.target.size)
-                       if t not in set(psi.mapping))
+        missing = min(set(range(psi.target.size)).difference(psi.mapping))
         return PropertyReport(prop, False,
                               (psi.target.name_of(missing),), n,
                               details={"reason": "not surjective"})
@@ -299,20 +298,17 @@ def image_subalgebra(psi: Morphism) -> Subalgebra:
     return sub
 
 
-def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
-                   cap: int = ENUMERATION_CAP) -> list[Morphism]:
+def enumerate_homs(src: Algebra, dst: Algebra,
+                   kind: str = "semiring") -> list[Morphism]:
     """All homomorphisms src -> dst of the given kind, sorted by map.
 
-    ⊤ and ⊥ (then the atoms of a free source of the bpa kind) are closed
-    under +, × and, for bpa, ! on whole compiled rows, with a step for
-    each element reached.  A stall adds the least unreached element that
-    is no sum of two others (``CompiledTables.irreducible``, which also
-    starts the generating sets of the law checks), else the least, as a
-    generator: a finite semilattice is the sums of such elements, so
-    relabelling a Boolean carrier keeps the generator count.  The steps
-    derive the other images from the generator images, and the
-    homomorphisms are kept (in atom-image order for free bpa sources).
-    The cap bounds the |dst|^|generators| maps.
+    ⊤ and ⊥ are closed under +, × and, for bpa, ! by
+    ``CompiledTables.closure``, which prefers the atoms of a free source
+    of the bpa kind and else the elements that are no sum of two others
+    as generators.  Its steps derive the other images from the generator
+    images, and the homomorphisms are kept (in atom-image order for free
+    bpa sources).  :data:`ENUMERATION_CAP` bounds the |dst|^|generators|
+    maps.
 
     ψ(⊥) = ⊥ holds by construction, and so does ψ(⊤) = ⊤ unless ⊤ = ⊥
     in the source only, where check_morphism refuses every map.  A
@@ -334,36 +330,21 @@ def enumerate_homs(src: Algebra, dst: Algebra, kind: str = "semiring",
         raise UnsupportedOperationError(
             "bpa morphisms need complements on both algebras")
     s = src.compiled
-    reached = list(dict.fromkeys((src.top_index, src.bot_index)))
-    unreached = set(range(s.n)).difference(reached)
     free_bpa = kind == "bpa" and isinstance(src, FreeBooleanAlgebra)
-    atoms = iter(map(src.atom_value, range(src.n_atoms)) if free_bpa else ())
-    preferred = frozenset() if free_bpa else s.irreducible(ADD)
-    # position k of rows[x] over earlier is an e whose image is
-    # op(ψ(x), ψ(earlier[k])); every row of the ! side is the complement
-    sides = [(dst.add_i, s.add), (lambda u, v: dst.add_i(v, u), s.add_t),
-             (dst.mul_i, s.mul), (lambda u, v: dst.mul_i(v, u), s.mul_t)]
-    if kind == "bpa":
-        sides.append((lambda _, v: dst.comp_i(v), [s.comp] * s.n))
-    generators, steps = [], []  # steps (e, op, a, b): ψ(e) = op(ψ(a), ψ(b))
-    for count, x in enumerate(reached, 1):  # reached grows while it is read
-        if not unreached:
-            break
-        earlier = s.row(reached)
-        for op, rows in sides:
-            values = CompiledTables.compose(rows[x], earlier)
-            for e in sorted(unreached.intersection(values)):
-                steps.append((e, op, x, earlier[values.index(e)]))
-                unreached.remove(e)
-                reached.append(e)
-        if count == len(reached) and unreached:  # stalled: the next generator
-            generators.append(next(atoms, min(unreached & preferred
-                                              or unreached)))
-            unreached.remove(generators[-1])
-            reached.append(generators[-1])
+    # side k of the closure gives a step (e, k, a, b) with ψ(e) equal to
+    # ops[k](ψ(a), ψ(b)); every row of the ! side is the complement
+    ops = [dst.add_i, lambda u, v: dst.add_i(v, u),
+           dst.mul_i, lambda u, v: dst.mul_i(v, u), lambda _, v: dst.comp_i(v)]
+    sides = [s.add, s.add_t, s.mul, s.mul_t, [s.comp] * s.n]
+    generators, steps = s.closure(
+        (src.top_index, src.bot_index), sides[:5 if kind == "bpa" else 4],
+        frozenset(map(src.atom_value, range(src.n_atoms))) if free_bpa
+        else s.irreducible(ADD))
+    steps = [(e, ops[k], a, b) for e, k, a, b in steps]
     candidates = dst.size ** len(generators)
-    if candidates > cap:
-        raise SizeLimitError(f"{candidates} candidate maps exceed the cap {cap}")
+    if candidates > ENUMERATION_CAP:
+        raise SizeLimitError(f"{candidates} candidate maps exceed the cap "
+                             f"{ENUMERATION_CAP}")
     image = [0] * src.size
     image[src.top_index] = dst.top_index
     image[src.bot_index] = dst.bot_index

@@ -159,6 +159,29 @@ def generators_oracle(op):
         generators.add(min(set(range(n)) - closure))
 
 
+def stall_generators_oracle(sides, seeds, preferred, n):
+    """The generators of a closure of ``seeds`` under the tables
+    ``sides`` (x ∘ y at side[x][y]) from the definition: while the
+    closure of the seeds and the generators so far is not the carrier,
+    the least element of ``preferred`` outside it, else the least element
+    outside it, is the next one.  Also the closure of the seeds and the
+    first i generators, for each i."""
+    generators, closures, closure = [], [], set(seeds)
+    while True:
+        grown = True
+        while grown:
+            products = {side[x][y] for side in sides
+                        for x in closure for y in closure}
+            grown = not products <= closure
+            closure |= products
+        closures.append(set(closure))
+        outside = set(range(n)) - closure
+        if not outside:
+            return generators, closures
+        generators.append(min(outside & set(preferred) or outside))
+        closure.add(generators[-1])
+
+
 def transpose_oracle(rows):
     """Column j of a matrix, entry by entry, as a list."""
     return [[row[j] for row in rows] for j in range(len(rows[0]))]

@@ -1,8 +1,12 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+and every private name the package defines is used in the package.
 
-A static check on the syntax tree, in place of a linter: an imported
+Static checks on the syntax tree, in place of a linter: an imported
 name counts as used when it is read anywhere in the module, or when the
 module lists it in ``__all__`` (the package re-exports its API that way).
+A private (``_name``) function, class, method or module constant counts
+as used when some module of the package names it outside its own
+definition, so a helper that a refactor leaves behind fails the check.
 """
 
 import ast
@@ -59,3 +63,87 @@ def test_the_check_finds_an_unused_import():
               "def f(x: Callable) -> str:\n"
               "    return os.sep\n")
     assert unused_imports(source) == ["load (line 3)"]
+
+
+def _sources() -> dict[str, str]:
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as handle:
+            sources[module] = handle.read()
+    return sources
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) for each private function, class, method and module
+    constant of the module, ``node`` being its definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for item in [node, *members]:
+                if (isinstance(item, (ast.FunctionDef, ast.ClassDef))
+                        and _private(item.name)):
+                    yield item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and _private(target.id):
+                    yield target.id, node
+
+
+def _references(tree: ast.Module):
+    """(name, node) for each name the module reads, as a variable, an
+    attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.alias):
+            yield node.name, node
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module: name (line k)`` for every private definition that no
+    module of ``sources`` names outside the definition itself."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    references = {}  # name: the nodes that name it
+    for tree in trees.values():
+        for name, node in _references(tree):
+            references.setdefault(name, []).append(node)
+    unused = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            inside = set(map(id, ast.walk(definition)))
+            if all(id(node) in inside for node in references.get(name, ())):
+                unused.append(f"{module}: {name} (line {definition.lineno})")
+    return unused
+
+
+def test_every_private_name_is_used():
+    assert unreferenced_private_names(_sources()) == []
+
+
+def test_the_check_finds_an_unreferenced_private_name():
+    sources = {
+        "a.py": ("_LIMIT = 3\n"
+                 "_UNUSED: int = 4\n"
+                 "def _helper(n):\n"
+                 "    return _helper(n - 1) if n else _LIMIT\n"
+                 "class _Kept:\n"
+                 "    def _used(self):\n"
+                 "        return self._orphan\n"
+                 "    def _orphan(self):\n"
+                 "        return self._orphan()\n"
+                 "    def __repr__(self):\n"
+                 "        return ''\n"),
+        "b.py": ("from a import _Kept\n"
+                 "def f(x):\n"
+                 "    return x._used()\n"),
+    }
+    assert unreferenced_private_names(sources) == [
+        "a.py: _UNUSED (line 2)", "a.py: _helper (line 3)"]

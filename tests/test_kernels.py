@@ -21,7 +21,10 @@ are decided on generating sets: the sets are compared with a closure
 from their definition, the laws with the scans on relabelled Boolean
 tables with a few cells changed, on ℤn and on ℤn of 257-300 elements,
 and three tables pin the fallback to the scan where the test at the
-generators, or its associativity premise, fails.  Light's test alone is
+generators, or its associativity premise, fails.  ``CompiledTables.closure``
+is compared with the stall rule from its definition on random tables,
+seeds and preferred sets, on byte and tuple rows, and its steps with
+the sides they name.  Light's test alone is
 compared with the associativity oracle for both operations of every
 hypothesis table, and ``transposed`` with a transpose oracle on byte and
 tuple rows at the byte-row edge.  Bound decomposition, decided from
@@ -90,7 +93,8 @@ from helpers import (antisymmetry_oracle, associativity_oracle,
                      mult_left_cancellative_oracle,
                      operation_bounds_oracle, order_map_oracle, pairs_of,
                      pairwise_monotony_oracle, quotient_identity_oracle,
-                     reflexivity_oracle, subtrahend_ideal_oracle,
+                     reflexivity_oracle, stall_generators_oracle,
+                     subtrahend_ideal_oracle,
                      transitivity_oracle, translation_invariance_oracle,
                      transpose_oracle, zerosumfree_oracle)
 
@@ -428,11 +432,15 @@ def test_generator_count_does_not_depend_on_labelling(f):
              [[i | j for j in range(8)] for i in range(8)], 7, 0)
     copy, comp = relabelled(table, [7 - i for i in range(8)], f)
     algebra = algebra_from(table_dict(copy, comp))
-    homs = [psi.mapping
-            for psi in enumerate_homs(algebra, algebra, "semiring", cap=8 ** 3)]
-    assert len(homs) == 27 and homs == sorted(homs)  # one per map of the points
-    with pytest.raises(SizeLimitError, match="512 candidate"):
-        enumerate_homs(algebra, algebra, "semiring", cap=8 ** 3 - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(morphisms_module, "ENUMERATION_CAP", 8 ** 3)
+        homs = [psi.mapping
+                for psi in enumerate_homs(algebra, algebra, "semiring")]
+        # one per map of the points
+        assert len(homs) == 27 and homs == sorted(homs)
+        patch.setattr(morphisms_module, "ENUMERATION_CAP", 8 ** 3 - 1)
+        with pytest.raises(SizeLimitError, match="512 candidate"):
+            enumerate_homs(algebra, algebra, "semiring")
 
 
 def free_dict(k):
@@ -954,6 +962,71 @@ def test_generating_sets_match_definition(table):
     for op, rows in ((ADD, table[0]), (MUL, table[1])):
         assert c.irreducible(op) == irreducible_oracle(rows)
         assert c.generators(op) == generators_oracle(rows)
+
+
+def assert_closure_matches(c, plain, compiled, seeds, preferred):
+    """``c.closure`` against the definition, the tables given twice: as
+    nested lists and as the compiled rows."""
+    generators, steps = c.closure(seeds, compiled, preferred)
+    expected, closures = stall_generators_oracle(plain, seeds, preferred, c.n)
+    assert generators == expected
+    reached = set(seeds)
+    assert sorted([*reached, *generators, *(e for e, *_ in steps)]) \
+        == list(range(c.n))  # the seeds, generators and steps partition
+    for before, (e, k, x, y) in zip([None, *steps], steps):
+        level = next(i for i, closure in enumerate(closures) if e in closure)
+        reached.update(generators[:level])
+        assert plain[k][x][y] == e and x in reached and y in reached
+        if before is not None and before[1:3] == (k, x):
+            assert before[0] < e  # one side of one x gives e ascending
+        reached.add(e)
+
+
+def closure_sides(add, mul, comp):
+    """+, its columns, ×, its columns and the constant complement side."""
+    return [add, transpose_oracle(add), mul, transpose_oracle(mul),
+            [comp] * len(add)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_closure_matches_definition(data):
+    # Each generator is the least preferred element, else the least,
+    # outside the closure of the seeds and the generators before it, and
+    # each step composes two elements reached before the one it reaches.
+    add, mul, zero, one = data.draw(cayley_tables(st.integers(1, 9)))
+    n = len(add)
+    cell = st.integers(0, n - 1)
+    comp = data.draw(st.lists(cell, min_size=n, max_size=n))
+    c = algebra_of(add, mul, zero, one, comp).compiled
+    # a side that depends on x comes with its transpose
+    groups = data.draw(st.sets(st.sampled_from(((0, 1), (2, 3), (4,))),
+                               min_size=1))
+    order = data.draw(st.permutations([k for group in groups for k in group]))
+    compiled = [c.add, c.add_t, c.mul, c.mul_t, [c.comp] * n]
+    plain = closure_sides(add, mul, comp)
+    assert_closure_matches(c, [plain[k] for k in order],
+                           [compiled[k] for k in order],
+                           data.draw(st.lists(cell, max_size=4)),
+                           data.draw(st.frozensets(cell)))
+
+
+@pytest.mark.parametrize("n", [257, 263])
+def test_closure_of_tuple_rows_matches_definition(n):
+    # ℤn with a few cells of × changed, from ⊤ alone, preferring three
+    # elements: the rows are tuples above 256 elements.
+    rng = random.Random(n)
+    add = [[(i + j) % n for j in range(n)] for i in range(n)]
+    mul = [[(i * j) % n for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        mul[rng.randrange(2, n)][rng.randrange(2, n)] = rng.randrange(n)
+    comp = [rng.randrange(n) for _ in range(n)]
+    c = algebra_of(add, mul, 0, 1, comp).compiled
+    assert c.row is tuple
+    assert_closure_matches(
+        c, closure_sides(add, mul, comp),
+        [c.add, c.add_t, c.mul, c.mul_t, [c.comp] * n], [0],
+        frozenset(rng.sample(range(n), 3)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 256, 257])

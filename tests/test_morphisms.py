@@ -387,26 +387,33 @@ class TestEnumeration:
         homs = enumerate_homs(z3, z3, "semiring")
         assert [psi.mapping for psi in homs] == [(0, 1, 2)]
 
-    def test_candidate_cap(self, ba2, ba1):
-        with pytest.raises(SizeLimitError, match="cap"):
-            enumerate_homs(ba2, ba1, "semiring", cap=10)  # 4^4 candidates
+    def test_candidate_cap(self, ba2, ba1, monkeypatch):
         with pytest.raises(SizeLimitError, match="cap"):
             enumerate_homs(free_boolean_algebra(3), free_boolean_algebra(2),
                            "semiring")  # 16^8 candidates
+        monkeypatch.setattr(morphisms, "ENUMERATION_CAP", 10)
+        with pytest.raises(SizeLimitError, match="cap 10"):
+            enumerate_homs(ba2, ba1, "semiring")  # 4^4 candidates
 
-    def test_cap_counts_generator_images(self, z3, ba2, ba1):
+    def test_cap_counts_generator_images(self, z3, ba2, ba1, monkeypatch):
         # ℤ3 is generated by ⊤ and ⊥, free:2 by its 4 minterms under +
-        # and ×, and by its 2 atoms once ! is allowed
-        assert len(enumerate_homs(z3, z3, "semiring", cap=1)) == 1
-        assert len(enumerate_homs(ba2, ba1, "semiring", cap=4 ** 4)) == 16
+        # and ×, and by its 2 atoms once ! is allowed; the cap is read
+        # when the search runs
+        monkeypatch.setattr(morphisms, "ENUMERATION_CAP", 1)
+        assert len(enumerate_homs(z3, z3, "semiring")) == 1
+        monkeypatch.setattr(morphisms, "ENUMERATION_CAP", 4 ** 4)
+        assert len(enumerate_homs(ba2, ba1, "semiring")) == 16
+        monkeypatch.setattr(morphisms, "ENUMERATION_CAP", 4 ** 4 - 1)
         with pytest.raises(SizeLimitError, match="256 candidate"):
-            enumerate_homs(ba2, ba1, "semiring", cap=4 ** 4 - 1)
+            enumerate_homs(ba2, ba1, "semiring")
         free3 = free_boolean_algebra(3)
-        assert len(enumerate_homs(free3, ba1, "bpa", cap=4 ** 3)) == 64
+        monkeypatch.setattr(morphisms, "ENUMERATION_CAP", 4 ** 3)
+        assert len(enumerate_homs(free3, ba1, "bpa")) == 64
+        monkeypatch.setattr(morphisms, "ENUMERATION_CAP", 4 ** 3 - 1)
         with pytest.raises(SizeLimitError, match="64 candidate"):
-            enumerate_homs(free3, ba1, "bpa", cap=4 ** 3 - 1)
+            enumerate_homs(free3, ba1, "bpa")
 
-    def test_closure_takes_products_in_both_orders(self):
+    def test_closure_takes_products_in_both_orders(self, monkeypatch):
         # b + b = c and b + c = d: b was combined with what was reached
         # before c, so d is reached from the column of c.  ⊤ and ⊥
         # generate everything, and the one candidate is the identity.
@@ -418,7 +425,8 @@ class TestEnumeration:
             "mul": [[names[i * j if 1 in (i, j) else 0] for j in range(4)]
                     for i in range(4)],
             "zero": "t", "one": "b"})
-        homs = enumerate_homs(algebra, algebra, "semiring", cap=1)
+        monkeypatch.setattr(morphisms, "ENUMERATION_CAP", 1)
+        homs = enumerate_homs(algebra, algebra, "semiring")
         assert [psi.mapping for psi in homs] == [(0, 1, 2, 3)]
 
     def test_semiring_kind_finds_the_bpa_maps_between_boolean_algebras(
