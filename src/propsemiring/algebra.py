@@ -229,8 +229,10 @@ class Algebra:
         doc: dict = {
             "name": self.name,
             "elements": names,
-            "add": [[names[self.add_i(i, j)] for j in range(n)] for i in range(n)],
-            "mul": [[names[self.mul_i(i, j)] for j in range(n)] for i in range(n)],
+            "add": [list(map(names.__getitem__, row))
+                    for row in self.table_rows(ADD)],
+            "mul": [list(map(names.__getitem__, row))
+                    for row in self.table_rows(MUL)],
             "zero": names[self.top_index],
             "one": names[self.bot_index],
         }

@@ -200,9 +200,8 @@ def cmd_check(args: argparse.Namespace, loader: _Loader) -> dict:
 
     return {
         "algebra": algebra.summary(),
-        "checks": [r.to_json() for r in axioms
-                   ] + [zerosumfree.to_json(), entire.to_json(),
-                        simple.to_json(), absorbing.to_json()],
+        "checks": [r.to_json() for r in
+                   (*axioms, zerosumfree, entire, simple)],
         "center": {"size": len(center), "full": len(center) == algebra.size,
                    "elements": [e.name for e in center]},
         "additively_cancellable": [e.name for e in cancellable],
@@ -217,11 +216,11 @@ def cmd_order(args: argparse.Namespace, loader: _Loader) -> dict:
     order, order_used = _order_for(algebra, args, loader)
 
     poset = check_poset(order)
-    monotony = check_monotony(algebra, order)
-    bounds = check_operation_bounds(algebra, order)
-    decomposition = check_bound_decomposition(algebra, order)
-    pairwise = check_pairwise_monotony(algebra, order)
-    positive, negative = cones(algebra, order)
+    monotony = check_monotony(order)
+    bounds = check_operation_bounds(order)
+    decomposition = check_bound_decomposition(order)
+    pairwise = check_pairwise_monotony(order)
+    positive, negative = cones(order)
 
     claims = [
         _claim_from_report("poset",
@@ -269,7 +268,7 @@ def cmd_order(args: argparse.Namespace, loader: _Loader) -> dict:
             "generators": names,
             "kind": args.sub_kind,
             "members": sub.element_names(),
-            "report": subalgebra_order_report(algebra, sub, order).to_json(),
+            "report": subalgebra_order_report(sub, order).to_json(),
         }
     return doc
 
@@ -347,10 +346,10 @@ def cmd_diff(args: argparse.Namespace, loader: _Loader) -> dict:
         sub = subtrahend_ideal(algebra, names)
     else:
         sub = subtrahend_ideal(algebra)
-    cancellation = verify_difference_cancellation(algebra, sub)
+    cancellation = verify_difference_cancellation(sub)
     diff = cancellation.difference
     order, order_used = _order_for(algebra, args, loader, fallback_discrete=True)
-    extension = extended_order(algebra, order, sub, universal=args.universal)
+    extension = extended_order(order, sub, universal=args.universal)
     extension.order_used = order_used
     embedding_iso = is_isomorphism(diff.embedding, "semiring")
 

@@ -36,8 +36,7 @@ from .algebra import (ADD, MAX_DENSE_CARRIER, Algebra, AlgebraError,
                       TableLoadError, UnsupportedOperationError,
                       _check_identity_laws, row_type, transposed)
 from .morphisms import Morphism, check_morphism
-from .order import (OrderRelation, check_poset, _check_relation, _reflexivity,
-                    _transitivity)
+from .order import OrderRelation, check_poset, _reflexivity, _transitivity
 from .properties import (PropertyReport, _associativity, _commutativity,
                          _names, _packed, _scan_rows,
                          additively_cancellable_elements)
@@ -205,10 +204,8 @@ class DifferenceSemiring:
         return doc
 
 
-def difference_semiring(algebra: Algebra,
-                        subtrahends: SubtrahendIdeal | None = None
-                        ) -> DifferenceSemiring:
-    """Build the difference semiring over the given (or computed) ⊖.
+def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
+    """Build the difference semiring over ⊖ = ``subtrahends``.
 
     ⊖ must be an ideal (DomainError naming the condition that fails), so
     that every sum and product of pairs is a pair again.  The relation is
@@ -230,11 +227,7 @@ def difference_semiring(algebra: Algebra,
     scan over related pairs (x, x2) and (y, y2) runs to name the first
     witness.
     """
-    if subtrahends is None:
-        subtrahends = subtrahend_ideal(algebra)
-    if subtrahends.algebra is not algebra:
-        raise DomainError("subtrahend ideal belongs to a different algebra")
-    members = subtrahends.members
+    algebra, members = subtrahends.algebra, subtrahends.members
     _require_ideal(algebra, members)
 
     c = algebra.compiled
@@ -414,15 +407,15 @@ class ExtendedOrderResult:
         }
 
 
-def _shifted(algebra: Algebra, order: OrderRelation, members: tuple[int, ...]):
+def _shifted(order: OrderRelation, members: tuple[int, ...]):
     """Per p, one 0/1 row over (ξ, q) for ξ among the members and q in
     the carrier: byte k·n + q is 1 iff p + ξ ≼ q + ξ, where ξ = members[k]."""
-    c = algebra.compiled
+    c = order.algebra.compiled
     return [b"".join(c.compose(order.rows[add_p[x]], c.add_t[x])
                      for x in members) for add_p in c.add]
 
 
-def _translation_invariance(prop: str, algebra: Algebra, order: OrderRelation,
+def _translation_invariance(prop: str, order: OrderRelation,
                             members: tuple[int, ...],
                             shifted: list[bytes]) -> PropertyReport:
     """p ≼ q exactly when p + ξ ≼ q + ξ, for every ξ among the members;
@@ -430,7 +423,7 @@ def _translation_invariance(prop: str, algebra: Algebra, order: OrderRelation,
     holds when its row is up(p) once per member, one case of n·|members|
     tuples; the first p that fails runs the cases (p, q), which name the
     witness."""
-    n, width = algebra.size, len(members)
+    n, width = order.algebra.size, len(members)
     kept, gained = ({"direction": "p ≼ q but not shifted"},
                     {"direction": "shifted but not p ≼ q"})
     always, never = b"\1" * width, bytes(width)
@@ -444,33 +437,31 @@ def _translation_invariance(prop: str, algebra: Algebra, order: OrderRelation,
                 yield (p, q), members, ((row[q::n], always, kept) if up_p[q]
                                         else (row[q::n], never, gained),)
 
-    return _scan_rows(prop, algebra.name_of, cases())
+    return _scan_rows(prop, order.algebra.name_of, cases())
 
 
-def extended_order(algebra: Algebra, base: OrderRelation,
-                   subtrahends: SubtrahendIdeal,
+def extended_order(base: OrderRelation, subtrahends: SubtrahendIdeal,
                    universal: bool = False) -> ExtendedOrderResult:
     """Extend ≼ through the subtrahends and check its behaviour.
 
     The defining quantifier is existential (some Δ ∈ ⊖ witnesses
     p + Δ ≼ q + Δ); pass ``universal=True`` for the all-Δ reading.
     """
-    _check_relation(base, algebra)
+    algebra = base.algebra
     if subtrahends.algebra is not algebra:
         raise DomainError("subtrahend ideal belongs to a different algebra")
     members, n = subtrahends.members, algebra.size
     quantifier = all if universal else any
-    shifted = _shifted(algebra, base, members)
+    shifted = _shifted(base, members)
     relation = OrderRelation(algebra=algebra, rows=tuple(
         bytes(quantifier(row[q::n]) for q in range(n)) for row in shifted))
     base_stability = _translation_invariance("base-translation-invariance",
-                                             algebra, base, members, shifted)
+                                             base, members, shifted)
     del shifted  # at most one set of shifted rows is held at a time
 
     poset_reports = check_poset(relation)
-    stability = _translation_invariance(
-        "translation-invariance", algebra, relation, members,
-        _shifted(algebra, relation, members))
+    stability = _translation_invariance("translation-invariance", relation,
+                                        members, _shifted(relation, members))
     return ExtendedOrderResult(
         relation=relation,
         universal=universal,
@@ -494,12 +485,10 @@ def mult_left_cancellative(algebra: Algebra) -> PropertyReport:
         for a, hits in enumerate(_packed(c.compose(units[v], row)) for v in row)))
 
 
-def difference_cancellation_criterion(algebra: Algebra,
-                                      subtrahends: SubtrahendIdeal
+def difference_cancellation_criterion(subtrahends: SubtrahendIdeal
                                       ) -> PropertyReport:
     """Δ ≠ c and a ≠ b force c×a + Δ×b ≠ c×b + Δ×a, over all a,b,c,Δ∈⊖."""
-    if subtrahends.algebra is not algebra:
-        raise DomainError("subtrahend ideal belongs to a different algebra")
+    algebra = subtrahends.algebra
     c = algebra.compiled
     add, mul, compose = c.add, c.mul, c.compose
     carrier = range(c.n)
@@ -550,16 +539,13 @@ class DifferenceCancellationReport:
         }
 
 
-def verify_difference_cancellation(algebra: Algebra,
-                                   subtrahends: SubtrahendIdeal | None = None
+def verify_difference_cancellation(subtrahends: SubtrahendIdeal
                                    ) -> DifferenceCancellationReport:
     """Test the cancellation biconditional on a concrete instance."""
-    if subtrahends is None:
-        subtrahends = subtrahend_ideal(algebra)
-    diff = difference_semiring(algebra, subtrahends)
+    diff = difference_semiring(subtrahends)
     return DifferenceCancellationReport(
-        hypothesis=mult_left_cancellative(algebra),
+        hypothesis=mult_left_cancellative(subtrahends.algebra),
         quotient_cancellative=mult_left_cancellative(diff.algebra),
-        criterion=difference_cancellation_criterion(algebra, subtrahends),
+        criterion=difference_cancellation_criterion(subtrahends),
         difference=diff,
     )

@@ -113,9 +113,18 @@ class Morphism:
         return f"Morphism({self.source.name} -> {self.target.name})"
 
 
-def _require_kind(kind: str) -> None:
+def _require_kind(kind: str, *carriers: Algebra) -> None:
+    """The kind is known and, for ``bpa``, every carrier has complements."""
     if kind not in KINDS:
         raise DomainError(f"unknown morphism kind {kind!r}; expected one of {KINDS}")
+    if kind == "bpa" and not all(a.has_complement for a in carriers):
+        raise UnsupportedOperationError(
+            "bpa morphisms need complements on both algebras")
+
+
+def _require_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
 def check_morphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:
@@ -125,11 +134,8 @@ def check_morphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:
     ψ(a ∘ b) on the band's rows a against the rows b ↦ ψ(a) ∘ ψ(b), each
     built once per image value ψ(a) and joined in the band's order.
     """
-    _require_kind(kind)
     src, dst = psi.source, psi.target
-    if kind == "bpa" and not (src.has_complement and dst.has_complement):
-        raise UnsupportedOperationError(
-            "bpa morphisms need complements on both algebras")
+    _require_kind(kind, src, dst)
     s = src.compiled
     # ψ as a row over the source, of the target's row type
     f = row_type(dst.size)(psi.mapping)
@@ -235,8 +241,7 @@ def order_relation_of_map(psi: Morphism, order_src: OrderRelation,
     :func:`properties._bands`, the rows y ↦ v ≼ ψy built once per image
     value v (:func:`order._leq_slab`).
     """
-    if mode not in MODES:
-        raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
+    _require_mode(mode)
     if order_src.algebra is not psi.source:
         raise DomainError("source order belongs to a different algebra")
     if order_dst.algebra is not psi.target:
@@ -325,10 +330,7 @@ def enumerate_homs(src: Algebra, dst: Algebra,
     ψ(a1∘a2)∘ψ(b), and G∘ generates the carrier under ∘.  Otherwise, or
     above the table limit of the target, check_morphism decides the map.
     """
-    _require_kind(kind)
-    if kind == "bpa" and not (src.has_complement and dst.has_complement):
-        raise UnsupportedOperationError(
-            "bpa morphisms need complements on both algebras")
+    _require_kind(kind, src, dst)
     s = src.compiled
     free_bpa = kind == "bpa" and isinstance(src, FreeBooleanAlgebra)
     # side k of the closure gives a step (e, k, a, b) with ψ(e) equal to
@@ -430,8 +432,7 @@ def verify_iso_theorem(src: Algebra, dst: Algebra, kind: str = "bpa",
     map with :func:`order_relation_of_map`.  Both orders are built in
     either mode, so a carrier without one is refused alike.
     """
-    if mode not in MODES:
-        raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
+    _require_mode(mode)
     order_src = canonical_order(src)
     order_dst = canonical_order(dst)
     homs = enumerate_homs(src, dst, kind)

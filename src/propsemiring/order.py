@@ -139,11 +139,6 @@ def discrete_order(algebra: Algebra) -> OrderRelation:
         bytes(p) + b"\1" + bytes(n - p - 1) for p in range(n)))
 
 
-def _check_relation(order: OrderRelation, algebra: Algebra) -> None:
-    if order.algebra is not algebra:
-        raise DomainError("order relation belongs to a different algebra")
-
-
 def _transitivity(name: str, name_of: Callable, up, packed) -> PropertyReport:
     """p ≼ q and q ≼ r imply p ≼ r: the up-set of q lies inside that of
     p whenever p ≼ q (rows as 0/1 bytes and as packed ints)."""
@@ -257,32 +252,29 @@ def _monotony_scan(order: OrderRelation, op: str,
     return _scan_rows(name, algebra.name_of, cases())
 
 
-def check_monotony(algebra: Algebra, order: OrderRelation) -> list[PropertyReport]:
+def check_monotony(order: OrderRelation) -> list[PropertyReport]:
     """p ≼ q implies p + r ≼ q + r, and the same for ×; one report per law
     (see :func:`_monotony`)."""
-    _check_relation(order, algebra)
     return [_monotony(order, ADD), _monotony(order, MUL)]
 
 
-def check_operation_bounds(algebra: Algebra, order: OrderRelation) -> PropertyReport:
+def check_operation_bounds(order: OrderRelation) -> PropertyReport:
     """p ≼ p + q (sums sit above their terms) and p × q ≼ q, all pairs."""
-    _check_relation(order, algebra)
-    c = algebra.compiled
+    c = order.algebra.compiled
     carrier = range(c.n)
     holds = b"\1" * c.n
     above, below = {"claim": "p ≼ p + q"}, {"claim": "p × q ≼ q"}
     # the columns q ↦ (p ↦ p × q ≼ q): down(q) composed with column q of ×
     bounded = transposed(list(map(c.compose, order.down_bytes, c.mul_t)))
 
-    return _scan_rows("operation-bounds", algebra.name_of, (
+    return _scan_rows("operation-bounds", order.algebra.name_of, (
         # byte q is 1 iff p ≼ p + q, resp. iff p × q ≼ q
         ((p,), carrier, ((c.compose(up, ap), holds, above),
                          (bounded[p], holds, below)))
         for p, (ap, up) in enumerate(zip(c.add, order.rows))))
 
 
-def check_bound_decomposition(algebra: Algebra,
-                              order: OrderRelation) -> PropertyReport:
+def check_bound_decomposition(order: OrderRelation) -> PropertyReport:
     """p + q ≼ r bounds both terms; p ≼ q × r bounds p by both factors.
 
     Exact over all n³ tuples.  Where ≼ is transitive, the law follows
@@ -299,8 +291,7 @@ def check_bound_decomposition(algebra: Algebra,
     needed).  A p that holds is one case of n² tuples; one that fails
     runs its cases.
     """
-    _check_relation(order, algebra)
-    c = algebra.compiled
+    c = order.algebra.compiled
     carrier = range(c.n)
     up, packed = order.rows, order.up_packed
     holds = b"\1" * c.n
@@ -341,11 +332,10 @@ def check_bound_decomposition(algebra: Algebra,
                     (below_product, below_product & pp if upp[q] else 0,
                      of_product))
 
-    return _scan_rows("bound-decomposition", algebra.name_of, cases())
+    return _scan_rows("bound-decomposition", order.algebra.name_of, cases())
 
 
-def check_pairwise_monotony(algebra: Algebra,
-                            order: OrderRelation) -> PropertyReport:
+def check_pairwise_monotony(order: OrderRelation) -> PropertyReport:
     """p ≼ q and r ≼ s imply p + r ≼ q + s and p × r ≼ q × s.
 
     Exact over all n⁴ tuples on every carrier.  Where ≼ is transitive,
@@ -361,8 +351,7 @@ def check_pairwise_monotony(algebra: Algebra,
     rows s ↦ x ≼ q∘s are built once per q and joined along row p of the
     operation, and the first failing case names the witness.
     """
-    _check_relation(order, algebra)
-    c = algebra.compiled
+    c = order.algebra.compiled
     n, up = c.n, order.rows
     exhaustive = {"mode": "exhaustive"}
     laws = [(ADD, False), (MUL, False)] + [
@@ -390,15 +379,14 @@ def check_pairwise_monotony(algebra: Algebra,
                     (ordered, ordered & _leq_slab(up, mp, mq, products),
                      of_product))
 
-    report = _scan_rows("pairwise-monotony", algebra.name_of, cases())
+    report = _scan_rows("pairwise-monotony", order.algebra.name_of, cases())
     report.details = report.details or exhaustive
     return report
 
 
-def cones(algebra: Algebra,
-          order: OrderRelation) -> tuple[list[Element], list[Element]]:
+def cones(order: OrderRelation) -> tuple[list[Element], list[Element]]:
     """(positive, negative): p with p ≼ p + q resp. p + q ≼ p for all q."""
-    _check_relation(order, algebra)
+    algebra = order.algebra
     c = algebra.compiled
     holds = b"\1" * c.n
     up, down = order.rows, order.down_bytes
@@ -441,13 +429,13 @@ class SubalgebraOrderReport:
         }
 
 
-def subalgebra_order_report(algebra: Algebra, sub: Subalgebra,
+def subalgebra_order_report(sub: Subalgebra,
                             order: OrderRelation) -> SubalgebraOrderReport:
     """Check how the order restricts to a subalgebra, piece by piece."""
+    algebra = order.algebra
     if sub.parent is not algebra:
         raise DomainError("subalgebra belongs to a different algebra")
     sub.validate(bpa_closed=False)
-    _check_relation(order, algebra)
 
     # A validated subalgebra is closed, so it is an algebra in its own
     # right; its elements keep their parent names, so witnesses do too.
@@ -471,7 +459,7 @@ def subalgebra_order_report(algebra: Algebra, sub: Subalgebra,
     restricted_order = OrderRelation(restricted, tuple(
         c.compose(order.rows[p], member_row) for p in members))
     poset_reports = check_poset(restricted_order)
-    monotony_reports = check_monotony(restricted, restricted_order)
+    monotony_reports = check_monotony(restricted_order)
 
     outside = set(range(algebra.size)).difference(members)
     cancellable = additively_cancellable_elements(algebra)

@@ -97,10 +97,10 @@ def test_criterion_03_canonical_order_laws(capsys):
             algebra = free_boolean_algebra(n)
             order = canonical_order(algebra)
             reports = (check_poset(order)
-                       + check_monotony(algebra, order)
-                       + [check_operation_bounds(algebra, order),
-                          check_bound_decomposition(algebra, order)])
-            pairwise = check_pairwise_monotony(algebra, order)
+                       + check_monotony(order)
+                       + [check_operation_bounds(order),
+                          check_bound_decomposition(order)])
+            pairwise = check_pairwise_monotony(order)
             reports.append(pairwise)
             for report in reports:
                 assert report.holds, (n, report.property, report.witness)
@@ -115,7 +115,7 @@ def test_criterion_03_canonical_order_laws(capsys):
 def test_criterion_04_cones(capsys):
     def body():
         ba2 = free_boolean_algebra(2)
-        positive, negative = cones(ba2, canonical_order(ba2))
+        positive, negative = cones(canonical_order(ba2))
         assert len(positive) == ba2.size
         assert [e.name for e in negative] == ["⊥"]
 
@@ -205,22 +205,21 @@ def test_criterion_08_iso_theorem(capsys):
 def test_criterion_09_differences(capsys):
     def body():
         ba1 = free_boolean_algebra(1)
-        diff = difference_semiring(ba1)
+        diff = difference_semiring(subtrahend_ideal(ba1))
         assert is_isomorphism(diff.embedding, "semiring").holds
-        extension = extended_order(ba1, canonical_order(ba1),
-                                   diff.subtrahends)
+        extension = extended_order(canonical_order(ba1), diff.subtrahends)
         assert extension.stability.holds
 
         for p in (2, 3, 5):
             algebra = table_semiring(zmod_spec(p))
             ideal = subtrahend_ideal(algebra)
             assert ideal.size == p
-            diff = difference_semiring(algebra, ideal)
+            diff = difference_semiring(ideal)
             assert is_isomorphism(diff.embedding, "semiring").holds
-            extension = extended_order(algebra, discrete_order(algebra), ideal)
+            extension = extended_order(discrete_order(algebra), ideal)
             assert extension.stability.holds
 
-            outcome = verify_difference_cancellation(algebra, ideal)
+            outcome = verify_difference_cancellation(ideal)
             assert outcome.hypothesis_met
             assert outcome.quotient_cancellative.holds
             assert outcome.criterion.holds

@@ -473,8 +473,8 @@ class TestDiffCommand:
         # one without elements)
         verify = cli.verify_difference_cancellation
 
-        def forged(algebra, sub):
-            report = verify(algebra, sub)
+        def forged(sub):
+            report = verify(sub)
             for side, names in (("quotient_cancellative", quotient),
                                 ("criterion", criterion)):
                 if names is not None:

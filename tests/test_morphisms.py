@@ -129,10 +129,20 @@ class TestCheckMorphism:
 
     def test_bpa_kind_needs_complements(self, ba1, z3):
         psi = Morphism(z3, z3, range(3))
-        with pytest.raises(UnsupportedOperationError):
+        message = "bpa morphisms need complements on both algebras"
+        with pytest.raises(UnsupportedOperationError, match=message):
             check_morphism(psi, "bpa")
+        with pytest.raises(UnsupportedOperationError, match=message):
+            enumerate_homs(z3, z3, "bpa")
         with pytest.raises(DomainError, match="kind"):
             check_morphism(Morphism(ba1, ba1, range(4)), "ring")
+        with pytest.raises(DomainError, match="kind"):
+            enumerate_homs(ba1, ba1, "ring")
+        # is_isomorphism asks for complements only of a bijective map
+        collapse = is_isomorphism(Morphism(z3, z3, [0, 0, 0]), "bpa")
+        assert collapse.to_json()["reason"] == "not injective"
+        with pytest.raises(UnsupportedOperationError, match=message):
+            is_isomorphism(psi, "bpa")
 
 
     def test_four_atom_target_is_read_at_the_images(self, ba0, ba1):
