@@ -89,6 +89,29 @@ def test_exact_pairwise_changed_only_the_pairwise_report():
         assert "samples" not in pairwise and "seed" not in pairwise, case_id
 
 
+def test_check_documents_dropped_only_the_repeated_absorbing_report():
+    # The check documents once listed the top-absorbing report twice, as
+    # the eighth axiom and again as the last check, and were regenerated
+    # when the repeat was dropped.  absorbing_regenerated.json holds, per
+    # case, the SHA-256 of the earlier document; the current document
+    # with its one top-absorbing report appended again must hash the same.
+    with open(os.path.join(GOLDEN, "absorbing_regenerated.json"),
+              encoding="utf-8") as handle:
+        digests = json.load(handle)
+    assert sorted(digests) == sorted(case["id"] for case in CASES
+                                     if case["id"].startswith("check-"))
+    for case_id, digest in digests.items():
+        with open(os.path.join(GOLDEN, "expected", case_id + ".out"),
+                  encoding="utf-8") as handle:
+            doc = json.load(handle)
+        absorbing, = (c for c in doc["checks"]
+                      if c["property"] == "top-absorbing")
+        earlier = json.dumps(dict(doc, checks=doc["checks"] + [absorbing]),
+                             sort_keys=True, indent=2, ensure_ascii=False)
+        assert hashlib.sha256((earlier + "\n").encode("utf-8")
+                              ).hexdigest() == digest, case_id
+
+
 def _options(parser, prefix=()):
     """(command words, flag) of every option of the parser and its
     sub-parsers, -h aside."""
