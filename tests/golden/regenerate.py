@@ -357,6 +357,11 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
         ("hom-iso-monotone-free3-free0",
          ["hom", "iso-theorem", "--src", "free:3", "--dst", "free:0",
           "--kind", "bpa", "--mode", "monotone"], None),
+        # The largest report of the corpus (about 400 KB): 64 maps, each
+        # with its kernel classes and image.
+        ("hom-iso-monotone-free3-free1",
+         ["hom", "iso-theorem", "--src", "free:3", "--dst", "free:1",
+          "--kind", "bpa", "--mode", "monotone"], None),
         ("hom-iso-monotone-semiring-bool8-bool4",
          ["hom", "iso-theorem", "--src", "bool8.json", "--dst", "bool4.json",
           "--kind", "semiring", "--mode", "monotone"], None),
