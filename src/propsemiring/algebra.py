@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import and_, itemgetter, ne, or_
+from operator import and_, eq, itemgetter, ne, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 ADD = "add"
@@ -41,7 +41,8 @@ DEFAULT_ATOMS = ("a", "b", "c", "d")
 
 _call = itemgetter.__call__  # _call(getter, row) is getter(row)
 _BYTE_VALUES = bytes(range(MAX_BYTE_CARRIER))
-_ZERO_TO_FF = b"\xff" + bytes(MAX_BYTE_CARRIER - 1)  # a translate table
+_ZERO_TO_FF = b"\xff" + bytes(MAX_BYTE_CARRIER - 1)  # translate tables
+_ZERO_TO_ONE = b"\1" + bytes(MAX_BYTE_CARRIER - 1)
 
 
 def _from_bytes(data: bytes) -> int:
@@ -413,6 +414,16 @@ class CompiledTables:
         except (AttributeError, ValueError):  # a tuple, or outer is longer
             return type(outer)(itemgetter(*inner)(outer) if len(inner) > 1
                                else [outer[k] for k in inner])
+
+    @staticmethod
+    def equal(x, y) -> bytes:
+        """The 0/1 byte row that is 1 where rows ``x`` and ``y``, of one
+        length, are equal; either may be bytes or a tuple."""
+        try:  # entries below 256: XOR as ints, the zero bytes become 1
+            return (_from_bytes(x) ^ _from_bytes(y)).to_bytes(
+                len(x), "little").translate(_ZERO_TO_ONE)
+        except ValueError:  # a tuple with an entry above 255
+            return bytes(map(eq, x, y))
 
     @staticmethod
     def concat(rows: Sequence):

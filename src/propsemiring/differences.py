@@ -238,8 +238,8 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
     firsts, seconds = c.row(p for p, _ in pairs), c.row(a for _, a in pairs)
     # related[x][y] is 1 iff x ~ y, that is iff p + β = q + α for
     # x = (p, α) and y = (q, β)
-    related = [bytes(map(eq, compose(c.add[p], seconds),
-                         compose(c.add_t[a], firsts))) for p, a in pairs]
+    related = [c.equal(compose(c.add[p], seconds), compose(c.add_t[a], firsts))
+               for p, a in pairs]
 
     def pair_name(i: int) -> str:
         p, a = pairs[i]

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress
-from operator import and_, eq, getitem, or_
+from itertools import compress, repeat
+from operator import and_, getitem, or_
 from typing import Callable
 
 from .algebra import (ADD, MAX_BYTE_CARRIER, MAX_DENSE_CARRIER, MUL, Algebra,
@@ -128,7 +128,7 @@ def canonical_order(algebra: Algebra) -> OrderRelation:
             f"+ is not commutative at ({', '.join(commutativity.witness)}); "
             f"supply an order matrix")
     return OrderRelation(algebra=algebra, rows=tuple(  # byte q: p + q = q
-        bytes(map(eq, row, carrier)) for row in c.add))
+        map(c.equal, c.add, repeat(c.row(carrier)))))
 
 
 def discrete_order(algebra: Algebra) -> OrderRelation:

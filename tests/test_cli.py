@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import propsemiring.cli as cli
 import propsemiring.differences as differences
@@ -633,3 +635,33 @@ class TestDeterminism:
         assert "⊤" in out  # ensure_ascii=False keeps the glyphs readable
         doc = json.loads(out)
         assert list(doc) == sorted(doc)
+
+
+# Strings that need escaping or are outside ASCII: quotes, backslashes,
+# control characters, the line separators JavaScript rejects, the
+# glyphs of the reports and lone surrogates.
+TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029é⊤⊥↦𐏿\ud800\udfff'),
+    st.characters(exclude_categories=())), max_size=6)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), TEXT,
+    st.integers(), st.integers(-2 ** 130, 2 ** 130),  # beyond 64 bits
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+
+
+def documents(depth):
+    """Scalars and containers nested up to ``depth`` levels, members of
+    one container mixing scalars and containers."""
+    if depth == 0:
+        return SCALARS
+    members = documents(depth - 1)
+    return st.one_of(SCALARS, st.lists(members, max_size=4),
+                     st.lists(members, max_size=3).map(tuple),
+                     st.dictionaries(TEXT, members, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents(4))
+def test_report_writer_matches_indented_json(doc):
+    assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2,
+                                         ensure_ascii=False)

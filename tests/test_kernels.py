@@ -27,7 +27,11 @@ seeds and preferred sets, on byte and tuple rows, and its steps with
 the sides they name.  Light's test alone is
 compared with the associativity oracle for both operations of every
 hypothesis table, and ``transposed`` with a transpose oracle on byte and
-tuple rows at the byte-row edge.  Bound decomposition, decided from
+tuple rows at the byte-row edge.  ``CompiledTables.equal`` is compared
+with ``bytes(map(eq, x, y))`` on byte rows and on tuple rows, and the
+canonical order it builds with its definition on the subsets of 7 and
+of 9 points (128 elements on byte rows, 512 on tuple rows).  The tests of
+257-300 elements report a failing example as drawn, without shrinking.  Bound decomposition, decided from
 transitivity and the four operation bounds, is compared with its
 definition where exactly one bound fails under a chain and where every
 bound holds under a relation that is not transitive.  The difference
@@ -51,12 +55,13 @@ and ``check_morphism`` in a search from a non-associative source.
 import itertools
 import random
 import re
+from operator import eq
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
-from propsemiring.algebra import (ADD, MUL, AlgebraError, DomainError,
-                                  SizeLimitError, TableLoadError,
+from propsemiring.algebra import (ADD, MUL, AlgebraError, CompiledTables,
+                                  DomainError, SizeLimitError, TableLoadError,
                                   UnsupportedOperationError,
                                   free_boolean_algebra, table_semiring,
                                   transposed)
@@ -98,6 +103,11 @@ from helpers import (antisymmetry_oracle, associativity_oracle,
                      transitivity_oracle, translation_invariance_oracle,
                      transpose_oracle, zerosumfree_oracle)
 
+
+# Each example of 257-300 elements builds and scans n² tables, so shrinking
+# a failing one takes Hypothesis minutes; such a failure is reported as
+# drawn.
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 def algebra_of(add, mul, zero, one, comp=None):
     names = [f"x{i}" for i in range(len(add))]
@@ -328,6 +338,26 @@ def test_canonical_order_matches_definition(table):
         assert str(caught.value) == expected
     else:
         assert canonical_order(algebra).to_matrix() == expected
+
+
+@st.composite
+def row_pairs(draw):
+    """Two rows of one length, bytes or tuples, equal at about half of the
+    positions; tuple entries reach past one byte, or stay below it."""
+    rng = draw(st.randoms(use_true_random=False))
+    as_tuple = draw(st.booleans())
+    top = draw(st.sampled_from([256, 4096])) if as_tuple else 256
+    x = [rng.randrange(top) for _ in range(draw(st.integers(0, 300)))]
+    y = [v if rng.random() < 0.5 else rng.randrange(top) for v in x]
+    row = tuple if as_tuple else bytes
+    return row(x), row(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_pairs())
+def test_equal_rows_match_definition(rows):
+    x, y = rows
+    assert CompiledTables.equal(x, y) == bytes(map(eq, x, y))
 
 
 def table_dict(table, comp):
@@ -644,7 +674,7 @@ def test_difference_kernels_match_definitions(data):
     assert diff.reports["congruence"].checked == congruence
 
 
-@settings(max_examples=4, deadline=None)
+@settings(max_examples=4, deadline=None, phases=NO_SHRINK)
 @given(n=st.integers(257, 300), a=st.integers(1, 6), b=st.integers(1, 6),
        c=st.integers(2, 6), seed=st.integers(0, 2 ** 32))
 def test_wide_rows_match_definitions(n, a, b, c, seed):
@@ -949,6 +979,18 @@ def subsets_table(k, f=None):
     return add, mul, f[n - 1], f[0]
 
 
+@pytest.mark.parametrize("k", [7, 9])
+def test_canonical_order_of_wide_boolean_tables(k):
+    # The subsets of 7 points take byte rows, those of 9 tuple rows.
+    f = list(range(1 << k))
+    random.Random(k).shuffle(f)
+    add, mul, zero, one = subsets_table(k, f)
+    algebra = algebra_of(add, mul, zero, one)
+    assert algebra.compiled.row is (bytes if k == 7 else tuple)
+    assert canonical_order(algebra).to_matrix() == \
+        canonical_order_oracle(add, algebra.names)
+
+
 def canonical_matrix(add):
     n = len(add)
     return [[int(add[p][q] == q) for q in range(n)] for p in range(n)]
@@ -1086,7 +1128,7 @@ def test_laws_decided_on_generating_sets_match_definitions(case):
                        always={"mode": "exhaustive"})
 
 
-@settings(max_examples=3, deadline=None)
+@settings(max_examples=3, deadline=None, phases=NO_SHRINK)
 @given(n=st.integers(257, 300), a=st.integers(2, 6), b=st.integers(2, 6),
        steps=st.sets(st.integers(1, 299), max_size=3))
 def test_laws_decided_on_generating_sets_of_tuple_rows(n, a, b, steps):
