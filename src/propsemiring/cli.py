@@ -45,54 +45,55 @@ REFUTED = "refuted-with-witness"
 OUT_OF_HYPOTHESIS = "out-of-hypothesis"
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
 def _dumps(doc: dict) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``,
     byte for byte, with the per-member work in C.
 
     ``indent`` sends ``json.dumps`` to its pure-Python encoder.  Here each
-    container whose members are all scalars is one call of the C encoder,
-    whose item separator carries the newline and indent of its members;
-    only the containers above those are laid out in Python.  The keys of
-    a dict that holds containers must be strings, as in every report.
+    container whose members are all scalars, and each scalar, is one call
+    of the C encoder of its depth, whose item separator carries the
+    newline and indent of the members; only the containers above those
+    are laid out in Python.  The keys of a dict that holds containers
+    must be strings, as in every report.
     """
-    encoders: dict = {}  # by depth, built on first use
+    levels: list[tuple] = []  # per depth: encoder, member and bracket indent
     parts: list[str] = []
 
-    def encode(value, depth: int) -> str:
-        """``value`` in C, the members of a container each on a line of
-        their own (indented for ``depth``) but its brackets not."""
-        if depth not in encoders:  # markers, default, string encoder,
-            # indent, key and item separators, sort_keys, skipkeys, allow_nan
-            encoders[depth] = c_make_encoder(
-                None, json.JSONEncoder().default, encode_basestring, None,
-                ": ", ",\n" + "  " * (depth + 1), True, False, True)
-        return "".join(encoders[depth](value, 0))
-
     def write(value, depth: int) -> None:
-        if isinstance(value, str):
-            parts.append(encode_basestring(value))
-            return
+        if depth == len(levels):  # markers, default, string encoder,
+            # indent, key and item separators, sort_keys, skipkeys, allow_nan
+            levels.append((c_make_encoder(
+                None, json.JSONEncoder().default, encode_basestring, None,
+                ": ", ",\n" + "  " * (depth + 1), True, False, True),
+                "\n" + "  " * (depth + 1), "\n" + "  " * depth))
+        encoder, inner, outer = levels[depth]
         if isinstance(value, dict):
-            members, brackets = value.values(), "{}"
+            brackets, members = "{}", value.values()
         elif isinstance(value, (list, tuple)):
-            members, brackets = value, "[]"
+            brackets, members = "[]", value
         else:
-            parts.append(encode(value, depth))
+            parts.append("".join(encoder(value, 0)))
             return
-        inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
         if not value:
             parts.append(brackets)
-        elif not any(map(isinstance, members, repeat((dict, list, tuple)))):
-            text = encode(value, depth)
-            parts.append(text[0] + inner + text[1:-1] + outer + text[-1])
+        elif not any(map(isinstance, members, repeat(_CONTAINERS))):
+            parts.append(brackets[0] + inner + "".join(encoder(value, 0))[1:-1]
+                         + outer + brackets[1])
         else:
             entries = (((encode_basestring(k) + ": ", v)
                         for k, v in sorted(value.items()))
                        if brackets == "{}" else zip(repeat(""), value))
-            parts.append(brackets[0])
-            for i, (label, member) in enumerate(entries):
-                parts.append(("," if i else "") + inner + label)
-                write(member, depth + 1)
+            separator = brackets[0] + inner
+            for label, member in entries:
+                if isinstance(member, _CONTAINERS):
+                    parts.append(separator + label)
+                    write(member, depth + 1)
+                else:
+                    parts.append(separator + label + "".join(encoder(member, 0)))
+                separator = "," + inner
             parts.append(outer + brackets[1])
 
     write(doc, 0)
