@@ -357,8 +357,8 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
         ("hom-iso-monotone-free3-free0",
          ["hom", "iso-theorem", "--src", "free:3", "--dst", "free:0",
           "--kind", "bpa", "--mode", "monotone"], None),
-        # The largest report of the corpus (about 400 KB): 64 maps, each
-        # with its kernel classes and image.
+        # The largest report of the corpus (about 400 KB): 56 of the 64
+        # maps are counterexamples, each listed with its 256 images.
         ("hom-iso-monotone-free3-free1",
          ["hom", "iso-theorem", "--src", "free:3", "--dst", "free:1",
           "--kind", "bpa", "--mode", "monotone"], None),

@@ -31,10 +31,11 @@ tuple rows at the byte-row edge.  ``CompiledTables.equal`` is compared
 with ``bytes(map(eq, x, y))`` on byte rows and on tuple rows, and the
 canonical order it builds with its definition on the subsets of 7 and
 of 9 points (128 elements on byte rows, 512 on tuple rows).  The tests of
-257-300 elements report a failing example as drawn, without shrinking.  Bound decomposition, decided from
-transitivity and the four operation bounds, is compared with its
-definition where exactly one bound fails under a chain and where every
-bound holds under a relation that is not transitive.  The difference
+257-300 elements report a failing example as drawn, without shrinking.
+Bound decomposition, decided from transitivity and the four operation
+bounds, is compared with its definition where exactly one bound fails
+under a chain and where every bound holds under a relation that is not
+transitive.  The difference
 congruence, decided against class representatives, is compared with
 its definition scan, also on ℤn with a random × and every element a
 subtrahend, where ~ is an equivalence and mostly no congruence; a set
@@ -108,6 +109,7 @@ from helpers import (antisymmetry_oracle, associativity_oracle,
 # a failing one takes Hypothesis minutes; such a failure is reported as
 # drawn.
 NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+
 
 def algebra_of(add, mul, zero, one, comp=None):
     names = [f"x{i}" for i in range(len(add))]
