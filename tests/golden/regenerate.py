@@ -7,7 +7,10 @@ Run from the repository root with the package importable:
 Each case runs ``propsemiring.cli.main`` in a scratch copy of ``inputs/``
 and records its exit code, its stdout and stderr (``expected/<id>.out``,
 ``expected/<id>.err``, written when not empty) and, for
-``diff --emit``, the emitted table (``expected/<id>.emit``).
+``diff --emit``, the emitted table (``expected/<id>.emit``).  A run that
+argparse ends, with help or a usage error, records the code it exits
+with; ``COLUMNS`` is pinned to 80 so that help text does not depend on
+the terminal.
 ``tests/test_golden.py`` replays the cases and compares bytes.  Only
 regenerate when a change of output is intended, and say why.
 """
@@ -21,6 +24,7 @@ import os
 import shutil
 import sys
 import tempfile
+from unittest import mock
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.dirname(HERE))
@@ -377,6 +381,7 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
     # case per ParseError message (exit 2).
     cases += [(f"parse-{tag}", ["parse", text, *extra], None)
               for tag, text, extra in PARSE]
+    cases += [(f"argv-{tag}", argv, None) for tag, argv in ARGV]
     return cases
 
 
@@ -399,11 +404,40 @@ PARSE = [
 ]
 
 
+# Help, usage errors and words argparse refuses, at each level of the
+# command tree.
+ARGV = [
+    ("empty", []),
+    ("help", ["-h"]),
+    ("bogus", ["bogus"]),
+    ("check-bogus-option", ["check", "--bogus"]),
+    ("check-extra-word", ["check", "--free-atoms", "1", "extra"]),
+    ("check-bad-int", ["check", "--free-atoms", "x"]),
+    ("check-help", ["check", "-h"]),
+    ("order-help", ["order", "-h"]),
+    ("diff-help", ["diff", "-h"]),
+    ("parse-no-formula", ["parse"]),
+    ("order-bad-sub-kind", ["order", "--free-atoms", "1", "--sub-kind", "x"]),
+    ("hom", ["hom"]),
+    ("hom-bogus", ["hom", "bogus"]),
+    ("hom-help", ["hom", "-h"]),
+    ("hom-check-bogus-option", ["hom", "check", "--bogus"]),
+    ("hom-check-extra-word", ["hom", "check", "--map", "eval_top.json",
+                              "extra"]),
+    ("hom-enumerate-help", ["hom", "enumerate", "-h"]),
+    ("hom-enumerate-no-dst", ["hom", "enumerate", "--src", "free:1"]),
+]
+
+
 def run_case(argv: list[str]) -> tuple[int, bytes, bytes]:
     """Exit code, stdout and stderr bytes of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's help and usage errors
+            code = exc.code
     return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
 
 
