@@ -419,11 +419,11 @@ class CompiledTables:
     def equal(x, y) -> bytes:
         """The 0/1 byte row that is 1 where rows ``x`` and ``y``, of one
         length, are equal; either may be bytes or a tuple."""
-        try:  # entries below 256: XOR as ints, the zero bytes become 1
+        if isinstance(x, bytes) and isinstance(y, bytes):
+            # XOR as ints: the zero bytes, where x and y agree, become 1
             return (_from_bytes(x) ^ _from_bytes(y)).to_bytes(
                 len(x), "little").translate(_ZERO_TO_ONE)
-        except ValueError:  # a tuple with an entry above 255
-            return bytes(map(eq, x, y))
+        return bytes(map(eq, x, y))
 
     @staticmethod
     def concat(rows: Sequence):

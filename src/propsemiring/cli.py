@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Sequence
 from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring
 
@@ -504,88 +505,104 @@ def cmd_parse(args: argparse.Namespace, loader: _Loader) -> dict:
 
 # -- wiring ----------------------------------------------------------------
 
-def _algebra_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--free-atoms", type=int, default=None, metavar="N",
-                        help="use the free Boolean algebra on N atoms")
-    parser.add_argument("--table", default=None, metavar="PATH",
-                        help="load a table algebra from JSON")
+_ALGEBRA_SOURCE = (
+    ("--free-atoms", dict(type=int, default=None, metavar="N",
+                          help="use the free Boolean algebra on N atoms")),
+    ("--table", dict(default=None, metavar="PATH",
+                     help="load a table algebra from JSON")),
+)
+
+# name -> (help, handler or the table of its own commands, options as
+# (flag, add_argument keywords)), in the order help lists them.
+_HOM_COMMANDS = {
+    "check": ("verify a morphism file", cmd_hom_check, (
+        ("--map", dict(required=True, metavar="PATH")),
+        ("--kind", dict(choices=KINDS, default="semiring")),
+    )),
+    "enumerate": ("print all homomorphisms as JSON lines; the whole list is "
+                  "found before the first line is printed", cmd_hom_enumerate, (
+        ("--src", dict(required=True, metavar="SPEC",
+                       help="free:N or a table JSON path")),
+        ("--dst", dict(required=True, metavar="SPEC")),
+        ("--kind", dict(choices=KINDS, default="semiring")),
+    )),
+    "factor": ("factor psi2 through surjective psi1", cmd_hom_factor, (
+        ("--psi1", dict(required=True, metavar="PATH")),
+        ("--psi2", dict(required=True, metavar="PATH")),
+    )),
+    "iso-theorem": ("test: onto and order-preserving iff isomorphism",
+                    cmd_hom_iso_theorem, (
+        ("--src", dict(required=True, metavar="SPEC")),
+        ("--dst", dict(required=True, metavar="SPEC")),
+        ("--kind", dict(choices=KINDS, default="bpa")),
+        ("--mode", dict(choices=MODES, default="embedding")),
+    )),
+}
+
+_COMMANDS = {
+    "check": ("semiring axioms and classifications", cmd_check,
+              _ALGEBRA_SOURCE),
+    "order": ("poset, monotony, bounds and cones", cmd_order, (
+        *_ALGEBRA_SOURCE,
+        ("--order-matrix", dict(
+            default=None, metavar="PATH",
+            help="0/1 matrix JSON instead of the canonical order")),
+        ("--sub", dict(default=None, metavar="NAMES",
+                       help="comma-separated generators of a subalgebra to "
+                            "report on")),
+        ("--sub-kind", dict(choices=("bpa", "semiring"), default="bpa",
+                            help="closure kind for --sub")),
+    )),
+    "hom": ("homomorphism tools", _HOM_COMMANDS, ()),
+    "diff": ("subtrahends, difference semiring and extended order", cmd_diff, (
+        *_ALGEBRA_SOURCE,
+        ("--subtrahends", dict(default=None, metavar="NAMES",
+                               help="comma-separated subtrahend elements "
+                                    "(validated); default: computed")),
+        ("--order-matrix", dict(default=None, metavar="PATH")),
+        ("--universal", dict(action="store_true",
+                             help="read the extension quantifier as for-all")),
+        ("--emit", dict(default=None, metavar="PATH",
+                        help="write the difference semiring as table JSON")),
+    )),
+    "parse": ("parse and evaluate a formula", cmd_parse, (
+        ("formula", {}),
+        ("--atoms", dict(default=None, metavar="CSV",
+                         help="atom names; default: the formula's own atoms")),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_commands(parser: argparse.ArgumentParser, table: dict, dest: str,
+                  words: Sequence[str] | None) -> None:
+    """Add the commands of ``table`` under ``dest``: only the one that
+    ``words[0]`` names, with the rest of ``words`` for its own commands,
+    or all of them when ``words`` is None or names none."""
+    commands = parser.add_subparsers(dest=dest, required=True)
+    named = words[0] if words and words[0] in table else None
+    for name, (help_text, run, options) in table.items():
+        if named not in (None, name):
+            continue
+        sub = commands.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            sub.add_argument(flag, **keywords)
+        if isinstance(run, dict):
+            _add_commands(sub, run, f"{name}_command",
+                          words[1:] if named else None)
+        else:
+            sub.set_defaults(run=run)
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of the whole command tree, or, when ``argv`` names a
+    command, of the one path through the tree that it names.  Building
+    the ten parsers of the tree takes longer than many jobs spend on
+    their verdict."""
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
         description="verification workbench for finite proposition semirings "
                     "(+ is AND with identity ⊤, × is OR with identity ⊥)")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    p_check = commands.add_parser(
-        "check", help="semiring axioms and classifications")
-    _algebra_source(p_check)
-    p_check.set_defaults(run=cmd_check)
-
-    p_order = commands.add_parser(
-        "order", help="poset, monotony, bounds and cones")
-    _algebra_source(p_order)
-    p_order.add_argument("--order-matrix", default=None, metavar="PATH",
-                         help="0/1 matrix JSON instead of the canonical order")
-    p_order.add_argument("--sub", default=None, metavar="NAMES",
-                         help="comma-separated generators of a subalgebra "
-                              "to report on")
-    p_order.add_argument("--sub-kind", choices=("bpa", "semiring"),
-                         default="bpa", help="closure kind for --sub")
-    p_order.set_defaults(run=cmd_order)
-
-    p_hom = commands.add_parser("hom", help="homomorphism tools")
-    hom_commands = p_hom.add_subparsers(dest="hom_command", required=True)
-
-    p_hc = hom_commands.add_parser("check", help="verify a morphism file")
-    p_hc.add_argument("--map", required=True, metavar="PATH")
-    p_hc.add_argument("--kind", choices=KINDS, default="semiring")
-    p_hc.set_defaults(run=cmd_hom_check)
-
-    p_he = hom_commands.add_parser(
-        "enumerate", help="print all homomorphisms as JSON lines; the whole "
-                          "list is found before the first line is printed")
-    p_he.add_argument("--src", required=True, metavar="SPEC",
-                      help="free:N or a table JSON path")
-    p_he.add_argument("--dst", required=True, metavar="SPEC")
-    p_he.add_argument("--kind", choices=KINDS, default="semiring")
-    p_he.set_defaults(run=cmd_hom_enumerate)
-
-    p_hf = hom_commands.add_parser("factor",
-                                   help="factor psi2 through surjective psi1")
-    p_hf.add_argument("--psi1", required=True, metavar="PATH")
-    p_hf.add_argument("--psi2", required=True, metavar="PATH")
-    p_hf.set_defaults(run=cmd_hom_factor)
-
-    p_hi = hom_commands.add_parser(
-        "iso-theorem",
-        help="test: onto and order-preserving iff isomorphism")
-    p_hi.add_argument("--src", required=True, metavar="SPEC")
-    p_hi.add_argument("--dst", required=True, metavar="SPEC")
-    p_hi.add_argument("--kind", choices=KINDS, default="bpa")
-    p_hi.add_argument("--mode", choices=MODES, default="embedding")
-    p_hi.set_defaults(run=cmd_hom_iso_theorem)
-
-    p_diff = commands.add_parser(
-        "diff", help="subtrahends, difference semiring and extended order")
-    _algebra_source(p_diff)
-    p_diff.add_argument("--subtrahends", default=None, metavar="NAMES",
-                        help="comma-separated subtrahend elements "
-                             "(validated); default: computed")
-    p_diff.add_argument("--order-matrix", default=None, metavar="PATH")
-    p_diff.add_argument("--universal", action="store_true",
-                        help="read the extension quantifier as for-all")
-    p_diff.add_argument("--emit", default=None, metavar="PATH",
-                        help="write the difference semiring as table JSON")
-    p_diff.set_defaults(run=cmd_diff)
-
-    p_parse = commands.add_parser("parse", help="parse and evaluate a formula")
-    p_parse.add_argument("formula")
-    p_parse.add_argument("--atoms", default=None, metavar="CSV",
-                         help="atom names; default: the formula's own atoms")
-    p_parse.set_defaults(run=cmd_parse)
-
+    _add_commands(parser, _COMMANDS, "command", argv)
     return parser
 
 
@@ -596,7 +613,11 @@ def main(argv: list[str] | None = None) -> int:
                 stream.reconfigure(encoding="utf-8")
             except (ValueError, OSError):
                 pass
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args, extra = build_parser(argv).parse_known_args(argv)
+    if extra:  # the whole tree reports them, with its usage line
+        args = build_parser().parse_args(argv)
     loader = _Loader()
     try:
         body = args.run(args, loader)

@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -635,6 +637,43 @@ class TestDeterminism:
         assert "⊤" in out  # ensure_ascii=False keeps the glyphs readable
         doc = json.loads(out)
         assert list(doc) == sorted(doc)
+
+
+def parsers_built(monkeypatch):
+    """The list of the parsers built from now on, by their prog."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_main_builds_only_the_parsers_argv_names(capsys, monkeypatch):
+    built = parsers_built(monkeypatch)
+    assert run(capsys, "parse", "a")[0] == 0
+    assert len(built) <= 2, built
+    built.clear()
+    assert run(capsys, "hom", "iso-theorem", "--src", "free:1",
+               "--dst", "free:0")[0] == 0
+    assert len(built) <= 3, built
+    built.clear()
+    run(capsys, "check", "--free-atoms", "0")
+    once = len(built)
+    run(capsys, "check", "--free-atoms", "0")
+    assert len(built) == 2 * once  # nothing is kept across calls
+    built.clear()
+    cli.build_parser()
+    assert len(built) == 10  # the whole tree: 5 commands, 4 under hom
+
+
+def test_main_reads_the_command_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["propsemiring", "parse", "a & b"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["formula"] == "a & b"
 
 
 # Strings that need escaping or are outside ASCII: quotes, backslashes,
