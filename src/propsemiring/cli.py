@@ -139,6 +139,15 @@ def _whole_carrier(algebra: Algebra, elements) -> _Finding:
     return _Finding(not outside, outside)
 
 
+def _read_json(path: str):
+    """The JSON document in the file ``path``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError(f"{path}: JSON nests too deeply") from None
+
+
 class _Loader:
     """Algebra resolution with per-run caching so shared sources are
     shared objects (factor and compose compare carriers by identity)."""
@@ -174,15 +183,13 @@ class _Loader:
             raise OSError(f"table file not found: {path}")
         key = ("table", os.path.realpath(found))
         if key not in self.cache:
-            with open(found, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-            self.cache[key] = table_semiring(doc, source_spec=f"table:{path}")
+            self.cache[key] = table_semiring(_read_json(found),
+                                             source_spec=f"table:{path}")
             self.inputs.append({"source": path, "sha256": _digest(found)})
         return self.cache[key]
 
     def morphism(self, path: str) -> Morphism:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        doc = _read_json(path)
         if not isinstance(doc, dict) or not {"source", "target", "map"} <= set(doc):
             raise ValueError(f"{path}: a morphism needs source, target and map")
         for key in ("source", "target"):
@@ -203,8 +210,7 @@ def _order_for(algebra: Algebra, args: argparse.Namespace,
                ) -> tuple[OrderRelation, str]:
     matrix_path = getattr(args, "order_matrix", None)
     if matrix_path:
-        with open(matrix_path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        doc = _read_json(matrix_path)
         if isinstance(doc, dict):
             doc = doc.get("order")
         if not isinstance(doc, list):

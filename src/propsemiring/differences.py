@@ -11,8 +11,10 @@ p + β = q + α, and the quotient carries
 
 For Boolean carriers only ⊤ is cancellable, so ⊖ = {⊤} and the quotient
 is a copy of the carrier; modular tables ℤn provide the interesting
-cases.  Every structural fact used here (equivalence, congruence, the
-embedding p ↦ (p, ⊤)) is verified at construction time, not assumed.
+cases.  ~ is reflexive and symmetric by its defining equation, which
+reads the same from either pair; every other structural fact used here
+(transitivity, the congruence, the embedding p ↦ (p, ⊤)) is verified at
+construction time, not assumed.
 
 The congruence is decided by comparing each pair with the first pair of
 its class, in rows and in columns of the tables of classes of ⊕ and ⊗:
@@ -36,7 +38,7 @@ from .algebra import (ADD, MAX_DENSE_CARRIER, Algebra, AlgebraError,
                       TableLoadError, UnsupportedOperationError,
                       _check_identity_laws, row_type, transposed)
 from .morphisms import Morphism, check_morphism
-from .order import OrderRelation, check_poset, _reflexivity, _transitivity
+from .order import OrderRelation, check_poset, _transitivity
 from .properties import (PropertyReport, _associativity, _commutativity,
                          _names, _packed, _scan_rows,
                          additively_cancellable_elements)
@@ -209,10 +211,10 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
 
     ⊖ must be an ideal (DomainError naming the condition that fails), so
     that every sum and product of pairs is a pair again.  The relation is
-    verified to be an equivalence and a congruence for both operations
-    before the quotient tables are built; violations raise
-    CongruenceError with a witness, though they cannot occur once the
-    subtrahends validate as cancellable.
+    reflexive and symmetric by its definition, and verified to be
+    transitive and a congruence for both operations before the quotient
+    tables are built; violations raise CongruenceError with a witness,
+    though they cannot occur once the subtrahends validate as cancellable.
 
     The congruence is decided against class representatives.  An
     equivalence is a congruence iff it is compatible with each argument
@@ -237,7 +239,8 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
         raise SizeLimitError(f"{len(pairs)} differences exceed {MAX_DENSE_CARRIER}")
     firsts, seconds = c.row(p for p, _ in pairs), c.row(a for _, a in pairs)
     # related[x][y] is 1 iff x ~ y, that is iff p + β = q + α for
-    # x = (p, α) and y = (q, β)
+    # x = (p, α) and y = (q, β); read from y it is the same equation, so
+    # ~ is reflexive and symmetric, and only transitivity is verified
     related = [c.equal(compose(c.add[p], seconds), compose(c.add_t[a], firsts))
                for p, a in pairs]
 
@@ -245,31 +248,23 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
         p, a = pairs[i]
         return f"{algebra.name_of(p)}-{algebra.name_of(a)}"
 
-    # reflexivity and symmetry are built into the defining equation, but
-    # verify all three properties anyway; transitivity is the real one.
-    for report, where in (
-            (_reflexivity(pairs.__getitem__, related), "reflexive at {}"),
-            (_commutativity("symmetry", pairs.__getitem__, related,
-                            transposed(related)),
-             "symmetric at {}, {}"),
-            (_transitivity("transitivity", pair_name, related,
-                           list(map(_packed, related))),
-             "transitive at {}, {}, {}")):
-        if not report.holds:
-            raise CongruenceError("relation not " + where.format(*report.witness))
+    transitivity = _transitivity("transitivity", pair_name, related,
+                                 list(map(_packed, related)))
+    if not transitivity.holds:
+        raise CongruenceError("relation not transitive at {}, {}, {}".format(
+            *transitivity.witness))
     equivalence = PropertyReport("difference-relation-equivalence", True, None,
                                  len(pairs) ** 3)
 
-    label = [-1] * len(pairs)
-    classes: list[list[int]] = []  # pair indices in scan order
+    # ~ is an equivalence, so row x is the indicator of x's class: the
+    # classes are the distinct rows by first occurrence, at their least member
+    first_seen: dict[bytes, int] = {}
     for x, row in enumerate(related):
-        if label[x] < 0:
-            block = list(compress(range(len(pairs)), row))
-            for y in block:
-                label[y] = len(classes)
-            classes.append(block)
-    label = row_type(len(classes))(label)
-    reps = [block[0] for block in classes]
+        first_seen.setdefault(row, x)
+    number = dict(zip(first_seen, range(len(first_seen))))
+    label = row_type(len(first_seen))(map(number.__getitem__, related))
+    reps = list(first_seen.values())
+    classes = [list(compress(range(len(pairs)), row)) for row in first_seen]
 
     # Pair (u, v) sits at code u·width + position(v).  Per cell
     # k = i·n + j of the + table, high[k] is the code of (i + j, ⊖[0])

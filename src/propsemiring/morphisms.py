@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product, repeat
+from operator import itemgetter
 
 from .algebra import (ADD, MAX_DENSE_CARRIER, MUL, Algebra, CompiledTables,
                       DomainError, Element, FreeBooleanAlgebra, SizeLimitError,
@@ -198,9 +199,9 @@ def kernel(psi: Morphism) -> KernelRelation:
     by_image: dict[int, list[int]] = {}
     for i, t in enumerate(psi.mapping):
         by_image.setdefault(t, []).append(i)
-    blocks = sorted((tuple(block) for block in by_image.values()),
-                    key=lambda block: block[0])
-    return KernelRelation(source=psi.source, blocks=tuple(blocks))
+    # a key enters at its least index, so blocks come by least member
+    return KernelRelation(source=psi.source,
+                          blocks=tuple(map(tuple, by_image.values())))
 
 
 def refines(finer: KernelRelation, coarser: KernelRelation) -> bool:
@@ -273,13 +274,11 @@ def is_isomorphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:
     prop = f"{kind}-isomorphism"
     src = psi.source
     n = src.size
-    if not psi.is_injective():
-        seen: dict[int, int] = {}
-        for a, t in enumerate(psi.mapping):
-            if t in seen:
-                return PropertyReport(prop, False, _names(src, seen[t], a), n,
-                                      details={"reason": "not injective"})
-            seen[t] = a
+    if not psi.is_injective():  # the first a whose image is taken
+        first, a = min((block[:2] for block in kernel(psi).blocks
+                        if len(block) > 1), key=itemgetter(1))
+        return PropertyReport(prop, False, _names(src, first, a), n,
+                              details={"reason": "not injective"})
     if not psi.is_surjective():
         missing = min(set(range(psi.target.size)).difference(psi.mapping))
         return PropertyReport(prop, False,

@@ -149,19 +149,14 @@ def _transitivity(name: str, name_of: Callable, up, packed) -> PropertyReport:
                        for q in compress(carrier, row)))
 
 
-def _reflexivity(name_of: Callable, up) -> PropertyReport:
-    carrier = range(len(up))
-    return _scan_rows("reflexivity", name_of, [((), carrier, (
-        (bytes(map(getitem, up, carrier)), b"\1" * len(up), None),))])
-
-
 def check_poset(order: OrderRelation) -> list[PropertyReport]:
     """Reflexivity, antisymmetry and transitivity, one report each."""
     name_of = order.algebra.name_of
     up, down, packed = order.rows, order.down_bytes, order.up_packed
     carrier = range(len(up))
 
-    reflexive = _reflexivity(name_of, up)
+    reflexive = _scan_rows("reflexivity", name_of, [((), carrier, (
+        (bytes(map(getitem, up, carrier)), b"\1" * len(up), None),))])
 
     antisymmetric = _scan_rows("antisymmetry", name_of, (  # q ≠ p both ways
         ((p,), carrier, ((both, both & 1 << 8 * p, None),))
@@ -210,13 +205,8 @@ def _monotony(order: OrderRelation, op: str,
     cases.
     """
     key = (op, second)
-    if key not in order.monotony:
-        order.monotony[key] = _monotony_scan(order, op, second)
-    return order.monotony[key]
-
-
-def _monotony_scan(order: OrderRelation, op: str,
-                   second: bool) -> PropertyReport:
+    if key in order.monotony:
+        return order.monotony[key]
     algebra, up = order.algebra, order.rows
     name = f"monotony-{op}" + ("-second" if second else "")
     c = algebra.compiled
@@ -224,7 +214,9 @@ def _monotony_scan(order: OrderRelation, op: str,
     if second:
         rows, cols = cols, rows
     if _monotone_at_generators(c, up, op, cols):
-        return PropertyReport(name, True, None, b"".join(up).count(1) * c.n)
+        order.monotony[key] = PropertyReport(name, True, None,
+                                             b"".join(up).count(1) * c.n)
+        return order.monotony[key]
     carrier = range(c.n)
     holds = b"\1" * c.n
 
@@ -249,7 +241,8 @@ def _monotony_scan(order: OrderRelation, op: str,
                 yield (p, q), carrier, (
                     (bytes(map(getitem, up_of_row, rows[q])), holds, None),)
 
-    return _scan_rows(name, algebra.name_of, cases())
+    order.monotony[key] = _scan_rows(name, algebra.name_of, cases())
+    return order.monotony[key]
 
 
 def check_monotony(order: OrderRelation) -> list[PropertyReport]:

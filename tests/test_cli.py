@@ -676,6 +676,23 @@ def test_main_reads_the_command_line(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["formula"] == "a & b"
 
 
+DEEP = "[" * 100_000  # beyond the decoder's recursion limit
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("check", "--table"), DEEP),
+    (("order", "--free-atoms", "1", "--order-matrix"), DEEP),
+    (("hom", "check", "--map"),
+     '{"source": "free:1", "target": "free:1", "map": ' + DEEP),
+], ids=["table", "order-matrix", "morphism"])
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, argv, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: JSON nests too deeply\n"
+
+
 # Strings that need escaping or are outside ASCII: quotes, backslashes,
 # control characters, the line separators JavaScript rejects, the
 # glyphs of the reports and lone surrogates.

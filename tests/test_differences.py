@@ -3,6 +3,8 @@ import re
 import pytest
 
 import propsemiring.differences as differences
+import propsemiring.order as order_module
+import propsemiring.properties as properties_module
 from propsemiring.algebra import (DomainError, SizeLimitError, TableLoadError,
                                   UnsupportedOperationError, table_semiring)
 from propsemiring.differences import (CongruenceError, SubtrahendIdeal,
@@ -216,6 +218,14 @@ class TestDifferenceSemiring:
         assert [c for c in scans if c[0] == "difference-congruence"] == []
         assert diff.reports["congruence"].holds
         assert diff.reports["congruence"].checked == (9 * 9 ** 2) ** 2
+
+    def test_only_transitivity_is_scanned(self, count_calls):
+        # p + β = q + α reads the same from (p, α) and from (q, β), so ~
+        # is reflexive and symmetric without a scan
+        ideal = subtrahend_ideal(table_semiring(zmod_spec(9)))
+        scans = count_calls("_scan_rows", order_module, properties_module)
+        difference_semiring(ideal)
+        assert [args[0] for args in scans] == ["transitivity"]
 
     def test_quotient_element_names_must_stay_distinct(self):
         # ℤ6 relabelled: with ⊖ = {0, 2, 4} two classes are named b-a-b,

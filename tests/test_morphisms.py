@@ -335,6 +335,10 @@ class TestIsomorphisms:
         assert not report.holds
         assert report.to_json()["reason"] == "not injective"
         assert report.witness == ("⊥", "!a")
+        # the blocks are {⊥, ⊤} and {!a, a}; a is the first element
+        # whose image is taken
+        folded = is_isomorphism(Morphism(ba1, ba1, [0, 1, 1, 0]))
+        assert folded.witness == ("!a", "a")
 
         inclusion = Morphism(ba0, ba1, [0, ba1.mask])
         report = is_isomorphism(inclusion)
