@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import and_, eq, itemgetter, ne, or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 ADD = "add"
 MUL = "mul"
@@ -723,24 +723,15 @@ class Subalgebra:
     def closure_defect(self, bpa_closed: bool = False) -> str | None:
         """Description of the first closure violation, None when closed."""
         algebra = self.parent
-        members = set(self.members)
-        if algebra.top_index not in members:
+        if algebra.top_index not in self.members:
             return "⊤ is missing"
-        if algebra.bot_index not in members:
+        if algebra.bot_index not in self.members:
             return "⊥ is missing"
-        for i in self.members:
-            for j in self.members:
-                for symbol, op in (("+", algebra.add_i), ("×", algebra.mul_i)):
-                    r = op(i, j)
-                    if r not in members:
-                        return (f"{algebra.name_of(i)} {symbol} "
-                                f"{algebra.name_of(j)} = "
-                                f"{algebra.name_of(r)} escapes")
-        if bpa_closed:
-            for i in self.members:
-                c = algebra.comp_i(i)
-                if c not in members:
-                    return f"!{algebra.name_of(i)} = {algebra.name_of(c)} escapes"
+        name_of = algebra.name_of
+        for i, symbol, *j, r in _escapes(algebra, self.members, bpa_closed):
+            term = (f"{name_of(i)} {symbol} {name_of(*j)}" if j
+                    else f"!{name_of(i)}")
+            return f"{term} = {name_of(r)} escapes"
         return None
 
     def validate(self, bpa_closed: bool = False) -> None:
@@ -760,22 +751,26 @@ def subalgebra_closure(algebra: Algebra, generators: Iterable[Element],
     if bpa_closed and not algebra.has_complement:
         raise UnsupportedOperationError(
             f"{algebra.name} has no complement; cannot close as a BPA")
-    members = {algebra.top_index, algebra.bot_index}
-    for g in generators:
-        members.add(algebra._member(g))
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(members)
-        for i in snapshot:
-            for j in snapshot:
-                for r in (algebra.add_i(i, j), algebra.mul_i(i, j)):
-                    if r not in members:
-                        members.add(r)
-                        changed = True
-            if bpa_closed:
-                c = algebra.comp_i(i)
-                if c not in members:
-                    members.add(c)
-                    changed = True
+    members = {algebra.top_index, algebra.bot_index,
+               *map(algebra._member, generators)}
+    while escaped := {e[-1] for e in _escapes(algebra, members, bpa_closed)}:
+        members |= escaped
     return Subalgebra(parent=algebra, members=tuple(sorted(members)))
+
+
+def _escapes(algebra: Algebra, members: Collection[int],
+             bpa_closed: bool) -> Iterator[tuple]:
+    """Each sum and product of ``members`` outside them as (i, symbol, j,
+    i ∘ j), by i, then j, then + before ×, and then with ``bpa_closed``
+    each complement outside them as (i, "!", !i); on scalar operations."""
+    inside = set(members)
+    operations = (("+", algebra.add_i), ("×", algebra.mul_i))
+    for i in members:
+        for j in members:
+            for symbol, op in operations:
+                if (r := op(i, j)) not in inside:
+                    yield i, symbol, j, r
+    if bpa_closed:
+        for i in members:
+            if (c := algebra.comp_i(i)) not in inside:
+                yield i, "!", c

@@ -146,6 +146,8 @@ def _read_json(path: str):
             return json.load(handle)
         except RecursionError:  # the decoder recurses once per nesting level
             raise ValueError(f"{path}: JSON nests too deeply") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
 
 
 class _Loader:
@@ -634,8 +636,8 @@ def main(argv: list[str] | None = None) -> int:
                           "command": command, "inputs": loader.inputs,
                           **body}))
         return 0
-    except (AlgebraError, ParseError, UnboundAtomError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (AlgebraError, ParseError, UnboundAtomError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,14 +16,14 @@ reads the same from either pair; every other structural fact used here
 (transitivity, the congruence, the embedding p ↦ (p, ⊤)) is verified at
 construction time, not assumed.
 
-The congruence is decided by comparing each pair with the first pair of
-its class, in rows and in columns of the tables of classes of ⊕ and ⊗:
-an equivalence compatible with each argument separately is a
-congruence.  That takes O(N²) label comparisons over N pairs where the
-definition has (Σ block²)² positions, n⁶ on ℤn.  Where a comparison
-fails, the definition's scan runs and names the first witness.  Pair
-(p, α) is coded p·|⊖| + position(α), and ⊖ must be an ideal, so those
-tables are built from the + table by row operations in C.
+The quotient's tables are built at the heads of the classes, their
+least pairs, and each pair is compared with them, as an equivalence is
+a congruence iff the operations on classes are well defined.  That takes
+O(N²) label comparisons over N pairs where the definition has
+(Σ block²)² positions, n⁶ on ℤn.  Where a comparison fails, the
+definition's scan runs and names the first witness.  Pair (p, α) is
+coded p·|⊖| + position(α), and ⊖ must be an ideal, so those tables are
+built from the + table by row operations in C.
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ from typing import Iterable
 from .algebra import (ADD, MAX_DENSE_CARRIER, Algebra, AlgebraError,
                       DomainError, Element, SizeLimitError, TableAlgebra,
                       TableLoadError, UnsupportedOperationError,
-                      _check_identity_laws, row_type, transposed)
+                      _check_identity_laws, _from_bytes, row_type)
 from .morphisms import Morphism, check_morphism
 from .order import OrderRelation, check_poset, _transitivity
 from .properties import (PropertyReport, _associativity, _commutativity,
-                         _names, _packed, _scan_rows,
-                         additively_cancellable_elements)
+                         _names, _scan_rows, additively_cancellable_elements)
 
 
 class CongruenceError(AlgebraError):
@@ -216,18 +215,18 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
     tables are built; violations raise CongruenceError with a witness,
     though they cannot occur once the subtrahends validate as cancellable.
 
-    The congruence is decided against class representatives.  An
-    equivalence is a congruence iff it is compatible with each argument
-    separately (Burris & Sankappanavar, *A Course in Universal Algebra*,
-    1981, ch. II), so it is enough that every row and every column of the
-    class tables [x ⊕ y] and [x ⊗ y] equals that of its representative
-    r(x), the first pair of its class: x ~ x2 and y ~ y2 then give
-    [x∘y] = [r(x)∘y] = [x2∘y] = [x2∘r(y)] = [x2∘y2].  That is 2N row
-    comparisons per operation over N pairs.  A congruence that holds
-    reports ``checked`` as the definition's scan would, (Σ block²)²
-    positions.  Where a comparison fails the congruence fails, and the
-    scan over related pairs (x, x2) and (y, y2) runs to name the first
-    witness.
+    The quotient's tables are built at the heads of the classes, h(x)
+    being the least pair of x's class, and each pair is compared with
+    them.  An equivalence is a congruence iff the operation on classes is
+    well defined (Burris & Sankappanavar, *A Course in Universal Algebra*,
+    1981, ch. II): iff [x∘y] = [h(x)∘h(y)] for all x and y, since x ~ x2
+    and y ~ y2 then give [x∘y] = [h(x)∘h(y)] = [x2∘y2].  So row x of the
+    class tables [x ⊕ y] and [x ⊗ y] must be the quotient's row of [x]
+    read at [y]: one composed row per class, N row comparisons per
+    operation over N pairs.  A congruence that holds reports ``checked``
+    as the definition's scan would, (Σ block²)² positions.  Where a
+    comparison fails the congruence fails, and the scan over related
+    pairs (x, x2) and (y, y2) runs to name the first witness.
     """
     algebra, members = subtrahends.algebra, subtrahends.members
     _require_ideal(algebra, members)
@@ -249,22 +248,20 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
         return f"{algebra.name_of(p)}-{algebra.name_of(a)}"
 
     transitivity = _transitivity("transitivity", pair_name, related,
-                                 list(map(_packed, related)))
+                                 list(map(_from_bytes, related)))
     if not transitivity.holds:
         raise CongruenceError("relation not transitive at {}, {}, {}".format(
             *transitivity.witness))
     equivalence = PropertyReport("difference-relation-equivalence", True, None,
                                  len(pairs) ** 3)
 
-    # ~ is an equivalence, so row x is the indicator of x's class: the
-    # classes are the distinct rows by first occurrence, at their least member
-    first_seen: dict[bytes, int] = {}
-    for x, row in enumerate(related):
-        first_seen.setdefault(row, x)
-    number = dict(zip(first_seen, range(len(first_seen))))
-    label = row_type(len(first_seen))(map(number.__getitem__, related))
-    reps = list(first_seen.values())
-    classes = [list(compress(range(len(pairs)), row)) for row in first_seen]
+    # ~ is an equivalence, so row x is the indicator of x's class, whose
+    # head, its least member, is the first 1 of the row
+    heads = [row.find(1) for row in related]
+    reps = sorted(set(heads))
+    number = dict(zip(reps, range(len(reps))))
+    label = row_type(len(reps))(map(number.__getitem__, heads))
+    classes = [list(compress(range(len(pairs)), related[x])) for x in reps]
 
     # Pair (u, v) sits at code u·width + position(v).  Per cell
     # k = i·n + j of the + table, high[k] is the code of (i + j, ⊖[0])
@@ -298,14 +295,16 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
         products.append(classes_of(compose(high, tuple(map(add, pq, ab))),
                                    compose(low, tuple(map(add, pb, aq)))))
 
-    rep_of = [reps[k] for k in label]
+    # the quotient's tables at the heads, in class labels
+    add_rows = [compose(sums[x], reps) for x in reps]
+    mul_rows = [compose(products[x], reps) for x in reps]
 
-    def compatible(rows: list) -> bool:
-        """Every row and every column equals its representative's."""
-        return all(list(map(table.__getitem__, rep_of)) == table
-                   for table in (rows, transposed(rows)))
+    def well_defined(table: list, rows: list) -> bool:
+        """[x ∘ y] is [x] ∘ [y] in the quotient: one composed row per class."""
+        expected = [compose(row, label) for row in rows]
+        return all(map(eq, table, map(expected.__getitem__, label)))
 
-    if compatible(sums) and compatible(products):
+    if well_defined(sums, add_rows) and well_defined(products, mul_rows):
         congruence = PropertyReport(
             "difference-congruence", True, None,
             sum(len(block) ** 2 for block in classes) ** 2)
@@ -337,15 +336,13 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
     if len(seen_names) < len(names):  # a renamed class met an earlier name
         raise TableLoadError("'elements' must be distinct")
 
-    # the quotient's tables over the representatives, in class labels;
     # p ↦ class of (p, ⊤) reads every width-th label from (0, ⊤) on
     embedded = tuple(label[position[algebra.top_index]::width])
     zero, one = embedded[algebra.top_index], embedded[algebra.bot_index]
-    add_rows = tuple(tuple(compose(sums[x], reps)) for x in reps)
-    mul_rows = tuple(tuple(compose(products[x], reps)) for x in reps)
     _check_identity_laws(tuple(names), add_rows, mul_rows, zero, one)
     quotient = TableAlgebra(name=f"diff({algebra.name})", names=tuple(names),
-                            add_rows=add_rows, mul_rows=mul_rows,
+                            add_rows=tuple(map(tuple, add_rows)),
+                            mul_rows=tuple(map(tuple, mul_rows)),
                             top_index=zero, bot_index=one,
                             source_spec=f"diff({algebra.source_spec})")
 
@@ -477,7 +474,7 @@ def mult_left_cancellative(algebra: Algebra) -> PropertyReport:
         ((k, a), carrier, ((hits, hits & 1 << 8 * a, None),))
         for k, row in enumerate(c.mul) if k != top
         # byte b of hits is 1 iff k × b = k × a
-        for a, hits in enumerate(_packed(c.compose(units[v], row)) for v in row)))
+        for a, hits in enumerate(_from_bytes(c.compose(units[v], row)) for v in row)))
 
 
 def difference_cancellation_criterion(subtrahends: SubtrahendIdeal

@@ -62,27 +62,27 @@ class Not(Formula):
 
 
 @dataclass(frozen=True, slots=True)
-class And(Formula):
+class _Binary(Formula):
+    """A binary node; its subclass, compared by ``==``, names the connective."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
 
 
 class Connective(NamedTuple):

@@ -18,9 +18,10 @@ from operator import itemgetter
 
 from .algebra import (ADD, MAX_DENSE_CARRIER, MUL, Algebra, CompiledTables,
                       DomainError, Element, FreeBooleanAlgebra, SizeLimitError,
-                      Subalgebra, UnsupportedOperationError, row_type)
+                      Subalgebra, UnsupportedOperationError, _from_bytes,
+                      row_type)
 from .order import OrderRelation, _leq_slab, canonical_order
-from .properties import (PropertyReport, _associative, _bands, _names, _packed,
+from .properties import (PropertyReport, _associative, _bands, _names,
                          _scan_rows)
 
 KINDS = ("semiring", "bpa")
@@ -256,7 +257,7 @@ def order_relation_of_map(psi: Morphism, order_src: OrderRelation,
         image_rows = {}  # v: the row y ↦ v ≼ ψy
         for a0, a1, positions in _bands(psi.source.size):
             # bit (x, y): x ≼ y, and ψx ≼ ψy
-            up = _packed(b"".join(up_src[a0:a1]))
+            up = _from_bytes(b"".join(up_src[a0:a1]))
             image = _leq_slab(up_dst, f[a0:a1], f, image_rows)
             yield (), positions, ((up, up & image, ahead),
                                   (image, image & up, behind))[:width]

@@ -33,10 +33,10 @@ from typing import Callable
 from .algebra import (ADD, MAX_BYTE_CARRIER, MAX_DENSE_CARRIER, MUL, Algebra,
                       CompiledTables, Element, DomainError, SizeLimitError,
                       Subalgebra, TableAlgebra, UnsupportedOperationError,
-                      transposed)
+                      _from_bytes, transposed)
 from .properties import (PropertyReport, additively_cancellable_elements,
                          _Band, _associative, _commutativity,
-                         _first_difference, _packed, _scan_rows)
+                         _first_difference, _scan_rows)
 
 # above this many elements in up(p), monotony decides p by its translations
 FEW_ABOVE = 2
@@ -61,7 +61,7 @@ class OrderRelation:
     @cached_property
     def up_packed(self) -> tuple[int, ...]:
         """The rows packed into ints, one byte per position."""
-        return tuple(map(_packed, self.rows))
+        return tuple(map(_from_bytes, self.rows))
 
     @cached_property
     def transitivity(self) -> PropertyReport:
@@ -160,7 +160,7 @@ def check_poset(order: OrderRelation) -> list[PropertyReport]:
 
     antisymmetric = _scan_rows("antisymmetry", name_of, (  # q ≠ p both ways
         ((p,), carrier, ((both, both & 1 << 8 * p, None),))
-        for p, both in enumerate(pp & _packed(dp) for pp, dp in zip(packed, down))))
+        for p, both in enumerate(pp & _from_bytes(dp) for pp, dp in zip(packed, down))))
     return [reflexive, antisymmetric, order.transitivity]
 
 
@@ -170,7 +170,7 @@ def _leq_slab(up, left, right, below: dict) -> int:
     ``left``."""
     for x in set(left).difference(below):
         below[x] = CompiledTables.compose(up[x], right)
-    return _packed(b"".join(map(below.__getitem__, left)))
+    return _from_bytes(b"".join(map(below.__getitem__, left)))
 
 
 def _monotone_at_generators(c, up, op: str, cols) -> bool:
@@ -179,7 +179,7 @@ def _monotone_at_generators(c, up, op: str, cols) -> bool:
     packed slab over all (p, s), tested against ≼."""
     if not _associative(c, op):
         return False
-    ordered = _packed(b"".join(up))  # position (p, s) is 1 iff p ≼ s
+    ordered = _from_bytes(b"".join(up))  # position (p, s) is 1 iff p ≼ s
     for g in c.generators(op):
         images = cols[g]  # p ↦ p ∘ g, or g ∘ p for the second argument
         # position (p, s) is 1 iff p ∘ g ≼ s ∘ g
@@ -308,7 +308,7 @@ def check_bound_decomposition(order: OrderRelation) -> PropertyReport:
         if reduce(or_, sums) & ~pp or list(map(and_, sums, packed)) != sums:
             return False
         if not factors:
-            factors.extend(_packed(c.indicator(row + col))
+            factors.extend(_from_bytes(c.indicator(row + col))
                            for row, col in zip(c.mul, c.mul_t))
         return not reduce(or_, compress(factors, upp.translate(_FLIP)), 0) & pp
 
@@ -319,7 +319,7 @@ def check_bound_decomposition(order: OrderRelation) -> PropertyReport:
                 continue
             for q, (mq, pq) in enumerate(zip(c.mul, packed)):
                 sum_up = packed[ap[q]]
-                below_product = _packed(c.compose(upp, mq))
+                below_product = _from_bytes(c.compose(upp, mq))
                 yield (p, q), carrier, (
                     (sum_up, sum_up & pp & pq, of_sum),
                     (below_product, below_product & pp if upp[q] else 0,
@@ -354,7 +354,7 @@ def check_pairwise_monotony(order: OrderRelation) -> PropertyReport:
         return PropertyReport("pairwise-monotony", True, None, n ** 4,
                               details=exhaustive)
     positions = _Band(0, n, n)
-    ordered = _packed(b"".join(up))  # position (r, s) is 1 iff r ≼ s
+    ordered = _from_bytes(b"".join(up))  # position (r, s) is 1 iff r ≼ s
     of_sum = dict(exhaustive, claim="p + r ≼ q + s")
     of_product = dict(exhaustive, claim="p × r ≼ q × s")
     below = {}  # per q, the rows s ↦ x ≼ q + s and s ↦ x ≼ q × s by x

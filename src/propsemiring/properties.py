@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .algebra import ADD, MUL, Algebra, CompiledTables, Element
+from .algebra import ADD, MUL, Algebra, CompiledTables, Element, _from_bytes
 
 # positions of a row band: at least this many after the first band of a
 # map check, at most this many in any band
@@ -100,7 +100,7 @@ def _first_difference(a, b) -> int | None:
     if a == b:
         return None
     if isinstance(a, bytes):
-        a, b = _packed(a), _packed(b)
+        a, b = _from_bytes(a), _from_bytes(b)
     if isinstance(a, int):
         d = a ^ b
         return ((d & -d).bit_length() - 1) >> 3
@@ -191,11 +191,6 @@ def _scan_rows(name: str, name_of: Callable, cases: Iterable) -> PropertyReport:
 def _holds(cases: Iterable) -> bool:
     """Whether every side of every :func:`_scan_rows` case is equal."""
     return all(a == b for _, _, sides in cases for a, b, _ in sides)
-
-
-def _packed(row) -> int:
-    """A 0/1 row as an int, one byte per position."""
-    return int.from_bytes(row, "little")
 
 
 def _commutativity(name: str, name_of: Callable, rows, cols) -> PropertyReport:
@@ -333,7 +328,7 @@ def _top_hits(name: str, algebra: Algebra, rows, at_top: int,
     return _scan_rows(name, algebra.name_of, (
         ((p,), range(c.n), ((hits, hits & (at_top if p == top else elsewhere),
                              None),))
-        for p, hits in enumerate(_packed(c.compose(is_top, row)) for row in rows)))
+        for p, hits in enumerate(_from_bytes(c.compose(is_top, row)) for row in rows)))
 
 
 def is_zerosumfree(algebra: Algebra) -> PropertyReport:

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from propsemiring.algebra import (CompiledTables, DomainError, SizeLimitError,
-                                  TableLoadError, UnsupportedOperationError,
+                                  Subalgebra, TableLoadError,
+                                  UnsupportedOperationError,
                                   free_boolean_algebra, subalgebra_closure,
                                   table_semiring)
 
@@ -257,6 +259,27 @@ class TestTableLoading:
                 assert reloaded.mul_i(i, j) == ba1.mul_i(i, j)
 
 
+@st.composite
+def small_tables(draw):
+    """A table algebra of at most five elements with random operations
+    and complement, edited to keep the identity laws."""
+    n = draw(st.integers(1, 5))
+    cell = st.integers(0, n - 1)
+    add = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    mul = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    zero, one = draw(cell), draw(cell)
+    for x in range(n):
+        add[zero][x] = add[x][zero] = x
+        mul[one][x] = mul[x][one] = x
+    names = [f"x{i}" for i in range(n)]
+    return table_semiring({
+        "name": "random", "elements": names,
+        "zero": names[zero], "one": names[one],
+        "add": [[names[v] for v in row] for row in add],
+        "mul": [[names[v] for v in row] for row in mul],
+        "complement": [names[draw(cell)] for _ in range(n)]})
+
+
 class TestSubalgebraClosure:
     def test_empty_generators_give_constants(self, ba1):
         sub = subalgebra_closure(ba1, [], bpa_closed=True)
@@ -314,6 +337,22 @@ class TestSubalgebraClosure:
         members = tuple(sorted(map(ba2.index_of, names)))
         sub = Subalgebra(parent=ba2, members=members)
         assert sub.closure_defect(bpa_closed) == defect
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_a_set_is_closed_exactly_when_its_closure_adds_nothing(self, data):
+        algebra = data.draw(st.one_of(st.just(free_boolean_algebra(2)),
+                                      small_tables()))
+        bpa_closed = data.draw(st.booleans())
+        members = tuple(sorted(data.draw(st.sets(st.sampled_from(
+            range(algebra.size)))) | {algebra.top_index, algebra.bot_index}))
+        closed = Subalgebra(parent=algebra, members=members).closure_defect(
+            bpa_closed) is None
+        closure = subalgebra_closure(algebra, map(algebra.element, members),
+                                     bpa_closed=bpa_closed)
+        assert closed == (closure.members == members)
+        assert set(closure.members) == closure_oracle(algebra, set(members),
+                                                      bpa_closed)
 
     def test_validate_flags_non_closed_sets(self, ba1):
         from propsemiring.algebra import Subalgebra

@@ -693,6 +693,25 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, argv, text):
     assert err == f"error: {path}: JSON nests too deeply\n"
 
 
+@pytest.mark.parametrize("data", [b"{not json", b"\xff\xfe"],
+                         ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("argv", [
+    ("check", "--table"),
+    ("order", "--free-atoms", "1", "--order-matrix"),
+    ("hom", "check", "--map"),
+], ids=["table", "order-matrix", "morphism"])
+def test_undecodable_json_names_its_file(capsys, tmp_path, argv, data):
+    broken = tmp_path / "broken.json"
+    broken.write_bytes(data)
+    path = str(broken)
+    if argv[0] == "hom":  # a valid map whose target table is broken
+        path = write_morphism(tmp_path, "f.json", "free:1", str(broken),
+                              IDENTITY1)
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {broken}: ") and err.count("\n") == 1
+
+
 # Strings that need escaping or are outside ASCII: quotes, backslashes,
 # control characters, the line separators JavaScript rejects, the
 # glyphs of the reports and lone surrogates.

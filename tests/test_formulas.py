@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -90,6 +91,21 @@ class TestParsing:
             parse("a ) b")
         with pytest.raises(ParseError):
             parse("")
+
+
+class TestNodes:
+    @pytest.mark.parametrize("node", [And, Or, Implies, Iff])
+    def test_binary_nodes_are_frozen_values(self, node):
+        a, b = Atom("a"), Atom("b")
+        assert node(a, b) == node(left=a, right=b)
+        assert hash(node(a, b)) == hash(node(Atom("a"), Atom("b")))
+        assert repr(node(a, b)) == (f"{node.__name__}(left=Atom(name='a'), "
+                                    f"right=Atom(name='b'))")
+        # equal fields make no equal nodes across connectives
+        assert [other for other in (And, Or, Implies, Iff)
+                if other(a, b) == node(a, b)] == [node]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node(a, b).left = b
 
 
 class TestPrinting:

@@ -7,6 +7,9 @@ module lists it in ``__all__`` (the package re-exports its API that way).
 A private (``_name``) function, class, method or module constant counts
 as used when some module of the package names it outside its own
 definition, so a helper that a refactor leaves behind fails the check.
+No two private module-level functions of the package have the same body,
+compared as syntax trees without the docstring and with each argument
+named by its position, so a helper is written once and imported.
 """
 
 import ast
@@ -147,3 +150,59 @@ def test_the_check_finds_an_unreferenced_private_name():
     }
     assert unreferenced_private_names(sources) == [
         "a.py: _UNUSED (line 2)", "a.py: _helper (line 3)"]
+
+
+class _ByPosition(ast.NodeTransformer):
+    """Renames each argument of a function to its position."""
+
+    def __init__(self, arguments: ast.arguments):
+        every = [*arguments.posonlyargs, *arguments.args, arguments.vararg,
+                 *arguments.kwonlyargs, arguments.kwarg]
+        self.positions = {a.arg: f"#{k}" for k, a in enumerate(every) if a}
+
+    def visit_Name(self, node: ast.Name) -> ast.Name:
+        node.id = self.positions.get(node.id, node.id)
+        return node
+
+
+def _body(function: ast.FunctionDef) -> str:
+    body = function.body
+    if ast.get_docstring(function) is not None:
+        body = body[1:]
+    rename = _ByPosition(function.args)
+    return "\n".join(ast.dump(rename.visit(statement)) for statement in body)
+
+
+def duplicated_helpers(sources: dict[str, str]) -> list[str]:
+    """``module: name = module: name`` for each private module-level
+    function whose body repeats that of an earlier one."""
+    first, duplicates = {}, []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and _private(node.name):
+                where = f"{module}: {node.name}"
+                earlier = first.setdefault(_body(node), where)
+                if earlier != where:
+                    duplicates.append(f"{earlier} = {where}")
+    return duplicates
+
+
+def test_no_private_function_repeats_another():
+    assert duplicated_helpers(_sources()) == []
+
+
+def test_the_check_finds_a_duplicated_helper():
+    sources = {
+        "a.py": ("def _packed(row):\n"
+                 "    \"\"\"A row as an int.\"\"\"\n"
+                 "    return int.from_bytes(row, 'little')\n"
+                 "def _shifted(x, *, by):\n"
+                 "    return x << by\n"),
+        "b.py": ("def _from_bytes(data: bytes) -> int:\n"
+                 "    return int.from_bytes(data, \"little\")\n"
+                 "def _step(x, *, by):\n"
+                 "    return by << x\n"
+                 "def _free(y, *, by):\n"
+                 "    return x << by\n"),
+    }
+    assert duplicated_helpers(sources) == ["a.py: _packed = b.py: _from_bytes"]
