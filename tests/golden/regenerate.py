@@ -152,6 +152,11 @@ def _inputs() -> dict[str, object]:
     files["bool8.json"] = _boolean(3)
     files["bool4-skew.json"] = _edited(_boolean(2), "bool4-skew",
                                        ("add", "00", "01", "01"))
+    # One element, so ⊤ = ⊥: no map into free:1 keeps both identities,
+    # and the constant map is the one homomorphism from free:1.
+    files["one.json"] = {"name": "one", "elements": ["0"], "add": [["0"]],
+                         "mul": [["0"]], "zero": "0", "one": "0",
+                         "complement": ["0"]}
     # The quotient of this table breaks the multiplicative identity law.
     files["diff-broken-identity.json"] = {
         "name": "pair", "elements": ["0", "1"],
@@ -376,6 +381,13 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
          ["hom", "enumerate", "--src", "bool4.json", "--dst",
           "bool4-skew.json", "--kind", "semiring"], None),
     ]
+    for src, dst in (("one.json", "free:1"), ("free:1", "one.json")):
+        tag = "-".join(s.replace(":", "").removesuffix(".json")
+                       for s in (src, dst))
+        for kind in ("semiring", "bpa"):
+            cases.append((f"hom-enumerate-{kind}-{tag}",
+                          ["hom", "enumerate", "--src", src, "--dst", dst,
+                           "--kind", kind], None))
     # Formulas: every precedence level, both associativities, the
     # Unicode spellings, an atom the formula does not mention, and one
     # case per ParseError message (exit 2).
