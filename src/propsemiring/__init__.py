@@ -16,9 +16,9 @@ from .formulas import (And, Atom, Const, Formula, Iff, Implies, Not, Or,
                        ParseError, UnboundAtomError, atoms_of, evaluate, parse,
                        unparse)
 from .morphisms import (IsoTheoremReport, KernelRelation, Morphism,
-                        check_morphism, enumerate_homs, factor,
-                        image_subalgebra, is_isomorphism, kernel,
-                        order_relation_of_map, refines, verify_iso_theorem)
+                        check_morphism, enumerate_homs, factor, is_isomorphism,
+                        kernel, order_relation_of_map, refines,
+                        verify_iso_theorem)
 from .order import (OrderRelation, SubalgebraOrderReport, canonical_order,
                     check_bound_decomposition, check_monotony,
                     check_operation_bounds, check_pairwise_monotony,
@@ -44,7 +44,7 @@ __all__ = [
     "ParseError", "UnboundAtomError", "atoms_of", "evaluate", "parse",
     "unparse",
     "IsoTheoremReport", "KernelRelation", "Morphism", "check_morphism",
-    "enumerate_homs", "factor", "image_subalgebra", "is_isomorphism", "kernel",
+    "enumerate_homs", "factor", "is_isomorphism", "kernel",
     "order_relation_of_map", "refines", "verify_iso_theorem",
     "OrderRelation", "SubalgebraOrderReport", "canonical_order",
     "check_bound_decomposition", "check_monotony", "check_operation_bounds",

@@ -18,8 +18,7 @@ from operator import itemgetter
 
 from .algebra import (ADD, MAX_DENSE_CARRIER, MUL, Algebra, CompiledTables,
                       DomainError, Element, FreeBooleanAlgebra, SizeLimitError,
-                      Subalgebra, UnsupportedOperationError, _from_bytes,
-                      row_type)
+                      UnsupportedOperationError, _from_bytes, row_type)
 from .order import OrderRelation, _leq_slab, canonical_order
 from .properties import (PropertyReport, _associative, _bands, _names,
                          _scan_rows)
@@ -291,16 +290,6 @@ def is_isomorphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:
         forward.property = prop
         return forward
     return PropertyReport(prop, True, None, 2 * forward.checked)
-
-
-def image_subalgebra(psi: Morphism) -> Subalgebra:
-    """The image of a homomorphism as a validated subalgebra of the target."""
-    report = check_morphism(psi, "semiring")
-    if not report.holds:
-        raise ValueError(f"not a semiring homomorphism: witness {report.witness}")
-    sub = Subalgebra(parent=psi.target, members=psi.image_indices())
-    sub.validate(bpa_closed=False)
-    return sub
 
 
 def enumerate_homs(src: Algebra, dst: Algebra,

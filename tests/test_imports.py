@@ -10,12 +10,19 @@ definition, so a helper that a refactor leaves behind fails the check.
 No two private module-level functions of the package have the same body,
 compared as syntax trees without the docstring and with each argument
 named by its position, so a helper is written once and imported.
+``from propsemiring import *`` binds every name of ``__all__``, so a
+name the package no longer defines cannot stay exported: plain
+``import propsemiring`` would not notice it.
 """
 
 import ast
 import os
+import sys
+import types
 
 import pytest
+
+import propsemiring
 
 PACKAGE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                        "src", "propsemiring")
@@ -206,3 +213,23 @@ def test_the_check_finds_a_duplicated_helper():
                  "    return x << by\n"),
     }
     assert duplicated_helpers(sources) == ["a.py: _packed = b.py: _from_bytes"]
+
+
+def star_import(module: str) -> dict:
+    """The names ``from <module> import *`` binds."""
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    namespace.pop("__builtins__")
+    return namespace
+
+
+def test_star_import_binds_every_exported_name():
+    assert sorted(star_import("propsemiring")) == sorted(propsemiring.__all__)
+
+
+def test_the_check_finds_an_exported_name_that_is_gone(monkeypatch):
+    module = types.ModuleType("stale")
+    module.kept, module.__all__ = 1, ["kept", "gone"]
+    monkeypatch.setitem(sys.modules, "stale", module)
+    with pytest.raises(AttributeError, match="gone"):
+        star_import("stale")

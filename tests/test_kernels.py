@@ -43,10 +43,12 @@ of subtrahends that is no ideal must be refused with the condition it
 fails.  The homomorphism search, which decides candidates on the rows
 of the generators where both carriers are associative, is compared
 with its definition where + is not associative on one side and a
-candidate keeps those rows but fails elsewhere, and where only ! fails;
+candidate keeps those rows but fails elsewhere, and where only ! fails,
+and the image of each map it finds with a closure from the definition;
 the iso-theorem verdicts of both modes are rebuilt from the oracles on
 tables whose + is idempotent and commutative.  Count tests pin two
-slabs per generator for associativity on free:3, no scan of bound
+slabs per generator for associativity on free:3 and at most 16 row
+compositions to find each of its generating sets, no scan of bound
 decomposition on free:3, one decision of transitivity and of each
 monotony law per ``order`` command, no map scan in the free:3 → free:1
 search of the bpa kind and no order map in its monotone iso-theorem,
@@ -91,8 +93,8 @@ from propsemiring.properties import (BAND_POSITIONS, _associative,
 from helpers import (antisymmetry_oracle, associativity_oracle,
                      bound_decomposition_oracle, cancellable_oracle,
                      cancellation_criterion_oracle, canonical_order_oracle,
-                     commutativity_oracle, cones_oracle, difference_oracle,
-                     distributivity_oracle, entire_oracle,
+                     closure_oracle, commutativity_oracle, cones_oracle,
+                     difference_oracle, distributivity_oracle, entire_oracle,
                      extended_order_oracle, generators_oracle, homs_oracle,
                      ideal_oracle, irreducible_oracle,
                      monotony_oracle, morphism_oracle,
@@ -453,8 +455,11 @@ def test_hom_search_matches_definition(pair):
     src, dst = pair
     source, target = algebra_from(src), algebra_from(dst)
     for kind in ("semiring", "bpa"):
-        assert [psi.mapping for psi in enumerate_homs(source, target, kind)] \
-            == homs_oracle(src, dst, kind)
+        homs = enumerate_homs(source, target, kind)
+        assert [psi.mapping for psi in homs] == homs_oracle(src, dst, kind)
+        for psi in homs:  # the image of a homomorphism is a subalgebra
+            image = set(psi.mapping)
+            assert image == closure_oracle(target, image, kind == "bpa")
 
 
 @settings(max_examples=100, deadline=None)
@@ -1265,6 +1270,17 @@ def test_associativity_of_three_atoms_takes_two_slabs_per_generator(
         assert (report.holds, report.checked) == (True, 256 ** 3)
         assert len(c.generators(op)) == 9
         assert calls.count("slab") == calls.count("compose") == 9
+    # Finding each set takes at most 16 compositions of rows (14 for +,
+    # 16 for ×): the closure starts from the irreducible elements, where
+    # one started from nothing would compose up to 512 rows.
+    fresh = free_boolean_algebra(3).compiled
+    compose = CompiledTables.compose
+    monkeypatch.setattr(CompiledTables, "compose", staticmethod(
+        lambda outer, inner: calls.append("compose") or compose(outer, inner)))
+    for op in (ADD, MUL):
+        calls.clear()
+        assert fresh.generators(op) == c.generators(op)
+        assert len(calls) <= 16
 
 
 def test_hom_search_decides_on_generator_rows(count_calls):

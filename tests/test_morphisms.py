@@ -5,8 +5,8 @@ from propsemiring.algebra import (CompiledTables, DomainError,
                                   SizeLimitError, UnsupportedOperationError,
                                   free_boolean_algebra, table_semiring)
 from propsemiring.morphisms import (Morphism, check_morphism, enumerate_homs,
-                                    factor, image_subalgebra, is_isomorphism,
-                                    kernel, order_relation_of_map, refines,
+                                    factor, is_isomorphism, kernel,
+                                    order_relation_of_map, refines,
                                     verify_iso_theorem)
 from propsemiring.order import canonical_order
 
@@ -350,27 +350,6 @@ class TestIsomorphisms:
         algebra = table_semiring(bool2_spec())
         psi = Morphism.from_names(ba0, algebra, {"⊥": "F", "⊤": "T"})
         assert is_isomorphism(psi, "bpa").holds
-
-
-class TestImageSubalgebra:
-    def test_image_of_inclusion(self, ba0, ba1):
-        inclusion = Morphism(ba0, ba1, [0, ba1.mask])
-        sub = image_subalgebra(inclusion)
-        assert sub.element_names() == ["⊥", "⊤"]
-
-    def test_image_of_embedding_into_two_atoms(self, ba1, ba2):
-        a_and_b = ba2.element_named("1000")
-        psi = Morphism.from_names(ba1, ba2, {
-            "⊥": "⊥", "⊤": "⊤", "a": a_and_b.name,
-            "!a": ba2.complement(a_and_b).name})
-        sub = image_subalgebra(psi)
-        assert sub.size == 4
-        sub.validate(bpa_closed=True)
-
-    def test_non_homomorphism_is_rejected(self, ba1):
-        psi = Morphism(ba1, ba1, [ba1.comp_i(i) for i in range(4)])
-        with pytest.raises(ValueError, match="homomorphism"):
-            image_subalgebra(psi)
 
 
 class TestEnumeration:
