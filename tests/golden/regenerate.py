@@ -388,6 +388,16 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
             cases.append((f"hom-enumerate-{kind}-{tag}",
                           ["hom", "enumerate", "--src", src, "--dst", dst,
                            "--kind", kind], None))
+    # Embedding mode from a table source of the semiring kind, and from
+    # free:2 into itself, where the 256 homs include the 2 automorphisms.
+    cases += [
+        ("hom-iso-embedding-semiring-bool8-bool4",
+         ["hom", "iso-theorem", "--src", "bool8.json", "--dst", "bool4.json",
+          "--kind", "semiring", "--mode", "embedding"], None),
+        ("hom-iso-embedding-free2-free2",
+         ["hom", "iso-theorem", "--src", "free:2", "--dst", "free:2",
+          "--kind", "bpa", "--mode", "embedding"], None),
+    ]
     # Formulas: every precedence level, both associativities, the
     # Unicode spellings, an atom the formula does not mention, and one
     # case per ParseError message (exit 2).
