@@ -17,8 +17,7 @@ from .formulas import (And, Atom, Const, Formula, Iff, Implies, Not, Or,
                        unparse)
 from .morphisms import (IsoTheoremReport, KernelRelation, Morphism,
                         check_morphism, enumerate_homs, factor, is_isomorphism,
-                        kernel, order_relation_of_map, refines,
-                        verify_iso_theorem)
+                        kernel, refines, verify_iso_theorem)
 from .order import (OrderRelation, SubalgebraOrderReport, canonical_order,
                     check_bound_decomposition, check_monotony,
                     check_operation_bounds, check_pairwise_monotony,
@@ -45,7 +44,7 @@ __all__ = [
     "unparse",
     "IsoTheoremReport", "KernelRelation", "Morphism", "check_morphism",
     "enumerate_homs", "factor", "is_isomorphism", "kernel",
-    "order_relation_of_map", "refines", "verify_iso_theorem",
+    "refines", "verify_iso_theorem",
     "OrderRelation", "SubalgebraOrderReport", "canonical_order",
     "check_bound_decomposition", "check_monotony", "check_operation_bounds",
     "check_pairwise_monotony", "check_poset", "cones", "discrete_order",

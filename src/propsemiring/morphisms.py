@@ -8,6 +8,9 @@ values on a generating set, so enumeration searches generator images
 only.  Each derived map is compared on the rows of the generators of +
 and ×, which reject it, or accept it where both carriers are
 associative (Light's test); otherwise check_morphism decides.
+Under the canonical orders (p ≼ q iff p + q = q) every homomorphism is
+monotone, and it reflects ≼ exactly when it is injective, so the
+iso-theorem scans no map for its order verdict.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from operator import itemgetter
 
 from .algebra import (ADD, MAX_DENSE_CARRIER, MUL, Algebra, CompiledTables,
                       DomainError, Element, FreeBooleanAlgebra, SizeLimitError,
-                      UnsupportedOperationError, _from_bytes, row_type)
-from .order import OrderRelation, _leq_slab, canonical_order
+                      UnsupportedOperationError, row_type)
+from .order import canonical_order
 from .properties import (PropertyReport, _associative, _bands, _names,
                          _scan_rows)
 
@@ -233,44 +236,10 @@ def factor(psi1: Morphism, psi2: Morphism) -> Morphism | None:
     return Morphism(psi1.target, psi2.target, mapping)
 
 
-def order_relation_of_map(psi: Morphism, order_src: OrderRelation,
-                          order_dst: OrderRelation,
-                          mode: str = "monotone") -> PropertyReport:
-    """Does ψ preserve (monotone) or exactly reflect (embedding) ≼?
-
-    x ≼ y and ψx ≼ ψy are compared as packed ints over the row bands of
-    :func:`properties._bands`, the rows y ↦ v ≼ ψy built once per image
-    value v (:func:`order._leq_slab`).
-    """
-    _require_mode(mode)
-    if order_src.algebra is not psi.source:
-        raise DomainError("source order belongs to a different algebra")
-    if order_dst.algebra is not psi.target:
-        raise DomainError("target order belongs to a different algebra")
-    f = row_type(psi.target.size)(psi.mapping)
-    up_src, up_dst = order_src.rows, order_dst.rows
-    ahead, behind = {"direction": "x ≼ y"}, {"direction": "ψx ≼ ψy"}
-    width = 2 if mode == "embedding" else 1
-
-    def cases():
-        image_rows = {}  # v: the row y ↦ v ≼ ψy
-        for a0, a1, positions in _bands(psi.source.size):
-            # bit (x, y): x ≼ y, and ψx ≼ ψy
-            up = _from_bytes(b"".join(up_src[a0:a1]))
-            image = _leq_slab(up_dst, f[a0:a1], f, image_rows)
-            yield (), positions, ((up, up & image, ahead),
-                                  (image, image & up, behind))[:width]
-
-    report = _scan_rows(f"order-{mode}", psi.source.name_of, cases())
-    if report.holds and mode == "embedding":
-        report.details = {"injective": psi.is_injective()}
-    return report
-
-
 def is_isomorphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:
     """Bijective homomorphism.  Its inverse then preserves every operation
     too, so ``checked`` is twice ψ's count: both carriers have one size."""
-    _require_kind(kind)
+    _require_kind(kind, psi.source, psi.target)
     prop = f"{kind}-isomorphism"
     src = psi.source
     n = src.size
@@ -294,14 +263,14 @@ def is_isomorphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:
 
 def enumerate_homs(src: Algebra, dst: Algebra,
                    kind: str = "semiring") -> list[Morphism]:
-    """All homomorphisms src -> dst of the given kind, sorted by map.
+    """All homomorphisms src -> dst of the given kind, sorted by map, or
+    in atom-image order for a free source of the bpa kind.
 
     ⊤ and ⊥ are closed under +, × and, for bpa, ! by
     ``CompiledTables.closure``, which prefers the atoms of a free source
     of the bpa kind and else the elements that are no sum of two others
     as generators.  Its steps derive the other images from the generator
-    images, and the homomorphisms are kept (in atom-image order for free
-    bpa sources).  :data:`ENUMERATION_CAP` bounds the |dst|^|generators|
+    images, and the homomorphisms are kept.  :data:`ENUMERATION_CAP` bounds the |dst|^|generators|
     maps.
 
     ψ(⊥) = ⊥ holds by construction, and so does ψ(⊤) = ⊤ unless ⊤ = ⊥
@@ -379,7 +348,10 @@ class IsoTheoremReport:
 
     The biconditional is evaluated for every enumerated homomorphism
     against the canonical orders of both carriers; any map breaking it
-    lands in ``counterexamples`` with its three verdicts.
+    lands in ``counterexamples`` with its three verdicts.  A homomorphism
+    preserves these orders, and it reflects them iff it is injective
+    (:func:`verify_iso_theorem`), so ``order_preserving`` is true in
+    ``monotone`` mode and ``psi.is_injective()`` in ``embedding`` mode.
     """
 
     kind: str
@@ -415,21 +387,23 @@ def verify_iso_theorem(src: Algebra, dst: Algebra, kind: str = "bpa",
                        mode: str = "embedding") -> IsoTheoremReport:
     """Test onto ∧ order-preserving ⇔ isomorphism over all homomorphisms.
 
-    In ``monotone`` mode every homomorphism preserves the canonical
-    orders (p ≼ q iff p + q = q), since p + q = q gives ψp + ψq =
-    ψ(p + q) = ψq, so no map is scanned; ``embedding`` mode scans each
-    map with :func:`order_relation_of_map`.  Both orders are built in
-    either mode, so a carrier without one is refused alike.
+    Let ψ preserve + and p ≼ q iff p + q = q, with + idempotent and
+    commutative (:func:`order.canonical_order`); no associativity is
+    needed.  ψ is monotone: p + q = q gives ψp + ψq = ψ(p + q) = ψq.
+    ψ reflects ≼ iff it is injective.  If ψ is injective and ψx ≼ ψy,
+    then ψ(x + y) = ψx + ψy = ψy, so x + y = y.  If ψa = ψb and ψ
+    reflects ≼, then a + b = b and b + a = a, so a = b.  So no map is
+    scanned in either mode.  Both orders are built in either mode, so a
+    carrier without one is refused alike.
     """
     _require_mode(mode)
-    order_src = canonical_order(src)
-    order_dst = canonical_order(dst)
+    canonical_order(src)
+    canonical_order(dst)
     homs = enumerate_homs(src, dst, kind)
     counterexamples = []
     for psi in homs:
         onto = psi.is_surjective()
-        preserving = mode == "monotone" or order_relation_of_map(
-            psi, order_src, order_dst, mode).holds
+        preserving = mode == "monotone" or psi.is_injective()
         iso = onto and psi.is_injective()  # psi is already a homomorphism
         if (onto and preserving) != iso:
             counterexamples.append({

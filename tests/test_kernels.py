@@ -78,8 +78,7 @@ from propsemiring.differences import (CongruenceError, SubtrahendIdeal,
                                       is_ideal, mult_left_cancellative,
                                       subtrahend_ideal)
 from propsemiring.morphisms import (KINDS, MODES, Morphism, check_morphism,
-                                    enumerate_homs, order_relation_of_map,
-                                    verify_iso_theorem)
+                                    enumerate_homs, verify_iso_theorem)
 from propsemiring.order import (OrderRelation, canonical_order,
                                 check_bound_decomposition, check_monotony,
                                 check_operation_bounds, check_pairwise_monotony,
@@ -560,9 +559,9 @@ def semilattice_sum(table):
 @given(algebra_pairs(cayley_tables(st.integers(1, 5)).map(semilattice_sum)))
 def test_iso_theorem_verdicts_match_definition(pair):
     # Both carriers have canonical orders.  Every homomorphism is monotone
-    # under them, so the monotone verdict reads no map; the embedding
-    # verdict still scans each.  The counterexamples are rebuilt from the
-    # oracles of the homomorphisms and of the order maps.
+    # under them, and it is an order embedding exactly when it is
+    # injective, so neither verdict scans a map.  The counterexamples are
+    # rebuilt from the oracles of the homomorphisms and of the order maps.
     src, dst = pair
     source, target = algebra_from(src), algebra_from(dst)
     leq_src, leq_dst = canonical_matrix(src["add"]), canonical_matrix(dst["add"])
@@ -571,6 +570,8 @@ def test_iso_theorem_verdicts_match_definition(pair):
         homs = homs_oracle(src, dst, kind)
         for f in homs:
             assert order_map_oracle(leq_src, leq_dst, f, "monotone")[0] is None
+            assert (order_map_oracle(leq_src, leq_dst, f, "embedding")[0]
+                    is None) == (len(set(f)) == len(f))
         for mode in MODES:
             expected = []
             for f in homs:
@@ -586,25 +587,6 @@ def test_iso_theorem_verdicts_match_definition(pair):
             report = verify_iso_theorem(source, target, kind, mode)
             assert (report.hom_count, report.counterexamples) \
                 == (len(homs), expected)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_order_map_kernel_matches_definition(data):
-    src, dst, f = data.draw(maps())
-    leq_src = data.draw(relations(src["add"]))
-    leq_dst = data.draw(relations(dst["add"]))
-    source, target = algebra_from(src), algebra_from(dst)
-    psi = Morphism(source, target, f)
-    orders = (OrderRelation.from_matrix(source, leq_src),
-              OrderRelation.from_matrix(target, leq_dst))
-    assert_matches(order_relation_of_map(psi, *orders, mode="monotone"),
-                   order_map_oracle(leq_src, leq_dst, f, "monotone"), "direction")
-    embedding = order_map_oracle(leq_src, leq_dst, f, "embedding")
-    assert_matches(order_relation_of_map(psi, *orders, mode="embedding"),
-                   embedding, "direction",
-                   always=None if embedding[0] else
-                   {"injective": len(set(f)) == len(f)})
 
 
 @st.composite
@@ -710,9 +692,9 @@ def test_wide_rows_match_definitions(n, a, b, c, seed):
 
 @settings(max_examples=4, deadline=None, phases=NO_SHRINK)
 @given(n=st.integers(257, 300), k=st.integers(1, 2), edit=st.integers(0, 8),
-       seed=st.integers(0, 2 ** 32), deep=st.integers(100, 256),
-       col=st.integers(2, 256), on_add=st.booleans())
-def test_maps_between_byte_and_tuple_rows(n, k, edit, seed, deep, col, on_add):
+       deep=st.integers(100, 256), col=st.integers(2, 256),
+       on_add=st.booleans())
+def test_maps_between_byte_and_tuple_rows(n, k, edit, deep, col, on_add):
     # ℤ3 against a ℤn table: byte rows on one side, tuple rows on the
     # other.  x ↦ k·x mod 3 from ℤn is a homomorphism exactly when 3
     # divides n, and one image is then changed; the maps from ℤ3 keep ⊤
@@ -726,7 +708,6 @@ def test_maps_between_byte_and_tuple_rows(n, k, edit, seed, deep, col, on_add):
     down = [(k * x) % 3 for x in range(n)]
     down[edit] = (down[edit] + 1) % 3
     up = [0, 1, 2 if k == 1 else n - 1]
-    rng = random.Random(seed)
     for src, dst, f in ((zn, z3, down), (z3, zn, up)):
         source, target = algebra_from(src), algebra_from(dst)
         psi = Morphism(source, target, f)
@@ -734,19 +715,10 @@ def test_maps_between_byte_and_tuple_rows(n, k, edit, seed, deep, col, on_add):
         for kind in ("semiring", "bpa"):
             assert_matches(check_morphism(psi, kind),
                            morphism_oracle(src, dst, f, kind), "condition")
-        leq_src, leq_dst = ([[rng.randrange(2) for _ in range(len(t["add"]))]
-                             for _ in range(len(t["add"]))] for t in (src, dst))
-        orders = (OrderRelation.from_matrix(source, leq_src),
-                  OrderRelation.from_matrix(target, leq_dst))
-        assert_matches(order_relation_of_map(psi, *orders),
-                       order_map_oracle(leq_src, leq_dst, f, "monotone"),
-                       "direction")
     # ℤm with 3 dividing m and one cell (deep, col) of + or × changed:
     # x ↦ k·x mod 3 then holds in every row before ``deep``, so the first
-    # violation lies several row bands in.  The orders relate x and y when
-    # their images are equal, and ``deep`` to ``col`` with unequal images.
+    # violation lies several row bands in.
     m = n + (-n) % 3
-    col += (col - deep) % 3 == 0
     table = [[(i + j) % m for j in range(m)] for i in range(m)], \
         [[(i * j) % m for j in range(m)] for i in range(m)], 0, 1
     op = table[0] if on_add else table[1]
@@ -757,16 +729,6 @@ def test_maps_between_byte_and_tuple_rows(n, k, edit, seed, deep, col, on_add):
     for kind in ("semiring", "bpa"):
         assert_matches(check_morphism(psi, kind),
                        morphism_oracle(src, z3, f, kind), "condition")
-    leq_src = [[int(f[x] == f[y]) for y in range(m)] for x in range(m)]
-    leq_src[deep][col] = 1
-    leq_dst = [[int(x == y) for y in range(3)] for x in range(3)]
-    orders = (OrderRelation.from_matrix(psi.source, leq_src),
-              OrderRelation.from_matrix(psi.target, leq_dst))
-    for mode in ("monotone", "embedding"):
-        report = order_relation_of_map(psi, *orders, mode)
-        assert_matches(report, order_map_oracle(leq_src, leq_dst, f, mode),
-                       "direction")
-        assert report.checked == deep * m + col + 1
 
 
 @settings(max_examples=3, deadline=None, phases=NO_SHRINK)
@@ -1286,18 +1248,18 @@ def test_associativity_of_three_atoms_takes_two_slabs_per_generator(
 def test_hom_search_decides_on_generator_rows(count_calls):
     # free:3 -> free:1, bpa: the rows of the nine generators of + and of
     # × and the ! row decide all 64 candidates, and both carriers are
-    # associative, so no map check scans.  A monotone iso-theorem run
-    # scans no order map; an embedding run scans one per homomorphism.
+    # associative, so no map check scans.  An iso-theorem run in either
+    # mode scans only the commutativity of + for each canonical order.
     scans = count_calls("_scan_rows", morphisms_module, order_module,
                         properties_module)
-    maps = count_calls("order_relation_of_map", morphisms_module)
     source, target = free_boolean_algebra(3), free_boolean_algebra(1)
     assert len(enumerate_homs(source, target, "bpa")) == 64
     assert scans == []
-    report = verify_iso_theorem(source, target, "bpa", "monotone")
-    assert report.hom_count == 64 and maps == []
-    report = verify_iso_theorem(source, target, "bpa", "embedding")
-    assert report.hom_count == len(maps) == 64
+    for mode in MODES:
+        report = verify_iso_theorem(source, target, "bpa", mode)
+        assert report.hom_count == 64
+        assert [name for name, *_ in scans] == ["add-commutativity"] * 2
+        scans.clear()
 
 
 def test_hom_search_on_a_nonassociative_source_checks_maps(count_calls):
