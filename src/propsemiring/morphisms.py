@@ -270,8 +270,8 @@ def enumerate_homs(src: Algebra, dst: Algebra,
     ``CompiledTables.closure``, which prefers the atoms of a free source
     of the bpa kind and else the elements that are no sum of two others
     as generators.  Its steps derive the other images from the generator
-    images, and the homomorphisms are kept.  :data:`ENUMERATION_CAP` bounds the |dst|^|generators|
-    maps.
+    images, and the homomorphisms are kept.  :data:`ENUMERATION_CAP`
+    bounds the |dst|^|generators| maps.
 
     ψ(⊥) = ⊥ holds by construction, and so does ψ(⊤) = ⊤ unless ⊤ = ⊥
     in the source only, where check_morphism refuses every map.  A
@@ -350,8 +350,8 @@ class IsoTheoremReport:
     against the canonical orders of both carriers; any map breaking it
     lands in ``counterexamples`` with its three verdicts.  A homomorphism
     preserves these orders, and it reflects them iff it is injective
-    (:func:`verify_iso_theorem`), so ``order_preserving`` is true in
-    ``monotone`` mode and ``psi.is_injective()`` in ``embedding`` mode.
+    (:func:`verify_iso_theorem`), so ``order_preserving`` is always true
+    in ``monotone`` mode and means injective in ``embedding`` mode.
     """
 
     kind: str
@@ -402,9 +402,9 @@ def verify_iso_theorem(src: Algebra, dst: Algebra, kind: str = "bpa",
     homs = enumerate_homs(src, dst, kind)
     counterexamples = []
     for psi in homs:
-        onto = psi.is_surjective()
-        preserving = mode == "monotone" or psi.is_injective()
-        iso = onto and psi.is_injective()  # psi is already a homomorphism
+        onto, injective = psi.is_surjective(), psi.is_injective()
+        preserving = mode == "monotone" or injective
+        iso = onto and injective  # psi is already a homomorphism
         if (onto and preserving) != iso:
             counterexamples.append({
                 "map": psi.name_map(),
