@@ -157,6 +157,15 @@ def _inputs() -> dict[str, object]:
     files["one.json"] = {"name": "one", "elements": ["0"], "add": [["0"]],
                          "mul": [["0"]], "zero": "0", "one": "0",
                          "complement": ["0"]}
+    # The subsets of 2 points named by strings that JSON escapes (", \\
+    # and a tab) or that are not ASCII (⊤), with complements.
+    escaped = _boolean(2)
+    rename = dict(zip(escaped["elements"], ['"', "\\", "\t", "⊤"]))
+    files["escaped.json"] = {
+        "name": "escaped", "elements": list(rename.values()),
+        **{op: [[rename[x] for x in row] for row in escaped[op]]
+           for op in ("add", "mul")},
+        "zero": "⊤", "one": '"', "complement": ["⊤", "\t", "\\", '"']}
     # The quotient of this table breaks the multiplicative identity law.
     files["diff-broken-identity.json"] = {
         "name": "pair", "elements": ["0", "1"],
@@ -398,6 +407,18 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
          ["hom", "iso-theorem", "--src", "free:2", "--dst", "free:2",
           "--kind", "bpa", "--mode", "embedding"], None),
     ]
+    # free:3 into free:1 of the semiring kind: 4^8 candidates, 64 maps.
+    # Both kinds to and from the table whose names need escapes.
+    cases.append(("hom-enumerate-semiring-free3-free1",
+                  ["hom", "enumerate", "--src", "free:3", "--dst", "free:1",
+                   "--kind", "semiring"], None))
+    for src, dst in (("escaped.json", "free:1"), ("free:1", "escaped.json")):
+        tag = "-".join(s.replace(":", "").removesuffix(".json")
+                       for s in (src, dst))
+        for kind in ("semiring", "bpa"):
+            cases.append((f"hom-enumerate-{kind}-{tag}",
+                          ["hom", "enumerate", "--src", src, "--dst", dst,
+                           "--kind", kind], None))
     # Formulas: every precedence level, both associativities, the
     # Unicode spellings, an atom the formula does not mention, and one
     # case per ParseError message (exit 2).
