@@ -336,9 +336,10 @@ class CompiledTables:
         return self._irreducible[op]
 
     def closure(self, seeds: Iterable[int], sides: Sequence[Sequence],
-                preferred: frozenset[int]) -> tuple[list[int], list[tuple]]:
-        """The generators and steps of a closure of ``seeds`` under
-        ``sides``, tables whose row x lists x ∘ y by y.
+                preferred: frozenset[int]
+                ) -> tuple[list[int], list[tuple], list[int]]:
+        """The generators, steps and stage starts of a closure of ``seeds``
+        under ``sides``, tables whose row x lists x ∘ y by y.
 
         Each element reached is composed once, on whole rows in C, with all
         reached so far, so a side whose rows differ needs its transpose
@@ -347,14 +348,19 @@ class CompiledTables:
         the generator count of a finite semilattice under relabelling, as
         it is their sums.  A step (e, k, x, y) records that e =
         sides[k][x][y] was reached first that way; steps are in discovery
-        order, e ascending within one side of one x.
+        order, e ascending within one side of one x.  Generator i's stage
+        is the steps from ``starts[i]`` up to the next start; the steps
+        before ``starts[0]`` compose the seeds alone.  At a stall every
+        reached element has met every other on every side, so the reached
+        set is closed: the subalgebra generated so far.
         """
         reached = list(dict.fromkeys(seeds))
         unreached = set(range(self.n)).difference(reached)
-        generators, steps = [], []
+        generators, steps, starts = [], [], []
         done = 0  # reached[:done] have been composed
         while unreached:
             if done == len(reached):  # stalled: the next generator
+                starts.append(len(steps))
                 generators.append(min(unreached & preferred or unreached))
                 reached.append(generators[-1])
                 unreached.remove(generators[-1])
@@ -368,7 +374,7 @@ class CompiledTables:
                     steps.extend((e, k, x, first[e]) for e in found)
                     unreached.difference_update(found)
                     reached.extend(found)
-        return generators, steps
+        return generators, steps, starts
 
     def generators(self, op: str) -> tuple[int, ...]:
         """A generating set of ``op``, ascending: the irreducible elements

@@ -20,6 +20,7 @@ import sys
 from collections.abc import Sequence
 from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring
+from operator import itemgetter
 
 from . import __version__
 from .algebra import (Algebra, AlgebraError, free_boolean_algebra,
@@ -29,7 +30,7 @@ from .differences import (extended_order, subtrahend_ideal,
 from .formulas import (CONNECTIVES, Atom, Const, Not, ParseError,
                        UnboundAtomError, atoms_of, evaluate, parse, unparse)
 from .morphisms import (KINDS, MODES, Morphism, check_morphism,
-                        enumerate_homs, factor, is_isomorphism, kernel,
+                        enumerate_homs, factor, kernel,
                         refines, verify_iso_theorem)
 from .order import (OrderRelation, canonical_order,
                     check_bound_decomposition, check_monotony,
@@ -359,12 +360,25 @@ def cmd_hom_check(args: argparse.Namespace, loader: _Loader) -> dict:
 
 
 def cmd_hom_enumerate(args: argparse.Namespace, loader: _Loader) -> None:
+    """One line per map, ``json.dumps(psi.to_json(), sort_keys=True,
+    separators=(",", ":"), ensure_ascii=False)`` byte for byte: the keys
+    "map" < "source" < "target", and the map's entries in the order of
+    the source names, each name encoded once into one %-template."""
     src = loader.resolve(args.src)
     dst = loader.resolve(args.dst)
     homs = enumerate_homs(src, dst, args.kind)
-    for psi in homs:
-        print(json.dumps(psi.to_json(), sort_keys=True,
-                         separators=(",", ":"), ensure_ascii=False))
+    order = sorted(range(src.size), key=src.name_lookup)
+    # itemgetter of one index gives the entry, not a 1-tuple
+    pick = itemgetter(*order) if len(order) > 1 else tuple
+    values = {t: encode_basestring(dst.name_lookup(t))
+              for t in set().union(*(psi.mapping for psi in homs))}.__getitem__
+    literal = lambda text: encode_basestring(text).replace("%", "%%")
+    line = ('{"map":{' + ",".join(literal(src.name_lookup(i)) + ":%s"
+                                  for i in order)
+            + '},"source":' + literal(src.source_spec)
+            + ',"target":' + literal(dst.source_spec) + "}\n")
+    sys.stdout.writelines(line % tuple(map(values, pick(psi.mapping)))
+                          for psi in homs)
     print(f"{len(homs)} {args.kind} homomorphisms "
           f"{src.source_spec} -> {dst.source_spec}", file=sys.stderr)
 
@@ -413,7 +427,7 @@ def cmd_diff(args: argparse.Namespace, loader: _Loader) -> dict:
     order, order_used = _order_for(algebra, args, loader, fallback_discrete=True)
     extension = extended_order(order, sub, universal=args.universal)
     extension.order_used = order_used
-    embedding_iso = is_isomorphism(diff.embedding, "semiring")
+    embedding_iso = diff.embedding_isomorphism()
 
     trivial = sub.members == (algebra.top_index,)
     claims = [

@@ -37,7 +37,7 @@ from .algebra import (ADD, MAX_DENSE_CARRIER, Algebra, AlgebraError,
                       DomainError, Element, SizeLimitError, TableAlgebra,
                       TableLoadError, UnsupportedOperationError,
                       _check_identity_laws, _from_bytes, row_type)
-from .morphisms import Morphism, check_morphism
+from .morphisms import Morphism, check_morphism, is_isomorphism
 from .order import OrderRelation, check_poset, _transitivity
 from .properties import (PropertyReport, _associativity, _commutativity,
                          _names, _scan_rows, additively_cancellable_elements)
@@ -195,6 +195,15 @@ class DifferenceSemiring:
     classes: tuple[tuple[tuple[int, int], ...], ...]
     embedding: Morphism
     reports: dict[str, PropertyReport]
+
+    def embedding_isomorphism(self) -> PropertyReport:
+        """``is_isomorphism(embedding, "semiring")`` read off the embedding's
+        report: the embedding is an injective homomorphism, so it is an
+        isomorphism iff onto, and no map is checked again."""
+        if not self.embedding.is_surjective():  # refused before any check
+            return is_isomorphism(self.embedding, "semiring")
+        return PropertyReport("semiring-isomorphism", True, None,
+                              2 * self.reports["embedding"].checked)
 
     def to_table_dict(self) -> dict:
         doc = self.algebra.to_table_dict()

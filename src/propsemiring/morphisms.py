@@ -16,19 +16,22 @@ iso-theorem scans no map for its order verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product, repeat
-from operator import itemgetter
+from itertools import chain, compress, product, repeat
+from operator import getitem, itemgetter
 
-from .algebra import (ADD, MAX_DENSE_CARRIER, MUL, Algebra, CompiledTables,
-                      DomainError, Element, FreeBooleanAlgebra, SizeLimitError,
-                      UnsupportedOperationError, row_type)
-from .order import canonical_order
+from .algebra import (ADD, MAX_BYTE_CARRIER, MAX_DENSE_CARRIER, MUL, Algebra,
+                      CompiledTables, DomainError, Element, FreeBooleanAlgebra,
+                      SizeLimitError, UnsupportedOperationError, _from_bytes,
+                      row_type)
+from .order import require_canonical
 from .properties import (PropertyReport, _associative, _bands, _names,
                          _scan_rows)
 
 KINDS = ("semiring", "bpa")
 MODES = ("monotone", "embedding")
 ENUMERATION_CAP = 10_000_000
+_CHUNK = 1 << 12  # candidates derived together in one stage of the search
+_PAIRED = 16  # targets whose pairs of elements fit in one byte
 
 
 class Morphism:
@@ -261,6 +264,18 @@ def is_isomorphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:
     return PropertyReport(prop, True, None, 2 * forward.checked)
 
 
+def _generator_rows_hold(f, generator_rows, complements) -> bool:
+    """ψ(g ∘ b) = ψ(g) ∘ ψ(b) for g in G∘ and every b, one ``compose``
+    over the joined rows per operation, and ψ(!a) = !ψ(a) for every a
+    where ``complements`` holds the ! rows of both carriers."""
+    compose, concat = CompiledTables.compose, CompiledTables.concat
+    return all(compose(f, joined) == concat([compose(after[f[g]], f)
+                                             for g in gens])
+               for joined, gens, after in generator_rows) and (
+        complements is None
+        or compose(f, complements[0]) == compose(complements[1], f))
+
+
 def enumerate_homs(src: Algebra, dst: Algebra,
                    kind: str = "semiring") -> list[Morphism]:
     """All homomorphisms src -> dst of the given kind, sorted by map, or
@@ -269,77 +284,157 @@ def enumerate_homs(src: Algebra, dst: Algebra,
     ⊤ and ⊥ are closed under +, × and, for bpa, ! by
     ``CompiledTables.closure``, which prefers the atoms of a free source
     of the bpa kind and else the elements that are no sum of two others
-    as generators.  Its steps derive the other images from the generator
-    images, and the homomorphisms are kept.  :data:`ENUMERATION_CAP`
-    bounds the |dst|^|generators| maps.
+    as generators.  :data:`ENUMERATION_CAP` bounds the |dst|^|generators|
+    candidate maps, which are searched in stages, one per generator, on
+    columns: entry c of the column of a source element is its image
+    under candidate c.  Stage i repeats each live candidate once per
+    image of generator i, in product order, and derives the elements
+    that its steps reach, one pass in C per step over all candidates.
+    At the end of a stage the reached elements form a subalgebra, and
+    before the next stage the screen compares ψ(g ∘ x) with ψ(g) ∘ ψ(x)
+    and ψ(x ∘ g) with ψ(x) ∘ ψ(g) for the new generator g and every
+    reached x, for + and ×, and ψ(!y) with !ψ(y) for every y new in the
+    stage of the bpa kind.  These are positions of the definition, so a
+    difference rejects the candidate.  A free source of the bpa kind is
+    not screened: its atoms generate it freely, so into a Boolean
+    algebra every candidate is a homomorphism and the screen would
+    reject none.  The stages run depth first over blocks of at most
+    :data:`_CHUNK` candidates, which bounds memory and keeps the product
+    order.
 
-    ψ(⊥) = ⊥ holds by construction, and so does ψ(⊤) = ⊤ unless ⊤ = ⊥
-    in the source only, where check_morphism refuses every map.  A
-    derived map is first compared on the rows of the source's generating
-    sets G+ and G× (``CompiledTables.generators``): ψ(g ∘ b) against
-    ψ(g) ∘ ψ(b) for g in G∘ and every b, one ``compose`` over the joined
-    rows per operation, and for the bpa kind ψ(!a) against !ψ(a) for
-    every a.  These positions are some of the definition's, so a
-    difference rejects the map.  Where all are equal and + and × are associative on
-    both carriers (Light's test, decided once per carrier), the map is a
-    homomorphism: the a with ψ(a ∘ b) = ψ(a) ∘ ψ(b) for all b are closed
-    under ∘, since for two of them, a1 and a2, ψ((a1∘a2)∘b) =
-    ψ(a1∘(a2∘b)) = ψ(a1)∘(ψ(a2)∘ψ(b)) = (ψ(a1)∘ψ(a2))∘ψ(b) =
-    ψ(a1∘a2)∘ψ(b), and G∘ generates the carrier under ∘.  Otherwise, or
-    above the table limit of the target, check_morphism decides the map.
+    Each candidate left after the last stage is the strided slice of the
+    joined columns, decided as a row.  ψ(⊥) = ⊥ holds by construction,
+    and so does ψ(⊤) = ⊤ unless ⊤ = ⊥ in the source only, where
+    check_morphism refuses every map.  The row is first compared on the
+    rows of the source's generating sets G+ and G×
+    (``CompiledTables.generators``, :func:`_generator_rows_hold`).  Where
+    all are equal and + and × are associative on both carriers (Light's
+    test, decided once per carrier), the map is a homomorphism: the a
+    with ψ(a ∘ b) = ψ(a) ∘ ψ(b) for all b are closed under ∘, since for
+    two of them, a1 and a2, ψ((a1∘a2)∘b) = ψ(a1∘(a2∘b)) =
+    ψ(a1)∘(ψ(a2)∘ψ(b)) = (ψ(a1)∘ψ(a2))∘ψ(b) = ψ(a1∘a2)∘ψ(b), and G∘
+    generates the carrier under ∘.  Otherwise, or above the table limit
+    of the target, check_morphism decides the map.
     """
     _require_kind(kind, src, dst)
     s = src.compiled
-    free_bpa = kind == "bpa" and isinstance(src, FreeBooleanAlgebra)
-    # side k of the closure gives a step (e, k, a, b) with ψ(e) equal to
-    # ops[k](ψ(a), ψ(b)); every row of the ! side is the complement
-    ops = [dst.add_i, lambda u, v: dst.add_i(v, u),
-           dst.mul_i, lambda u, v: dst.mul_i(v, u), lambda _, v: dst.comp_i(v)]
-    sides = [s.add, s.add_t, s.mul, s.mul_t, [s.comp] * s.n]
-    generators, steps = s.closure(
-        (src.top_index, src.bot_index), sides[:5 if kind == "bpa" else 4],
+    bpa = kind == "bpa"
+    free_bpa = bpa and isinstance(src, FreeBooleanAlgebra)
+    generators, steps, starts = s.closure(
+        (src.top_index, src.bot_index),
+        [s.add, s.add_t, s.mul, s.mul_t, [s.comp] * s.n][:5 if bpa else 4],
         frozenset(map(src.atom_value, range(src.n_atoms))) if free_bpa
         else s.irreducible(ADD))
-    steps = [(e, ops[k], a, b) for e, k, a, b in steps]
-    candidates = dst.size ** len(generators)
+    width = dst.size
+    candidates = width ** len(generators)
     if candidates > ENUMERATION_CAP:
         raise SizeLimitError(f"{candidates} candidate maps exceed the cap "
                              f"{ENUMERATION_CAP}")
-    image = [0] * src.size
-    image[src.top_index] = dst.top_index
-    image[src.bot_index] = dst.bot_index
-    compose, concat, as_row = (CompiledTables.compose, CompiledTables.concat,
-                               row_type(dst.size))
-    by_rows = (dst.size <= MAX_DENSE_CARRIER
-               and image[src.top_index] == dst.top_index)  # ψ(⊤) = ⊤
-    if by_rows:  # per operation: G∘'s rows joined, G∘ and the target's rows
+    column = row_type(width)
+    compose, concat = CompiledTables.compose, CompiledTables.concat
+    # side k of the closure: the column of ψ(e) for a step (e, k, a, b)
+    # from the columns of ψ(a) and ψ(b); the ! side reads ψ(b) only
+    if width <= MAX_DENSE_CARRIER:
         d = dst.compiled
-        generator_rows = [
+        tables = (d.add, d.add_t, d.mul, d.mul_t)
+        if width <= _PAIRED:  # ψ(a)·width + ψ(b) < 256 at every byte, so
+            # one int sum pairs the columns and translate reads the table
+            derive = [lambda a, b, joined=b"".join(rows).ljust(
+                          MAX_BYTE_CARRIER, b"\0"):
+                      (_from_bytes(a) * width + _from_bytes(b)).to_bytes(
+                          len(a), "little").translate(joined)
+                      for rows in tables]
+        else:
+            derive = [lambda a, b, row=rows.__getitem__:
+                      column(map(getitem, map(row, a), b)) for rows in tables]
+        derive.append(lambda _, b: compose(d.comp, b))
+    else:
+        derive = [lambda a, b, op=op: column(map(op, a, b)) for op in (
+            dst.add_i, lambda u, v: dst.add_i(v, u),
+            dst.mul_i, lambda u, v: dst.mul_i(v, u))]
+        derive.append(lambda _, b: column(map(dst.comp_i, b)))
+    bounds = [*starts, len(steps)]  # stage i: steps[bounds[i]:bounds[i + 1]]
+    screens = []  # per stage but the last: (e, k, a, b) with ψ(e) = ψ(a) ∘k ψ(b)
+    reached = {src.top_index, src.bot_index,
+               *(e for e, *_ in steps[:bounds[0]])}
+    for i, g in enumerate(generators[:-1] if not free_bpa else ()):
+        new = [g, *(e for e, *_ in steps[bounds[i]:bounds[i + 1]])]
+        reached.update(new)
+        screens.append(list(dict.fromkeys(chain(
+            *(((s.add[g][x], 0, g, x), (s.add[x][g], 0, x, g),
+               (s.mul[g][x], 2, g, x), (s.mul[x][g], 2, x, g))
+              for x in sorted(reached)),
+            ((s.comp[y], 4, y, y) for y in new if bpa)))))
+
+    seed = [None] * s.n  # the columns of the one candidate before stage 0
+    seed[src.top_index] = column([dst.top_index])
+    seed[src.bot_index] = column([dst.bot_index])
+    for e, k, a, b in steps[:bounds[0]]:
+        seed[e] = derive[k](seed[a], seed[b])
+    if width <= MAX_DENSE_CARRIER and seed[src.top_index][0] == dst.top_index:
+        generator_rows = [  # per operation: G∘'s rows joined, G∘, target rows
             (concat([s.tables(op)[0][g] for g in s.generators(op)]),
              s.generators(op), d.tables(op)[0]) for op in (ADD, MUL)]
+        complements = (s.comp, d.comp) if bpa else None
+    else:  # ψ(⊤) ≠ ⊤, or above the table limit
+        generator_rows = complements = None
     associative = None  # of both carriers, found once a map needs it
+    images = column(range(width)) if generators else None
     homs = []
-    for values in product(range(dst.size), repeat=len(generators)):
-        for g, v in zip(generators, values):
-            image[g] = v
-        for e, op, a, b in steps:
-            image[e] = op(image[a], image[b])
-        if by_rows:
-            f = as_row(image)
-            if any(compose(f, joined) != concat([compose(after[f[g]], f)
-                                                 for g in gens])
-                   for joined, gens, after in generator_rows) or (
-                    kind == "bpa" and compose(f, s.comp) != compose(d.comp, f)):
-                continue
-            if associative is None:
-                associative = all(_associative(c, op) for c in (s, d)
-                                  for op in (ADD, MUL))
-        psi = Morphism(src, dst, image)
-        if associative or check_morphism(psi, kind).holds:
-            homs.append(psi)
+
+    def search(i: int, cols: list) -> None:
+        nonlocal associative
+        live = len(cols[src.top_index])
+        if i == len(generators):  # decide each candidate on its row
+            joined = concat(cols)
+            for j in range(live):
+                f = joined[j::live]
+                if generator_rows is not None:
+                    if not _generator_rows_hold(f, generator_rows,
+                                                complements):
+                        continue
+                    if associative is None:
+                        associative = all(_associative(c, op) for c in (s, d)
+                                          for op in (ADD, MUL))
+                psi = Morphism(src, dst, f)
+                if associative or check_morphism(psi, kind).holds:
+                    homs.append(psi)
+            return
+        # a block: `per` candidates, each with `span` images of generator i
+        per, span = max(1, _CHUNK // width), min(width, _CHUNK)
+        for lo, v in product(range(0, live, per), range(0, width, span)):
+            values = images[v:v + span]
+            block = [None if x is None else column(chain.from_iterable(
+                zip(*repeat(x[lo:lo + per], len(values))))) for x in cols]
+            block[generators[i]] = values * min(per, live - lo)
+            for e, k, a, b in steps[bounds[i]:bounds[i + 1]]:
+                block[e] = derive[k](block[a], block[b])
+            if i < len(screens):
+                block = _screened(block, screens[i], derive, column)
+                if block is None:
+                    continue
+            search(i + 1, block)
+
+    search(0, seed)
     if not free_bpa:  # generators need not ascend
         homs.sort(key=lambda psi: psi.mapping)
     return homs
+
+
+def _screened(cols: list, positions, derive, column) -> list | None:
+    """The columns of the candidates with ψ(e) = derive[k](ψ(a), ψ(b))
+    at every position (e, k, a, b), or None when no candidate is left."""
+    equal = CompiledTables.equal
+    live = len(next(filter(None, cols)))
+    everyone = keep = _from_bytes(b"\1" * live)
+    for e, k, a, b in positions:
+        keep &= _from_bytes(equal(cols[e], derive[k](cols[a], cols[b])))
+        if not keep:
+            return None
+    if keep == everyone:
+        return cols
+    kept = keep.to_bytes(live, "little")
+    return [None if x is None else column(compress(x, kept)) for x in cols]
 
 
 @dataclass
@@ -393,12 +488,13 @@ def verify_iso_theorem(src: Algebra, dst: Algebra, kind: str = "bpa",
     ψ reflects ≼ iff it is injective.  If ψ is injective and ψx ≼ ψy,
     then ψ(x + y) = ψx + ψy = ψy, so x + y = y.  If ψa = ψb and ψ
     reflects ≼, then a + b = b and b + a = a, so a = b.  So no map is
-    scanned in either mode.  Both orders are built in either mode, so a
-    carrier without one is refused alike.
+    scanned in either mode, and no order is built: a carrier without a
+    canonical order is refused alike in both modes, with the messages of
+    :func:`order.canonical_order`.
     """
     _require_mode(mode)
-    canonical_order(src)
-    canonical_order(dst)
+    require_canonical(src)
+    require_canonical(dst)
     homs = enumerate_homs(src, dst, kind)
     counterexamples = []
     for psi in homs:

@@ -110,8 +110,9 @@ def _require_dense(algebra: Algebra, kind: str) -> None:
                              f"{algebra.size} exceeds {MAX_DENSE_CARRIER}")
 
 
-def canonical_order(algebra: Algebra) -> OrderRelation:
-    """The order p ≼ q iff p + q = q; needs idempotent commutative +."""
+def require_canonical(algebra: Algebra) -> None:
+    """Refuse a carrier without a canonical order: + must be idempotent
+    and commutative, and the carrier within the table limit."""
     _require_dense(algebra, "canonical")
     c = algebra.compiled
     carrier = range(c.n)
@@ -127,8 +128,15 @@ def canonical_order(algebra: Algebra) -> OrderRelation:
         raise UnsupportedOperationError(
             f"+ is not commutative at ({', '.join(commutativity.witness)}); "
             f"supply an order matrix")
+
+
+def canonical_order(algebra: Algebra) -> OrderRelation:
+    """The order p ≼ q iff p + q = q; needs idempotent commutative +
+    (:func:`require_canonical`)."""
+    require_canonical(algebra)
+    c = algebra.compiled
     return OrderRelation(algebra=algebra, rows=tuple(  # byte q: p + q = q
-        map(c.equal, c.add, repeat(c.row(carrier)))))
+        map(c.equal, c.add, repeat(c.row(range(c.n))))))
 
 
 def discrete_order(algebra: Algebra) -> OrderRelation:

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import sys
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import propsemiring.cli as cli
 import propsemiring.differences as differences
 import propsemiring.morphisms as morphisms
-from propsemiring.algebra import free_boolean_algebra
+from propsemiring.algebra import free_boolean_algebra, table_semiring
 from propsemiring.cli import main
 from propsemiring.properties import PropertyReport
 
@@ -426,14 +428,27 @@ class TestHomIsoTheorem:
 
 
 class TestDiffCommand:
-    def test_two_homomorphism_checks(self, capsys, z3_path, count_calls):
-        # the embedding, once in the difference semiring and once as an
-        # isomorphism onto the quotient of trivial subtrahends
+    def test_one_homomorphism_check(self, capsys, z3_path, count_calls):
+        # the embedding, once in the difference semiring; its isomorphism
+        # verdict onto the quotient of trivial subtrahends reuses that report
         calls = count_calls("check_morphism", morphisms, differences, cli)
         doc = run_json(capsys, "diff", "--table", z3_path, "--subtrahends",
                        "0")
         assert doc["embedding_isomorphism"]["verdict"] == "holds"
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_embedding_isomorphism_of_z9_checks_the_map_once(
+            self, capsys, tmp_path, count_calls):
+        path = tmp_path / "z9.json"
+        path.write_text(json.dumps(zmod_spec(9)), encoding="utf-8")
+        calls = count_calls("check_morphism", morphisms, differences, cli)
+        doc = run_json(capsys, "diff", "--table", str(path))
+        assert len(calls) == 1
+        (embedding, _), = calls
+        assert doc["embedding_isomorphism"] == \
+            morphisms.is_isomorphism(embedding, "semiring").to_json() == {
+                "property": "semiring-isomorphism", "verdict": "holds",
+                "witness": None, "checked": 166}
 
     def test_boolean_case(self, capsys):
         doc = run_json(capsys, "diff", "--free-atoms", "1")
@@ -740,3 +755,53 @@ def documents(depth):
 def test_report_writer_matches_indented_json(doc):
     assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2,
                                          ensure_ascii=False)
+
+
+# Element names and source specs: % and the escapes of JSON strings, the
+# report glyphs, lone surrogates and any other character.
+NAME = st.text(st.one_of(st.sampled_from('%s"\\\t/⊤⊥\x00\ud800'),
+                         st.characters(exclude_categories=())),
+               min_size=1, max_size=6)
+
+
+def boolean_table(names, spec):
+    """The subsets of log2(len(names)) points, mask i named names[i]: +
+    is ∩, × is ∪, ! the complement."""
+    masks = range(len(names))
+    full = masks[-1]
+    return table_semiring({
+        "name": "named", "elements": names,
+        "add": [[names[i & j] for j in masks] for i in masks],
+        "mul": [[names[i | j] for j in masks] for i in masks],
+        "zero": names[full], "one": names[0],
+        "complement": [names[full ^ i] for i in masks]}, source_spec=spec)
+
+
+class _Given:
+    """A loader that resolves the specs of tables built in a test."""
+
+    def __init__(self, *algebras):
+        self.algebras = {a.source_spec: a for a in algebras}
+
+    def resolve(self, spec):
+        return self.algebras[spec]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(NAME, min_size=6, max_size=6, unique=True),
+       st.lists(NAME, min_size=2, max_size=2, unique=True),
+       st.sampled_from(morphisms.KINDS))
+def test_enumerate_lines_match_json_dumps(names, specs, kind):
+    four, two = boolean_table(names[:4], specs[0]), \
+        boolean_table(names[4:], specs[1])
+    loader = _Given(four, two)
+    for src, dst in ((four, two), (two, four), (four, four)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli.cmd_hom_enumerate(argparse.Namespace(
+                src=src.source_spec, dst=dst.source_spec, kind=kind), loader)
+        assert out.getvalue() == "".join(
+            json.dumps(psi.to_json(), sort_keys=True, separators=(",", ":"),
+                       ensure_ascii=False) + "\n"
+            for psi in morphisms.enumerate_homs(src, dst, kind))

@@ -979,15 +979,20 @@ def test_generating_sets_match_definition(table):
 
 def assert_closure_matches(c, plain, compiled, seeds, preferred):
     """``c.closure`` against the definition, the tables given twice: as
-    nested lists and as the compiled rows."""
-    generators, steps = c.closure(seeds, compiled, preferred)
+    nested lists and as the compiled rows.  Generator i's stage holds the
+    steps that reach the closure with the first i + 1 generators."""
+    generators, steps, starts = c.closure(seeds, compiled, preferred)
     expected, closures = stall_generators_oracle(plain, seeds, preferred, c.n)
     assert generators == expected
     reached = set(seeds)
     assert sorted([*reached, *generators, *(e for e, *_ in steps)]) \
         == list(range(c.n))  # the seeds, generators and steps partition
-    for before, (e, k, x, y) in zip([None, *steps], steps):
-        level = next(i for i, closure in enumerate(closures) if e in closure)
+    levels = [next(i for i, closure in enumerate(closures) if e in closure)
+              for e, *_ in steps]
+    assert starts == [sum(level <= i for level in levels)
+                      for i in range(len(generators))]
+    assert levels == sorted(levels)
+    for before, (e, k, x, y), level in zip([None, *steps], steps, levels):
         reached.update(generators[:level])
         assert plain[k][x][y] == e and x in reached and y in reached
         if before is not None and before[1:3] == (k, x):
@@ -1264,15 +1269,50 @@ def test_hom_search_decides_on_generator_rows(count_calls):
 
 def test_hom_search_on_a_nonassociative_source_checks_maps(count_calls):
     # The skewed subsets of 2 points fail Light's test, so each candidate
-    # whose generator rows hold goes to check_morphism: the homomorphism
-    # and three maps that fail at ∅ + {0} or later.
+    # whose generator rows hold goes to check_morphism.  Three maps that
+    # fail at ∅ + {0} or later, (0, 1, 2, 3), (0, 2, 1, 3) and (0, 3, 0,
+    # 3), keep those rows, but the screen after the first stage rejects
+    # them, so only the homomorphism is checked.
     checks = count_calls("check_morphism", morphisms_module)
     add, mul, zero, one = skewed_subsets(2)
     homs = enumerate_homs(algebra_of(add, mul, zero, one),
                           algebra_of(*subsets_table(2)))
     assert [psi.mapping for psi in homs] == [(0, 0, 3, 3)]
-    assert [psi.mapping for psi, *_ in checks] == [
-        (0, 0, 3, 3), (0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 0, 3)]
+    assert [psi.mapping for psi, *_ in checks] == [(0, 0, 3, 3)]
+
+
+def test_hom_search_screens_free3_to_free1(count_calls):
+    # 4^8 candidate images of the eight generators of free:3 (the sets of
+    # seven points).  After stage k the screen leaves the (k + 1)^2 maps
+    # that keep + and × at the new generator, 64 after stage 7, and the
+    # last stage adds the 4 images of the eighth: 256 rows, not 65 536,
+    # reach the generator-row check, and no map reaches check_morphism.
+    rows = count_calls("_generator_rows_hold", morphisms_module)
+    screens = count_calls("_screened", morphisms_module)
+    checks = count_calls("check_morphism", morphisms_module)
+    source, target = free_boolean_algebra(3), free_boolean_algebra(1)
+    homs = enumerate_homs(source, target, "semiring")
+    assert len(homs) == 64
+    assert [len(cols[source.top_index]) for cols, *_ in screens] == [
+        4 * k * k for k in range(1, 8)]
+    assert len(rows) == 4 * 8 * 8
+    assert checks == []
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16, 100])
+@pytest.mark.parametrize("kind", KINDS)
+def test_hom_search_in_small_chunks_keeps_maps_and_order(chunk, kind,
+                                                        monkeypatch):
+    # Blocks of fewer candidates than one generator has images, and
+    # blocks that split the live candidates unevenly, give the same maps
+    # in the same order.
+    for k, m in ((2, 1), (2, 2), (1, 2)):
+        source, target = free_boolean_algebra(k), free_boolean_algebra(m)
+        whole = [psi.mapping for psi in enumerate_homs(source, target, kind)]
+        with monkeypatch.context() as patch:
+            patch.setattr(morphisms_module, "_CHUNK", chunk)
+            assert [psi.mapping for psi in
+                    enumerate_homs(source, target, kind)] == whole
 
 
 def test_order_decides_transitivity_and_monotony_once(monkeypatch, capsys):
