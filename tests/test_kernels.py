@@ -1281,6 +1281,20 @@ def test_hom_search_on_a_nonassociative_source_checks_maps(count_calls):
     assert [psi.mapping for psi, *_ in checks] == [(0, 0, 3, 3)]
 
 
+@pytest.mark.parametrize("cell", [(0, 1), (1, 0)])
+def test_hom_search_screens_both_sides_of_a_generator(cell, count_calls):
+    # ∅ + {0} or {0} + ∅ changed to {0}: the first generator, {0}, meets
+    # ∅ on the left or on the right, and the screen of either side
+    # rejects the three maps that keep the rows of the generators.
+    checks = count_calls("check_morphism", morphisms_module)
+    add, mul, zero, one = subsets_table(2)
+    add[cell[0]][cell[1]] = 1
+    homs = enumerate_homs(algebra_of(add, mul, zero, one),
+                          algebra_of(*subsets_table(2)))
+    assert [psi.mapping for psi in homs] == [(0, 0, 3, 3)]
+    assert [psi.mapping for psi, *_ in checks] == [(0, 0, 3, 3)]
+
+
 def test_hom_search_screens_free3_to_free1(count_calls):
     # 4^8 candidate images of the eight generators of free:3 (the sets of
     # seven points).  After stage k the screen leaves the (k + 1)^2 maps
