@@ -1281,18 +1281,21 @@ def test_hom_search_on_a_nonassociative_source_checks_maps(count_calls):
     assert [psi.mapping for psi, *_ in checks] == [(0, 0, 3, 3)]
 
 
-@pytest.mark.parametrize("cell", [(0, 1), (1, 0)])
-def test_hom_search_screens_both_sides_of_a_generator(cell, count_calls):
-    # ∅ + {0} or {0} + ∅ changed to {0}: the first generator, {0}, meets
-    # ∅ on the left or on the right, and the screen of either side
-    # rejects the three maps that keep the rows of the generators.
+def test_hom_search_screens_the_new_generator_on_the_left(count_calls):
+    # The subsets of 3 points with {0, 2} × {0, 1} changed from the full
+    # set to {0, 2}: × is neither commutative nor associative, and {0, 2}
+    # is the second generator and no generator of ×.  Only the screen of
+    # g × x, with the new generator on the left, rejects the maps that
+    # keep the generator rows and fail there, so each of the 4 maps that
+    # reach check_morphism is a homomorphism.
     checks = count_calls("check_morphism", morphisms_module)
-    add, mul, zero, one = subsets_table(2)
-    add[cell[0]][cell[1]] = 1
-    homs = enumerate_homs(algebra_of(add, mul, zero, one),
-                          algebra_of(*subsets_table(2)))
-    assert [psi.mapping for psi in homs] == [(0, 0, 3, 3)]
-    assert [psi.mapping for psi, *_ in checks] == [(0, 0, 3, 3)]
+    add, mul, zero, one = subsets_table(3)
+    mul[0b101][0b011] = 0b101
+    source = algebra_of(add, mul, zero, one)
+    assert source.compiled.generators(MUL) == (0, 1, 2, 4)
+    homs = enumerate_homs(source, algebra_of(*subsets_table(2)))
+    assert len(homs) == 4
+    assert [psi for psi, *_ in checks] == homs
 
 
 def test_hom_search_screens_free3_to_free1(count_calls):
