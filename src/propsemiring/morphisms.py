@@ -5,9 +5,14 @@ Two morphism kinds are understood.  ``semiring`` asks for preservation
 of +, × and both identities (ψ(⊤) = ⊤, ψ(⊥) = ⊥); ``bpa`` additionally
 asks for complements (ψ(!a) = !ψ(a)).  A homomorphism is fixed by its
 values on a generating set, so enumeration searches generator images
-only.  Each derived map is compared on the rows of the generators of +
-and ×, which reject it, or accept it where both carriers are
-associative (Light's test); otherwise check_morphism decides.
+only, in stages, one per generator, on columns that hold an element's
+image under every live candidate.  A stage derives the elements it
+reaches with one pass in C per step, and a screen drops the candidates
+that break + or × (or !) at the new generator before the next stage;
+blocks of at most ``_CHUNK`` candidates run depth first.  Each map left
+after the last stage is compared on the rows of the generators of + and
+×, which reject it, or accept it where both carriers are associative
+(Light's test); otherwise check_morphism decides.
 Under the canonical orders (p ≼ q iff p + q = q) every homomorphism is
 monotone, and it reflects ≼ exactly when it is injective, so the
 iso-theorem scans no map for its order verdict.
@@ -18,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, compress, product, repeat
 from operator import getitem, itemgetter
+from typing import Iterator
 
 from .algebra import (ADD, MAX_BYTE_CARRIER, MAX_DENSE_CARRIER, MUL, Algebra,
                       CompiledTables, DomainError, Element, FreeBooleanAlgebra,
@@ -354,17 +360,20 @@ def enumerate_homs(src: Algebra, dst: Algebra,
             dst.mul_i, lambda u, v: dst.mul_i(v, u))]
         derive.append(lambda _, b: column(map(dst.comp_i, b)))
     bounds = [*starts, len(steps)]  # stage i: steps[bounds[i]:bounds[i + 1]]
-    screens = []  # per stage but the last: (e, k, a, b) with ψ(e) = ψ(a) ∘k ψ(b)
+    stages = []  # (generator, steps, screen or None) per stage
     reached = {src.top_index, src.bot_index,
                *(e for e, *_ in steps[:bounds[0]])}
-    for i, g in enumerate(generators[:-1] if not free_bpa else ()):
-        new = [g, *(e for e, *_ in steps[bounds[i]:bounds[i + 1]])]
+    for i, g in enumerate(generators):
+        stage = steps[bounds[i]:bounds[i + 1]]
+        new = [g, *(e for e, *_ in stage)]
         reached.update(new)
-        screens.append(list(dict.fromkeys(chain(
-            *(((s.add[g][x], 0, g, x), (s.add[x][g], 0, x, g),
-               (s.mul[g][x], 2, g, x), (s.mul[x][g], 2, x, g))
-              for x in sorted(reached)),
-            ((s.comp[y], 4, y, y) for y in new if bpa)))))
+        screen = None if free_bpa or i + 1 == len(generators) else list(
+            dict.fromkeys(chain(  # (e, k, a, b): ψ(e) = derive[k](ψ(a), ψ(b))
+                *(((s.add[g][x], 0, g, x), (s.add[x][g], 0, x, g),
+                   (s.mul[g][x], 2, g, x), (s.mul[x][g], 2, x, g))
+                  for x in sorted(reached)),
+                ((s.comp[y], 4, y, y) for y in new if bpa))))
+        stages.append((g, stage, screen))
 
     seed = [None] * s.n  # the columns of the one candidate before stage 0
     seed[src.top_index] = column([dst.top_index])
@@ -379,46 +388,51 @@ def enumerate_homs(src: Algebra, dst: Algebra,
     else:  # ψ(⊤) ≠ ⊤, or above the table limit
         generator_rows = complements = None
     associative = None  # of both carriers, found once a map needs it
-    images = column(range(width)) if generators else None
     homs = []
-
-    def search(i: int, cols: list) -> None:
-        nonlocal associative
+    for cols in _stages(seed, stages, derive, column, width):
         live = len(cols[src.top_index])
-        if i == len(generators):  # decide each candidate on its row
-            joined = concat(cols)
-            for j in range(live):
-                f = joined[j::live]
-                if generator_rows is not None:
-                    if not _generator_rows_hold(f, generator_rows,
-                                                complements):
-                        continue
-                    if associative is None:
-                        associative = all(_associative(c, op) for c in (s, d)
-                                          for op in (ADD, MUL))
-                psi = Morphism(src, dst, f)
-                if associative or check_morphism(psi, kind).holds:
-                    homs.append(psi)
-            return
-        # a block: `per` candidates, each with `span` images of generator i
-        per, span = max(1, _CHUNK // width), min(width, _CHUNK)
-        for lo, v in product(range(0, live, per), range(0, width, span)):
-            values = images[v:v + span]
-            block = [None if x is None else column(chain.from_iterable(
-                zip(*repeat(x[lo:lo + per], len(values))))) for x in cols]
-            block[generators[i]] = values * min(per, live - lo)
-            for e, k, a, b in steps[bounds[i]:bounds[i + 1]]:
-                block[e] = derive[k](block[a], block[b])
-            if i < len(screens):
-                block = _screened(block, screens[i], derive, column)
-                if block is None:
+        joined = concat(cols)
+        for j in range(live):  # decide each candidate on its row
+            f = joined[j::live]
+            if generator_rows is not None:
+                if not _generator_rows_hold(f, generator_rows, complements):
                     continue
-            search(i + 1, block)
-
-    search(0, seed)
+                if associative is None:
+                    associative = all(_associative(c, op) for c in (s, d)
+                                      for op in (ADD, MUL))
+            psi = Morphism(src, dst, f)
+            if associative or check_morphism(psi, kind).holds:
+                homs.append(psi)
     if not free_bpa:  # generators need not ascend
         homs.sort(key=lambda psi: psi.mapping)
     return homs
+
+
+def _stages(cols: list, stages: list, derive, column,
+            width: int) -> Iterator[list]:
+    """Depth first, the blocks of columns that the stages leave of the
+    candidates whose columns are ``cols``.  A stage (g, steps, screen)
+    gives each candidate every image of g, in blocks of at most
+    :data:`_CHUNK` candidates, derives its steps and keeps the
+    candidates that pass the screen."""
+    if not stages:
+        yield cols
+        return
+    (g, steps, screen), later = stages[0], stages[1:]
+    live, images = len(next(filter(None, cols))), column(range(width))
+    # a block: `per` candidates, each with `span` images of g
+    per, span = max(1, _CHUNK // width), min(width, _CHUNK)
+    for lo, v in product(range(0, live, per), range(0, width, span)):
+        values = images[v:v + span]
+        block = [None if x is None else column(chain.from_iterable(
+            zip(*repeat(x[lo:lo + per], len(values))))) for x in cols]
+        block[g] = values * min(per, live - lo)
+        for e, k, a, b in steps:
+            block[e] = derive[k](block[a], block[b])
+        if screen is not None:
+            block = _screened(block, screen, derive, column)
+        if block is not None:
+            yield from _stages(block, later, derive, column, width)
 
 
 def _screened(cols: list, positions, derive, column) -> list | None:

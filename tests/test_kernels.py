@@ -52,7 +52,11 @@ compositions to find each of its generating sets, no scan of bound
 decomposition on free:3, one decision of transitivity and of each
 monotony law per ``order`` command, no map scan in the free:3 → free:1
 search of the bpa kind and no order map in its monotone iso-theorem,
-and ``check_morphism`` in a search from a non-associative source.
+and ``check_morphism`` in a search from a non-associative source.  The
+staged search is pinned by the candidates its screens leave on free:3
+→ free:1 of the semiring kind, by a screen of the new generator on the
+left of ×, and by blocks of 1 to 100 candidates, which must give the
+same maps in the same order.
 """
 
 import itertools
