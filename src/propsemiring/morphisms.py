@@ -25,10 +25,9 @@ from itertools import chain, compress, product, repeat
 from operator import getitem, itemgetter
 from typing import Iterator
 
-from .algebra import (ADD, MAX_BYTE_CARRIER, MAX_DENSE_CARRIER, MUL, Algebra,
-                      CompiledTables, DomainError, Element, FreeBooleanAlgebra,
-                      SizeLimitError, UnsupportedOperationError, _from_bytes,
-                      row_type)
+from .algebra import (ADD, MAX_DENSE_CARRIER, MUL, Algebra, CompiledTables,
+                      DomainError, Element, FreeBooleanAlgebra, SizeLimitError,
+                      UnsupportedOperationError, _from_bytes, row_type)
 from .order import require_canonical
 from .properties import (PropertyReport, _associative, _bands, _names,
                          _scan_rows)
@@ -37,7 +36,6 @@ KINDS = ("semiring", "bpa")
 MODES = ("monotone", "embedding")
 ENUMERATION_CAP = 10_000_000
 _CHUNK = 1 << 12  # candidates derived together in one stage of the search
-_PAIRED = 16  # targets whose pairs of elements fit in one byte
 
 
 class Morphism:
@@ -295,7 +293,9 @@ def enumerate_homs(src: Algebra, dst: Algebra,
     columns: entry c of the column of a source element is its image
     under candidate c.  Stage i repeats each live candidate once per
     image of generator i, in product order, and derives the elements
-    that its steps reach, one pass in C per step over all candidates.
+    that its steps reach, one pass in C per step over all candidates:
+    ``map`` over the target's table rows, or above the table limit over
+    its scalar operations.
     At the end of a stage the reached elements form a subalgebra, and
     before the next stage the screen compares ψ(g ∘ x) with ψ(g) ∘ ψ(x)
     and ψ(x ∘ g) with ψ(x) ∘ ψ(g) for the new generator g and every
@@ -304,9 +304,10 @@ def enumerate_homs(src: Algebra, dst: Algebra,
     difference rejects the candidate.  A free source of the bpa kind is
     not screened: its atoms generate it freely, so into a Boolean
     algebra every candidate is a homomorphism and the screen would
-    reject none.  The stages run depth first over blocks of at most
+    reject none; nor is a search into one element, which has one
+    candidate.  The stages run depth first over blocks of at most
     :data:`_CHUNK` candidates, which bounds memory and keeps the product
-    order.
+    order, in one loop, however many generators the source needs.
 
     Each candidate left after the last stage is the strided slice of the
     joined columns, decided as a row.  ψ(⊥) = ⊥ holds by construction,
@@ -342,17 +343,9 @@ def enumerate_homs(src: Algebra, dst: Algebra,
     # from the columns of ψ(a) and ψ(b); the ! side reads ψ(b) only
     if width <= MAX_DENSE_CARRIER:
         d = dst.compiled
-        tables = (d.add, d.add_t, d.mul, d.mul_t)
-        if width <= _PAIRED:  # ψ(a)·width + ψ(b) < 256 at every byte, so
-            # one int sum pairs the columns and translate reads the table
-            derive = [lambda a, b, joined=b"".join(rows).ljust(
-                          MAX_BYTE_CARRIER, b"\0"):
-                      (_from_bytes(a) * width + _from_bytes(b)).to_bytes(
-                          len(a), "little").translate(joined)
-                      for rows in tables]
-        else:
-            derive = [lambda a, b, row=rows.__getitem__:
-                      column(map(getitem, map(row, a), b)) for rows in tables]
+        derive = [lambda a, b, row=rows.__getitem__:
+                  column(map(getitem, map(row, a), b))
+                  for rows in (d.add, d.add_t, d.mul, d.mul_t)]
         derive.append(lambda _, b: compose(d.comp, b))
     else:
         derive = [lambda a, b, op=op: column(map(op, a, b)) for op in (
@@ -367,7 +360,8 @@ def enumerate_homs(src: Algebra, dst: Algebra,
         stage = steps[bounds[i]:bounds[i + 1]]
         new = [g, *(e for e, *_ in stage)]
         reached.update(new)
-        screen = None if free_bpa or i + 1 == len(generators) else list(
+        last = i + 1 == len(generators)
+        screen = None if free_bpa or width == 1 or last else list(
             dict.fromkeys(chain(  # (e, k, a, b): ψ(e) = derive[k](ψ(a), ψ(b))
                 *(((s.add[g][x], 0, g, x), (s.add[x][g], 0, x, g),
                    (s.mul[g][x], 2, g, x), (s.mul[x][g], 2, x, g))
@@ -408,31 +402,49 @@ def enumerate_homs(src: Algebra, dst: Algebra,
     return homs
 
 
-def _stages(cols: list, stages: list, derive, column,
+def _stages(seed: list, stages: list, derive, column,
             width: int) -> Iterator[list]:
-    """Depth first, the blocks of columns that the stages leave of the
-    candidates whose columns are ``cols``.  A stage (g, steps, screen)
-    gives each candidate every image of g, in blocks of at most
-    :data:`_CHUNK` candidates, derives its steps and keeps the
-    candidates that pass the screen."""
-    if not stages:
-        yield cols
-        return
-    (g, steps, screen), later = stages[0], stages[1:]
+    """Depth first, the blocks of columns that all the stages leave of
+    the one candidate whose columns are ``seed``.  The stack holds, per
+    stage reached, the blocks that stage has still to give, so a search
+    with many generators runs in one loop, with no call per stage."""
+    stack = [iter([seed])]
+    while stack:
+        block = next(stack[-1], None)
+        if block is None:
+            stack.pop()
+        elif len(stack) > len(stages):
+            yield block
+        else:
+            stack.append(_blocks(block, stages[len(stack) - 1], derive,
+                                 column, width))
+
+
+def _blocks(cols: list, stage: tuple, derive, column,
+            width: int) -> Iterator[list]:
+    """The blocks of columns that one stage (g, steps, screen) leaves of
+    the candidates whose columns are ``cols``: it gives each candidate
+    every image of g, in blocks of at most :data:`_CHUNK` candidates,
+    derives its steps and keeps the candidates that pass the screen."""
+    g, steps, screen = stage
     live, images = len(next(filter(None, cols))), column(range(width))
     # a block: `per` candidates, each with `span` images of g
     per, span = max(1, _CHUNK // width), min(width, _CHUNK)
     for lo, v in product(range(0, live, per), range(0, width, span)):
         values = images[v:v + span]
-        block = [None if x is None else column(chain.from_iterable(
-            zip(*repeat(x[lo:lo + per], len(values))))) for x in cols]
+        part = slice(lo, lo + per)
+        if len(values) == 1:  # one image of g: the candidates' own columns
+            block = [x if x is None else x[part] for x in cols]
+        else:  # each candidate once per image of g
+            block = [x if x is None else column(chain.from_iterable(
+                zip(*repeat(x[part], len(values))))) for x in cols]
         block[g] = values * min(per, live - lo)
         for e, k, a, b in steps:
             block[e] = derive[k](block[a], block[b])
         if screen is not None:
             block = _screened(block, screen, derive, column)
         if block is not None:
-            yield from _stages(block, later, derive, column, width)
+            yield block
 
 
 def _screened(cols: list, positions, derive, column) -> list | None:
