@@ -381,6 +381,23 @@ def homs_oracle(src, dst, kind):
     return [f for f in maps if morphism_oracle(src, dst, f, kind)[0] is None]
 
 
+def pinned_homs_oracle(src, dst, kind):
+    """homs_oracle over the maps that send ⊤ to ⊤ and ⊥ to ⊥, which
+    morphism_oracle asks of every map first: the same list, in the same
+    order, for targets too large to try every map.  ⊤ ≠ ⊥ in src."""
+    n = len(src["add"])
+    rest = [a for a in range(n) if a not in (src["top"], src["bot"])]
+    homs = []
+    for images in itertools.product(range(len(dst["add"])), repeat=len(rest)):
+        f = [dst["top"]] * n
+        f[src["bot"]] = dst["bot"]
+        for a, t in zip(rest, images):
+            f[a] = t
+        if morphism_oracle(src, dst, f, kind)[0] is None:
+            homs.append(tuple(f))
+    return homs
+
+
 def order_map_oracle(leq_src, leq_dst, f, mode):
     def violated(x, y):
         forward, image = leq_src[x][y], leq_dst[f[x]][f[y]]

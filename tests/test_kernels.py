@@ -62,7 +62,8 @@ same maps in the same order.
 import itertools
 import random
 import re
-from operator import eq
+import sys
+from operator import eq, itemgetter
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -103,7 +104,7 @@ from helpers import (antisymmetry_oracle, associativity_oracle,
                      monotony_oracle, morphism_oracle,
                      mult_left_cancellative_oracle,
                      operation_bounds_oracle, order_map_oracle, pairs_of,
-                     pairwise_monotony_oracle, quotient_identity_oracle,
+                     pairwise_monotony_oracle, pinned_homs_oracle, quotient_identity_oracle,
                      reflexivity_oracle, stall_generators_oracle,
                      subtrahend_ideal_oracle,
                      transitivity_oracle, translation_invariance_oracle,
@@ -1334,6 +1335,114 @@ def test_hom_search_in_small_chunks_keeps_maps_and_order(chunk, kind,
             patch.setattr(morphisms_module, "_CHUNK", chunk)
             assert [psi.mapping for psi in
                     enumerate_homs(source, target, kind)] == whole
+
+
+def chain_table(n):
+    """(table, comp) of the chain 0 < … < n-1 with + = min, × = max, ⊤ =
+    n-1 and ⊥ = 0, and ! reversing it."""
+    return (([[min(i, j) for j in range(n)] for i in range(n)],
+             [[max(i, j) for j in range(n)] for i in range(n)], n - 1, 0),
+            [n - 1 - i for i in range(n)])
+
+
+@pytest.mark.parametrize("m", [20, 256, 257])
+def test_hom_search_into_wide_targets_matches_definition(m, count_calls):
+    # The subsets of 2 points into a relabelled chain of m elements: two
+    # homomorphisms of each kind, which send the two points to ⊤ and ⊥.
+    # Each search screens the candidates after the first of its two
+    # generators, on byte columns up to 256 elements and on tuple columns
+    # above; the second stage gives each block of 204, 16 or 15 live
+    # candidates every image of the second generator.
+    screens = count_calls("_screened", morphisms_module)
+    src = table_dict(subsets_table(2), [3, 2, 1, 0])
+    order = list(range(m))
+    random.Random(m).shuffle(order)
+    dst = table_dict(*relabelled(*chain_table(m), order))
+    source, target = algebra_from(src), algebra_from(dst)
+    for kind in KINDS:
+        homs = [psi.mapping for psi in enumerate_homs(source, target, kind)]
+        assert homs == pinned_homs_oracle(src, dst, kind)
+        assert len(homs) == 2
+    assert {type(cols[source.top_index]) for cols, *_ in screens} \
+        == {bytes if m <= 256 else tuple}
+
+
+def test_hom_search_into_free3_matches_definition():
+    # free:1 -> free:3: 256 images of each of the two generators of the
+    # semiring kind, screened after the first, in blocks of 16 candidates
+    # with 256 images each; the bpa kind is not screened and lists the
+    # maps by the image of the atom, at index 2.
+    src, dst = free_dict(1), free_dict(3)
+    source, target = free_boolean_algebra(1), free_boolean_algebra(3)
+    maps = [psi.mapping for psi in enumerate_homs(source, target, "semiring")]
+    assert maps == pinned_homs_oracle(src, dst, "semiring")
+    maps = [psi.mapping for psi in enumerate_homs(source, target, "bpa")]
+    assert maps == sorted(pinned_homs_oracle(src, dst, "bpa"),
+                          key=itemgetter(2))
+
+
+class Cells:
+    """A table computed when read: ``Cells(f)[x]`` is f(x)."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __getitem__(self, x):
+        return self.f(x)
+
+
+def test_hom_search_above_the_table_limit_matches_definition():
+    # free:1 -> free:4 of the bpa kind: 65 536 target elements, above the
+    # table limit, so the stage of the atom derives ! with the scalar
+    # complement and check_morphism decides every candidate.  A map that
+    # keeps ⊤, ⊥ and ! is fixed by the image x of the atom (index 2), so
+    # the maps (⊥, !x, x, ⊤) are all there can be, and each must pass the
+    # definition, read on the bitwise operations of free:4.
+    mask = (1 << 16) - 1
+    dst = {"add": Cells(lambda x: Cells(lambda y: x & y)),
+           "mul": Cells(lambda x: Cells(lambda y: x | y)),
+           "comp": Cells(lambda x: mask ^ x), "top": mask, "bot": 0}
+    homs = enumerate_homs(free_boolean_algebra(1), free_boolean_algebra(4),
+                          "bpa")
+    expected = [(0, mask ^ x, x, mask) for x in range(mask + 1)]
+    assert [psi.mapping for psi in homs] == expected
+    assert all(morphism_oracle(free_dict(1), dst, f, "bpa")[0] is None
+               for f in expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebra_pairs())
+def test_hom_search_on_scalar_operations_matches_definition(pair):
+    # With the table limit at 0 and tuple rows, as above 4096 elements,
+    # every target takes the scalar operations: the steps of the stages
+    # and the screens read dst.add_i, dst.mul_i (either way round) and
+    # dst.comp_i, and check_morphism decides each candidate left.
+    src, dst = pair
+    source, target = algebra_from(src), algebra_from(dst)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(morphisms_module, "MAX_DENSE_CARRIER", 0)
+        patch.setattr(morphisms_module, "row_type", lambda n: tuple)
+        for kind in KINDS:
+            homs = enumerate_homs(source, target, kind)
+            assert [psi.mapping for psi in homs] \
+                == homs_oracle(src, dst, kind)
+
+
+def test_hom_search_with_more_generators_than_the_recursion_limit(
+        count_calls):
+    # A chain of 1200 elements needs a generator for nearly each element,
+    # so into one element the search runs about 1200 stages of one
+    # candidate, each in the same loop.  One cell of + is changed, (0 + 2)
+    # + 1 = 1 ≠ 0 = 0 + (2 + 1), so Light's test fails at its first
+    # generator and check_morphism decides the one map at once.
+    n = 1200
+    (add, mul, zero, one), _ = chain_table(n)
+    add[0][2] = 1
+    stages = count_calls("_blocks", morphisms_module)
+    homs = enumerate_homs(algebra_of(add, mul, zero, one),
+                          algebra_of([[0]], [[0]], 0, 0))
+    assert [psi.mapping for psi in homs] == [(0,) * n]
+    assert len(stages) > sys.getrecursionlimit()
 
 
 def test_order_decides_transitivity_and_monotony_once(monkeypatch, capsys):
