@@ -432,12 +432,8 @@ def _blocks(cols: list, stage: tuple, derive, column,
     per, span = max(1, _CHUNK // width), min(width, _CHUNK)
     for lo, v in product(range(0, live, per), range(0, width, span)):
         values = images[v:v + span]
-        part = slice(lo, lo + per)
-        if len(values) == 1:  # one image of g: the candidates' own columns
-            block = [x if x is None else x[part] for x in cols]
-        else:  # each candidate once per image of g
-            block = [x if x is None else column(chain.from_iterable(
-                zip(*repeat(x[part], len(values))))) for x in cols]
+        block = [None if x is None else column(chain.from_iterable(
+            zip(*repeat(x[lo:lo + per], len(values))))) for x in cols]
         block[g] = values * min(per, live - lo)
         for e, k, a, b in steps:
             block[e] = derive[k](block[a], block[b])

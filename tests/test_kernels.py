@@ -56,7 +56,12 @@ and ``check_morphism`` in a search from a non-associative source.  The
 staged search is pinned by the candidates its screens leave on free:3
 → free:1 of the semiring kind, by a screen of the new generator on the
 left of ×, and by blocks of 1 to 100 candidates, which must give the
-same maps in the same order.
+same maps in the same order.  Every way of deriving its columns is
+compared with the definition: byte and tuple columns into relabelled
+chains of 20, 256 and 257 elements and into free:3, the scalar
+operations on hypothesis tables, and free:1 → free:4 of the bpa kind
+above the table limit; a chain of 1200 elements into one element runs
+more stages than the recursion limit.
 """
 
 import itertools
@@ -1431,8 +1436,8 @@ def test_hom_search_on_scalar_operations_matches_definition(pair):
 def test_hom_search_with_more_generators_than_the_recursion_limit(
         count_calls):
     # A chain of 1200 elements needs a generator for nearly each element,
-    # so into one element the search runs about 1200 stages of one
-    # candidate, each in the same loop.  One cell of + is changed, (0 + 2)
+    # so into one element the search runs 1197 stages of one candidate,
+    # all in the same loop.  One cell of + is changed, (0 + 2)
     # + 1 = 1 ≠ 0 = 0 + (2 + 1), so Light's test fails at its first
     # generator and check_morphism decides the one map at once.
     n = 1200
