@@ -406,8 +406,9 @@ def _stages(seed: list, stages: list, derive, column,
             width: int) -> Iterator[list]:
     """Depth first, the blocks of columns that all the stages leave of
     the one candidate whose columns are ``seed``.  The stack holds, per
-    stage reached, the blocks that stage has still to give, so a search
-    with many generators runs in one loop, with no call per stage."""
+    stage reached, the blocks that stage has still to give, so no call
+    nests per stage and a source may need more generators than the
+    recursion limit."""
     stack = [iter([seed])]
     while stack:
         block = next(stack[-1], None)
