@@ -166,6 +166,13 @@ def _inputs() -> dict[str, object]:
         **{op: [[rename[x] for x in row] for row in escaped[op]]
            for op in ("add", "mul")},
         "zero": "⊤", "one": '"', "complement": ["⊤", "\t", "\\", '"']}
+    # ℤ16 below the limit of 4 096 differences and ℤ65, with 4 225, above
+    # it; ℤ3 with 2 × 2 changed from 1 to 0, so that × no longer
+    # distributes over + while every element stays a subtrahend.
+    files["z16.json"] = zmod_spec(16)
+    files["z65.json"] = zmod_spec(65)
+    files["z3-nondist.json"] = _edited(zmod_spec(3), "z3-nondist",
+                                       ("mul", "2", "2", "0"))
     # The quotient of this table breaks the multiplicative identity law.
     files["diff-broken-identity.json"] = {
         "name": "pair", "elements": ["0", "1"],
@@ -419,6 +426,15 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
             cases.append((f"hom-enumerate-{kind}-{tag}",
                           ["hom", "enumerate", "--src", src, "--dst", dst,
                            "--kind", kind], None))
+    cases += [
+        ("diff-z16", ["diff", "--table", "z16.json", "--emit", "d_z16.json"],
+         "d_z16.json"),
+        ("diff-z65", ["diff", "--table", "z65.json"], None),
+        ("diff-nondistributive-z3", ["diff", "--table", "z3-nondist.json"],
+         None),
+        ("diff-nondistributive-z3-top", ["diff", "--table", "z3-nondist.json",
+                                         "--subtrahends", "0"], None),
+    ]
     # Formulas: every precedence level, both associativities, the
     # Unicode spellings, an atom the formula does not mention, and one
     # case per ParseError message (exit 2).
