@@ -16,20 +16,33 @@ reads the same from either pair; every other structural fact used here
 (transitivity, the congruence, the embedding p ↦ (p, ⊤)) is verified at
 construction time, not assumed.
 
-The quotient's tables are built at the heads of the classes, their
-least pairs, and each pair is compared with them, as an equivalence is
-a congruence iff the operations on classes are well defined.  That takes
-O(N²) label comparisons over N pairs where the definition has
-(Σ block²)² positions, n⁶ on ℤn.  Where a comparison fails, the
-definition's scan runs and names the first witness.  Pair (p, α) is
-coded p·|⊖| + position(α), and ⊖ must be an ideal, so those tables are
-built from the + table by row operations in C.
+The quotient is the base.  Where + is commutative and associative, ×
+distributes over + and each subtrahend's opposite undoes it,
+(p + α′) + α = p, the pair (p, α) is related to (p + α′, ⊤), and no two
+pairs (q, ⊤) are related, so the label p + α′ names each class by an
+element of the carrier.  Transitivity then follows from cancellation:
+(p, α) ~ (q, β) ~ (r, γ) give (p + γ) + β = (r + α) + β, and β cancels.
+The congruence is checked on the columns of generators of the pairs
+under ⊕, (g, ⊤) for g generating + and (⊤, β) for β ∈ ⊖: the pairs y
+with l(x ∘ y) = l(x) ∘ l(y) for every x are closed under ⊕, by
+associativity of + and left distributivity.  No N-by-N structure is
+built on this path.
+
+Where a premise fails, the relation is built as dense rows, its
+transitivity scanned, and the quotient's tables built at the heads of
+the classes, their least pairs; each pair is compared with them, as an
+equivalence is a congruence iff the operations on classes are well
+defined.  That takes O(N²) label comparisons over N pairs where the
+definition has (Σ block²)² positions, n⁶ on ℤn.  Where a comparison
+fails, the definition's scan runs and names the first witness.  Pair
+(p, α) is coded p·|⊖| + position(α), and ⊖ must be an ideal, so those
+tables are built from the + table by row operations in C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from operator import add, eq
 from typing import Iterable
 
@@ -39,8 +52,9 @@ from .algebra import (ADD, MAX_DENSE_CARRIER, Algebra, AlgebraError,
                       _check_identity_laws, _from_bytes, row_type)
 from .morphisms import Morphism, check_morphism, is_isomorphism
 from .order import OrderRelation, check_poset, _transitivity
-from .properties import (PropertyReport, _associativity, _commutativity,
-                         _names, _scan_rows, additively_cancellable_elements)
+from .properties import (PropertyReport, _associative, _associativity,
+                         _commutativity, _distributivity, _names, _scan_rows,
+                         additively_cancellable_elements)
 
 
 class CongruenceError(AlgebraError):
@@ -214,6 +228,78 @@ class DifferenceSemiring:
         return doc
 
 
+def _labels(subtrahends: SubtrahendIdeal):
+    """The row x ↦ p + α′ over the pairs x = (p, α), in pair order."""
+    c = subtrahends.algebra.compiled
+    opposites = c.row(subtrahends.opposites)
+    return c.concat([c.compose(row, opposites) for row in c.add])
+
+
+def _label_premises(subtrahends: SubtrahendIdeal) -> bool:
+    """Whether the premises of the labels hold, the cheap ones first: +
+    commutative, each subtrahend undone by its opposite, (p + α′) + α = p
+    for every p (one composed row per α), + associative and × distributive
+    over +."""
+    algebra = subtrahends.algebra
+    c = algebra.compiled
+    identity = c.row(range(c.n))
+    return (c.add == c.add_t
+            and all(c.compose(c.add_t[a], c.add_t[o]) == identity
+                    for a, o in zip(subtrahends.members, subtrahends.opposites))
+            and _associative(c, ADD) and _distributivity(algebra).holds)
+
+
+def _first_failing_column(subtrahends: SubtrahendIdeal, labels):
+    """The first y, among (g, ⊤) for g in the generating set of + and
+    then (⊤, β) for β ∈ ⊖, for which l(x ⊕ y) = l(x) + l(y) or
+    l(x ⊗ y) = l(x) × l(y) fails at some pair x, where l is ``labels``
+    (:func:`_labels`) extended to every pair (u, γ) as u + γ′; None when
+    every column holds.  ⊖ must be an ideal, so that x ⊕ y and x ⊗ y are
+    pairs."""
+    algebra, members = subtrahends.algebra, subtrahends.members
+    c = algebra.compiled
+    compose, n, width, top = c.compose, c.n, len(members), algebra.top_index
+    position = [0] * n
+    for k, a in enumerate(members):
+        position[a] = k
+    times_width = tuple(range(0, n * width, width))
+    member_row = c.row(members)
+    firsts = c.row(p for p in range(n) for _ in members)  # x ↦ p
+    seconds = member_row * n  # x ↦ α
+
+    def labels_of(carrier, subtrahend):
+        """Per x, the label of the pair (carrier[x], subtrahend[x])."""
+        return compose(labels, tuple(map(add, compose(times_width, carrier),
+                                         compose(position, subtrahend))))
+
+    def outer(by_p, by_a):
+        """The row x = (p, α) ↦ by_p[p] + by_a[position(α)]."""
+        return c.concat([compose(c.add[v], by_a) for v in by_p])
+
+    for q, b in chain(((g, top) for g in c.generators(ADD)),
+                      ((top, b) for b in members)):
+        y = labels[q * width + position[b]]
+        sums = labels_of(compose(c.add_t[q], firsts),
+                         compose(c.add_t[b], seconds))
+        # x ⊗ y = (p×q + α×β, p×β + α×q)
+        products = labels_of(
+            outer(c.mul_t[q], compose(c.mul_t[b], member_row)),
+            outer(c.mul_t[b], compose(c.mul_t[q], member_row)))
+        if (sums != compose(c.add_t[y], labels)
+                or products != compose(c.mul_t[y], labels)):
+            return q, b
+    return None
+
+
+def _blocks(label, count: int) -> list[list[int]]:
+    """The pairs of each class, in pair order, from the row of class
+    numbers ``label``."""
+    blocks = [[] for _ in range(count)]
+    for x, k in enumerate(label):
+        blocks[k].append(x)
+    return blocks
+
+
 def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
     """Build the difference semiring over ⊖ = ``subtrahends``.
 
@@ -224,25 +310,134 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
     tables are built; violations raise CongruenceError with a witness,
     though they cannot occur once the subtrahends validate as cancellable.
 
-    The quotient's tables are built at the heads of the classes, h(x)
-    being the least pair of x's class, and each pair is compared with
-    them.  An equivalence is a congruence iff the operation on classes is
-    well defined (Burris & Sankappanavar, *A Course in Universal Algebra*,
-    1981, ch. II): iff [x∘y] = [h(x)∘h(y)] for all x and y, since x ~ x2
-    and y ~ y2 then give [x∘y] = [h(x)∘h(y)] = [x2∘y2].  So row x of the
-    class tables [x ⊕ y] and [x ⊗ y] must be the quotient's row of [x]
-    read at [y]: one composed row per class, N row comparisons per
-    operation over N pairs.  A congruence that holds reports ``checked``
-    as the definition's scan would, (Σ block²)² positions.  Where a
-    comparison fails the congruence fails, and the scan over related
-    pairs (x, x2) and (y, y2) runs to name the first witness.
+    **The quotient is the base** where + is commutative and associative,
+    × distributes over +, and (p + α′) + α = p for every p and each
+    α ∈ ⊖ with its opposite α′.  These premises are checked first, the
+    cheap ones first.  Then (p, α) ~ (p + α′, ⊤), as p + ⊤ = (p + α′) + α,
+    and (q, ⊤) ~ (r, ⊤) iff q = r, so each class holds exactly one pair
+    (q, ⊤), and the label l(p, α) = p + α′ names it by q:
+
+    - *Transitivity* follows from cancellation, so no scan runs.  Let
+      (p, α) ~ (q, β) ~ (r, γ).  Then (p + γ) + β = (q + α) + γ =
+      (r + α) + β, and β is cancellable, since (s + β) + β′ = s for
+      every s, so p + γ = r + α.  The report still says N³ and holds.
+    - *The congruence* is checked on generator columns: l(x ⊕ y) =
+      l(x) + l(y) and l(x ⊗ y) = l(x) × l(y) for every pair x and each y
+      among (g, ⊤), g in the generating set of +, and (⊤, β), β ∈ ⊖.
+      These y generate every pair under ⊕, as (p, α) = (p, ⊤) ⊕ (⊤, α),
+      and the y that pass are closed under ⊕, so every y passes (Burris
+      & Sankappanavar, *A Course in Universal Algebra*, 1981, ch. II:
+      compatibility with each argument).  For ⊕ that takes only the
+      associativity of ⊕, which + gives: l(x ⊕ (y1 ⊕ y2)) =
+      l(x ⊕ y1) + l(y2) = l(x) + l(y1 ⊕ y2).  For ⊗, once every y passes
+      for ⊕, x ⊗ (y1 ⊕ y2) = (x ⊗ y1) ⊕ (x ⊗ y2) by left distributivity
+      and the laws of +, so l(x ⊗ (y1 ⊕ y2)) = l(x)·l(y1) + l(x)·l(y2) =
+      l(x) × l(y1 ⊕ y2).  So l is a homomorphism onto the base, and ~,
+      its kernel, is a congruence.  Under the premises the columns hold
+      (distributivity and cancellation give p × ⊤ = ⊤ = ⊤ × p), so they
+      verify the construction rather than decide it.
+    - *The quotient's tables* are the base's + and × read through the
+      class numbers, which follow the heads, the least pairs of the
+      classes.  No N-by-N structure is held, so the only limit is that
+      of the base's compiled tables, n classes.
+
+    Where a premise or a column fails, the relation is built as dense
+    rows, which refuses more than MAX_DENSE_CARRIER pairs.  Its
+    transitivity is scanned, and the quotient's tables are built at the
+    heads and each pair is compared with them.  An equivalence is a
+    congruence iff the operation on classes is well defined: iff
+    [x∘y] = [h(x)∘h(y)] for all x and y, h(x) being the head of x's
+    class, since x ~ x2 and y ~ y2 then give [x∘y] = [h(x)∘h(y)] =
+    [x2∘y2].  So row x of the class tables [x ⊕ y] and [x ⊗ y] must be
+    the quotient's row of [x] read at [y]: one composed row per class, N
+    row comparisons per operation over N pairs.  A congruence that holds
+    reports ``checked`` as the definition's scan would, (Σ block²)²
+    positions.  Where a comparison fails the congruence fails, and the
+    scan over related pairs (x, x2) and (y, y2) runs to name the first
+    witness.
     """
     algebra, members = subtrahends.algebra, subtrahends.members
     _require_ideal(algebra, members)
 
     c = algebra.compiled
-    compose, n, width = c.compose, c.n, len(members)
+    n, width = c.n, len(members)
     pairs = [(p, a) for p in range(n) for a in members]
+
+    def pair_name(i: int) -> str:
+        p, a = pairs[i]
+        return f"{algebra.name_of(p)}-{algebra.name_of(a)}"
+
+    labels = _labels(subtrahends) if _label_premises(subtrahends) else None
+    if labels is not None and _first_failing_column(subtrahends,
+                                                    labels) is None:
+        # the least pair of each label, read backwards so the first wins
+        heads = dict(zip(reversed(labels), range(len(pairs) - 1, -1, -1)))
+        reps = sorted(heads.values())
+        order = c.row(map(labels.__getitem__, reps))
+        rank = [0] * n
+        for k, v in enumerate(order):
+            rank[v] = k
+        rank = c.row(rank)
+        label = c.compose(rank, labels)
+        classes = _blocks(label, len(reps))
+        add_rows, mul_rows = ([c.compose(rank, c.compose(rows[v], order))
+                               for v in order] for rows in (c.add, c.mul))
+        congruence = PropertyReport(
+            "difference-congruence", True, None,
+            sum(len(block) ** 2 for block in classes) ** 2)
+    else:
+        reps, label, classes, add_rows, mul_rows, congruence = _by_relation(
+            subtrahends, pairs, pair_name)
+    equivalence = PropertyReport("difference-relation-equivalence", True, None,
+                                 len(pairs) ** 3)
+
+    names = []
+    seen_names = set()
+    for k, rep in enumerate(reps):
+        name = pair_name(rep)
+        if name in seen_names:
+            name = f"{name}#{k}"
+        seen_names.add(name)
+        names.append(name)
+    if len(seen_names) < len(names):  # a renamed class met an earlier name
+        raise TableLoadError("'elements' must be distinct")
+
+    # p ↦ class of (p, ⊤) reads every width-th label from (0, ⊤) on
+    embedded = tuple(label[members.index(algebra.top_index)::width])
+    zero, one = embedded[algebra.top_index], embedded[algebra.bot_index]
+    _check_identity_laws(tuple(names), add_rows, mul_rows, zero, one)
+    quotient = TableAlgebra(name=f"diff({algebra.name})", names=tuple(names),
+                            add_rows=tuple(map(tuple, add_rows)),
+                            mul_rows=tuple(map(tuple, mul_rows)),
+                            top_index=zero, bot_index=one,
+                            source_spec=f"diff({algebra.source_spec})")
+
+    embedding = Morphism(algebra, quotient, embedded)
+    emb_report = check_morphism(embedding, "semiring")
+    if not emb_report.holds or not embedding.is_injective():
+        raise CongruenceError("embedding p ↦ (p, ⊤) failed verification")
+    emb_report.property = "difference-embedding"
+    emb_report.details = {"injective": True}
+
+    return DifferenceSemiring(
+        parent=algebra,
+        subtrahends=subtrahends,
+        algebra=quotient,
+        classes=tuple(tuple(map(pairs.__getitem__, block)) for block in classes),
+        embedding=embedding,
+        reports={"equivalence": equivalence, "congruence": congruence,
+                 "embedding": emb_report},
+    )
+
+
+def _by_relation(subtrahends: SubtrahendIdeal, pairs: list, pair_name):
+    """The heads, class numbers, classes, quotient rows and congruence
+    report of :func:`difference_semiring` from the relation held as dense
+    rows; CongruenceError names the first witness of a relation that is
+    not transitive or not a congruence."""
+    algebra, members = subtrahends.algebra, subtrahends.members
+    c = algebra.compiled
+    compose, n, width = c.compose, c.n, len(members)
     if len(pairs) > MAX_DENSE_CARRIER:  # the relation is held as dense rows
         raise SizeLimitError(f"{len(pairs)} differences exceed {MAX_DENSE_CARRIER}")
     firsts, seconds = c.row(p for p, _ in pairs), c.row(a for _, a in pairs)
@@ -252,17 +447,11 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
     related = [c.equal(compose(c.add[p], seconds), compose(c.add_t[a], firsts))
                for p, a in pairs]
 
-    def pair_name(i: int) -> str:
-        p, a = pairs[i]
-        return f"{algebra.name_of(p)}-{algebra.name_of(a)}"
-
     transitivity = _transitivity("transitivity", pair_name, related,
                                  list(map(_from_bytes, related)))
     if not transitivity.holds:
         raise CongruenceError("relation not transitive at {}, {}, {}".format(
             *transitivity.witness))
-    equivalence = PropertyReport("difference-relation-equivalence", True, None,
-                                 len(pairs) ** 3)
 
     # ~ is an equivalence, so row x is the indicator of x's class, whose
     # head, its least member, is the first 1 of the row
@@ -270,7 +459,7 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
     reps = sorted(set(heads))
     number = dict(zip(reps, range(len(reps))))
     label = row_type(len(reps))(map(number.__getitem__, heads))
-    classes = [list(compress(range(len(pairs)), related[x])) for x in reps]
+    classes = _blocks(label, len(reps))
 
     # Pair (u, v) sits at code u·width + position(v).  Per cell
     # k = i·n + j of the + table, high[k] is the code of (i + j, ⊖[0])
@@ -314,63 +503,25 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
         return all(map(eq, table, map(expected.__getitem__, label)))
 
     if well_defined(sums, add_rows) and well_defined(products, mul_rows):
-        congruence = PropertyReport(
+        return reps, label, classes, add_rows, mul_rows, PropertyReport(
             "difference-congruence", True, None,
             sum(len(block) ** 2 for block in classes) ** 2)
-    else:
-        # x ~ x2 and y ~ y2 force [x ∘ y] = [x2 ∘ y2]: one case per
-        # (x, x2), one position per (y, y2)
-        related_pairs = [(y, y2) for block in classes for y in block
-                         for y2 in block]
-        ys, y2s = zip(*related_pairs)
-        plus, times = {"operation": "⊕"}, {"operation": "⊗"}
-        congruence = _scan_rows("difference-congruence", lambda v: v, (
-            ((x, x2), related_pairs, (
-                (compose(sums[x], ys), compose(sums[x2], y2s), plus),
-                (compose(products[x], ys), compose(products[x2], y2s), times)))
-            for block in classes for x in block for x2 in block))
-        if not congruence.holds:
-            x, x2, y, y2 = congruence.witness
-            raise CongruenceError("{} not well defined at {} ~ {}, {} ~ {}".format(
-                congruence.details["operation"], *map(pair_name, (x, x2, y, y2))))
-
-    names = []
-    seen_names = set()
-    for k, rep in enumerate(reps):
-        name = pair_name(rep)
-        if name in seen_names:
-            name = f"{name}#{k}"
-        seen_names.add(name)
-        names.append(name)
-    if len(seen_names) < len(names):  # a renamed class met an earlier name
-        raise TableLoadError("'elements' must be distinct")
-
-    # p ↦ class of (p, ⊤) reads every width-th label from (0, ⊤) on
-    embedded = tuple(label[position[algebra.top_index]::width])
-    zero, one = embedded[algebra.top_index], embedded[algebra.bot_index]
-    _check_identity_laws(tuple(names), add_rows, mul_rows, zero, one)
-    quotient = TableAlgebra(name=f"diff({algebra.name})", names=tuple(names),
-                            add_rows=tuple(map(tuple, add_rows)),
-                            mul_rows=tuple(map(tuple, mul_rows)),
-                            top_index=zero, bot_index=one,
-                            source_spec=f"diff({algebra.source_spec})")
-
-    embedding = Morphism(algebra, quotient, embedded)
-    emb_report = check_morphism(embedding, "semiring")
-    if not emb_report.holds or not embedding.is_injective():
-        raise CongruenceError("embedding p ↦ (p, ⊤) failed verification")
-    emb_report.property = "difference-embedding"
-    emb_report.details = {"injective": True}
-
-    return DifferenceSemiring(
-        parent=algebra,
-        subtrahends=subtrahends,
-        algebra=quotient,
-        classes=tuple(tuple(map(pairs.__getitem__, block)) for block in classes),
-        embedding=embedding,
-        reports={"equivalence": equivalence, "congruence": congruence,
-                 "embedding": emb_report},
-    )
+    # x ~ x2 and y ~ y2 force [x ∘ y] = [x2 ∘ y2]: one case per
+    # (x, x2), one position per (y, y2)
+    related_pairs = [(y, y2) for block in classes for y in block
+                     for y2 in block]
+    ys, y2s = zip(*related_pairs)
+    plus, times = {"operation": "⊕"}, {"operation": "⊗"}
+    congruence = _scan_rows("difference-congruence", lambda v: v, (
+        ((x, x2), related_pairs, (
+            (compose(sums[x], ys), compose(sums[x2], y2s), plus),
+            (compose(products[x], ys), compose(products[x2], y2s), times)))
+        for block in classes for x in block for x2 in block))
+    if not congruence.holds:
+        x, x2, y, y2 = congruence.witness
+        raise CongruenceError("{} not well defined at {} ~ {}, {} ~ {}".format(
+            congruence.details["operation"], *map(pair_name, (x, x2, y, y2))))
+    return reps, label, classes, add_rows, mul_rows, congruence
 
 
 @dataclass

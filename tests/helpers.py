@@ -529,6 +529,29 @@ def difference_oracle(add, mul, members, names):
     return "ok", classes, len(pairs) ** 3, checked
 
 
+def label_columns_oracle(add, mul, members, opposites, gens, top):
+    """The first y among (g, top) for g in ``gens`` and then (top, β) for
+    β in ``members`` at which the label l(u, γ) = u + γ′, γ′ the opposite
+    of γ, fails l(x ⊕ y) = l(x) + l(y) or l(x ⊗ y) = l(x) × l(y) for
+    some pair x = (p, α); None when every y passes.  ``members`` must be
+    an ideal, so that sums and products of pairs are pairs."""
+    opposite = dict(zip(members, opposites))
+
+    def label(x):
+        return add[x[0]][opposite[x[1]]]
+
+    pairs = [(p, a) for p in range(len(add)) for a in members]
+    for y in [(g, top) for g in gens] + [(top, b) for b in members]:
+        (q, b), ly = y, label(y)
+        for p, a in pairs:
+            lx = label((p, a))
+            total = (add[p][q], add[a][b])
+            product = (add[mul[p][q]][mul[a][b]], add[mul[p][b]][mul[a][q]])
+            if label(total) != add[lx][ly] or label(product) != mul[lx][ly]:
+                return y
+    return None
+
+
 def quotient_identity_oracle(add, mul, top, bot, classes, names):
     """The error for the first cell of the quotient tables where the class
     of (⊤, ⊤) is no additive or that of (⊥, ⊤) no multiplicative identity,

@@ -16,7 +16,7 @@ from propsemiring.differences import (CongruenceError, SubtrahendIdeal,
 from propsemiring.morphisms import is_isomorphism
 from propsemiring.order import OrderRelation, canonical_order, discrete_order
 
-from helpers import zmod_spec
+from helpers import difference_oracle, zmod_spec
 
 
 @pytest.fixture
@@ -164,8 +164,12 @@ class TestDifferenceSemiring:
             difference_semiring(forged)
 
     def test_dense_relation_limit(self):
-        # ℤ65 has 65 subtrahends, so 4225 formal differences
-        z65 = table_semiring(zmod_spec(65))
+        # ℤ65 has 65 subtrahends, so 4225 formal differences; with 2 × 2
+        # changed × no longer distributes, so the relation is held as
+        # dense rows, which stop at 4096
+        spec = zmod_spec(65)
+        spec["mul"][2][2] = "5"
+        z65 = table_semiring(spec)
         with pytest.raises(SizeLimitError, match="4225"):
             difference_semiring(subtrahend_ideal(z65))
 
@@ -219,12 +223,73 @@ class TestDifferenceSemiring:
         assert diff.reports["congruence"].holds
         assert diff.reports["congruence"].checked == (9 * 9 ** 2) ** 2
 
-    def test_only_transitivity_is_scanned(self, count_calls):
-        # p + β = q + α reads the same from (p, α) and from (q, β), so ~
-        # is reflexive and symmetric without a scan
+    def test_labels_run_no_scan(self, count_calls):
+        # + is commutative and associative on ℤ9, × distributes and each
+        # subtrahend's opposite undoes it, so the labels p + α′ decide
+        # transitivity and the congruence without a scan; only the
+        # subtrahends are checked to be an ideal
         ideal = subtrahend_ideal(table_semiring(zmod_spec(9)))
-        scans = count_calls("_scan_rows", order_module, properties_module)
-        difference_semiring(ideal)
+        scans = count_calls("_scan_rows", differences, order_module,
+                            properties_module)
+        diff = difference_semiring(ideal)
+        assert [args[0] for args in scans] == ["ideal"]
+        assert diff.reports["equivalence"].checked == 81 ** 3
+        assert differences._labels(ideal) == bytes(
+            (p - a) % 9 for p in range(9) for a in range(9))
+
+    def test_labels_lift_the_pair_limit(self):
+        # ℤ65 has 4225 differences, more than the dense relation holds,
+        # and 65 classes: (p, α) lies in the class of p - α, and the
+        # class of q has its head at (0, -q)
+        z65 = table_semiring(zmod_spec(65))
+        diff = difference_semiring(subtrahend_ideal(z65))
+        assert [len(block) for block in diff.classes] == [65] * 65
+        assert all({(p - a) % 65 for p, a in block} == {-k % 65}
+                   for k, block in enumerate(diff.classes))
+        assert diff.embedding_isomorphism().holds
+        assert diff.reports["congruence"].checked == (65 * 65 ** 2) ** 2
+
+    @pytest.mark.parametrize("names, one, add, mul, members, forged, column", [
+        # + is not commutative (1 + 2 = 1, 2 + 1 = 2); {0, 1} is an ideal,
+        # handed over with opposites that undo each member
+        ("012", 2, [[0, 1, 2], [1, 0, 1], [2, 2, 1]],
+         [[0, 1, 0], [1, 1, 1], [0, 1, 2]], (0, 1), True, (2, 0)),
+        # + is not associative ((1 + 1) + 2 ≠ 1 + (1 + 2)); the explicit
+        # subtrahends {0, 2} validate
+        ("0123", 1, [[0, 1, 2, 3], [1, 0, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
+         [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 2, 1]], (0, 2),
+         False, (1, 0)),
+        # ℤ2 × the chain a < b under max, with a × that does not
+        # distribute: 0b × (1b + 1a) = 0b × 1b = 1b, but 0b×1b + 0b×1a =
+        # 1b + 1a = 0b.  The columns of the labels hold, so only the
+        # premise keeps the labels from building a quotient
+        (("0a", "0b", "1a", "1b"), 1,
+         [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 0, 1], [3, 3, 1, 1]],
+         [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 2, 3]], (0, 2),
+         False, None),
+    ])
+    def test_a_failed_premise_scans_the_relation(self, names, one, add, mul,
+                                                  members, forged, column,
+                                                  count_calls):
+        algebra = table_semiring({
+            "name": "premise", "elements": list(names), "zero": names[0],
+            "one": names[one],
+            "add": [[names[v] for v in row] for row in add],
+            "mul": [[names[v] for v in row] for row in mul]})
+        if forged:
+            ideal = SubtrahendIdeal(algebra=algebra, members=members,
+                                    opposites=members)
+        else:
+            ideal = subtrahend_ideal(algebra, [names[m] for m in members])
+        assert not differences._label_premises(ideal)
+        assert differences._first_failing_column(
+            ideal, differences._labels(ideal)) == column
+        scans = count_calls("_scan_rows", order_module)
+        expected = difference_oracle(add, mul, members, algebra.names)
+        assert expected[0] == "error"
+        with pytest.raises(CongruenceError) as caught:
+            difference_semiring(ideal)
+        assert str(caught.value) == expected[1]
         assert [args[0] for args in scans] == ["transitivity"]
 
     def test_quotient_element_names_must_stay_distinct(self):

@@ -65,19 +65,23 @@ more stages than the recursion limit.
 """
 
 import itertools
+import json
 import random
 import re
 import sys
 from operator import eq, itemgetter
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from propsemiring.algebra import (ADD, MUL, AlgebraError, CompiledTables,
-                                  DomainError, SizeLimitError, TableLoadError,
-                                  UnsupportedOperationError,
+from propsemiring.algebra import (ADD, MAX_DENSE_CARRIER, MUL, AlgebraError,
+                                  CompiledTables, DomainError, SizeLimitError,
+                                  TableLoadError, UnsupportedOperationError,
                                   free_boolean_algebra, table_semiring,
                                   transposed)
+import propsemiring.differences as differences_module
 import propsemiring.morphisms as morphisms_module
 import propsemiring.order as order_module
 import propsemiring.properties as properties_module
@@ -105,7 +109,7 @@ from helpers import (antisymmetry_oracle, associativity_oracle,
                      closure_oracle, commutativity_oracle, cones_oracle,
                      difference_oracle, distributivity_oracle, entire_oracle,
                      extended_order_oracle, generators_oracle, homs_oracle,
-                     ideal_oracle, irreducible_oracle,
+                     ideal_oracle, irreducible_oracle, label_columns_oracle,
                      monotony_oracle, morphism_oracle,
                      mult_left_cancellative_oracle,
                      operation_bounds_oracle, order_map_oracle, pairs_of,
@@ -621,6 +625,40 @@ def subtrahend_cases(draw):
     return (add, mul, 0, one), list(range(n))
 
 
+def by_relation(subtrahends):
+    """``difference_semiring`` with the premises of its labels refused, so
+    that it builds the relation as dense rows."""
+    with mock.patch.object(differences_module, "_label_premises",
+                           return_value=False):
+        return difference_semiring(subtrahends)
+
+
+def difference_outcome(build, subtrahends):
+    """Every field of the difference semiring that ``build`` makes, or the
+    type and text of the error it raises."""
+    try:
+        diff = build(subtrahends)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+    quotient = diff.algebra
+    return (diff.parent, diff.subtrahends, diff.classes, diff.reports,
+            diff.embedding.mapping, quotient.name, quotient.names,
+            quotient.add_rows, quotient.mul_rows, quotient.top_index,
+            quotient.bot_index, quotient.source_spec)
+
+
+def assert_labels_match(subtrahends, add, mul, zero):
+    """The labels p + α′ and their first failing column against the
+    definition, on any table whose subtrahends form an ideal."""
+    members, opposites = subtrahends.members, subtrahends.opposites
+    labels = differences_module._labels(subtrahends)
+    assert list(labels) == [add[p][o] for p in range(len(add))
+                            for o in opposites]
+    gens = subtrahends.algebra.compiled.generators(ADD)
+    assert differences_module._first_failing_column(subtrahends, labels) \
+        == label_columns_oracle(add, mul, members, opposites, gens, zero)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_difference_kernels_match_definitions(data):
@@ -631,8 +669,15 @@ def test_difference_kernels_match_definitions(data):
                    ideal_oracle(add, mul, zero, members), "condition")
     assert_matches(mult_left_cancellative(algebra),
                    mult_left_cancellative_oracle(mul, zero))
+    # the first member that sums to zero with each, or any members: the
+    # labels' premises check that each opposite undoes its member
+    inverses = [next((b for b in members if add[a][b] == zero), a)
+                for a in members]
+    opposites = data.draw(st.one_of(st.just(inverses), st.permutations(
+        inverses), st.lists(st.sampled_from(members or [zero]),
+                            min_size=len(members), max_size=len(members))))
     forged = SubtrahendIdeal(algebra=algebra, members=tuple(members),
-                             opposites=tuple(members))
+                             opposites=tuple(opposites))
     assert_matches(difference_cancellation_criterion(forged),
                    cancellation_criterion_oracle(add, mul, members))
     leq = data.draw(relations(add))
@@ -652,6 +697,9 @@ def test_difference_kernels_match_definitions(data):
                            match=re.escape(f"not an ideal: {ideal[2]} fails")):
             difference_semiring(forged)
         return
+    assert_labels_match(forged, add, mul, zero)
+    assert difference_outcome(difference_semiring, forged) \
+        == difference_outcome(by_relation, forged)
     expected = difference_oracle(add, mul, members, algebra.names)
     if expected[0] == "error":
         with pytest.raises(CongruenceError) as caught:
@@ -674,6 +722,49 @@ def test_difference_kernels_match_definitions(data):
     assert [list(block) for block in diff.classes] == classes
     assert diff.reports["equivalence"].checked == equivalence
     assert diff.reports["congruence"].checked == congruence
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_difference_cases():
+    """(id, algebra, subtrahend names or None) of each diff case of the
+    golden corpus."""
+    with open(GOLDEN / "cases.json", encoding="utf-8") as handle:
+        cases = json.load(handle)
+    for case in cases:
+        argv = case["argv"]
+        if argv[:1] != ["diff"] or "-h" in argv:
+            continue
+        options = {a: b for a, b in zip(argv, argv[1:]) if a.startswith("--")}
+        if "--table" in options:
+            with open(GOLDEN / "inputs" / options["--table"],
+                      encoding="utf-8") as handle:
+                algebra = table_semiring(json.load(handle))
+        else:
+            algebra = free_boolean_algebra(int(options["--free-atoms"]))
+        names = options.get("--subtrahends")
+        yield case["id"], algebra, names and names.split(",")
+
+
+def test_labels_match_the_relation_on_golden_tables():
+    # Each diff table of the corpus, built from its labels where their
+    # premises hold and from the relation as dense rows; ℤ65 has more
+    # pairs than dense rows hold.
+    refused = []
+    for case_id, algebra, names in golden_difference_cases():
+        ideal = subtrahend_ideal(algebra, names)
+        if not differences_module._label_premises(ideal):
+            refused.append(case_id)
+        if algebra.size * ideal.size > MAX_DENSE_CARRIER:
+            with pytest.raises(SizeLimitError):
+                by_relation(ideal)
+            assert difference_semiring(ideal).algebra.size == algebra.size
+            continue
+        assert difference_outcome(difference_semiring, ideal) \
+            == difference_outcome(by_relation, ideal), case_id
+    assert refused == ["diff-broken-identity", "diff-nondistributive-z3",
+                       "diff-nondistributive-z3-top"]
 
 
 @settings(max_examples=4, deadline=None, phases=NO_SHRINK)
