@@ -531,7 +531,7 @@ def difference_oracle(add, mul, members, names):
 
 def label_columns_oracle(add, mul, members, opposites, gens, top):
     """The first y among (g, top) for g in ``gens`` and then (top, β) for
-    β in ``members`` at which the label l(u, γ) = u + γ′, γ′ the opposite
+    β ≠ top in ``members`` at which the label l(u, γ) = u + γ′, γ′ the opposite
     of γ, fails l(x ⊕ y) = l(x) + l(y) or l(x ⊗ y) = l(x) × l(y) for
     some pair x = (p, α); None when every y passes.  ``members`` must be
     an ideal, so that sums and products of pairs are pairs."""
@@ -541,7 +541,8 @@ def label_columns_oracle(add, mul, members, opposites, gens, top):
         return add[x[0]][opposite[x[1]]]
 
     pairs = [(p, a) for p in range(len(add)) for a in members]
-    for y in [(g, top) for g in gens] + [(top, b) for b in members]:
+    for y in [(g, top) for g in gens] + [(top, b) for b in members
+                                         if b != top]:
         (q, b), ly = y, label(y)
         for p, a in pairs:
             lx = label((p, a))

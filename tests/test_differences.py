@@ -259,6 +259,10 @@ class TestDifferenceSemiring:
         ("0123", 1, [[0, 1, 2, 3], [1, 0, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
          [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 2, 1]], (0, 2),
          False, (1, 0)),
+        # ℤ3 with 2 × 2 = 0, so × does not distribute; of the columns of
+        # the labels, (0, 1) is the first to fail
+        ("012", 1, [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+         [[0, 0, 0], [0, 1, 2], [0, 2, 0]], (0, 1, 2), False, (0, 1)),
         # ℤ2 × the chain a < b under max, with a × that does not
         # distribute: 0b × (1b + 1a) = 0b × 1b = 1b, but 0b×1b + 0b×1a =
         # 1b + 1a = 0b.  The columns of the labels hold, so only the
