@@ -383,14 +383,13 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
         classes = _blocks(label, len(reps))
         add_rows, mul_rows = ([c.compose(rank, c.compose(rows[v], order))
                                for v in order] for rows in (c.add, c.mul))
-        congruence = PropertyReport(
-            "difference-congruence", True, None,
-            sum(len(block) ** 2 for block in classes) ** 2)
     else:
-        reps, label, classes, add_rows, mul_rows, congruence = _by_relation(
+        reps, label, classes, add_rows, mul_rows = _by_relation(
             subtrahends, pairs, pair_name)
     equivalence = PropertyReport("difference-relation-equivalence", True, None,
                                  len(pairs) ** 3)
+    congruence = PropertyReport("difference-congruence", True, None,
+                                sum(len(block) ** 2 for block in classes) ** 2)
 
     names = []
     seen_names = set()
@@ -432,10 +431,10 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
 
 
 def _by_relation(subtrahends: SubtrahendIdeal, pairs: list, pair_name):
-    """The heads, class numbers, classes, quotient rows and congruence
-    report of :func:`difference_semiring` from the relation held as dense
-    rows; CongruenceError names the first witness of a relation that is
-    not transitive or not a congruence."""
+    """The heads, class numbers, classes and quotient rows of
+    :func:`difference_semiring` from the relation held as dense rows;
+    CongruenceError names the first witness of a relation that is not
+    transitive or not a congruence."""
     algebra, members = subtrahends.algebra, subtrahends.members
     c = algebra.compiled
     compose, n, width = c.compose, c.n, len(members)
@@ -503,26 +502,26 @@ def _by_relation(subtrahends: SubtrahendIdeal, pairs: list, pair_name):
         expected = [compose(row, label) for row in rows]
         return all(map(eq, table, map(expected.__getitem__, label)))
 
-    if well_defined(sums, add_rows) and well_defined(products, mul_rows):
-        return reps, label, classes, add_rows, mul_rows, PropertyReport(
-            "difference-congruence", True, None,
-            sum(len(block) ** 2 for block in classes) ** 2)
-    # x ~ x2 and y ~ y2 force [x ∘ y] = [x2 ∘ y2]: one case per
-    # (x, x2), one position per (y, y2)
-    related_pairs = [(y, y2) for block in classes for y in block
-                     for y2 in block]
-    ys, y2s = zip(*related_pairs)
-    plus, times = {"operation": "⊕"}, {"operation": "⊗"}
-    congruence = _scan_rows("difference-congruence", lambda v: v, (
-        ((x, x2), related_pairs, (
-            (compose(sums[x], ys), compose(sums[x2], y2s), plus),
-            (compose(products[x], ys), compose(products[x2], y2s), times)))
-        for block in classes for x in block for x2 in block))
-    if not congruence.holds:
-        x, x2, y, y2 = congruence.witness
-        raise CongruenceError("{} not well defined at {} ~ {}, {} ~ {}".format(
-            congruence.details["operation"], *map(pair_name, (x, x2, y, y2))))
-    return reps, label, classes, add_rows, mul_rows, congruence
+    if not (well_defined(sums, add_rows) and well_defined(products, mul_rows)):
+        # x ~ x2 and y ~ y2 force [x ∘ y] = [x2 ∘ y2]: one case per
+        # (x, x2), one position per (y, y2); a scan that holds counts the
+        # (Σ block²)² positions of a holding congruence
+        related_pairs = [(y, y2) for block in classes for y in block
+                         for y2 in block]
+        ys, y2s = zip(*related_pairs)
+        plus, times = {"operation": "⊕"}, {"operation": "⊗"}
+        congruence = _scan_rows("difference-congruence", lambda v: v, (
+            ((x, x2), related_pairs, (
+                (compose(sums[x], ys), compose(sums[x2], y2s), plus),
+                (compose(products[x], ys), compose(products[x2], y2s), times)))
+            for block in classes for x in block for x2 in block))
+        if not congruence.holds:
+            x, x2, y, y2 = congruence.witness
+            raise CongruenceError(
+                "{} not well defined at {} ~ {}, {} ~ {}".format(
+                    congruence.details["operation"],
+                    *map(pair_name, (x, x2, y, y2))))
+    return reps, label, classes, add_rows, mul_rows
 
 
 @dataclass
