@@ -371,18 +371,7 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
     labels = _labels(subtrahends) if _label_premises(subtrahends) else None
     if labels is not None and _first_failing_column(subtrahends,
                                                     labels) is None:
-        # the least pair of each label, read backwards so the first wins
-        heads = dict(zip(reversed(labels), range(len(pairs) - 1, -1, -1)))
-        reps = sorted(heads.values())
-        order = c.row(map(labels.__getitem__, reps))
-        rank = [0] * n
-        for k, v in enumerate(order):
-            rank[v] = k
-        rank = c.row(rank)
-        label = c.compose(rank, labels)
-        classes = _blocks(label, len(reps))
-        add_rows, mul_rows = ([c.compose(rank, c.compose(rows[v], order))
-                               for v in order] for rows in (c.add, c.mul))
+        reps, label, classes, add_rows, mul_rows = _by_labels(c, labels)
     else:
         reps, label, classes, add_rows, mul_rows = _by_relation(
             subtrahends, pairs, pair_name)
@@ -428,6 +417,25 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
         reports={"equivalence": equivalence, "congruence": congruence,
                  "embedding": emb_report},
     )
+
+
+def _by_labels(c, labels):
+    """The heads, class numbers, classes and quotient rows of
+    :func:`difference_semiring` from ``labels``, the element of the
+    carrier that names each pair's class: the quotient's tables are the
+    carrier's, ``c``, read through the class numbers."""
+    # the least pair of each label, read backwards so the first wins
+    heads = dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
+    reps = sorted(heads.values())
+    order = c.row(map(labels.__getitem__, reps))
+    rank = [0] * c.n
+    for k, v in enumerate(order):
+        rank[v] = k
+    rank = c.row(rank)
+    label = c.compose(rank, labels)
+    add_rows, mul_rows = ([c.compose(rank, c.compose(rows[v], order))
+                           for v in order] for rows in (c.add, c.mul))
+    return reps, label, _blocks(label, len(reps)), add_rows, mul_rows
 
 
 def _by_relation(subtrahends: SubtrahendIdeal, pairs: list, pair_name):
