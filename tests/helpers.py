@@ -531,10 +531,11 @@ def difference_oracle(add, mul, members, names):
 
 def label_columns_oracle(add, mul, members, opposites, gens, top):
     """The first y among (g, top) for g in ``gens`` and then (top, β) for
-    β ≠ top in ``members`` at which the label l(u, γ) = u + γ′, γ′ the opposite
-    of γ, fails l(x ⊕ y) = l(x) + l(y) or l(x ⊗ y) = l(x) × l(y) for
-    some pair x = (p, α); None when every y passes.  ``members`` must be
-    an ideal, so that sums and products of pairs are pairs."""
+    β ≠ top in ``members`` at which the label l(u, γ) = u + γ′, γ′ the
+    opposite of γ, fails l(x ⊕ y) = l(x) + l(y) or l(x ⊗ y) =
+    l(x) × l(y) for some pair x = (p, α); None when every y passes.
+    ``members`` must be an ideal, so that sums and products of pairs are
+    pairs."""
     opposite = dict(zip(members, opposites))
 
     def label(x):

@@ -40,7 +40,13 @@ congruence, decided against class representatives, is compared with
 its definition scan, also on ℤn with a random × and every element a
 subtrahend, where ~ is an equivalence and mostly no congruence; a set
 of subtrahends that is no ideal must be refused with the condition it
-fails.  The homomorphism search, which decides candidates on the rows
+fails.  The labels p + α′ that decide the difference semiring where
+their premises hold, and the first generator column on which they fail
+to be a homomorphism, are compared with their definition on those
+tables with drawn opposites; the construction from the labels equals
+the one from the dense relation, field for field, there and on every
+`diff` table of the golden corpus.  The homomorphism search, which
+decides candidates on the rows
 of the generators where both carriers are associative, is compared
 with its definition where + is not associative on one side and a
 candidate keeps those rows but fails elsewhere, and where only ! fails,
