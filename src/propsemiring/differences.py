@@ -23,8 +23,8 @@ pairs (q, ⊤) are related, so the label p + α′ names each class by an
 element of the carrier.  Transitivity then follows from cancellation:
 (p, α) ~ (q, β) ~ (r, γ) give (p + γ) + β = (r + α) + β, and β cancels.
 The congruence is checked on the columns of generators of the pairs
-under ⊕, (g, ⊤) for g generating + and (⊤, β) for β ≠ ⊤ in ⊖: the pairs y
-with l(x ∘ y) = l(x) ∘ l(y) for every x are closed under ⊕, by
+under ⊕, (g, ⊤) for g generating + and (⊤, h) for h generating ⊖: the
+pairs y with l(x ∘ y) = l(x) ∘ l(y) for every x are closed under ⊕, by
 associativity of + and left distributivity.  No N-by-N structure is
 built on this path.
 
@@ -249,13 +249,30 @@ def _label_premises(subtrahends: SubtrahendIdeal) -> bool:
             and _associative(c, ADD) and _distributivity(algebra).holds)
 
 
+def _sum_generators(c, members: tuple[int, ...], top: int) -> list[int]:
+    """The members, in order, that ⊤ and sums with the members before
+    them do not reach: (((⊤ + h1) + h2) + …) over these h reaches every
+    member where + is commutative and associative, as ⊖ is closed
+    under +."""
+    reached, generators = {top}, []
+    for b in members:
+        if b not in reached:
+            generators.append(b)
+            new = set(reached)
+            while new:
+                new = {c.add[r][h] for r in new
+                       for h in generators}.difference(reached)
+                reached |= new
+    return generators
+
+
 def _first_failing_column(subtrahends: SubtrahendIdeal, labels):
     """The first y, among (g, ⊤) for g in the generating set of + and
-    then (⊤, β) for β ∈ ⊖ other than ⊤, for which l(x ⊕ y) = l(x) + l(y) or
-    l(x ⊗ y) = l(x) × l(y) fails at some pair x, where l is ``labels``
-    (:func:`_labels`) extended to every pair (u, γ) as u + γ′; None when
-    every column holds.  ⊖ must be an ideal, so that x ⊕ y and x ⊗ y are
-    pairs."""
+    then (⊤, h) for h in :func:`_sum_generators` of ⊖, for which
+    l(x ⊕ y) = l(x) + l(y) or l(x ⊗ y) = l(x) × l(y) fails at some pair
+    x, where l is ``labels`` (:func:`_labels`) extended to every pair
+    (u, γ) as u + γ′; None when every column holds.  ⊖ must be an ideal,
+    so that x ⊕ y and x ⊗ y are pairs."""
     algebra, members = subtrahends.algebra, subtrahends.members
     c = algebra.compiled
     compose, n, width, top = c.compose, c.n, len(members), algebra.top_index
@@ -277,7 +294,7 @@ def _first_failing_column(subtrahends: SubtrahendIdeal, labels):
         return c.concat([compose(c.add[v], by_a) for v in by_p])
 
     for q, b in chain(((g, top) for g in c.generators(ADD)),
-                      ((top, b) for b in members if b != top)):
+                      ((top, h) for h in _sum_generators(c, members, top))):
         y = labels[q * width + position[b]]
         sums = labels_of(compose(c.add_t[q], firsts),
                          compose(c.add_t[b], seconds))
@@ -323,9 +340,10 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
       every s, so p + γ = r + α.  The report still says N³ and holds.
     - *The congruence* is checked on generator columns: l(x ⊕ y) =
       l(x) + l(y) and l(x ⊗ y) = l(x) × l(y) for every pair x and each y
-      among (g, ⊤), g in the generating set of +, and (⊤, β), β ∈ ⊖
-      other than ⊤.  These y generate every pair under ⊕, as
-      (p, α) = (p, ⊤) ⊕ (⊤, α) and (⊤, ⊤) is a sum of the (g, ⊤),
+      among (g, ⊤), g in the generating set of +, and (⊤, h), h in a
+      generating set of ⊖ under +.  These y generate every pair under ⊕,
+      as (p, α) = (p, ⊤) ⊕ (⊤, α), (p, ⊤) is a sum of the (g, ⊤), and
+      (⊤, α) one of the (⊤, h),
       and the y that pass are closed under ⊕, so every y passes (Burris
       & Sankappanavar, *A Course in Universal Algebra*, 1981, ch. II:
       compatibility with each argument).  For ⊕ that takes only the

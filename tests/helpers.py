@@ -530,20 +530,26 @@ def difference_oracle(add, mul, members, names):
 
 
 def label_columns_oracle(add, mul, members, opposites, gens, top):
-    """The first y among (g, top) for g in ``gens`` and then (top, β) for
-    β ≠ top in ``members`` at which the label l(u, γ) = u + γ′, γ′ the
-    opposite of γ, fails l(x ⊕ y) = l(x) + l(y) or l(x ⊗ y) =
+    """The first y among (g, top) for g in ``gens`` and then (top, h) for
+    each member h that top does not reach by adding earlier such h one at
+    a time, at which the label l(u, γ) = u + γ′, γ′ the opposite of γ,
+    fails l(x ⊕ y) = l(x) + l(y) or l(x ⊗ y) =
     l(x) × l(y) for some pair x = (p, α); None when every y passes.
     ``members`` must be an ideal, so that sums and products of pairs are
     pairs."""
     opposite = dict(zip(members, opposites))
+    reached, hs = {top}, []
+    for b in members:
+        if b not in reached:
+            hs.append(b)
+            while not {add[r][h] for r in reached for h in hs} <= reached:
+                reached |= {add[r][h] for r in reached for h in hs}
 
     def label(x):
         return add[x[0]][opposite[x[1]]]
 
     pairs = [(p, a) for p in range(len(add)) for a in members]
-    for y in [(g, top) for g in gens] + [(top, b) for b in members
-                                         if b != top]:
+    for y in [(g, top) for g in gens] + [(top, h) for h in hs]:
         (q, b), ly = y, label(y)
         for p, a in pairs:
             lx = label((p, a))
