@@ -529,21 +529,27 @@ def difference_oracle(add, mul, members, names):
     return "ok", classes, len(pairs) ** 3, checked
 
 
-def label_columns_oracle(add, mul, members, opposites, gens, top):
-    """The first y among (g, top) for g in ``gens`` and then (top, h) for
-    each member h that top does not reach by adding earlier such h one at
-    a time, at which the label l(u, γ) = u + γ′, γ′ the opposite of γ,
-    fails l(x ⊕ y) = l(x) + l(y) or l(x ⊗ y) =
-    l(x) × l(y) for some pair x = (p, α); None when every y passes.
-    ``members`` must be an ideal, so that sums and products of pairs are
-    pairs."""
-    opposite = dict(zip(members, opposites))
+def sum_generators_oracle(add, members, top):
+    """Each member, in order, that top does not reach by adding the
+    earlier such members one at a time."""
     reached, hs = {top}, []
     for b in members:
         if b not in reached:
             hs.append(b)
             while not {add[r][h] for r in reached for h in hs} <= reached:
                 reached |= {add[r][h] for r in reached for h in hs}
+    return hs
+
+
+def label_columns_oracle(add, mul, members, opposites, gens, top):
+    """The first y among (g, top) for g in ``gens`` and then (top, h) for
+    h in :func:`sum_generators_oracle`, at which the label
+    l(u, γ) = u + γ′, γ′ the opposite of γ, fails l(x ⊕ y) = l(x) + l(y)
+    or l(x ⊗ y) = l(x) × l(y) for some pair x = (p, α); None when every y
+    passes.  ``members`` must be an ideal, so that sums and products of
+    pairs are pairs."""
+    opposite = dict(zip(members, opposites))
+    hs = sum_generators_oracle(add, members, top)
 
     def label(x):
         return add[x[0]][opposite[x[1]]]

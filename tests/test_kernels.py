@@ -121,7 +121,7 @@ from helpers import (antisymmetry_oracle, associativity_oracle,
                      operation_bounds_oracle, order_map_oracle, pairs_of,
                      pairwise_monotony_oracle, pinned_homs_oracle, quotient_identity_oracle,
                      reflexivity_oracle, stall_generators_oracle,
-                     subtrahend_ideal_oracle,
+                     subtrahend_ideal_oracle, sum_generators_oracle,
                      transitivity_oracle, translation_invariance_oracle,
                      transpose_oracle, zerosumfree_oracle)
 
@@ -654,15 +654,19 @@ def difference_outcome(build, subtrahends):
 
 
 def assert_labels_match(subtrahends, add, mul, zero):
-    """The labels p + α′ and their first failing column against the
-    definition, on any table whose subtrahends form an ideal."""
+    """The labels p + α′, the generators of the subtrahends under + and
+    the first failing column against their definitions, on any table
+    whose subtrahends form an ideal."""
     members, opposites = subtrahends.members, subtrahends.opposites
     labels = differences_module._labels(subtrahends)
     assert list(labels) == [add[p][o] for p in range(len(add))
                             for o in opposites]
-    gens = subtrahends.algebra.compiled.generators(ADD)
+    c = subtrahends.algebra.compiled
+    assert differences_module._sum_generators(c, members, zero) \
+        == sum_generators_oracle(add, members, zero)
     assert differences_module._first_failing_column(subtrahends, labels) \
-        == label_columns_oracle(add, mul, members, opposites, gens, zero)
+        == label_columns_oracle(add, mul, members, opposites,
+                                c.generators(ADD), zero)
 
 
 @settings(max_examples=300, deadline=None)
