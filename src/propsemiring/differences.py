@@ -250,10 +250,10 @@ def _label_premises(subtrahends: SubtrahendIdeal) -> bool:
 
 
 def _sum_generators(c, members: tuple[int, ...], top: int) -> list[int]:
-    """The members, in order, that ⊤ and sums with the members before
-    them do not reach: (((⊤ + h1) + h2) + …) over these h reaches every
-    member where + is commutative and associative, as ⊖ is closed
-    under +."""
+    """Each member, in order, that ⊤ does not reach by adding the members
+    chosen before it, one at a time.  Where + is commutative and
+    associative, the sums of the chosen members reach every member, as ⊖
+    is closed under +."""
     reached, generators = {top}, []
     for b in members:
         if b not in reached:
