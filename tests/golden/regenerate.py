@@ -173,6 +173,15 @@ def _inputs() -> dict[str, object]:
     files["z65.json"] = zmod_spec(65)
     files["z3-nondist.json"] = _edited(zmod_spec(3), "z3-nondist",
                                        ("mul", "2", "2", "0"))
+    # Four elements with idempotent, commutative + (1 + 2 = 0, 1 + 3 = 1,
+    # 2 + 3 = 3) that is not associative: (1 + 1) + 2 = 0, 1 + (1 + 2) = 1.
+    # Its canonical order has 2 ≼ 3 ≼ 1 but not 2 ≼ 1, so transitivity
+    # fails at (2, 3, 1).  And the canonical order of free:2 as a matrix.
+    semi = [[0, 1, 2, 3], [1, 1, 0, 1], [2, 0, 2, 3], [3, 1, 3, 3]]
+    files["nonassoc4.json"] = _ordered_table("nonassoc4", 4,
+                                             lambda i, j: semi[i][j])
+    files["free2-canonical.json"] = canonical_order(
+        free_boolean_algebra(2)).to_matrix()
     # The quotient of this table breaks the multiplicative identity law.
     files["diff-broken-identity.json"] = {
         "name": "pair", "elements": ["0", "1"],
@@ -434,6 +443,11 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
          None),
         ("diff-nondistributive-z3-top", ["diff", "--table", "z3-nondist.json",
                                          "--subtrahends", "0"], None),
+        ("order-nonassociative-nonassoc4",
+         ["order", "--table", "nonassoc4.json"], None),
+        ("order-canonical-matrix-free2",
+         ["order", "--free-atoms", "2", "--order-matrix",
+          "free2-canonical.json"], None),
     ]
     # Formulas: every precedence level, both associativities, the
     # Unicode spellings, an atom the formula does not mention, and one
