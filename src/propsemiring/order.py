@@ -20,6 +20,15 @@ p × q ≼ p and p × q ≼ q (p + q ≼ r gives p ≼ p + q ≼ r, and p ≼ q 
 gives p ≼ q × r ≼ q), four n² bounds; else a scan names the first
 witness.  Transitivity and each monotony law are decided once per
 relation, however many checks read them.
+
+Where the relation is the canonical order of a semilattice + (idempotent,
+commutative and associative), the poset laws and monotony of + hold by
+identities (Davey & Priestley, *Introduction to Lattices and Order*,
+2002, ch. 2), so they report their full counts with no scan
+(``OrderRelation.semilattice_order``):
+reflexivity, p + p = p; antisymmetry, p = q + p = p + q = q;
+transitivity, p + r = p + (q + r) = (p + q) + r = q + r = r; and
+monotony of +, (p + r) + (q + r) = (p + q) + (r + r) = q + r.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, repeat
-from operator import and_, getitem, or_
+from operator import and_, eq, getitem, or_
 from typing import Callable
 
 from .algebra import (ADD, MAX_BYTE_CARRIER, MAX_DENSE_CARRIER, MUL, Algebra,
@@ -64,8 +73,27 @@ class OrderRelation:
         return tuple(map(_from_bytes, self.rows))
 
     @cached_property
+    def semilattice_order(self) -> bool:
+        """Whether + is idempotent, commutative and associative and the
+        rows are its canonical order, p ≼ q iff p + q = q.  Then ≼ is a
+        partial order in which + is monotone, by the identities in the
+        module docstring, whatever made the rows: ``canonical_order``, a
+        supplied matrix or the restriction to a subalgebra."""
+        c = self.algebra.compiled
+        carrier = c.row(range(c.n))
+        return (c.row(map(getitem, c.add, carrier)) == carrier
+                and c.add == c.add_t
+                and all(map(eq, self.rows, map(c.equal, c.add,
+                                               repeat(carrier))))
+                and _associative(c, ADD))
+
+    @cached_property
     def transitivity(self) -> PropertyReport:
-        """The transitivity report, decided once per relation."""
+        """The transitivity report, decided once per relation: over all
+        |≼|·n tuples with no scan where ``semilattice_order`` holds."""
+        if self.semilattice_order:
+            return PropertyReport("transitivity", True, None,
+                                  b"".join(self.rows).count(1) * len(self.rows))
         return _transitivity("transitivity", self.algebra.name_of, self.rows,
                              self.up_packed)
 
@@ -158,13 +186,19 @@ def _transitivity(name: str, name_of: Callable, up, packed) -> PropertyReport:
 
 
 def check_poset(order: OrderRelation) -> list[PropertyReport]:
-    """Reflexivity, antisymmetry and transitivity, one report each."""
+    """Reflexivity, antisymmetry and transitivity, one report each; with
+    no scan where ``order.semilattice_order`` holds."""
+    n = len(order.rows)
+    if order.semilattice_order:
+        return [PropertyReport("reflexivity", True, None, n),
+                PropertyReport("antisymmetry", True, None, n * n),
+                order.transitivity]
     name_of = order.algebra.name_of
     up, down, packed = order.rows, order.down_bytes, order.up_packed
-    carrier = range(len(up))
+    carrier = range(n)
 
     reflexive = _scan_rows("reflexivity", name_of, [((), carrier, (
-        (bytes(map(getitem, up, carrier)), b"\1" * len(up), None),))])
+        (bytes(map(getitem, up, carrier)), b"\1" * n, None),))])
 
     antisymmetric = _scan_rows("antisymmetry", name_of, (  # q ≠ p both ways
         ((p,), carrier, ((both, both & 1 << 8 * p, None),))
@@ -202,7 +236,8 @@ def _monotony(order: OrderRelation, op: str,
     (ADD or MUL), or r ∘ p ≼ r ∘ q with ``second``; decided once per
     relation and kept in ``order.monotony``.
 
-    When ∘ is associative, the r for which the law holds are closed
+    Monotony of + holds over all |≼|·n tuples with no scan where
+    ``order.semilattice_order`` holds.  When ∘ is associative, the r for which the law holds are closed
     under ∘, so the law holds over all |≼|·n tuples once it holds at
     each r of the generating set of ∘ (:func:`_monotone_at_generators`).
     Otherwise the cases (p, q) run over r and name the witness.  On byte
@@ -221,7 +256,8 @@ def _monotony(order: OrderRelation, op: str,
     rows, cols = c.tables(op)
     if second:
         rows, cols = cols, rows
-    if _monotone_at_generators(c, up, op, cols):
+    if (op == ADD and order.semilattice_order
+            or _monotone_at_generators(c, up, op, cols)):
         order.monotony[key] = PropertyReport(name, True, None,
                                              b"".join(up).count(1) * c.n)
         return order.monotony[key]

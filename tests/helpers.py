@@ -350,6 +350,13 @@ def canonical_order_oracle(add, names):
     return [[int(add[p][q] == q) for q in range(n)] for p in range(n)]
 
 
+def semilattice_order_oracle(add, leq):
+    """Whether + is idempotent, commutative and associative and ``leq``
+    is its canonical order, p ≼ q iff p + q = q."""
+    return (canonical_order_oracle(add, range(len(add))) == leq
+            and associativity_oracle(add)[0] is None)
+
+
 def morphism_oracle(src, dst, f, kind):
     """Verify ψ = f between algebras given as dicts of add, mul, comp
     (or None), top and bot: ⊤, ⊥, then + and × per pair, then !."""

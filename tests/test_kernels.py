@@ -85,8 +85,8 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from propsemiring.algebra import (ADD, MAX_DENSE_CARRIER, MUL, AlgebraError,
                                   CompiledTables, DomainError, SizeLimitError,
                                   TableLoadError, UnsupportedOperationError,
-                                  free_boolean_algebra, table_semiring,
-                                  transposed)
+                                  free_boolean_algebra, subalgebra_closure,
+                                  table_semiring, transposed)
 import propsemiring.differences as differences_module
 import propsemiring.morphisms as morphisms_module
 import propsemiring.order as order_module
@@ -102,7 +102,7 @@ from propsemiring.morphisms import (KINDS, MODES, Morphism, check_morphism,
 from propsemiring.order import (OrderRelation, canonical_order,
                                 check_bound_decomposition, check_monotony,
                                 check_operation_bounds, check_pairwise_monotony,
-                                check_poset, cones)
+                                check_poset, cones, subalgebra_order_report)
 from propsemiring.properties import (BAND_POSITIONS, _associative,
                                      _associativity, _distributivity,
                                      additively_cancellable_elements,
@@ -120,8 +120,9 @@ from helpers import (antisymmetry_oracle, associativity_oracle,
                      mult_left_cancellative_oracle,
                      operation_bounds_oracle, order_map_oracle, pairs_of,
                      pairwise_monotony_oracle, pinned_homs_oracle, quotient_identity_oracle,
-                     reflexivity_oracle, stall_generators_oracle,
-                     subtrahend_ideal_oracle, sum_generators_oracle,
+                     reflexivity_oracle, semilattice_order_oracle,
+                     stall_generators_oracle, subtrahend_ideal_oracle,
+                     sum_generators_oracle,
                      transitivity_oracle, translation_invariance_oracle,
                      transpose_oracle, zerosumfree_oracle)
 
@@ -1036,14 +1037,152 @@ def test_bound_decomposition_of_a_nontransitive_relation():
 
 
 def test_holding_bound_decomposition_runs_no_scan(count_calls):
-    # free:3 under its canonical order: transitivity and the four bounds
-    # decide the law, and the count is still that of the n³ scan
+    # free:3 under its canonical order: transitivity, which follows from
+    # the semilattice laws of +, and the four bounds decide the law, and
+    # the count is still that of the n³ scan
     scans = count_calls("_scan_rows", order_module)
     algebra = free_boolean_algebra(3)
     report = check_bound_decomposition(canonical_order(algebra))
-    assert [s[0] for s in scans] == ["transitivity"]
+    assert scans == []
     assert (report.holds, report.witness, report.checked, report.details) \
         == (True, None, 256 ** 3, None)
+
+
+# -- the canonical order of a semilattice -------------------------------------
+
+
+@st.composite
+def idempotent_commutative_tables(draw):
+    """(add, mul, zero, one) whose + is idempotent and commutative with
+    identity 0: max on a chain, the flat lattice (distinct p, q other
+    than 0 sum to n - 1), union on the bit masks of up to 3 points, or
+    noise above the diagonal; then up to two pairs of mirrored cells
+    changed, so that + is associative only sometimes.  × is noise with a
+    drawn identity."""
+    base = draw(st.sampled_from(("chain", "flat", "masks", "noise")))
+    n = 1 << draw(st.integers(0, 3)) if base == "masks" else draw(
+        st.integers(1, 6))
+    cell = st.integers(0, n - 1)
+    if base == "chain":
+        add = [[max(i, j) for j in range(n)] for i in range(n)]
+    elif base == "flat":
+        add = [[i if i == j else n - 1 for j in range(n)] for i in range(n)]
+    elif base == "masks":
+        add = [[i | j for j in range(n)] for i in range(n)]
+    else:
+        add = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            add[i][j] = add[j][i] = draw(cell)
+    for i, j, value in draw(st.lists(st.tuples(cell, cell, cell),
+                                     max_size=2)):
+        add[i][j] = add[j][i] = value
+    for x in range(n):
+        add[x][x] = x
+        add[0][x] = add[x][0] = x
+    mul = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    one = draw(cell)
+    for x in range(n):
+        mul[one][x] = mul[x][one] = x
+    return add, mul, 0, one
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_semilattice_order_matches_definitions(data):
+    # On the canonical rows, and one cell away from them, the poset laws
+    # and both monotony laws agree with their definitions whether the
+    # rows are decided from the semilattice laws of + or scanned.
+    table = data.draw(idempotent_commutative_tables())
+    add = table[0]
+    leq = canonical_matrix(add)
+    cell = st.integers(0, len(add) - 1)
+    for p, q in data.draw(st.lists(st.tuples(cell, cell), max_size=1)):
+        leq[p][q] ^= 1
+    _, order = assert_order_laws_match(table, leq)
+    assert order.semilattice_order == semilattice_order_oracle(add, leq)
+    assert order_module._monotony(order, ADD) is check_monotony(order)[0]
+
+
+def no_semilattice_table(name):
+    """(add, mul, zero, one) of the tables that fail one premise of the
+    semilattice order, or whose + is a semilattice ("subsets")."""
+    min_mul = [[min(i, j) for j in range(4)] for i in range(4)]
+    return {
+        # the subsets of three points, + intersection
+        "subsets": lambda: subsets_table(3),
+        # ℤ3: 1 + 1 = 2
+        "not-idempotent": lambda: (
+            [[(i + j) % 3 for j in range(3)] for i in range(3)],
+            [[i * j % 3 for j in range(3)] for i in range(3)], 0, 1),
+        # p + r = r unless r = 0: idempotent and associative
+        "not-commutative": lambda: right_zero_table(4),
+        # 1 + 2 = 0, 1 + 3 = 1, 2 + 3 = 3: idempotent and commutative,
+        # and 2 ≼ 3 ≼ 1 but not 2 ≼ 1
+        "not-associative": lambda: (
+            [[0, 1, 2, 3], [1, 1, 0, 1], [2, 0, 2, 3], [3, 1, 3, 3]],
+            min_mul, 0, 3),
+    }[name]()
+
+
+@pytest.mark.parametrize("name, flip, law, witness", [
+    ("subsets", (5, 5), "reflexivity", (5,)),
+    ("subsets", (0, 7), "antisymmetry", (0, 7)),
+    ("subsets", (7, 0), "transitivity", (7, 1, 0)),
+    ("not-idempotent", None, "reflexivity", (1,)),
+    ("not-commutative", None, "antisymmetry", (1, 2)),
+    ("not-associative", None, "transitivity", (2, 3, 1))])
+def test_rows_that_are_no_semilattice_order_are_scanned(count_calls, name,
+                                                        flip, law, witness):
+    # Canonical rows of a + that breaks one premise, or the canonical
+    # order of a semilattice with one cell flipped: the laws are scanned,
+    # agree with their definitions, and the law broken names its witness.
+    table = no_semilattice_table(name)
+    leq = canonical_matrix(table[0])
+    if flip is not None:
+        leq[flip[0]][flip[1]] ^= 1
+    scans = count_calls("_scan_rows", order_module)
+    _, order = assert_order_laws_match(table, leq)
+    assert not order.semilattice_order
+    reports = {r.property: r for r in check_poset(order)}
+    assert reports[law].witness == tuple(f"x{i}" for i in witness)
+    assert law in [name for name, *_ in scans]
+
+
+@pytest.mark.parametrize("atoms, supplied", [(3, False), (2, True)])
+def test_semilattice_order_runs_no_scan(count_calls, atoms, supplied):
+    # free:3 under canonical_order, and free:2 under its canonical order
+    # supplied as a matrix: the poset laws and monotony of + follow from
+    # the semilattice laws of +, with the counts of their scans.
+    algebra = free_boolean_algebra(atoms)
+    order = canonical_order(algebra)
+    if supplied:
+        order = OrderRelation.from_matrix(algebra, order.to_matrix())
+    scans = count_calls("_scan_rows", order_module)
+    at_generators = count_calls("_monotone_at_generators", order_module)
+    reports = [*check_poset(order), order_module._monotony(order, ADD)]
+    assert order.semilattice_order
+    assert scans == [] and at_generators == []
+    n, related = algebra.size, 3 ** (1 << atoms)  # |≼|: 3 states per row
+    assert [(r.property, r.holds, r.witness, r.checked) for r in reports] == [
+        ("reflexivity", True, None, n), ("antisymmetry", True, None, n * n),
+        ("transitivity", True, None, related * n),
+        ("monotony-add", True, None, related * n)]
+
+
+def test_restricted_canonical_order_runs_no_scan(count_calls):
+    # The canonical order of free:3 restricted to the subalgebra {⊤, a,
+    # !a, ⊥} is the canonical order of the restricted + (|≼| = 9).
+    algebra = free_boolean_algebra(3)
+    sub = subalgebra_closure(algebra, [algebra.element_named("a")],
+                             bpa_closed=True)
+    scans = count_calls("_scan_rows", order_module)
+    report = subalgebra_order_report(sub, canonical_order(algebra))
+    assert scans == []
+    assert [(r.property, r.holds, r.checked)
+            for r in report.restriction_poset + report.restriction_monotony
+            ] == [("reflexivity", True, 4), ("antisymmetry", True, 16),
+                  ("transitivity", True, 36), ("monotony-add", True, 36),
+                  ("monotony-mul", True, 36)]
 
 
 # -- laws decided on generating sets ------------------------------------------
@@ -1551,17 +1690,15 @@ def test_hom_search_with_more_generators_than_the_recursion_limit(
     assert len(stages) > sys.getrecursionlimit()
 
 
-def test_order_decides_transitivity_and_monotony_once(monkeypatch, capsys):
+def test_order_decides_transitivity_and_monotony_once(count_calls, capsys):
     # check_poset, check_monotony and the reduction of pairwise monotony
     # read the same transitivity and first-argument monotony reports; +
     # and × of free:3 are commutative, so no second-argument law runs.
-    calls = []
-    for name in ("_transitivity", "_monotone_at_generators"):
-        original = getattr(order_module, name)
-        monkeypatch.setattr(order_module, name,
-                            lambda *args, original=original, name=name:
-                            calls.append(name) or original(*args))
+    # Transitivity and monotony of + follow from the semilattice laws of
+    # + under the canonical order, so only monotony of × runs.
+    transitivity = count_calls("_transitivity", order_module)
+    at_generators = count_calls("_monotone_at_generators", order_module)
     assert main(["order", "--free-atoms", "3"]) == 0
     assert '"pairwise-monotony"' in capsys.readouterr().out
-    assert sorted(calls) == ["_monotone_at_generators",
-                             "_monotone_at_generators", "_transitivity"]
+    assert transitivity == []
+    assert [args[2] for args in at_generators] == [MUL]
