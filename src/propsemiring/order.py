@@ -237,15 +237,15 @@ def _monotony(order: OrderRelation, op: str,
     relation and kept in ``order.monotony``.
 
     Monotony of + holds over all |≼|·n tuples with no scan where
-    ``order.semilattice_order`` holds.  When ∘ is associative, the r for which the law holds are closed
-    under ∘, so the law holds over all |≼|·n tuples once it holds at
-    each r of the generating set of ∘ (:func:`_monotone_at_generators`).
-    Otherwise the cases (p, q) run over r and name the witness.  On byte
-    rows, a p with more than FEW_ABOVE elements above it is first decided
-    by its translations: for every r the images q ∘ r of the q in up(p)
-    must lie in up(p ∘ r), two ``bytes.translate`` calls per r.  Such a p
-    that holds is one case of |up(p)|·n tuples; one that fails runs its
-    cases.
+    ``order.semilattice_order`` holds.  When ∘ is associative, the r for
+    which the law holds are closed under ∘, so the law holds over all
+    |≼|·n tuples once it holds at each r of the generating set of ∘
+    (:func:`_monotone_at_generators`).  Otherwise the cases (p, q) run
+    over r and name the witness.  On byte rows, a p with more than
+    FEW_ABOVE elements above it is first decided by its translations: for
+    every r the images q ∘ r of the q in up(p) must lie in up(p ∘ r), two
+    ``bytes.translate`` calls per r.  Such a p that holds is one case of
+    |up(p)|·n tuples; one that fails runs its cases.
     """
     key = (op, second)
     if key in order.monotony:
