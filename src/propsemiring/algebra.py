@@ -281,9 +281,10 @@ class CompiledTables:
     that :meth:`compose` runs whole rows through ``bytes.translate`` in
     C, and tuples up to :data:`MAX_DENSE_CARRIER`.
 
-    :meth:`generators` gives a generating set of each operation, and
+    :meth:`generators` gives a generating set of each operation,
     ``associative`` holds Light's associativity verdict per operation
-    (``properties._associative``); both are computed once per algebra.
+    (``properties._associative``), and ``canonical_rows`` the rows
+    p + q = q; each is computed once per algebra.
     """
 
     def __init__(self, algebra: Algebra):
@@ -303,6 +304,13 @@ class CompiledTables:
         self._irreducible: dict[str, frozenset[int]] = {}
         self._generators: dict[str, tuple[int, ...]] = {}
         self.associative: dict[str, bool] = {}
+
+    @cached_property
+    def canonical_rows(self) -> tuple:
+        """Per p, the 0/1 byte row that is 1 at q iff p + q = q: the
+        canonical order where + is idempotent and commutative."""
+        return tuple(map(self.equal, self.add,
+                         repeat(self.row(range(self.n)))))
 
     def tables(self, op: str) -> tuple[list, list]:
         """The rows and the columns of ``op`` (ADD or MUL)."""

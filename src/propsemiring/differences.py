@@ -12,28 +12,24 @@ p + β = q + α, and the quotient carries
 For Boolean carriers only ⊤ is cancellable, so ⊖ = {⊤} and the quotient
 is a copy of the carrier; modular tables ℤn provide the interesting
 cases.  ~ is reflexive and symmetric by its defining equation, which
-reads the same from either pair; every other structural fact used here
-(transitivity, the congruence, the embedding p ↦ (p, ⊤)) is verified at
-construction time, not assumed.
+reads the same from either pair.  Every construction verifies that ⊖ is
+an ideal, checks the premises of the labels below, and verifies that
+the embedding p ↦ (p, ⊤) is an injective semiring homomorphism.
 
 The quotient is the base.  Where + is commutative and associative, ×
 distributes over + and each subtrahend's opposite undoes it,
-(p + α′) + α = p, the pair (p, α) is related to (p + α′, ⊤), and no two
-pairs (q, ⊤) are related, so the label p + α′ names each class by an
-element of the carrier.  Transitivity then follows from cancellation:
-(p, α) ~ (q, β) ~ (r, γ) give (p + γ) + β = (r + α) + β, and β cancels.
-The congruence is checked on the columns of generators of the pairs
-under ⊕, (g, ⊤) for g generating + and (⊤, h) for h generating ⊖: the
-pairs y with l(x ∘ y) = l(x) ∘ l(y) for every x are closed under ⊕, by
-associativity of + and left distributivity.  No N-by-N structure is
-built on this path.
+(p + α′) + α = p, these checked premises make the label l(p, α) = p + α′
+a homomorphism of the pairs onto the carrier whose kernel is ~, so
+transitivity and the congruence follow and are not scanned.  The label
+names each class by an element of the carrier, and no N-by-N structure
+is built on this path.
 
 Where a premise fails, the relation is built as dense rows, its
-transitivity scanned, and the quotient's tables built at the heads of
-the classes, their least pairs; each pair is compared with them, as an
-equivalence is a congruence iff the operations on classes are well
-defined.  That takes O(N²) label comparisons over N pairs where the
-definition has (Σ block²)² positions, n⁶ on ℤn.  Where a comparison
+transitivity is still scanned, and the quotient's tables are built at
+the heads of the classes, their least pairs; each pair is compared with
+them, as an equivalence is a congruence iff the operations on classes
+are well defined.  That takes O(N²) label comparisons over N pairs
+where the definition has (Σ block²)² positions, n⁶ on ℤn.  Where a comparison
 fails, the definition's scan runs and names the first witness.  Pair
 (p, α) is coded p·|⊖| + position(α), and ⊖ must be an ideal, so those
 tables are built from the + table by row operations in C.
@@ -249,65 +245,6 @@ def _label_premises(subtrahends: SubtrahendIdeal) -> bool:
             and _associative(c, ADD) and _distributivity(algebra).holds)
 
 
-def _sum_generators(c, members: tuple[int, ...], top: int) -> list[int]:
-    """Each member, in order, that ⊤ does not reach by adding the members
-    chosen before it, one at a time.  Where + is commutative and
-    associative, the sums of the chosen members reach every member, as ⊖
-    is closed under +."""
-    reached, generators = {top}, []
-    for b in members:
-        if b not in reached:
-            generators.append(b)
-            new = set(reached)
-            while new:
-                new = {c.add[r][h] for r in new
-                       for h in generators}.difference(reached)
-                reached |= new
-    return generators
-
-
-def _first_failing_column(subtrahends: SubtrahendIdeal, labels):
-    """The first y, among (g, ⊤) for g in the generating set of + and
-    then (⊤, h) for h in :func:`_sum_generators` of ⊖, for which
-    l(x ⊕ y) = l(x) + l(y) or l(x ⊗ y) = l(x) × l(y) fails at some pair
-    x, where l is ``labels`` (:func:`_labels`) extended to every pair
-    (u, γ) as u + γ′; None when every column holds.  ⊖ must be an ideal,
-    so that x ⊕ y and x ⊗ y are pairs."""
-    algebra, members = subtrahends.algebra, subtrahends.members
-    c = algebra.compiled
-    compose, n, width, top = c.compose, c.n, len(members), algebra.top_index
-    position = [0] * n
-    for k, a in enumerate(members):
-        position[a] = k
-    times_width = tuple(range(0, n * width, width))
-    member_row = c.row(members)
-    firsts = c.row(p for p in range(n) for _ in members)  # x ↦ p
-    seconds = member_row * n  # x ↦ α
-
-    def labels_of(carrier, subtrahend):
-        """Per x, the label of the pair (carrier[x], subtrahend[x])."""
-        return compose(labels, tuple(map(add, compose(times_width, carrier),
-                                         compose(position, subtrahend))))
-
-    def outer(by_p, by_a):
-        """The row x = (p, α) ↦ by_p[p] + by_a[position(α)]."""
-        return c.concat([compose(c.add[v], by_a) for v in by_p])
-
-    for q, b in chain(((g, top) for g in c.generators(ADD)),
-                      ((top, h) for h in _sum_generators(c, members, top))):
-        y = labels[q * width + position[b]]
-        sums = labels_of(compose(c.add_t[q], firsts),
-                         compose(c.add_t[b], seconds))
-        # x ⊗ y = (p×q + α×β, p×β + α×q)
-        products = labels_of(
-            outer(c.mul_t[q], compose(c.mul_t[b], member_row)),
-            outer(c.mul_t[b], compose(c.mul_t[q], member_row)))
-        if (sums != compose(c.add_t[y], labels)
-                or products != compose(c.mul_t[y], labels)):
-            return q, b
-    return None
-
-
 def _blocks(label, count: int) -> list[list[int]]:
     """The pairs of each class, in pair order, from the row of class
     numbers ``label``."""
@@ -322,49 +259,44 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
 
     ⊖ must be an ideal (DomainError naming the condition that fails), so
     that every sum and product of pairs is a pair again.  The relation is
-    reflexive and symmetric by its definition, and verified to be
-    transitive and a congruence for both operations before the quotient
-    tables are built; violations raise CongruenceError with a witness,
-    though they cannot occur once the subtrahends validate as cancellable.
+    reflexive and symmetric by its definition, and transitive and a
+    congruence for both operations, proved from the premises below or
+    verified before the quotient tables are built; violations raise
+    CongruenceError with a witness, though they cannot occur once the
+    subtrahends validate as cancellable.
 
     **The quotient is the base** where + is commutative and associative,
-    × distributes over +, and (p + α′) + α = p for every p and each
-    α ∈ ⊖ with its opposite α′.  These premises are checked first, the
-    cheap ones first.  Then (p, α) ~ (p + α′, ⊤), as p + ⊤ = (p + α′) + α,
-    and (q, ⊤) ~ (r, ⊤) iff q = r, so each class holds exactly one pair
-    (q, ⊤), and the label l(p, α) = p + α′ names it by q:
+    × distributes over + on both sides, and (p + α′) + α = p for every p
+    and each α ∈ ⊖ with its recorded opposite α′.  These premises are
+    checked first, the cheap ones first.  Then the label l(p, α) = p + α′
+    is a homomorphism of the pairs onto the carrier, and ~ is its kernel,
+    so ~ is a congruence, transitive in particular (Burris &
+    Sankappanavar, *A Course in Universal Algebra*, 1981, ch. II §6), and
+    no scan runs; the two reports hold with their full counts.  With ⊤
+    the identity of + and ⊖ an ideal:
 
-    - *Transitivity* follows from cancellation, so no scan runs.  Let
-      (p, α) ~ (q, β) ~ (r, γ).  Then (p + γ) + β = (q + α) + γ =
-      (r + α) + β, and β is cancellable, since (s + β) + β′ = s for
-      every s, so p + γ = r + α.  The report still says N³ and holds.
-    - *The congruence* is checked on generator columns: l(x ⊕ y) =
-      l(x) + l(y) and l(x ⊗ y) = l(x) × l(y) for every pair x and each y
-      among (g, ⊤), g in the generating set of +, and (⊤, h), h in a
-      generating set of ⊖ under +.  These y generate every pair under ⊕,
-      as (p, α) = (p, ⊤) ⊕ (⊤, α), (p, ⊤) is a sum of the (g, ⊤), and
-      (⊤, α) one of the (⊤, h),
-      and the y that pass are closed under ⊕, so every y passes (Burris
-      & Sankappanavar, *A Course in Universal Algebra*, 1981, ch. II:
-      compatibility with each argument).  For ⊕ that takes only the
-      associativity of ⊕, which + gives: l(x ⊕ (y1 ⊕ y2)) =
-      l(x ⊕ y1) + l(y2) = l(x) + l(y1 ⊕ y2).  For ⊗, once every y passes
-      for ⊕, x ⊗ (y1 ⊕ y2) = (x ⊗ y1) ⊕ (x ⊗ y2) by left distributivity
-      and the laws of +, so l(x ⊗ (y1 ⊕ y2)) = l(x)·l(y1) + l(x)·l(y2) =
-      l(x) × l(y1 ⊕ y2).  So l is a homomorphism onto the base, and ~,
-      its kernel, is a congruence.  Under the premises the columns hold
-      (distributivity and cancellation give p × ⊤ = ⊤ = ⊤ × p), so they
-      verify the construction rather than decide it.
+    - *Opposites are unique*: a + b = ⊤ = a + b′ gives b = b + (a + b′)
+      = (b + a) + b′ = b′.  So the recorded opposite of α + β is
+      α′ + β′, and l(x ⊕ y) = l(x) + l(y).
+    - *p × ⊤ = ⊤ = ⊤ × p*: z = p × ⊤ lies in ⊖, which absorbs ×, and
+      distributivity gives z = z + z; adding z′ gives z = ⊤.  So
+      (p×β)′ = p×β′ and (α×q)′ = α′×q, and α×β = α′×β′, as both are
+      opposites of α′×β.  Then for x = (p, α) and y = (q, β),
+      l(x ⊗ y) = p×q + α×β + p×β′ + α′×q = (p + α′) × (q + β′) =
+      l(x) × l(y).
+    - *~ is the kernel of l*: p + β = q + α iff p + α′ = q + β′ (add
+      α′ + β′ to go one way, α + β to go back).  l(q, ⊤) = q, so each
+      class holds exactly one pair (q, ⊤) and l names it by q.
     - *The quotient's tables* are the base's + and × read through the
       class numbers, which follow the heads, the least pairs of the
       classes.  No N-by-N structure is held, so the only limit is that
       of the base's compiled tables, n classes.
 
-    Where a premise or a column fails, the relation is built as dense
-    rows, which refuses more than MAX_DENSE_CARRIER pairs.  Its
-    transitivity is scanned, and the quotient's tables are built at the
-    heads and each pair is compared with them.  An equivalence is a
-    congruence iff the operation on classes is well defined: iff
+    Where a premise fails, the relation is built as dense rows, which
+    refuses more than MAX_DENSE_CARRIER pairs.  Its transitivity is
+    scanned, and the quotient's tables are built at the heads and each
+    pair is compared with them.  An equivalence is a congruence iff the
+    operation on classes is well defined: iff
     [x∘y] = [h(x)∘h(y)] for all x and y, h(x) being the head of x's
     class, since x ~ x2 and y ~ y2 then give [x∘y] = [h(x)∘h(y)] =
     [x2∘y2].  So row x of the class tables [x ⊕ y] and [x ⊗ y] must be
@@ -386,10 +318,9 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
         p, a = pairs[i]
         return f"{algebra.name_of(p)}-{algebra.name_of(a)}"
 
-    labels = _labels(subtrahends) if _label_premises(subtrahends) else None
-    if labels is not None and _first_failing_column(subtrahends,
-                                                    labels) is None:
-        reps, label, classes, add_rows, mul_rows = _by_labels(c, labels)
+    if _label_premises(subtrahends):
+        reps, label, classes, add_rows, mul_rows = _by_labels(
+            c, _labels(subtrahends))
     else:
         reps, label, classes, add_rows, mul_rows = _by_relation(
             subtrahends, pairs, pair_name)

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, repeat
-from operator import and_, eq, getitem, or_
+from itertools import compress
+from operator import and_, getitem, or_
 from typing import Callable
 
 from .algebra import (ADD, MAX_BYTE_CARRIER, MAX_DENSE_CARRIER, MUL, Algebra,
@@ -82,9 +82,7 @@ class OrderRelation:
         c = self.algebra.compiled
         carrier = c.row(range(c.n))
         return (c.row(map(getitem, c.add, carrier)) == carrier
-                and c.add == c.add_t
-                and all(map(eq, self.rows, map(c.equal, c.add,
-                                               repeat(carrier))))
+                and c.add == c.add_t and self.rows == c.canonical_rows
                 and _associative(c, ADD))
 
     @cached_property
@@ -162,9 +160,7 @@ def canonical_order(algebra: Algebra) -> OrderRelation:
     """The order p ≼ q iff p + q = q; needs idempotent commutative +
     (:func:`require_canonical`)."""
     require_canonical(algebra)
-    c = algebra.compiled
-    return OrderRelation(algebra=algebra, rows=tuple(  # byte q: p + q = q
-        map(c.equal, c.add, repeat(c.row(range(c.n))))))
+    return OrderRelation(algebra=algebra, rows=algebra.compiled.canonical_rows)
 
 
 def discrete_order(algebra: Algebra) -> OrderRelation:

@@ -536,40 +536,28 @@ def difference_oracle(add, mul, members, names):
     return "ok", classes, len(pairs) ** 3, checked
 
 
-def sum_generators_oracle(add, members, top):
-    """Each member, in order, that top does not reach by adding the
-    earlier such members one at a time."""
-    reached, hs = {top}, []
-    for b in members:
-        if b not in reached:
-            hs.append(b)
-            while not {add[r][h] for r in reached for h in hs} <= reached:
-                reached |= {add[r][h] for r in reached for h in hs}
-    return hs
-
-
-def label_columns_oracle(add, mul, members, opposites, gens, top):
-    """The first y among (g, top) for g in ``gens`` and then (top, h) for
-    h in :func:`sum_generators_oracle`, at which the label
-    l(u, γ) = u + γ′, γ′ the opposite of γ, fails l(x ⊕ y) = l(x) + l(y)
-    or l(x ⊗ y) = l(x) × l(y) for some pair x = (p, α); None when every y
-    passes.  ``members`` must be an ideal, so that sums and products of
-    pairs are pairs."""
+def label_homomorphism_oracle(add, mul, members, opposites):
+    """The first pairs (x, y), x = (p, α) and y = (q, β), at which the
+    label l(u, γ) = u + γ′, γ′ the opposite recorded for γ, fails
+    l(x ⊕ y) = l(x) + l(y) or l(x ⊗ y) = l(x) × l(y), or at which
+    l(x) = l(y) disagrees with x ~ y, that is with p + β = q + α; None
+    when every pair passes.  ``members`` must be an ideal, so that sums
+    and products of pairs are pairs."""
     opposite = dict(zip(members, opposites))
-    hs = sum_generators_oracle(add, members, top)
+    pairs = [(p, a) for p in range(len(add)) for a in members]
 
     def label(x):
         return add[x[0]][opposite[x[1]]]
 
-    pairs = [(p, a) for p in range(len(add)) for a in members]
-    for y in [(g, top) for g in gens] + [(top, h) for h in hs]:
-        (q, b), ly = y, label(y)
-        for p, a in pairs:
-            lx = label((p, a))
+    for x in pairs:
+        (p, a), lx = x, label(x)
+        for y in pairs:
+            (q, b), ly = y, label(y)
             total = (add[p][q], add[a][b])
             product = (add[mul[p][q]][mul[a][b]], add[mul[p][b]][mul[a][q]])
-            if label(total) != add[lx][ly] or label(product) != mul[lx][ly]:
-                return y
+            if (label(total) != add[lx][ly] or label(product) != mul[lx][ly]
+                    or (lx == ly) != (add[p][b] == add[q][a])):
+                return x, y
     return None
 
 

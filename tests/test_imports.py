@@ -7,6 +7,9 @@ module lists it in ``__all__`` (the package re-exports its API that way).
 A private (``_name``) function, class, method or module constant counts
 as used when some module of the package names it outside its own
 definition, so a helper that a refactor leaves behind fails the check.
+In the same way every top-level function of the tests' ``helpers.py``
+must be named by a test module, by ``golden/regenerate.py`` or by
+another helper, so an oracle whose tests are gone fails the check too.
 No two private module-level functions of the package have the same body,
 compared as syntax trees without the docstring and with each argument
 named by its position, so a helper is written once and imported.
@@ -24,8 +27,8 @@ import pytest
 
 import propsemiring
 
-PACKAGE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                       "src", "propsemiring")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+PACKAGE = os.path.join(TESTS, os.pardir, "src", "propsemiring")
 MODULES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
 
 
@@ -75,10 +78,10 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["load (line 3)"]
 
 
-def _sources() -> dict[str, str]:
+def _sources(directory: str = PACKAGE, modules=MODULES) -> dict[str, str]:
     sources = {}
-    for module in MODULES:
-        with open(os.path.join(PACKAGE, module), encoding="utf-8") as handle:
+    for module in modules:
+        with open(os.path.join(directory, module), encoding="utf-8") as handle:
             sources[module] = handle.read()
     return sources
 
@@ -117,9 +120,10 @@ def _references(tree: ast.Module):
             yield node.name, node
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """``module: name (line k)`` for every private definition that no
-    module of ``sources`` names outside the definition itself."""
+def _unreferenced(sources: dict[str, str], definitions) -> list[str]:
+    """``module: name (line k)`` for every (name, node) that
+    ``definitions(module, tree)`` yields and that no module of
+    ``sources`` names outside the definition ``node`` itself."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     references = {}  # name: the nodes that name it
     for tree in trees.values():
@@ -127,15 +131,56 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
             references.setdefault(name, []).append(node)
     unused = []
     for module, tree in trees.items():
-        for name, definition in _private_definitions(tree):
+        for name, definition in definitions(module, tree):
             inside = set(map(id, ast.walk(definition)))
             if all(id(node) in inside for node in references.get(name, ())):
                 unused.append(f"{module}: {name} (line {definition.lineno})")
     return unused
 
 
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module: name (line k)`` for every private definition that no
+    module of ``sources`` names outside the definition itself."""
+    return _unreferenced(sources, lambda module, tree: _private_definitions(
+        tree))
+
+
+def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
+    """``helpers.py: name (line k)`` for every top-level function of
+    ``helpers.py`` that no module of ``sources`` names outside the
+    function itself."""
+    return _unreferenced(sources, lambda module, tree: (
+        (node.name, node) for node in tree.body
+        if module == "helpers.py" and isinstance(node, ast.FunctionDef)))
+
+
 def test_every_private_name_is_used():
     assert unreferenced_private_names(_sources()) == []
+
+
+def test_every_helper_is_used():
+    modules = sorted(name for name in os.listdir(TESTS) if name.endswith(".py"))
+    assert unreferenced_helpers(_sources(TESTS, modules + [
+        os.path.join("golden", "regenerate.py")])) == []
+
+
+def test_the_check_finds_an_unreferenced_helper():
+    sources = {
+        "helpers.py": ("def zmod(n):\n"
+                       "    return list(range(n))\n"
+                       "def oracle(n):\n"
+                       "    return oracle(n - 1) if n else zmod(0)\n"
+                       "def scan(n):\n"
+                       "    return n\n"
+                       "def used(n):\n"
+                       "    return n\n"),
+        "test_a.py": ("from helpers import used\n"
+                      "def test_used():\n"
+                      "    assert used(1)\n"),
+        "regenerate.py": ("import helpers\n"
+                          "print(helpers.scan(2))\n"),
+    }
+    assert unreferenced_helpers(sources) == ["helpers.py: oracle (line 3)"]
 
 
 def test_the_check_finds_an_unreferenced_private_name():

@@ -41,11 +41,13 @@ its definition scan, also on ℤn with a random × and every element a
 subtrahend, where ~ is an equivalence and mostly no congruence; a set
 of subtrahends that is no ideal must be refused with the condition it
 fails.  The labels p + α′ that decide the difference semiring where
-their premises hold, and the first generator column on which they fail
-to be a homomorphism, are compared with their definition on those
-tables with drawn opposites; the construction from the labels equals
-the one from the dense relation, field for field, there and on every
-`diff` table of the golden corpus.  The poset laws and monotony of +,
+their premises hold are compared with their definition on those tables
+with drawn opposites, and wherever the premises hold they must be a
+homomorphism of the pairs whose kernel is the difference relation, by
+a scan of every pair of pairs; the construction from the labels equals
+the one from the dense relation, field for field, there, on relabelled
+ℤn and products of two ℤn of at most 16 elements, and on every `diff`
+table of the golden corpus.  The poset laws and monotony of +,
 decided from the identities of + where the relation is the canonical
 order of a semilattice +, are compared with their definitions on tables
 whose + is idempotent and commutative, associative or not, under their
@@ -123,16 +125,16 @@ from helpers import (antisymmetry_oracle, associativity_oracle,
                      closure_oracle, commutativity_oracle, cones_oracle,
                      difference_oracle, distributivity_oracle, entire_oracle,
                      extended_order_oracle, generators_oracle, homs_oracle,
-                     ideal_oracle, irreducible_oracle, label_columns_oracle,
-                     monotony_oracle, morphism_oracle,
+                     ideal_oracle, irreducible_oracle,
+                     label_homomorphism_oracle, monotony_oracle, morphism_oracle,
                      mult_left_cancellative_oracle,
                      operation_bounds_oracle, order_map_oracle, pairs_of,
-                     pairwise_monotony_oracle, pinned_homs_oracle, quotient_identity_oracle,
+                     pairwise_monotony_oracle, pinned_homs_oracle,
+                     product_spec, quotient_identity_oracle,
                      reflexivity_oracle, semilattice_order_oracle,
                      stall_generators_oracle, subtrahend_ideal_oracle,
-                     sum_generators_oracle,
                      transitivity_oracle, translation_invariance_oracle,
-                     transpose_oracle, zerosumfree_oracle)
+                     transpose_oracle, zerosumfree_oracle, zmod_spec)
 
 
 # Each example of 257-300 elements builds and scans n² tables, so shrinking
@@ -662,20 +664,15 @@ def difference_outcome(build, subtrahends):
             quotient.bot_index, quotient.source_spec)
 
 
-def assert_labels_match(subtrahends, add, mul, zero):
-    """The labels p + α′, the generators of the subtrahends under + and
-    the first failing column against their definitions, on any table
-    whose subtrahends form an ideal."""
+def assert_labels_match(subtrahends, add, mul):
+    """The labels p + α′ against their definition, on any table whose
+    subtrahends form an ideal; where their premises hold, the labels are
+    a homomorphism of the pairs whose kernel is the difference relation."""
     members, opposites = subtrahends.members, subtrahends.opposites
-    labels = differences_module._labels(subtrahends)
-    assert list(labels) == [add[p][o] for p in range(len(add))
-                            for o in opposites]
-    c = subtrahends.algebra.compiled
-    assert differences_module._sum_generators(c, members, zero) \
-        == sum_generators_oracle(add, members, zero)
-    assert differences_module._first_failing_column(subtrahends, labels) \
-        == label_columns_oracle(add, mul, members, opposites,
-                                c.generators(ADD), zero)
+    assert list(differences_module._labels(subtrahends)) == [
+        add[p][o] for p in range(len(add)) for o in opposites]
+    if differences_module._label_premises(subtrahends):
+        assert label_homomorphism_oracle(add, mul, members, opposites) is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -716,7 +713,7 @@ def test_difference_kernels_match_definitions(data):
                            match=re.escape(f"not an ideal: {ideal[2]} fails")):
             difference_semiring(forged)
         return
-    assert_labels_match(forged, add, mul, zero)
+    assert_labels_match(forged, add, mul)
     assert difference_outcome(difference_semiring, forged) \
         == difference_outcome(by_relation, forged)
     expected = difference_oracle(add, mul, members, algebra.names)
@@ -768,8 +765,9 @@ def golden_difference_cases():
 
 def test_labels_match_the_relation_on_golden_tables():
     # Each diff table of the corpus, built from its labels where their
-    # premises hold and from the relation as dense rows; ℤ65 has more
-    # pairs than dense rows hold.
+    # premises hold and from the relation as dense rows, and its labels
+    # compared with their definition; ℤ65 has more pairs than dense rows
+    # hold, and its 4225² pairs of pairs are more than the oracle reads.
     refused = []
     for case_id, algebra, names in golden_difference_cases():
         ideal = subtrahend_ideal(algebra, names)
@@ -780,10 +778,51 @@ def test_labels_match_the_relation_on_golden_tables():
                 by_relation(ideal)
             assert difference_semiring(ideal).algebra.size == algebra.size
             continue
+        assert_labels_match(ideal, *(list(map(list, algebra.table_rows(op)))
+                                     for op in (ADD, MUL)))
         assert difference_outcome(difference_semiring, ideal) \
             == difference_outcome(by_relation, ideal), case_id
     assert refused == ["diff-broken-identity", "diff-nondistributive-z3",
                        "diff-nondistributive-z3-top"]
+
+
+def spec_table(spec: dict):
+    """(add, mul, zero, one) of a table description, by element position."""
+    index = {e: i for i, e in enumerate(spec["elements"])}
+    add, mul = ([[index[v] for v in row] for row in spec[op]]
+                for op in ("add", "mul"))
+    return add, mul, index[spec["zero"]], index[spec["one"]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_labels_are_a_homomorphism_on_abelian_groups(data):
+    # ℤn (n ≤ 16) or a product of two ℤn, relabelled: + is an abelian
+    # group and × distributes, so the premises of the labels hold, with
+    # the true opposites, for the whole carrier and for the principal
+    # ideal of a drawn element
+    if data.draw(st.booleans()):
+        spec = zmod_spec(data.draw(st.integers(2, 16)))
+    else:
+        a = data.draw(st.integers(2, 4))
+        spec = product_spec(zmod_spec(a), zmod_spec(data.draw(
+            st.integers(2, 16 // a))))
+    table = spec_table(spec)
+    n = len(table[0])
+    table, _ = relabelled(table, range(n), data.draw(st.permutations(range(n))))
+    add, mul, zero, _ = table
+    algebra = algebra_of(*table)
+    if data.draw(st.booleans()):
+        ideal = subtrahend_ideal(algebra)
+        assert ideal.members == tuple(range(n))
+    else:
+        g = data.draw(st.integers(0, n - 1))
+        ideal = subtrahend_ideal(algebra, sorted({row[g] for row in mul}))
+    assert ideal.opposites == tuple(add[a].index(zero) for a in ideal.members)
+    assert differences_module._label_premises(ideal)
+    assert_labels_match(ideal, add, mul)
+    assert difference_outcome(difference_semiring, ideal) \
+        == difference_outcome(by_relation, ideal)
 
 
 @settings(max_examples=4, deadline=None, phases=NO_SHRINK)
@@ -808,6 +847,45 @@ def test_wide_rows_match_definitions(n, a, b, c, seed):
     members = [0, b, n - b]
     assert_matches(is_ideal(algebra, members),
                    ideal_oracle(add, mul, 0, members), "condition")
+
+
+def spec_table(spec: dict):
+    """(add, mul, zero, one) of a table description, by element position."""
+    index = {e: i for i, e in enumerate(spec["elements"])}
+    add, mul = ([[index[v] for v in row] for row in spec[op]]
+                for op in ("add", "mul"))
+    return add, mul, index[spec["zero"]], index[spec["one"]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_labels_are_a_homomorphism_on_abelian_groups(data):
+    # ℤn (n ≤ 16) or a product of two ℤn, relabelled: + is an abelian
+    # group and × distributes, so the premises of the labels hold, with
+    # the true opposites, for the whole carrier and for the principal
+    # ideal of a drawn element
+    if data.draw(st.booleans()):
+        spec = zmod_spec(data.draw(st.integers(2, 16)))
+    else:
+        a = data.draw(st.integers(2, 4))
+        spec = product_spec(zmod_spec(a), zmod_spec(data.draw(
+            st.integers(2, 16 // a))))
+    table = spec_table(spec)
+    n = len(table[0])
+    table, _ = relabelled(table, range(n), data.draw(st.permutations(range(n))))
+    add, mul, zero, _ = table
+    algebra = algebra_of(*table)
+    if data.draw(st.booleans()):
+        ideal = subtrahend_ideal(algebra)
+        assert ideal.members == tuple(range(n))
+    else:
+        g = data.draw(st.integers(0, n - 1))
+        ideal = subtrahend_ideal(algebra, sorted({row[g] for row in mul}))
+    assert ideal.opposites == tuple(add[a].index(zero) for a in ideal.members)
+    assert differences_module._label_premises(ideal)
+    assert_labels_match(ideal, add, mul)
+    assert difference_outcome(difference_semiring, ideal) \
+        == difference_outcome(by_relation, ideal)
 
 
 @settings(max_examples=4, deadline=None, phases=NO_SHRINK)
@@ -1695,6 +1773,21 @@ def test_hom_search_with_more_generators_than_the_recursion_limit(
                           algebra_of([[0]], [[0]], 0, 0))
     assert [psi.mapping for psi in homs] == [(0,) * n]
     assert len(stages) > sys.getrecursionlimit()
+
+
+def test_order_builds_the_canonical_rows_once(monkeypatch, capsys):
+    # canonical_order and semilattice_order read one set of rows
+    # p + q = q of free:3, one equal per row
+    calls, equal = [], CompiledTables.equal
+
+    def counted(x, y):
+        calls.append(x)
+        return equal(x, y)
+
+    monkeypatch.setattr(CompiledTables, "equal", staticmethod(counted))
+    assert main(["order", "--free-atoms", "3"]) == 0
+    assert '"transitivity"' in capsys.readouterr().out
+    assert len(calls) == 256
 
 
 def test_order_decides_transitivity_and_monotony_once(count_calls, capsys):
