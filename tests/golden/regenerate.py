@@ -187,6 +187,14 @@ def _inputs() -> dict[str, object]:
         "name": "pair", "elements": ["0", "1"],
         "add": [["0", "1"], ["1", "0"]],
         "mul": [["1", "0"], ["0", "1"]], "zero": "0", "one": "1"}
+    # ⊖ = {0, 2} is an ideal of cancellable elements, but × does not
+    # distribute and ⊤ = 0 is not absorbing (0 × 0 = 2), so the map
+    # p ↦ (p, ⊤) fails to be a homomorphism into the quotient.
+    files["diff-embedding-fails.json"] = {
+        "name": "embedding-fails", "elements": ["0", "1", "2"],
+        "add": [["0", "1", "2"], ["1", "1", "1"], ["2", "1", "0"]],
+        "mul": [["2", "0", "2"], ["0", "1", "2"], ["2", "2", "2"]],
+        "zero": "0", "one": "1"}
     # The canonical order of free:1 with one poset axiom broken each.
     canon = canonical_order(free_boolean_algebra(1)).to_matrix()
     for name, (p, q) in (("nonreflexive", (2, 2)), ("nonantisymmetric", (0, 3)),
@@ -347,6 +355,8 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
                        "semiring"], None))
     cases.append(("diff-broken-identity",
                   ["diff", "--table", "diff-broken-identity.json"], None))
+    cases.append(("diff-embedding-fails",
+                  ["diff", "--table", "diff-embedding-fails.json"], None))
     cases += [
         ("hom-factor-crossing", ["hom", "factor", "--psi1", "quotient.json",
                                  "--psi2", "quotient-a.json"], None),
