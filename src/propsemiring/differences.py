@@ -16,23 +16,23 @@ reads the same from either pair.  Every construction verifies that ⊖ is
 an ideal, checks the premises of the labels below, and verifies that
 the embedding p ↦ (p, ⊤) is an injective semiring homomorphism.
 
-The quotient is the base.  Where + is commutative and associative, ×
-distributes over + and each subtrahend's opposite undoes it,
-(p + α′) + α = p, these checked premises make the label l(p, α) = p + α′
-a homomorphism of the pairs onto the carrier whose kernel is ~, so
-transitivity and the congruence follow and are not scanned.  The label
-names each class by an element of the carrier, and no N-by-N structure
-is built on this path.
+The quotient is the base where each subtrahend α is central and undone
+by its recorded opposite α′, α + p = p + α and (p + α′) + α = p for
+every p, and where ⊖ = {⊤} or + is associative and × distributes over
++.  These checked premises make the label l(p, α) = p + α′ a
+homomorphism of the pairs onto the carrier whose kernel is ~, so
+transitivity and the congruence follow, unscanned, and the label names
+each class by an element of the carrier with no N-by-N structure.
 
 Where a premise fails, the relation is built as dense rows, its
 transitivity is still scanned, and the quotient's tables are built at
 the heads of the classes, their least pairs; each pair is compared with
 them, as an equivalence is a congruence iff the operations on classes
-are well defined.  That takes O(N²) label comparisons over N pairs
-where the definition has (Σ block²)² positions, n⁶ on ℤn.  Where a comparison
-fails, the definition's scan runs and names the first witness.  Pair
-(p, α) is coded p·|⊖| + position(α), and ⊖ must be an ideal, so those
-tables are built from the + table by row operations in C.
+are well defined.  That takes O(N²) label comparisons over N pairs where
+the definition has (Σ block²)² positions, n⁶ on ℤn.  Where a comparison
+fails, the definition's scan names the first witness.  Pair (p, α) is
+coded p·|⊖| + position(α), and ⊖ must be an ideal, so those tables are
+built from the + table by row operations in C.
 """
 
 from __future__ import annotations
@@ -232,17 +232,18 @@ def _labels(subtrahends: SubtrahendIdeal):
 
 
 def _label_premises(subtrahends: SubtrahendIdeal) -> bool:
-    """Whether the premises of the labels hold, the cheap ones first: +
-    commutative, each subtrahend undone by its opposite, (p + α′) + α = p
-    for every p (one composed row per α), + associative and × distributive
-    over +."""
-    algebra = subtrahends.algebra
+    """Whether the premises of the labels hold, the cheap ones first: each
+    subtrahend α central (its + row is its column) and undone by its
+    opposite, (p + α′) + α = p for every p; then ⊖ = {⊤}, or + associative
+    and × distributive.  On ⊖ = {⊤} the loop still finds that ⊤′ is ⊤."""
+    algebra, members = subtrahends.algebra, subtrahends.members
     c = algebra.compiled
     identity = c.row(range(c.n))
-    return (c.add == c.add_t
-            and all(c.compose(c.add_t[a], c.add_t[o]) == identity
-                    for a, o in zip(subtrahends.members, subtrahends.opposites))
-            and _associative(c, ADD) and _distributivity(algebra).holds)
+    return (all(c.add[a] == c.add_t[a]
+                and c.compose(c.add_t[a], c.add_t[o]) == identity
+                for a, o in zip(members, subtrahends.opposites))
+            and (members == (algebra.top_index,)
+                 or _associative(c, ADD) and _distributivity(algebra).holds))
 
 
 def _blocks(label, count: int) -> list[list[int]]:
@@ -262,28 +263,31 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
     reflexive and symmetric by its definition, and transitive and a
     congruence for both operations, proved from the premises below or
     verified before the quotient tables are built; violations raise
-    CongruenceError with a witness, though they cannot occur once the
-    subtrahends validate as cancellable.
+    CongruenceError with a witness.
 
-    **The quotient is the base** where + is commutative and associative,
-    × distributes over + on both sides, and (p + α′) + α = p for every p
-    and each α ∈ ⊖ with its recorded opposite α′.  These premises are
-    checked first, the cheap ones first.  Then the label l(p, α) = p + α′
-    is a homomorphism of the pairs onto the carrier, and ~ is its kernel,
-    so ~ is a congruence, transitive in particular (Burris &
+    **The quotient is the base** where each α ∈ ⊖ is central and undone
+    by its recorded opposite α′, α + p = p + α and (p + α′) + α = p for
+    every p, and where ⊖ = {⊤} or + is associative and × distributes
+    over + on both sides.  Checked first, these premises make the label
+    l(p, α) = p + α′ a homomorphism of the pairs onto the carrier with
+    kernel ~, so ~ is a congruence, transitive in particular (Burris &
     Sankappanavar, *A Course in Universal Algebra*, 1981, ch. II §6), and
     no scan runs; the two reports hold with their full counts.  With ⊤
-    the identity of + and ⊖ an ideal:
+    the identity of + and ⊖ an ideal, p = ⊤ gives α′ + α = ⊤ = α + α′:
 
-    - *Opposites are unique*: a + b = ⊤ = a + b′ gives b = b + (a + b′)
-      = (b + a) + b′ = b′.  So the recorded opposite of α + β is
-      α′ + β′, and l(x ⊕ y) = l(x) + l(y).
+    - *⊖ = {⊤} needs no more*: ⊤′ = ⊤, so l(p, ⊤) = p and ~ is equality,
+      and the ideal makes ⊤ absorbing, so (p, ⊤) ⊗ (q, ⊤) = (p×q, ⊤).
+    - *Opposites are unique, and central*: b′ + a = ⊤ = a + b gives
+      b′ = b′ + (a + b) = (b′ + a) + b = b, and
+      α′ + p = α′ + p + α + α′ = α′ + α + p + α′ = p + α′.  So ⊖ is
+      abelian, the recorded opposite of α + β is α′ + β′, and α′ moves
+      past q in l(x ⊕ y) = p + α′ + q + β′ = l(x) + l(y).
     - *p × ⊤ = ⊤ = ⊤ × p*: z = p × ⊤ lies in ⊖, which absorbs ×, and
       distributivity gives z = z + z; adding z′ gives z = ⊤.  So
       (p×β)′ = p×β′ and (α×q)′ = α′×q, and α×β = α′×β′, as both are
-      opposites of α′×β.  Then for x = (p, α) and y = (q, β),
-      l(x ⊗ y) = p×q + α×β + p×β′ + α′×q = (p + α′) × (q + β′) =
-      l(x) × l(y).
+      opposites of α′×β.  Then for x = (p, α) and y = (q, β), all terms
+      but p×q central, l(x ⊗ y) = p×q + α×β + p×β′ + α′×q =
+      (p + α′) × (q + β′) = l(x) × l(y).
     - *~ is the kernel of l*: p + β = q + α iff p + α′ = q + β′ (add
       α′ + β′ to go one way, α + β to go back).  l(q, ⊤) = q, so each
       class holds exactly one pair (q, ⊤) and l names it by q.
@@ -303,9 +307,8 @@ def difference_semiring(subtrahends: SubtrahendIdeal) -> DifferenceSemiring:
     the quotient's row of [x] read at [y]: one composed row per class, N
     row comparisons per operation over N pairs.  A congruence that holds
     reports ``checked`` as the definition's scan would, (Σ block²)²
-    positions.  Where a comparison fails the congruence fails, and the
-    scan over related pairs (x, x2) and (y, y2) runs to name the first
-    witness.
+    positions.  Where a comparison fails, x ~ h(x) and y ~ h(y) are a
+    witness, and the scan over related pairs names the first.
     """
     algebra, members = subtrahends.algebra, subtrahends.members
     _require_ideal(algebra, members)
@@ -461,8 +464,8 @@ def _by_relation(subtrahends: SubtrahendIdeal, pairs: list, pair_name):
 
     if not (well_defined(sums, add_rows) and well_defined(products, mul_rows)):
         # x ~ x2 and y ~ y2 force [x ∘ y] = [x2 ∘ y2]: one case per
-        # (x, x2), one position per (y, y2); a scan that holds counts the
-        # (Σ block²)² positions of a holding congruence
+        # (x, x2), one position per (y, y2); the pairs (x, h(x)) and
+        # (y, h(y)) of a failed comparison are among them
         related_pairs = [(y, y2) for block in classes for y in block
                          for y2 in block]
         ys, y2s = zip(*related_pairs)
@@ -472,12 +475,9 @@ def _by_relation(subtrahends: SubtrahendIdeal, pairs: list, pair_name):
                 (compose(sums[x], ys), compose(sums[x2], y2s), plus),
                 (compose(products[x], ys), compose(products[x2], y2s), times)))
             for block in classes for x in block for x2 in block))
-        if not congruence.holds:
-            x, x2, y, y2 = congruence.witness
-            raise CongruenceError(
-                "{} not well defined at {} ~ {}, {} ~ {}".format(
-                    congruence.details["operation"],
-                    *map(pair_name, (x, x2, y, y2))))
+        x, x2, y, y2 = congruence.witness
+        raise CongruenceError("{} not well defined at {} ~ {}, {} ~ {}".format(
+            congruence.details["operation"], *map(pair_name, (x, x2, y, y2))))
     return reps, label, classes, add_rows, mul_rows
 
 

@@ -520,6 +520,25 @@ class TestDiffCommand:
                            "--subtrahends", "0,1")
         assert code == 2 and "ideal" in err
 
+    @pytest.mark.parametrize("subtrahends", [[], ["--subtrahends", "0,2"]])
+    def test_embedding_that_fails_verification(self, capsys, tmp_path,
+                                               subtrahends):
+        # {0, 2} is an ideal of cancellable elements, computed or named,
+        # but × does not distribute and 0 × 0 = 2, so p ↦ (p, ⊤) is no
+        # homomorphism into the quotient
+        spec = {"name": "embedding-fails", "elements": ["0", "1", "2"],
+                "zero": "0", "one": "1",
+                "add": [["0", "1", "2"], ["1", "1", "1"], ["2", "1", "0"]],
+                "mul": [["2", "0", "2"], ["0", "1", "2"], ["2", "2", "2"]]}
+        assert differences.subtrahend_ideal(
+            table_semiring(spec)).members == (0, 2)
+        path = tmp_path / "embedding-fails.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run(capsys, "diff", "--table", str(path),
+                             *subtrahends)
+        assert (code, out) == (2, "")
+        assert err == "error: embedding p ↦ (p, ⊤) failed verification\n"
+
     def test_four_atoms_fail_fast_on_the_table_limit(self, capsys):
         code, out, err = run(capsys, "diff", "--free-atoms", "4")
         assert code == 2 and out == ""

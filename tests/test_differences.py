@@ -250,9 +250,9 @@ class TestDifferenceSemiring:
         assert diff.reports["congruence"].checked == (65 * 65 ** 2) ** 2
 
     @pytest.mark.parametrize("names, one, add, mul, members, forged", [
-        # + is not commutative (1 + 2 = 1, 2 + 1 = 2), nor associative,
-        # and × does not distribute; {0, 1} is an ideal, handed over with
-        # opposites that undo each member
+        # + is not commutative (1 + 2 = 1, 2 + 1 = 2), so the member 1 is
+        # not central, nor associative, and × does not distribute; {0, 1}
+        # is an ideal, handed over with opposites that undo each member
         ("012", 2, [[0, 1, 2], [1, 0, 1], [2, 2, 1]],
          [[0, 1, 0], [1, 1, 1], [0, 1, 2]], (0, 1), True),
         # + is not associative ((1 + 1) + 2 ≠ 1 + (1 + 2)) and × does not

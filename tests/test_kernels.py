@@ -47,7 +47,10 @@ homomorphism of the pairs whose kernel is the difference relation, by
 a scan of every pair of pairs; the construction from the labels equals
 the one from the dense relation, field for field, there, on relabelled
 ℤn and products of two ℤn of at most 16 elements, and on every `diff`
-table of the golden corpus.  The poset laws and monotony of +,
+table of the golden corpus.  With ⊖ = {⊤} the labels need no law of +
+or ×, so the non-distributive ℤ3 of the corpus runs no scan but the
+ideal's, while a forged opposite of ⊤ is refused; a non-commutative +
+on ℤ2 × R with central subtrahends builds from the labels.  The poset laws and monotony of +,
 decided from the identities of + where the relation is the canonical
 order of a semilattice +, are compared with their definitions on tables
 whose + is idempotent and commutative, associative or not, under their
@@ -743,6 +746,12 @@ def test_difference_kernels_match_definitions(data):
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def golden_table(name: str):
+    """The table algebra of an input file of the golden corpus."""
+    with open(GOLDEN / "inputs" / name, encoding="utf-8") as handle:
+        return table_semiring(json.load(handle))
+
+
 def golden_difference_cases():
     """(id, algebra, subtrahend names or None) of each diff case of the
     golden corpus."""
@@ -754,9 +763,7 @@ def golden_difference_cases():
             continue
         options = {a: b for a, b in zip(argv, argv[1:]) if a.startswith("--")}
         if "--table" in options:
-            with open(GOLDEN / "inputs" / options["--table"],
-                      encoding="utf-8") as handle:
-                algebra = table_semiring(json.load(handle))
+            algebra = golden_table(options["--table"])
         else:
             algebra = free_boolean_algebra(int(options["--free-atoms"]))
         names = options.get("--subtrahends")
@@ -783,46 +790,31 @@ def test_labels_match_the_relation_on_golden_tables():
         assert difference_outcome(difference_semiring, ideal) \
             == difference_outcome(by_relation, ideal), case_id
     assert refused == ["diff-broken-identity", "diff-embedding-fails",
-                       "diff-nondistributive-z3", "diff-nondistributive-z3-top"]
+                       "diff-nondistributive-z3"]
 
 
-def spec_table(spec: dict):
-    """(add, mul, zero, one) of a table description, by element position."""
-    index = {e: i for i, e in enumerate(spec["elements"])}
-    add, mul = ([[index[v] for v in row] for row in spec[op]]
-                for op in ("add", "mul"))
-    return add, mul, index[spec["zero"]], index[spec["one"]]
+def test_top_alone_needs_no_premise(count_calls):
+    # × does not distribute on this ℤ3, but with ⊖ = {⊤} the labels are
+    # p itself: no law of + or × is checked and no relation is scanned
+    ideal = subtrahend_ideal(golden_table("z3-nondist.json"), ["0"])
+    scans = count_calls("_scan_rows", differences_module, order_module,
+                        properties_module)
+    distributivity = count_calls("_distributivity", differences_module)
+    outcome = difference_outcome(difference_semiring, ideal)
+    assert [args[0] for args in scans] == ["ideal"]
+    assert distributivity == []
+    assert outcome == difference_outcome(by_relation, ideal)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_labels_are_a_homomorphism_on_abelian_groups(data):
-    # ℤn (n ≤ 16) or a product of two ℤn, relabelled: + is an abelian
-    # group and × distributes, so the premises of the labels hold, with
-    # the true opposites, for the whole carrier and for the principal
-    # ideal of a drawn element
-    if data.draw(st.booleans()):
-        spec = zmod_spec(data.draw(st.integers(2, 16)))
-    else:
-        a = data.draw(st.integers(2, 4))
-        spec = product_spec(zmod_spec(a), zmod_spec(data.draw(
-            st.integers(2, 16 // a))))
-    table = spec_table(spec)
-    n = len(table[0])
-    table, _ = relabelled(table, range(n), data.draw(st.permutations(range(n))))
-    add, mul, zero, _ = table
-    algebra = algebra_of(*table)
-    if data.draw(st.booleans()):
-        ideal = subtrahend_ideal(algebra)
-        assert ideal.members == tuple(range(n))
-    else:
-        g = data.draw(st.integers(0, n - 1))
-        ideal = subtrahend_ideal(algebra, sorted({row[g] for row in mul}))
-    assert ideal.opposites == tuple(add[a].index(zero) for a in ideal.members)
-    assert differences_module._label_premises(ideal)
-    assert_labels_match(ideal, add, mul)
-    assert difference_outcome(difference_semiring, ideal) \
-        == difference_outcome(by_relation, ideal)
+def test_a_forged_opposite_of_top_is_refused():
+    # ⊖ = {⊤} with the opposite 1 recorded for ⊤ = 0: (p + 1) + 0 ≠ p, so
+    # the labels p + 1 are refused and the relation decides
+    forged = SubtrahendIdeal(algebra=golden_table("z3-nondist.json"),
+                             members=(0,), opposites=(1,))
+    assert not differences_module._label_premises(forged)
+    assert difference_semiring(forged).algebra.size == 3
+    assert difference_outcome(difference_semiring, forged) \
+        == difference_outcome(by_relation, forged)
 
 
 @settings(max_examples=4, deadline=None, phases=NO_SHRINK)
@@ -884,6 +876,28 @@ def test_labels_are_a_homomorphism_on_abelian_groups(data):
     assert ideal.opposites == tuple(add[a].index(zero) for a in ideal.members)
     assert differences_module._label_premises(ideal)
     assert_labels_match(ideal, add, mul)
+    assert difference_outcome(difference_semiring, ideal) \
+        == difference_outcome(by_relation, ideal)
+
+
+def test_central_subtrahends_need_no_commutative_sum():
+    # ℤ2 × R, where R = {0, 1, 2} has + with identity 0 and x + y = x
+    # otherwise, and × with identity 1, 0 absorbing and 2 × 2 = 2: + is
+    # associative but not commutative, × distributes on both sides, and
+    # ⊖ = ℤ2 × {0} is central.  On at most 4 elements, no associative,
+    # non-commutative + has a central ⊖ other than {⊤} that is an ideal
+    # under a × that distributes on both sides.
+    r = {"name": "r", "elements": ["0", "1", "2"], "zero": "0", "one": "1",
+         "add": [["0", "1", "2"], ["1", "1", "1"], ["2", "2", "2"]],
+         "mul": [["0", "0", "0"], ["0", "1", "2"], ["0", "2", "2"]]}
+    spec = product_spec(zmod_spec(2), r)
+    algebra = table_semiring(spec)
+    c = algebra.compiled
+    assert c.add != c.add_t
+    assert _associative(c, ADD) and _distributivity(algebra).holds
+    ideal = subtrahend_ideal(algebra, ["0.0", "1.0"])
+    assert differences_module._label_premises(ideal)
+    assert_labels_match(ideal, *spec_table(spec)[:2])
     assert difference_outcome(difference_semiring, ideal) \
         == difference_outcome(by_relation, ideal)
 
