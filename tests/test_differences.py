@@ -276,6 +276,17 @@ class TestDifferenceSemiring:
         # {0, 2} validate, with opposites 0 and 2
         ("012", 1, [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
          [[0, 0, 0], [0, 1, 2], [0, 2, 0]], (0, 2), False),
+        # + is associative, × distributes (and is associative and
+        # commutative), and {0, 1} is an ideal of units, but 1 is not
+        # central: 1 + 4 = 4 while 4 + 1 = 5.  Centrality alone fails,
+        # and the labels p + α′ would build a quotient where ⊕ is not
+        # well defined
+        ("012345", 4,
+         [[0, 1, 2, 3, 4, 5], [1, 0, 2, 3, 4, 5], [2, 2, 2, 3, 3, 3],
+          [3, 3, 3, 2, 2, 2], [4, 5, 3, 2, 2, 2], [5, 4, 3, 2, 2, 2]],
+         [[0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1], [0, 0, 2, 2, 2, 2],
+          [0, 1, 2, 3, 3, 3], [0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 5, 4]],
+         (0, 1), False),
     ])
     def test_a_failed_premise_scans_the_relation(self, names, one, add, mul,
                                                   members, forged,
