@@ -459,6 +459,13 @@ def _cases() -> list[tuple[str, list[str], str | None]]:
          ["order", "--free-atoms", "2", "--order-matrix",
           "free2-canonical.json"], None),
     ]
+    # The three atoms of free:3: their bpa closure is the whole carrier
+    # (256 members), their semiring closure the 18 lattice terms with ⊤
+    # and ⊥ (20 members).
+    for kind in ("bpa", "semiring"):
+        cases.append((f"order-sub-{kind}-free3-abc",
+                      ["order", "--free-atoms", "3", "--sub", "a,b,c",
+                       "--sub-kind", kind], None))
     # Formulas: every precedence level, both associativities, the
     # Unicode spellings, an atom the formula does not mention, and one
     # case per ParseError message (exit 2).
