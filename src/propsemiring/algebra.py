@@ -26,9 +26,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, filterfalse, islice, repeat
 from operator import and_, eq, itemgetter, ne, or_
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 ADD = "add"
 MUL = "mul"
@@ -293,6 +293,7 @@ class CompiledTables:
             raise SizeLimitError(
                 f"carrier of {algebra.name} has {n} elements; compiled "
                 f"operation tables are limited to {MAX_DENSE_CARRIER}")
+        self.algebra = algebra
         self.n = n
         self.row = row_type(n)
         self.add = list(map(self.row, algebra.table_rows(ADD)))
@@ -343,54 +344,16 @@ class CompiledTables:
             self._irreducible[op] = irreducible
         return self._irreducible[op]
 
-    def closure(self, seeds: Iterable[int], sides: Sequence[Sequence],
-                preferred: frozenset[int]
-                ) -> tuple[list[int], list[tuple], list[int]]:
-        """The generators, steps and stage starts of a closure of ``seeds``
-        under ``sides``, tables whose row x lists x ∘ y by y.
-
-        Each element reached is composed once, on whole rows in C, with all
-        reached so far, so a side whose rows differ needs its transpose
-        too.  At a stall the least unreached element of ``preferred``, else
-        the least, is the next generator: preferring the irreducibles keeps
-        the generator count of a finite semilattice under relabelling, as
-        it is their sums.  A step (e, k, x, y) records that e =
-        sides[k][x][y] was reached first that way; steps are in discovery
-        order, e ascending within one side of one x.  Generator i's stage
-        is the steps from ``starts[i]`` up to the next start; the steps
-        before ``starts[0]`` compose the seeds alone.  At a stall every
-        reached element has met every other on every side, so the reached
-        set is closed: the subalgebra generated so far.
-        """
-        reached = list(dict.fromkeys(seeds))
-        unreached = set(range(self.n)).difference(reached)
-        generators, steps, starts = [], [], []
-        done = 0  # reached[:done] have been composed
-        while unreached:
-            if done == len(reached):  # stalled: the next generator
-                starts.append(len(steps))
-                generators.append(min(unreached & preferred or unreached))
-                reached.append(generators[-1])
-                unreached.remove(generators[-1])
-            x, earlier = reached[done], self.row(reached)
-            done += 1
-            for k, rows in enumerate(sides):
-                values = self.compose(rows[x], earlier)
-                found = sorted(unreached.intersection(values))
-                if found:  # the first y of each value wins, read backwards
-                    first = dict(zip(reversed(values), reversed(earlier)))
-                    steps.extend((e, k, x, first[e]) for e in found)
-                    unreached.difference_update(found)
-                    reached.extend(found)
-        return generators, steps, starts
-
     def generators(self, op: str) -> tuple[int, ...]:
         """A generating set of ``op``, ascending: the irreducible elements
-        and the generators of their :meth:`closure` under ``op``."""
+        and the generators of their :func:`closure` under ``op``."""
         if op not in self._generators:
             seeds = sorted(self.irreducible(op))
+            sides = closure_sides(self.algebra, False)
+            stages = closure(self.n, seeds,
+                             sides[:2] if op == ADD else sides[2:])
             self._generators[op] = tuple(sorted(
-                seeds + self.closure(seeds, self.tables(op), frozenset())[0]))
+                seeds + [g for g, _ in islice(stages, 1, None)]))
         return self._generators[op]
 
     def indicator(self, members: Iterable[int]) -> bytes:
@@ -447,6 +410,77 @@ class CompiledTables:
             return b"".join(rows)
         except TypeError:
             return tuple(chain.from_iterable(rows))
+
+
+def closure(n: int, seeds: Iterable[int], sides: Sequence[Callable],
+            preferred: frozenset[int] = frozenset()
+            ) -> Iterator[tuple[int | None, list[tuple]]]:
+    """The stages (generator, steps) of the closure of ``seeds`` under
+    ``sides``, maps (x, ys) ↦ the row of x ∘ y over the row ys
+    (:func:`closure_sides`), in a carrier of n elements, lazily.
+
+    Each element reached is composed once with all reached so far, so a
+    side whose rows differ needs its transpose too; a side given twice
+    is composed once.  A stage ends at a stall, where every reached
+    element has met every other on every side, so the reached set is
+    closed, the subalgebra generated so far; the last ends when all n
+    are reached.  The first stage, with generator None, closes the seeds
+    alone, and no work before its stall grows with n.  Each later stage
+    adds the least unreached element of ``preferred``, else the least:
+    preferring the irreducibles keeps the generator count of a finite
+    semilattice under relabelling, as it is their sums.  A step
+    (e, k, x, y) records that e = x ∘ y on side k was reached first that
+    way; steps are in discovery order, e ascending within one side of
+    one x.
+    """
+    reached = list(dict.fromkeys(seeds))
+    inside, row = set(reached), row_type(n)
+    # the next generator; an element skipped here is reached for good
+    unreached = filterfalse(inside.__contains__,
+                            chain(sorted(preferred), range(n)))
+    distinct = [(k, side) for k, side in enumerate(sides)
+                if side not in sides[:k]]
+    generator, steps, done = None, [], 0  # reached[:done] have been composed
+    while True:
+        if done == len(reached) or len(inside) == n:  # a stall, or the end
+            yield generator, steps
+            if len(inside) == n:
+                return
+            generator, steps = next(unreached), []
+            reached.append(generator)
+            inside.add(generator)
+        x, earlier = reached[done], row(reached)
+        done += 1
+        for k, side in distinct:
+            values = side(x, earlier)
+            if not inside.issuperset(values):
+                found = sorted(set(values).difference(inside))
+                steps.extend((e, k, x, earlier[values.index(e)])
+                             for e in found)  # the first y of each value
+                inside.update(found)
+                reached.extend(found)
+
+
+def closure_sides(algebra: Algebra, complement: bool) -> list[Callable]:
+    """The :func:`closure` sides +, +ᵀ, ×, ×ᵀ and, with ``complement``,
+    !: (x, ys) ↦ the row of x ∘ y, y ∘ x on a transposed side and !y on
+    !, over the row ys.  Up to :data:`MAX_DENSE_CARRIER` elements they
+    compose compiled rows in C, above it they read the scalar operations
+    at ys only.  + and × of a free algebra commute: each is its own +ᵀ."""
+    if algebra.size <= MAX_DENSE_CARRIER:
+        c = algebra.compiled
+        sides = [lambda x, ys, rows=rows: c.compose(rows[x], ys)
+                 for rows in (c.add, c.add_t, c.mul, c.mul_t)]
+        sides.append(lambda _, ys: c.compose(c.comp, ys))
+    else:
+        left = lambda op: lambda x, ys: tuple(map(op, repeat(x), ys))
+        right = lambda op: lambda x, ys: tuple(map(op, ys, repeat(x)))
+        sides = [left(algebra.add_i), right(algebra.add_i),
+                 left(algebra.mul_i), right(algebra.mul_i),
+                 lambda _, ys: tuple(map(algebra.comp_i, ys))]
+    if isinstance(algebra, FreeBooleanAlgebra):
+        sides[1], sides[3] = sides[0], sides[2]
+    return sides[:5 if complement else 4]
 
 
 class FreeBooleanAlgebra(Algebra):
@@ -735,17 +769,27 @@ class Subalgebra:
         return [self.parent.name_of(i) for i in self.members]
 
     def closure_defect(self, bpa_closed: bool = False) -> str | None:
-        """Description of the first closure violation, None when closed."""
-        algebra = self.parent
-        if algebra.top_index not in self.members:
+        """Description of the first closure violation, None when closed:
+        by i, then j, + before ×, then the complements, each member's
+        rows composed and scanned in C."""
+        algebra, members = self.parent, self.members
+        if algebra.top_index not in members:
             return "⊤ is missing"
-        if algebra.bot_index not in self.members:
+        if algebra.bot_index not in members:
             return "⊥ is missing"
+        ys, inside = row_type(algebra.size)(members), set(members)
+        outside = lambda row: bytes(map(inside.__contains__, row)).find(0)
+        plus, _, times, _, *complement = closure_sides(algebra, bpa_closed)
         name_of = algebra.name_of
-        for i, symbol, *j, r in _escapes(algebra, self.members, bpa_closed):
-            term = (f"{name_of(i)} {symbol} {name_of(*j)}" if j
-                    else f"!{name_of(i)}")
-            return f"{term} = {name_of(r)} escapes"
+        for i in members:
+            rows = plus(i, ys), times(i, ys)
+            if not inside.issuperset(chain(*rows)):  # the least j, + first
+                j, k = min((outside(row) % (len(ys) + 1), k)
+                           for k, row in enumerate(rows))
+                return (f"{name_of(i)} {'+×'[k]} {name_of(members[j])} = "
+                        f"{name_of(rows[k][j])} escapes")
+        if complement and (j := outside(row := complement[0](None, ys))) >= 0:
+            return f"!{name_of(members[j])} = {name_of(row[j])} escapes"
         return None
 
     def validate(self, bpa_closed: bool = False) -> None:
@@ -759,32 +803,15 @@ def subalgebra_closure(algebra: Algebra, generators: Iterable[Element],
     """Close the generators (plus ⊤ and ⊥) under the operation tables.
 
     With ``bpa_closed`` the complement is applied as well, which needs an
-    algebra that has one.  The closure is the least fixed point of
-    repeated table application.
+    algebra that has one.  The closure is the first stage of
+    :func:`closure` from these seeds.
     """
     if bpa_closed and not algebra.has_complement:
         raise UnsupportedOperationError(
             f"{algebra.name} has no complement; cannot close as a BPA")
-    members = {algebra.top_index, algebra.bot_index,
-               *map(algebra._member, generators)}
-    while escaped := {e[-1] for e in _escapes(algebra, members, bpa_closed)}:
-        members |= escaped
-    return Subalgebra(parent=algebra, members=tuple(sorted(members)))
-
-
-def _escapes(algebra: Algebra, members: Collection[int],
-             bpa_closed: bool) -> Iterator[tuple]:
-    """Each sum and product of ``members`` outside them as (i, symbol, j,
-    i ∘ j), by i, then j, then + before ×, and then with ``bpa_closed``
-    each complement outside them as (i, "!", !i); on scalar operations."""
-    inside = set(members)
-    operations = (("+", algebra.add_i), ("×", algebra.mul_i))
-    for i in members:
-        for j in members:
-            for symbol, op in operations:
-                if (r := op(i, j)) not in inside:
-                    yield i, symbol, j, r
-    if bpa_closed:
-        for i in members:
-            if (c := algebra.comp_i(i)) not in inside:
-                yield i, "!", c
+    seeds = {algebra.top_index, algebra.bot_index,
+             *map(algebra._member, generators)}
+    _, steps = next(closure(algebra.size, seeds,
+                            closure_sides(algebra, bpa_closed)))
+    return Subalgebra(parent=algebra, members=tuple(sorted(
+        seeds.union(e for e, *_ in steps))))

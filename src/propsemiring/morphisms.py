@@ -27,7 +27,8 @@ from typing import Iterator
 
 from .algebra import (ADD, MAX_DENSE_CARRIER, MUL, Algebra, CompiledTables,
                       DomainError, Element, FreeBooleanAlgebra, SizeLimitError,
-                      UnsupportedOperationError, _from_bytes, row_type)
+                      UnsupportedOperationError, _from_bytes, closure,
+                      closure_sides, row_type)
 from .order import require_canonical
 from .properties import (PropertyReport, _associative, _bands, _names,
                          _scan_rows)
@@ -160,28 +161,23 @@ def check_morphism(psi: Morphism, kind: str = "semiring") -> PropertyReport:
                             {"condition": "⊥ preserved"}),)
         # The rows b ↦ v + ψ(b) and b ↦ v × ψ(b), and b ↦ !ψ(b); a target
         # above the table limit is read at the images only.
-        if dst.size <= MAX_DENSE_CARRIER:
-            d = dst.compiled
-            rows_after = lambda v: (compose(d.add[v], f), compose(d.mul[v], f))
-            comp_after = lambda: compose(d.comp, f)
-        else:
-            rows_after = lambda v: (tuple(map(dst.add_i, repeat(v), f)),
-                                    tuple(map(dst.mul_i, repeat(v), f)))
-            comp_after = lambda: tuple(map(dst.comp_i, f))
+        add_after, _, mul_after, _, *comp_after = closure_sides(
+            dst, kind == "bpa")
         plus, times = {"condition": "+ preserved"}, {"condition": "× preserved"}
-        after = {}  # v ↦ rows_after(v), built when a band first needs it
+        after = {}  # v ↦ both rows of v, built when a band first needs it
         add, mul, after_of = s.add, s.mul, after.__getitem__
         for a0, a1, positions in _bands(s.n):
             images = f[a0:a1]
             for v in set(images).difference(after):
-                after[v] = rows_after(v)
+                after[v] = add_after(v, f), mul_after(v, f)
             adds, muls = zip(*map(after_of, images))
             # position (a, b): ψ(a ∘ b) against ψ(a) ∘ ψ(b)
             yield (), positions, (
                 (compose(f, concat(add[a0:a1])), concat(adds), plus),
                 (compose(f, concat(mul[a0:a1])), concat(muls), times))
         if kind == "bpa":
-            yield (), range(s.n), ((compose(f, s.comp), comp_after(),
+            yield (), range(s.n), ((compose(f, s.comp),
+                                    comp_after[0](None, f),
                                     {"condition": "! preserved"}),)
 
     return _scan_rows(f"{kind}-homomorphism", src.name_of, cases())
@@ -286,7 +282,7 @@ def enumerate_homs(src: Algebra, dst: Algebra,
     in atom-image order for a free source of the bpa kind.
 
     ⊤ and ⊥ are closed under +, × and, for bpa, ! by
-    ``CompiledTables.closure``, which prefers the atoms of a free source
+    :func:`algebra.closure`, which prefers the atoms of a free source
     of the bpa kind and else the elements that are no sum of two others
     as generators.  :data:`ENUMERATION_CAP` bounds the |dst|^|generators|
     candidate maps, which are searched in stages, one per generator, on
@@ -327,52 +323,47 @@ def enumerate_homs(src: Algebra, dst: Algebra,
     s = src.compiled
     bpa = kind == "bpa"
     free_bpa = bpa and isinstance(src, FreeBooleanAlgebra)
-    generators, steps, starts = s.closure(
-        (src.top_index, src.bot_index),
-        [s.add, s.add_t, s.mul, s.mul_t, [s.comp] * s.n][:5 if bpa else 4],
+    (_, first), *stages = closure(
+        s.n, (src.top_index, src.bot_index), closure_sides(src, bpa),
         frozenset(map(src.atom_value, range(src.n_atoms))) if free_bpa
         else s.irreducible(ADD))
     width = dst.size
-    candidates = width ** len(generators)
+    candidates = width ** len(stages)
     if candidates > ENUMERATION_CAP:
         raise SizeLimitError(f"{candidates} candidate maps exceed the cap "
                              f"{ENUMERATION_CAP}")
     column = row_type(width)
     compose, concat = CompiledTables.compose, CompiledTables.concat
     # side k of the closure: the column of ψ(e) for a step (e, k, a, b)
-    # from the columns of ψ(a) and ψ(b); the ! side reads ψ(b) only
+    # from the columns of ψ(a) and ψ(b); the ! side, as in closure_sides,
+    # reads ψ(b) only
     if width <= MAX_DENSE_CARRIER:
         d = dst.compiled
         derive = [lambda a, b, row=rows.__getitem__:
                   column(map(getitem, map(row, a), b))
                   for rows in (d.add, d.add_t, d.mul, d.mul_t)]
-        derive.append(lambda _, b: compose(d.comp, b))
     else:
         derive = [lambda a, b, op=op: column(map(op, a, b)) for op in (
             dst.add_i, lambda u, v: dst.add_i(v, u),
             dst.mul_i, lambda u, v: dst.mul_i(v, u))]
-        derive.append(lambda _, b: column(map(dst.comp_i, b)))
-    bounds = [*starts, len(steps)]  # stage i: steps[bounds[i]:bounds[i + 1]]
-    stages = []  # (generator, steps, screen or None) per stage
-    reached = {src.top_index, src.bot_index,
-               *(e for e, *_ in steps[:bounds[0]])}
-    for i, g in enumerate(generators):
-        stage = steps[bounds[i]:bounds[i + 1]]
-        new = [g, *(e for e, *_ in stage)]
+    derive += closure_sides(dst, bpa)[4:]
+    reached = {src.top_index, src.bot_index, *(e for e, *_ in first)}
+    for i, (g, steps) in enumerate(stages):
+        new = [g, *(e for e, *_ in steps)]
         reached.update(new)
-        last = i + 1 == len(generators)
+        last = i + 1 == len(stages)
         screen = None if free_bpa or width == 1 or last else list(
             dict.fromkeys(chain(  # (e, k, a, b): ψ(e) = derive[k](ψ(a), ψ(b))
                 *(((s.add[g][x], 0, g, x), (s.add[x][g], 0, x, g),
                    (s.mul[g][x], 2, g, x), (s.mul[x][g], 2, x, g))
                   for x in sorted(reached)),
                 ((s.comp[y], 4, y, y) for y in new if bpa))))
-        stages.append((g, stage, screen))
+        stages[i] = g, steps, screen  # each stage gains its screen
 
     seed = [None] * s.n  # the columns of the one candidate before stage 0
     seed[src.top_index] = column([dst.top_index])
     seed[src.bot_index] = column([dst.bot_index])
-    for e, k, a, b in steps[:bounds[0]]:
+    for e, k, a, b in first:
         seed[e] = derive[k](seed[a], seed[b])
     if width <= MAX_DENSE_CARRIER and seed[src.top_index][0] == dst.top_index:
         generator_rows = [  # per operation: G∘'s rows joined, G∘, target rows

@@ -136,6 +136,30 @@ def closure_oracle(algebra, seeds: set[int], with_complement: bool) -> set[int]:
     return members
 
 
+def closure_defect_oracle(members, add, mul, comp, top, bot, name,
+                          bpa_closed):
+    """The first way the ascending ``members`` fail to be closed, in the
+    words of ``Subalgebra.closure_defect``, from the definition: ⊤ or ⊥
+    missing, else the first i ∘ j outside them by i, then j, then +
+    before ×, then with ``bpa_closed`` the first !i outside them; None
+    when they are closed.  ``add``, ``mul`` and ``comp`` are the
+    operations on indices, ``name`` names an index."""
+    if top not in members:
+        return "⊤ is missing"
+    if bot not in members:
+        return "⊥ is missing"
+    for i in members:
+        for j in members:
+            for symbol, op in (("+", add), ("×", mul)):
+                if op(i, j) not in members:
+                    return (f"{name(i)} {symbol} {name(j)} = "
+                            f"{name(op(i, j))} escapes")
+    for i in members:
+        if bpa_closed and comp(i) not in members:
+            return f"!{name(i)} = {name(comp(i))} escapes"
+    return None
+
+
 def irreducible_oracle(op):
     """The elements that are no product x ∘ y of two others."""
     n = len(op)

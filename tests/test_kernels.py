@@ -93,13 +93,17 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, example, given, settings, strategies as st
+from hypothesis import (Phase, assume, example, given, settings,
+                        strategies as st)
 
 from propsemiring.algebra import (ADD, MAX_DENSE_CARRIER, MUL, AlgebraError,
                                   CompiledTables, DomainError, SizeLimitError,
-                                  TableLoadError, UnsupportedOperationError,
-                                  free_boolean_algebra, subalgebra_closure,
-                                  table_semiring, transposed)
+                                  Subalgebra, TableLoadError,
+                                  UnsupportedOperationError, closure,
+                                  closure_sides, free_boolean_algebra,
+                                  subalgebra_closure, table_semiring,
+                                  transposed)
+import propsemiring.algebra as algebra_module
 import propsemiring.differences as differences_module
 import propsemiring.morphisms as morphisms_module
 import propsemiring.order as order_module
@@ -125,7 +129,8 @@ from propsemiring.properties import (BAND_POSITIONS, _associative,
 from helpers import (antisymmetry_oracle, associativity_oracle,
                      bound_decomposition_oracle, cancellable_oracle,
                      cancellation_criterion_oracle, canonical_order_oracle,
-                     closure_oracle, commutativity_oracle, cones_oracle,
+                     closure_defect_oracle, closure_oracle,
+                     commutativity_oracle, cones_oracle,
                      difference_oracle, distributivity_oracle, entire_oracle,
                      extended_order_oracle, generators_oracle, homs_oracle,
                      ideal_oracle, irreducible_oracle,
@@ -1326,11 +1331,17 @@ def test_generating_sets_match_definition(table):
         assert c.generators(op) == generators_oracle(rows)
 
 
-def assert_closure_matches(c, plain, compiled, seeds, preferred):
-    """``c.closure`` against the definition, the tables given twice: as
-    nested lists and as the compiled rows.  Generator i's stage holds the
-    steps that reach the closure with the first i + 1 generators."""
-    generators, steps, starts = c.closure(seeds, compiled, preferred)
+def assert_closure_matches(c, plain, sides, seeds, preferred):
+    """``closure`` against the definition, the tables given twice: as
+    nested lists and as closure sides on the compiled rows.  Generator
+    i's stage holds the steps that reach the closure with the first
+    i + 1 generators; the first stage, with no generator, the steps that
+    close the seeds alone."""
+    stages = list(closure(c.n, seeds, sides, preferred))
+    assert stages[0][0] is None
+    generators = [g for g, _ in stages[1:]]
+    steps = [step for _, stage in stages for step in stage]
+    starts = list(itertools.accumulate(len(stage) for _, stage in stages))
     expected, closures = stall_generators_oracle(plain, seeds, preferred, c.n)
     assert generators == expected
     reached = set(seeds)
@@ -1338,8 +1349,8 @@ def assert_closure_matches(c, plain, compiled, seeds, preferred):
         == list(range(c.n))  # the seeds, generators and steps partition
     levels = [next(i for i, closure in enumerate(closures) if e in closure)
               for e, *_ in steps]
-    assert starts == [sum(level <= i for level in levels)
-                      for i in range(len(generators))]
+    assert starts[:-1] == [sum(level <= i for level in levels)
+                           for i in range(len(generators))]
     assert levels == sorted(levels)
     for before, (e, k, x, y), level in zip([None, *steps], steps, levels):
         reached.update(generators[:level])
@@ -1349,7 +1360,7 @@ def assert_closure_matches(c, plain, compiled, seeds, preferred):
         reached.add(e)
 
 
-def closure_sides(add, mul, comp):
+def plain_sides(add, mul, comp):
     """+, its columns, ×, its columns and the constant complement side."""
     return [add, transpose_oracle(add), mul, transpose_oracle(mul),
             [comp] * len(add)]
@@ -1361,18 +1372,21 @@ def test_closure_matches_definition(data):
     # Each generator is the least preferred element, else the least,
     # outside the closure of the seeds and the generators before it, and
     # each step composes two elements reached before the one it reaches.
+    # A side given twice is composed once, and no step names its second
+    # place.
     add, mul, zero, one = data.draw(cayley_tables(st.integers(1, 9)))
     n = len(add)
     cell = st.integers(0, n - 1)
     comp = data.draw(st.lists(cell, min_size=n, max_size=n))
-    c = algebra_of(add, mul, zero, one, comp).compiled
+    algebra = algebra_of(add, mul, zero, one, comp)
     # a side that depends on x comes with its transpose
     groups = data.draw(st.sets(st.sampled_from(((0, 1), (2, 3), (4,))),
                                min_size=1))
     order = data.draw(st.permutations([k for group in groups for k in group]))
-    compiled = [c.add, c.add_t, c.mul, c.mul_t, [c.comp] * n]
-    plain = closure_sides(add, mul, comp)
-    assert_closure_matches(c, [plain[k] for k in order],
+    order += order[:data.draw(st.integers(0, 1))]
+    compiled = closure_sides(algebra, True)
+    plain = plain_sides(add, mul, comp)
+    assert_closure_matches(algebra.compiled, [plain[k] for k in order],
                            [compiled[k] for k in order],
                            data.draw(st.lists(cell, max_size=4)),
                            data.draw(st.frozensets(cell)))
@@ -1388,12 +1402,107 @@ def test_closure_of_tuple_rows_matches_definition(n):
     for _ in range(3):
         mul[rng.randrange(2, n)][rng.randrange(2, n)] = rng.randrange(n)
     comp = [rng.randrange(n) for _ in range(n)]
-    c = algebra_of(add, mul, 0, 1, comp).compiled
-    assert c.row is tuple
+    algebra = algebra_of(add, mul, 0, 1, comp)
+    assert algebra.compiled.row is tuple
     assert_closure_matches(
-        c, closure_sides(add, mul, comp),
-        [c.add, c.add_t, c.mul, c.mul_t, [c.comp] * n], [0],
-        frozenset(rng.sample(range(n), 3)))
+        algebra.compiled, plain_sides(add, mul, comp),
+        closure_sides(algebra, True), [0], frozenset(rng.sample(range(n), 3)))
+
+
+def test_subalgebra_closure_takes_the_first_stage_only(monkeypatch):
+    # The bpa closure of a in free:3 is {⊥, !a, a, ⊤}: each side composes
+    # each of the 4 members once, and no later stage starts.  + and ×
+    # commute on a free algebra, so their transposed sides are skipped.
+    calls = []
+
+    def counted_sides(algebra, complement):
+        sides, counted = closure_sides(algebra, complement), {}
+        for k, side in enumerate(sides):  # a side given twice stays one
+            counted.setdefault(side, lambda x, ys, k=k, side=side:
+                               calls.append(k) or side(x, ys))
+        return [counted[side] for side in sides]
+
+    monkeypatch.setattr(algebra_module, "closure_sides", counted_sides)
+    algebra = free_boolean_algebra(3)
+    sub = subalgebra_closure(algebra, [algebra.element_named("a")])
+    assert sub.element_names() == ["⊥", "!a", "a", "⊤"]
+    assert sorted(calls) == [0] * 4 + [2] * 4 + [4] * 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(cayley_tables(st.integers(1, 9)), st.data())
+def test_scalar_sides_match_compiled_sides(table, data):
+    # Above the table limit the sides read the scalar operations; on
+    # tables whose + or × does not commute they must give the compiled
+    # sides' rows, the transposed ones included, over any row of ys.
+    add, mul, zero, one = table
+    assume(add != transpose_oracle(add) or mul != transpose_oracle(mul))
+    n = len(add)
+    comp = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    algebra = algebra_of(add, mul, zero, one, comp)
+    ys = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    compiled = closure_sides(algebra, True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra_module, "MAX_DENSE_CARRIER", 0)
+        scalar = closure_sides(algebra, True)
+    assert len(scalar) == len(compiled) == 5
+    for x in range(n):
+        assert [side(x, tuple(ys)) for side in scalar] \
+            == [tuple(side(x, bytes(ys))) for side in compiled]
+
+
+FREE4 = free_boolean_algebra(4)
+
+
+def free_defect_oracle(k, members, bpa_closed):
+    """closure_defect_oracle on the bitwise operations of free:k."""
+    mask = (1 << (1 << k)) - 1
+    name = free_boolean_algebra(k).name_of
+    return closure_defect_oracle(members, int.__and__, int.__or__,
+                                 mask.__xor__, mask, 0, name, bpa_closed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_closure_defect_matches_definition(data):
+    # The first escape of a set of members, by i, then j, + before ×,
+    # then the complements, named as the definition names it, on free:2
+    # and on tables of at most 9 elements; each of ⊤ and ⊥ is kept with
+    # probability 3/4.
+    bpa_closed = data.draw(st.booleans())
+    if data.draw(st.booleans()):
+        algebra = free_boolean_algebra(2)
+        n = algebra.size
+        expected = lambda members: free_defect_oracle(2, members, bpa_closed)
+    else:
+        add, mul, zero, one = data.draw(cayley_tables(st.integers(1, 9)))
+        n = len(add)
+        comp = data.draw(st.lists(st.integers(0, n - 1), min_size=n,
+                                  max_size=n))
+        algebra = algebra_of(add, mul, zero, one, comp)
+        expected = lambda members: closure_defect_oracle(
+            members, lambda i, j: add[i][j], lambda i, j: mul[i][j],
+            comp.__getitem__, zero, one, algebra.name_of, bpa_closed)
+    members = data.draw(st.sets(st.integers(0, n - 1)))
+    for kept in (algebra.top_index, algebra.bot_index):
+        if data.draw(st.integers(0, 3)):
+            members.add(kept)
+    members = tuple(sorted(members))
+    assert Subalgebra(parent=algebra, members=members).closure_defect(
+        bpa_closed) == expected(members)
+
+
+@pytest.mark.parametrize("names", [
+    ["⊥", "a", "b", "⊤"], ["⊥", "a", "⊤"], ["⊥", "!a", "a", "⊤"],
+    ["⊥", "a", "b", "c", "d", "⊤"], ["a", "⊤"],
+    ["⊥", "0000000000000001", "a", "⊤"]])
+@pytest.mark.parametrize("bpa_closed", [False, True])
+def test_closure_defect_above_the_table_limit_matches_definition(
+        names, bpa_closed):
+    # free:4 does not compile, so its rows are the scalar sides.
+    members = tuple(sorted(map(FREE4.index_of, names)))
+    assert Subalgebra(parent=FREE4, members=members).closure_defect(
+        bpa_closed) == free_defect_oracle(4, members, bpa_closed)
 
 
 @pytest.mark.parametrize("n", [1, 2, 256, 257])
@@ -1760,10 +1869,15 @@ def test_hom_search_on_scalar_operations_matches_definition(pair):
     # With the table limit at 0 and tuple rows, as above 4096 elements,
     # every target takes the scalar operations: the steps of the stages
     # and the screens read dst.add_i, dst.mul_i (either way round) and
-    # dst.comp_i, and check_morphism decides each candidate left.
+    # dst.comp_i, and check_morphism decides each candidate left on the
+    # scalar sides of the target, as the closure of the source reads its
+    # own.  Both carriers are compiled before the limit drops, and the
+    # compiled tables are kept.
     src, dst = pair
     source, target = algebra_from(src), algebra_from(dst)
+    assert source.compiled and target.compiled
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra_module, "MAX_DENSE_CARRIER", 0)
         patch.setattr(morphisms_module, "MAX_DENSE_CARRIER", 0)
         patch.setattr(morphisms_module, "row_type", lambda n: tuple)
         for kind in KINDS:
