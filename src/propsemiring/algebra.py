@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress, filterfalse, islice, repeat
-from operator import and_, eq, itemgetter, ne, or_
+from operator import and_, eq, itemgetter, ne, or_, xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 ADD = "add"
@@ -454,19 +454,19 @@ def closure(n: int, seeds: Iterable[int], sides: Sequence[Callable],
         for k, side in distinct:
             values = side(x, earlier)
             if not inside.issuperset(values):
-                found = sorted(set(values).difference(inside))
-                steps.extend((e, k, x, earlier[values.index(e)])
-                             for e in found)  # the first y of each value
-                inside.update(found)
-                reached.extend(found)
+                for e in sorted(set(values).difference(inside)):
+                    # the first y of each value
+                    steps.append((e, k, x, earlier[values.index(e)]))
+                    inside.add(e)
+                    reached.append(e)
 
 
 def closure_sides(algebra: Algebra, complement: bool) -> list[Callable]:
-    """The :func:`closure` sides +, +ᵀ, ×, ×ᵀ and, with ``complement``,
-    !: (x, ys) ↦ the row of x ∘ y, y ∘ x on a transposed side and !y on
-    !, over the row ys.  Up to :data:`MAX_DENSE_CARRIER` elements they
-    compose compiled rows in C, above it they read the scalar operations
-    at ys only.  + and × of a free algebra commute: each is its own +ᵀ."""
+    """The :func:`closure` sides +, +ᵀ, ×, ×ᵀ and, with ``complement``, !:
+    (x, ys) ↦ the row over ys of x ∘ y (y ∘ x on a transposed side, !y on
+    !), composed in C from compiled rows up to :data:`MAX_DENSE_CARRIER`
+    elements and read from the scalar operations above it.  On a free
+    algebra + and × commute: each is its own transposed side."""
     if algebra.size <= MAX_DENSE_CARRIER:
         c = algebra.compiled
         sides = [lambda x, ys, rows=rows: c.compose(rows[x], ys)
@@ -498,6 +498,7 @@ class FreeBooleanAlgebra(Algebra):
         self.n_atoms = n
         self.rows = 1 << n                 # number of atom assignments
         self.mask = (1 << self.rows) - 1   # all-ones truth table
+        self.comp_i = partial(xor, self.mask)  # in C, as + and × are
         super().__init__(name=f"free:{n}", top_index=self.mask, bot_index=0,
                          source_spec=f"free:{n}")
         self._atom_values = tuple(self._atom_bits(i) for i in range(n))
@@ -554,9 +555,6 @@ class FreeBooleanAlgebra(Algebra):
     @property
     def has_complement(self) -> bool:
         return True
-
-    def comp_i(self, i: int) -> int:
-        return self.mask ^ i
 
 
 class TableAlgebra(Algebra):

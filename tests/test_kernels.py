@@ -21,10 +21,15 @@ are decided on generating sets: the sets are compared with a closure
 from their definition, the laws with the scans on relabelled Boolean
 tables with a few cells changed, on ℤn and on ℤn of 257-300 elements,
 and three tables pin the fallback to the scan where the test at the
-generators, or its associativity premise, fails.  ``CompiledTables.closure``
-is compared with the stall rule from its definition on random tables,
-seeds and preferred sets, on byte and tuple rows, and its steps with
-the sides they name.  Light's test alone is
+generators, or its associativity premise, fails.  The stages of
+``algebra.closure`` are compared with the stall rule from its definition
+on random tables, seeds, preferred sets and orders of the sides, one
+side given twice, on byte and tuple rows, and its steps with the sides
+they name; ``subalgebra_closure`` takes the first stage only, and the
+scalar sides of ``closure_sides`` equal the compiled ones on tables
+whose + or × does not commute.  ``Subalgebra.closure_defect`` names the
+first escape of its definition on free:2, on random tables and on
+free:4, whose sides are scalar.  Light's test alone is
 compared with the associativity oracle for both operations of every
 hypothesis table, and ``transposed`` with a transpose oracle on byte and
 tuple rows at the byte-row edge.  ``CompiledTables.equal`` is compared
@@ -1372,8 +1377,7 @@ def test_closure_matches_definition(data):
     # Each generator is the least preferred element, else the least,
     # outside the closure of the seeds and the generators before it, and
     # each step composes two elements reached before the one it reaches.
-    # A side given twice is composed once, and no step names its second
-    # place.
+    # One side may be given twice.
     add, mul, zero, one = data.draw(cayley_tables(st.integers(1, 9)))
     n = len(add)
     cell = st.integers(0, n - 1)
@@ -1451,9 +1455,6 @@ def test_scalar_sides_match_compiled_sides(table, data):
             == [tuple(side(x, bytes(ys))) for side in compiled]
 
 
-FREE4 = free_boolean_algebra(4)
-
-
 def free_defect_oracle(k, members, bpa_closed):
     """closure_defect_oracle on the bitwise operations of free:k."""
     mask = (1 << (1 << k)) - 1
@@ -1500,8 +1501,9 @@ def test_closure_defect_matches_definition(data):
 def test_closure_defect_above_the_table_limit_matches_definition(
         names, bpa_closed):
     # free:4 does not compile, so its rows are the scalar sides.
-    members = tuple(sorted(map(FREE4.index_of, names)))
-    assert Subalgebra(parent=FREE4, members=members).closure_defect(
+    algebra = free_boolean_algebra(4)
+    members = tuple(sorted(map(algebra.index_of, names)))
+    assert Subalgebra(parent=algebra, members=members).closure_defect(
         bpa_closed) == free_defect_oracle(4, members, bpa_closed)
 
 
