@@ -293,7 +293,6 @@ class CompiledTables:
             raise SizeLimitError(
                 f"carrier of {algebra.name} has {n} elements; compiled "
                 f"operation tables are limited to {MAX_DENSE_CARRIER}")
-        self.algebra = algebra
         self.n = n
         self.row = row_type(n)
         self.add = list(map(self.row, algebra.table_rows(ADD)))
@@ -349,12 +348,15 @@ class CompiledTables:
         and the generators of their :func:`closure` under ``op``."""
         if op not in self._generators:
             seeds = sorted(self.irreducible(op))
-            sides = closure_sides(self.algebra, False)
-            stages = closure(self.n, seeds,
-                             sides[:2] if op == ADD else sides[2:])
+            stages = closure(self.n, seeds, self.sides(*self.tables(op)))
             self._generators[op] = tuple(sorted(
                 seeds + [g for g, _ in islice(stages, 1, None)]))
         return self._generators[op]
+
+    def sides(self, *tables: Sequence) -> list[Callable]:
+        """The :func:`closure` side (x, ys) ↦ compose(rows[x], ys) of each."""
+        return [lambda x, ys, rows=rows: self.compose(rows[x], ys)
+                for rows in tables]
 
     def indicator(self, members: Iterable[int]) -> bytes:
         """The 0/1 byte row that is 1 exactly at ``members``."""
@@ -469,8 +471,7 @@ def closure_sides(algebra: Algebra, complement: bool) -> list[Callable]:
     algebra + and × commute: each is its own transposed side."""
     if algebra.size <= MAX_DENSE_CARRIER:
         c = algebra.compiled
-        sides = [lambda x, ys, rows=rows: c.compose(rows[x], ys)
-                 for rows in (c.add, c.add_t, c.mul, c.mul_t)]
+        sides = c.sides(c.add, c.add_t, c.mul, c.mul_t)
         sides.append(lambda _, ys: c.compose(c.comp, ys))
     else:
         left = lambda op: lambda x, ys: tuple(map(op, repeat(x), ys))
